@@ -36,7 +36,6 @@ from .lattice import (
     SPEED_BOUND,
     LatticeVector,
     PotentialSpec,
-    TruncatedOperator,
     WeightedNormSpec,
     apply_bilaplacian,
     apply_neg_laplacian,
@@ -53,9 +52,7 @@ from .propagator import (
     free_kernel_fft,
     kernel_spectral,
     pac_split,
-    stone_kernel_schrodinger,
     stone_kernel_slice,
-    sup_norm_kernel,
 )
 from .quadrature import (
     PhaseSpec,
@@ -76,6 +73,7 @@ from .resolvent import (
 )
 from .spectral import (
     BirmanSchwingerSystem,
+    LocalizationError,
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
@@ -91,7 +89,6 @@ __all__ = [
     "SPEED_BOUND",
     "LatticeVector",
     "PotentialSpec",
-    "TruncatedOperator",
     "WeightedNormSpec",
     "apply_bilaplacian",
     "apply_neg_laplacian",
@@ -115,6 +112,7 @@ __all__ = [
     "regular_point_check",
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
+    "LocalizationError",
     "discrete_eigs",
     "embedded_eig_scan",
     "PhaseSpec",
@@ -131,8 +129,6 @@ __all__ = [
     "pac_split",
     "free_kernel_fft",
     "stone_kernel_slice",
-    "stone_kernel_schrodinger",
-    "sup_norm_kernel",
     "DecaySeries",
     "DecayFit",
     "log_time_grid",

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .decay import (
 from .expansion import geometric_grid, remainder_norms, remainder_order
 from .lattice import LatticeVector, PotentialSpec
 from .propagator import (
+    FREE_KINDS,
     auto_window_radius,
     kernel_spectral,
     pac_split,
@@ -127,9 +129,9 @@ def _as_str(v):
 def _as_band(v):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError("expected [lo, hi]")
-    lo, hi = float(v[0]), float(v[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError("band bounds must be finite with lo < hi")
+    lo, hi = _as_float()(v[0]), _as_float()(v[1])
+    if not lo < hi:
+        raise ValueError("band bounds must have lo < hi")
     return (lo, hi)
 
 
@@ -156,11 +158,9 @@ def _as_int_list(lo=None, min_len=1):
 
 
 def _as_potential(v):
-    """Potential object: null, {"delta": c, "site": s}, or support/values."""
-    if v is None:
-        return None
+    """Potential object: {"delta": c, "site": s}, or support/values."""
     if not isinstance(v, dict):
-        raise ValueError("expected null or an object describing a potential")
+        raise ValueError(f"expected an object describing a potential, got {v!r}")
     try:
         if "delta" in v:
             extra = set(v) - {"delta", "site", "beta"}
@@ -185,7 +185,7 @@ def _as_potential(v):
 def _as_potential_list(v):
     if not isinstance(v, (list, tuple)) or not v:
         raise ValueError("expected a nonempty list of potentials")
-    return [_as_potential(x) for x in v]
+    return [None if x is None else _as_potential(x) for x in v]
 
 
 def _potential_label(V) -> str:
@@ -355,12 +355,6 @@ def write_plot(path: Path, curves, xlabel, ylabel, title, annotations=()) -> Non
 # command runners; each returns (exit_code, report dict, outputs list)
 
 
-def _series_csv(outdir: Path, name: str, series: DecaySeries):
-    write_csv(
-        outdir / name, ["t", "sup_norm"], zip(series.times, series.sup_norms)
-    )
-
-
 _FREE_BANDS = {
     "schrodinger_free_bilap": (0.23, 0.27),
     "schrodinger_free_lap": (0.31, 0.36),
@@ -378,71 +372,84 @@ _FREE_CLAIMS = {
 }
 
 
-def _run_free_decay(cfg, outdir, rng):
+class _DecaySource(NamedTuple):
+    """A decay command's series with its band, report fields and labels."""
+
+    series: DecaySeries
+    band: tuple
+    label: str
+    fields: dict
+    claim: str
+    title: str
+
+
+def _free_source(cfg, times) -> _DecaySource:
     kind = cfg["kind"]
     band = cfg["band"] if cfg["band"] is not None else _FREE_BANDS[kind]
-    times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
-    series = free_decay_series(kind, times)
-    fit = fit_decay_exponent(series)
-    ok = band[0] <= fit.alpha <= band[1]
-    _series_csv(outdir, "series.csv", series)
-    report = {
-        "kind": kind,
-        "alpha": fit.alpha,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "band": list(band),
-        "band_pass": ok,
-        "paper_claim": _FREE_CLAIMS[kind],
-    }
-    write_json(outdir / "fit.json", report)
-    write_plot(
-        outdir / "decay.svg",
-        [{"label": kind, "x": series.times, "y": series.sup_norms}],
-        "t",
-        "sup norm",
-        f"free decay, {kind}",
-        [f"fitted slope {-fit.alpha:+.4f}"],
+    return _DecaySource(
+        free_decay_series(kind, times), band, kind, {"kind": kind},
+        _FREE_CLAIMS[kind], f"free decay, {kind}",
     )
-    return (0 if ok else 1), report, ["series.csv", "fit.json", "decay.svg"]
 
 
-def _run_perturbed_decay(cfg, outdir, rng):
+def _perturbed_source(cfg, times) -> _DecaySource:
     V = cfg["potential"]
-    if V is None:
-        raise ConfigError("field 'potential': must not be null for perturbed-decay")
-    times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
     series = perturbed_decay_series(V, times, observe_radius=cfg["observe_radius"])
-    fit = fit_decay_exponent(series)
-    band = cfg["band"]
-    ok = band[0] <= fit.alpha <= band[1]
-    _series_csv(outdir, "series.csv", series)
-    report = {
-        "potential": _potential_label(V),
-        "observe_radius": cfg["observe_radius"],
-        "alpha": fit.alpha,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "band": list(band),
-        "band_pass": ok,
-        "paper_claim": (
-            "for a small potential keeping both band edges regular, the "
-            "continuous part of the perturbed fourth-difference flow keeps "
-            "the free sup-norm decay rate t^(-1/4) on a fixed window"
-        ),
-    }
+    fields = {"potential": _potential_label(V), "observe_radius": cfg["observe_radius"]}
+    claim = (
+        "for a small potential keeping both band edges regular, the "
+        "continuous part of the perturbed fourth-difference flow keeps "
+        "the free sup-norm decay rate t^(-1/4) on a fixed window"
+    )
+    return _DecaySource(
+        series, cfg["band"], "perturbed", fields, claim,
+        "perturbed decay (continuous part)",
+    )
+
+
+def _write_decay(outdir, named_series, report, title, notes):
+    """Write (csv name, label, series) triples, fit.json and decay.svg."""
+    curves = []
+    for name, label, series in named_series:
+        write_csv(outdir / name, ["t", "sup_norm"], zip(series.times, series.sup_norms))
+        curves.append({"label": label, "x": series.times, "y": series.sup_norms})
     write_json(outdir / "fit.json", report)
     write_plot(
         outdir / "decay.svg",
-        [{"label": "perturbed", "x": series.times, "y": series.sup_norms}],
+        curves,
         "t",
         "sup norm",
-        "perturbed decay (continuous part)",
-        [f"fitted slope {-fit.alpha:+.4f}"],
+        title,
+        notes,
     )
-    return (0 if ok else 1), report, ["series.csv", "fit.json", "decay.svg"]
+    return [name for name, _, _ in named_series] + ["fit.json", "decay.svg"]
+
+
+def _fitted_decay(source):
+    """Runner fitting the decay exponent of one source's series against its band."""
+
+    def run(cfg, outdir, rng):
+        times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
+        src = source(cfg, times)
+        fit = fit_decay_exponent(src.series)
+        ok = src.band[0] <= fit.alpha <= src.band[1]
+        report = {
+            **src.fields,
+            "alpha": fit.alpha,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+            "window": list(fit.window),
+            "band": list(src.band),
+            "band_pass": ok,
+            "paper_claim": src.claim,
+        }
+        outputs = _write_decay(
+            outdir, [("series.csv", src.label, src.series)], report, src.title,
+            [f"fitted slope {-fit.alpha:+.4f}"],
+        )
+        return (0 if ok else 1), report, outputs
+
+    return run
 
 
 _SINC_RATE = 0.5
@@ -473,8 +480,6 @@ def _run_beam_decay(cfg, outdir, rng):
         and abs(fits["sinc"].alpha - _SINC_RATE) <= sinc_tol
     )
     ok = pass_cos and pass_sinc and pass_sum
-    _series_csv(outdir, "beam_cos.csv", cos_series)
-    _series_csv(outdir, "beam_sinc.csv", sinc_series)
     report = {
         "alpha_cos": fits["cos"].alpha,
         "alpha_sinc": fits["sinc"].alpha,
@@ -496,15 +501,13 @@ def _run_beam_decay(cfg, outdir, rng):
             "at the sharper rate t^(-1/2)"
         ),
     }
-    write_json(outdir / "fit.json", report)
-    write_plot(
-        outdir / "decay.svg",
+    outputs = _write_decay(
+        outdir,
         [
-            {"label": "beam_cos", "x": times, "y": cos_series.sup_norms},
-            {"label": "beam_sinc", "x": times, "y": sinc_series.sup_norms},
+            ("beam_cos.csv", "beam_cos", cos_series),
+            ("beam_sinc.csv", "beam_sinc", sinc_series),
         ],
-        "t",
-        "sup norm",
+        report,
         "free beam decay",
         [
             f"cos slope {-fits['cos'].alpha:+.4f}",
@@ -512,11 +515,7 @@ def _run_beam_decay(cfg, outdir, rng):
             f"sum slope {-fits['sum'].alpha:+.4f}",
         ],
     )
-    return (
-        (0 if ok else 1),
-        report,
-        ["beam_cos.csv", "beam_sinc.csv", "fit.json", "decay.svg"],
-    )
+    return (0 if ok else 1), report, outputs
 
 
 def _run_resolvent_check(cfg, outdir, rng):
@@ -624,8 +623,6 @@ def _run_expansion_check(cfg, outdir, rng):
 
 def _run_minv_probe(cfg, outdir, rng):
     V = cfg["potential"]
-    if V is None:
-        raise ConfigError("field 'potential': must not be null for minv-probe")
     sys_ = decompose_potential(V)
     outputs = []
     curves = []
@@ -692,8 +689,6 @@ def _run_minv_probe(cfg, outdir, rng):
 
 def _run_regular_check(cfg, outdir, rng):
     V = cfg["potential"]
-    if V is None:
-        raise ConfigError("field 'potential': must not be null for regular-check")
     sys_ = decompose_potential(V)
     report = {"potential": _potential_label(V)}
     for threshold in ("zero", "sixteen"):
@@ -715,8 +710,6 @@ def _run_regular_check(cfg, outdir, rng):
 
 def _run_eig_scan(cfg, outdir, rng):
     V = cfg["potential"]
-    if V is None:
-        raise ConfigError("field 'potential': must not be null for eig-scan")
     found = discrete_eigs(V, cfg["discrete_window"])
     scan = embedded_eig_scan(V, cfg["window_radii"])
     write_csv(
@@ -935,9 +928,9 @@ def _schema_common():
 
 _COMMANDS = {
     "free-decay": (
-        _run_free_decay,
+        _fitted_decay(_free_source),
         {
-            "kind": (_as_choice(tuple(_FREE_BANDS)), "schrodinger_free_bilap"),
+            "kind": (_as_choice(FREE_KINDS), "schrodinger_free_bilap"),
             "t_min": (_as_float(lo=0, lo_open=True), 1e2),
             "t_max": (_as_float(lo=0, lo_open=True), 1e4),
             "per_decade": (_as_int(lo=4, hi=64), 16),
@@ -946,7 +939,7 @@ _COMMANDS = {
         "sup-norm decay of a free flow, fitted exponent against its band",
     ),
     "perturbed-decay": (
-        _run_perturbed_decay,
+        _fitted_decay(_perturbed_source),
         {
             "potential": (_as_potential, {"delta": 0.5}),
             "t_min": (_as_float(lo=0, lo_open=True), 1e2),
@@ -1081,13 +1074,18 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
             raise ConfigError(f"missing required field {key!r} for {command!r}")
         else:
             value = default
-        if value is None:
+        if value is None and default is None:
             out[key] = None
             continue
         try:
             out[key] = caster(value)
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from exc
+    if "t_min" in out and not out["t_min"] < out["t_max"]:
+        raise ConfigError(
+            f"fields 't_min', 't_max': need t_min < t_max, got "
+            f"{out['t_min']} and {out['t_max']}"
+        )
     return out
 
 
@@ -1129,13 +1127,15 @@ def main(argv=None) -> int:
     outdir = args.out or Path(cfg.get("output_dir") or f"bilap_out_{args.command}")
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
+    threads = None
     if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits
-
-            threadpool_limits(args.threads)
         except ImportError:
             pass
+        else:
+            threadpool_limits(args.threads)
+            threads = args.threads
 
     started = time.monotonic()
     try:
@@ -1151,7 +1151,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": {k: _manifest_value(v) for k, v in cfg.items()},
         "seed": args.seed,
-        "threads": args.threads,
+        "threads": threads,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,

@@ -16,8 +16,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .lattice import SPEED_BOUND, LatticeVector
-from .propagator import free_kernel_full, stone_kernel_slice
+from .lattice import LatticeVector
+from .propagator import (
+    FLOWS,
+    KINDS,
+    fft_ring_band,
+    free_kernel_full,
+    stone_kernel_slice,
+)
 
 __all__ = [
     "DecaySeries",
@@ -30,12 +36,9 @@ __all__ = [
     "knapp_experiment",
 ]
 
-_FREE_SERIES_KINDS = (
-    "schrodinger_free_bilap",
-    "schrodinger_free_lap",
-    "beam_cos",
-    "beam_sinc",
-)
+# every kind has a free kernel; schrodinger_h names the perturbed flow,
+# whose free case is schrodinger_free_bilap
+_FREE_SERIES_KINDS = tuple(k for k in KINDS if k != "schrodinger_h")
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def free_decay_series(kind: str, times: np.ndarray) -> DecaySeries:
 
 
 def perturbed_decay_series(
-    V, times: np.ndarray, observe_radius: int = 32, budget: float = 0.5
+    V, times: np.ndarray, observe_radius: int = 32
 ) -> DecaySeries:
     """Windowed sup norms of the continuous part of the perturbed flow.
 
@@ -136,7 +139,7 @@ def perturbed_decay_series(
     times = np.asarray(times, dtype=float)
     sups = np.empty(times.size)
     for i, t in enumerate(times):
-        ker = stone_kernel_slice(t, V, observe_radius, phase="schrodinger", budget=budget)
+        ker = stone_kernel_slice(t, V, observe_radius)
         sups[i] = float(np.abs(ker.entries).max())
     return DecaySeries(
         times=times,
@@ -145,8 +148,12 @@ def perturbed_decay_series(
     )
 
 
-def _time_quadrature(T: float, per_decade: int = 8, order: int = 10):
-    """Gauss nodes and weights on [0, T], log-graded above t = 1."""
+def _time_quadrature(T: float):
+    """Gauss nodes and weights on [0, T], log-graded above t = 1.
+
+    Eight panels per decade above t = 1, ten Gauss points per panel.
+    """
+    per_decade, order = 8, 10
     edges = [0.0]
     head = min(1.0, T)
     edges.extend(np.linspace(head / 8.0, head, 8))
@@ -163,37 +170,30 @@ def _time_quadrature(T: float, per_decade: int = 8, order: int = 10):
     return nodes.ravel(), weights.ravel()
 
 
-def strichartz_norm(
-    q: float,
-    r: float,
-    T: float,
-    psi0: LatticeVector,
-    per_decade: int = 8,
-) -> float:
+def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
     """Space-time norm of the free fourth-difference flow from psi0.
 
     Computes (Int_0^T (sum_n |u(t, n)|^r)^(q/r) dt)^(1/q) with
-    u(t) = exp(-i t bilaplacian) psi0, evaluated on an FFT ring covering
-    the causal range of T. r may be inf for the sup norm in space.
+    u(t) = exp(-i t bilaplacian) psi0, evaluated on the FFT ring of
+    fft_ring_band for horizon T. r may be inf for the sup norm in space.
     """
     if not (q >= 1 and T > 0):
         raise ValueError("need q >= 1 and T > 0")
     if not (r >= 1):
         raise ValueError("need r >= 1 (inf allowed)")
-    need = 2.0 * (1.2 * SPEED_BOUND * T + psi0.window_radius + 64)
-    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
+    band = fft_ring_band(T, psi0.window_radius)
+    energy = band * band
+    size = band.size
     ring = np.zeros(size, dtype=complex)
     vals = psi0.values
     n0 = psi0.window_radius
     for i, v in enumerate(vals):
         ring[(i - n0) % size] = v
     spectrum = np.fft.fft(ring)
-    band = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(size) / size)
-    energy = band * band
-    nodes, weights = _time_quadrature(T, per_decade=per_decade)
+    nodes, weights = _time_quadrature(T)
     acc = 0.0
     for t, w in zip(nodes, weights):
-        u = np.fft.ifft(spectrum * np.exp(-1j * t * energy))
+        u = np.fft.ifft(spectrum * FLOWS["schrodinger"](t, energy))
         mags = np.abs(u)
         if np.isinf(r):
             space = float(mags.max())

@@ -28,7 +28,6 @@ __all__ = [
     "remainder_zero",
     "remainder_order",
     "remainder_norms",
-    "remainder_order_check",
     "geometric_grid",
 ]
 
@@ -401,23 +400,3 @@ def remainder_norms(
     sep = np.abs(sites[:, None] - sites[None, :])
     norms = np.array([weighted_operator_norm(row[sep], s) for row in resid])
     return grid, norms
-
-
-def remainder_order_check(
-    threshold: str,
-    sign: str,
-    n_order: int,
-    s: float,
-    mu_grid: np.ndarray | None = None,
-    window_radius: int = 64,
-) -> float:
-    """Fitted decay order of the expansion remainder after n_order terms.
-
-    Returns the log-log slope of the weighted remainder norm against the
-    distance to the band edge. For a remainder vanishing like dist**p the
-    slope approaches p = remainder_order(threshold, n_order): the next
-    order whose coefficient does not vanish identically.
-    """
-    grid, norms = remainder_norms(threshold, sign, n_order, s, mu_grid, window_radius)
-    slope, _ = np.polyfit(np.log(grid), np.log(norms), 1)
-    return float(slope)

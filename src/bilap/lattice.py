@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "LatticeVector",
     "WeightedNormSpec",
-    "TruncatedOperator",
     "PotentialSpec",
     "apply_neg_laplacian",
     "apply_bilaplacian",
@@ -90,31 +89,6 @@ class WeightedNormSpec:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError("weight exponent must be finite")
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense operator on the window [-N, N].
-
-    boundary_mode records how the infinite-lattice operator was truncated:
-    "dirichlet" chops the matrix (zero coupling past the edges), "periodic"
-    wraps it on the ring of 2N+1 sites.
-    """
-
-    window_radius: int
-    entries: np.ndarray
-    boundary_mode: str = "dirichlet"
-
-    def __post_init__(self):
-        n = int(self.window_radius)
-        side = 2 * n + 1
-        ent = np.asarray(self.entries)
-        if ent.shape != (side, side):
-            raise ValueError(f"entries must be {side}x{side}, got {ent.shape}")
-        if self.boundary_mode not in ("dirichlet", "periodic"):
-            raise ValueError(f"unknown boundary_mode {self.boundary_mode!r}")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "window_radius", n)
 
 
 @dataclass(frozen=True)
@@ -238,8 +212,8 @@ def _bilaplacian_matrix(window_radius: int, boundary_mode: str) -> np.ndarray:
 
 def build_hamiltonian(
     V: Optional[PotentialSpec], window_radius: int, boundary_mode: str = "dirichlet"
-) -> TruncatedOperator:
-    """Dense truncation of bilaplacian + diag(V) on [-N, N].
+) -> np.ndarray:
+    """Dense truncation of bilaplacian + diag(V) on [-N, N], as a square array.
 
     Dirichlet mode chops the infinite pentadiagonal matrix; periodic mode
     wraps it on the ring. Requires the window to exceed the potential
@@ -256,7 +230,7 @@ def build_hamiltonian(
     h = _bilaplacian_matrix(window_radius, boundary_mode)
     if V is not None:
         np.fill_diagonal(h, np.diag(h) + V.on_window(window_radius))
-    return TruncatedOperator(window_radius, h, boundary_mode)
+    return h
 
 
 def site_weights(window_radius: int, s: float) -> np.ndarray:
@@ -275,19 +249,14 @@ def weighted_operator_norm(K, s: float) -> float:
     """Largest singular value of D^{-s} K D^{-s} with D = diag(<n>).
 
     Measures K as an operator from the weight-s space to the weight-(-s)
-    space. Accepts a TruncatedOperator or a dense square array centred on
-    its window.
+    space. K is a dense square array centred on its window.
     """
-    if isinstance(K, TruncatedOperator):
-        entries = K.entries
-        radius = K.window_radius
-    else:
-        entries = np.asarray(K)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        if entries.shape[0] % 2 != 1:
-            raise ValueError("window must be symmetric (odd side length)")
-        radius = entries.shape[0] // 2
+    entries = np.asarray(K)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("operator must be a square matrix")
+    if entries.shape[0] % 2 != 1:
+        raise ValueError("window must be symmetric (odd side length)")
+    radius = entries.shape[0] // 2
     d = site_weights(radius, -s)
     return float(np.linalg.norm(d[:, None] * entries * d[None, :], 2))
 

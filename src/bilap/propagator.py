@@ -1,48 +1,51 @@
 """Time propagators for the fourth-difference operator, free and perturbed.
 
-Three evaluation routes are provided and cross-checked against each other.
-Dense spectral evolution diagonalises a window truncation and applies a
-spectral weight to the eigenvalues. Free translation-invariant kernels come
-from the band symbol by FFT. Perturbed kernels restricted to the continuous
-spectrum come from a quadrature of the resolvent jump across the band,
+Every flow is a function of one spectral variable, the energy E of the
+operator H that generates it, and FLOWS defines each one once. Three
+routes evaluate them and are cross-checked against each other. Dense
+spectral evolution diagonalises a window truncation and passes its
+eigenvalues as E. Free translation-invariant kernels come from the band
+symbol by FFT, with E the symbol of H on the ring. Perturbed kernels
+restricted to the continuous spectrum come from a quadrature of the
+resolvent jump across the band,
 
-    K(t, n, m) = (2 / (pi i)) Int_0^2 w(t, mu) mu^3 [R+ - R-](mu^4, n, m) dmu,
+    K(t, n, m) = (2 / (pi i)) Int_0^2 w(t, mu^4) mu^3 [R+ - R-](mu^4, n, m) dmu,
 
-with w the spectral weight (exp(-i t mu^4) for the flow generated by the
-operator itself, exp(-i t mu^2), cos(t mu^2) or sin(t mu^2)/(t mu^2) for
-half-wave and beam flows). The substitution mu = 2 sin(-theta/2) removes the
-inverse square-root singularity of the jump at the upper band edge, and
-narrow endpoint strips are integrated in locally analytic variables. Panel
-sizes follow the budget rule from the quadrature module, so cost scales
-linearly in |t|.
+with w the flow weight at E = mu^4: exp(-i t E) for the flow generated by
+the operator itself, exp(-i t sqrt E), cos(t sqrt E) or
+sin(t sqrt E)/(t sqrt E) for half-wave and beam flows. The substitution
+mu = 2 sin(-theta/2) removes the inverse square-root singularity of the
+jump at the upper band edge, and narrow endpoint strips are integrated in
+locally analytic variables. Panel sizes follow the budget rule from the
+quadrature module, so cost scales linearly in |t|.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .lattice import (
-    SPEED_BOUND,
-    LatticeVector,
-    PotentialSpec,
-    build_hamiltonian,
-    _neg_laplacian_matrix,
-)
+from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
 from .resolvent import boundary_kernel_plus
 from .spectral import (
     BAND_MARGIN,
+    LocalizationError,
     decompose_potential,
+    discrete_eigs,
+    eigensystem,
+    embedded_eig_scan,
     m_matrix_grid,
     regular_point_check,
 )
 
 __all__ = [
+    "FLOWS",
     "KINDS",
+    "FREE_KINDS",
     "PropagatorRequest",
     "KernelSlice",
     "PacSplit",
@@ -50,25 +53,39 @@ __all__ = [
     "evolve_spectral",
     "kernel_spectral",
     "pac_split",
+    "fft_ring_band",
     "free_kernel_fft",
     "free_kernel_full",
     "stone_kernel_slice",
-    "stone_kernel_schrodinger",
-    "stone_kernel_halfwave",
-    "sup_norm_kernel",
 ]
 
-KINDS = (
-    "schrodinger_h",
-    "schrodinger_free_lap",
-    "schrodinger_free_bilap",
-    "beam_cos",
-    "beam_sinc",
-)
+# Complex weight of each flow at time t as a function of the H-energy E. The
+# half-wave and beam flows use sqrt(E), which np.emath.sqrt makes complex
+# (on the positive imaginary axis) only where E < 0.
+FLOWS = {
+    "schrodinger": lambda t, E: np.exp(-1j * t * E),
+    "halfwave": lambda t, E: np.exp(-1j * t * np.emath.sqrt(E)),
+    "beam_cos": lambda t, E: np.cos(t * np.emath.sqrt(E)).astype(complex),
+    "beam_sinc": lambda t, E: np.sinc(t * np.emath.sqrt(E) / np.pi).astype(complex),
+}
 
-_FREE_KINDS = ("schrodinger_free_lap", "schrodinger_free_bilap")
+# kind -> (flow, operator, free). The operator is "bilap" for Delta^2 + V
+# and "lap" for the free second difference; free kinds refuse a potential.
+_KIND_TABLE = {
+    "schrodinger_h": ("schrodinger", "bilap", False),
+    "schrodinger_free_lap": ("schrodinger", "lap", True),
+    "schrodinger_free_bilap": ("schrodinger", "bilap", True),
+    "beam_cos": ("beam_cos", "bilap", False),
+    "beam_sinc": ("beam_sinc", "bilap", False),
+}
+KINDS = tuple(_KIND_TABLE)
+FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 
-_LOCALIZED = 0.999
+_RING_SAFETY = 1.2
+_RING_MARGIN = 64
+_MAX_DOUBLINGS = 3
+_EDGE_CUTOFF = 1e-4
+_INNER_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class PropagatorRequest:
             raise ValueError(f"unknown kind {self.kind!r}; choose from {KINDS}")
         if not np.isfinite(self.t):
             raise ValueError("t must be finite")
-        if self.kind in _FREE_KINDS and self.V is not None:
+        if self.kind in FREE_KINDS and self.V is not None:
             raise ValueError(f"kind {self.kind!r} is free; V must be None")
         if not 0 <= self.observe_radius <= self.window_radius:
             raise ValueError("need 0 <= observe_radius <= window_radius")
@@ -143,50 +160,16 @@ def auto_window_radius(t: float, observe_radius: int, safety: float = 1.2) -> in
     return int(np.ceil(observe_radius + safety * SPEED_BOUND * abs(t))) + 8
 
 
-_EIG_CACHE: dict = {}
+def _window_kernel(t, vecs, weight, window_radius, observe_radius) -> KernelSlice:
+    n, r = window_radius, observe_radius
+    rows = vecs[n - r : n + r + 1]
+    return KernelSlice(t, r, (rows * weight[None, :]) @ rows.T, "spectral")
 
 
-def _potential_key(V: Optional[PotentialSpec]):
-    if V is None:
-        return None
-    return (V.support, tuple(V.values.tolist()))
-
-
-def _eigensystem(op_tag: str, V: Optional[PotentialSpec], window_radius: int):
-    key = (op_tag, _potential_key(V), window_radius)
-    hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if op_tag == "lap":
-        h = _neg_laplacian_matrix(window_radius, "dirichlet")
-    else:
-        h = build_hamiltonian(V, window_radius, "dirichlet").entries
-    ev, vecs = np.linalg.eigh(h)
-    if len(_EIG_CACHE) > 8:
-        _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-    _EIG_CACHE[key] = (ev, vecs)
-    return ev, vecs
-
-
-def _spectral_weight(kind: str, t: float, lam: np.ndarray) -> np.ndarray:
-    """Eigenvalue weight defining each flow; sqrt branches keep Im >= 0."""
-    if kind.startswith("schrodinger"):
-        return np.exp(-1j * t * lam)
-    root = np.sqrt(lam.astype(complex))
-    if kind == "beam_cos":
-        return np.cos(t * root)
-    x = t * t * lam
-    out = np.empty(lam.shape, dtype=complex)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 1.0 - xs / 6.0 + xs * xs / 120.0
-    arg = t * root[~small]
-    out[~small] = np.sin(arg) / arg
-    return out
-
-
-def _operator_tag(kind: str) -> str:
-    return "lap" if kind == "schrodinger_free_lap" else "bilap"
+def _dense_weight(request: PropagatorRequest):
+    flow, operator, _ = _KIND_TABLE[request.kind]
+    ev, vecs = eigensystem(request.V, request.window_radius, operator)
+    return FLOWS[flow](request.t, ev), vecs
 
 
 def evolve_spectral(request: PropagatorRequest, psi0: LatticeVector) -> LatticeVector:
@@ -202,20 +185,16 @@ def evolve_spectral(request: PropagatorRequest, psi0: LatticeVector) -> LatticeV
     vec = np.zeros(2 * n + 1, dtype=complex)
     off = n - psi0.window_radius
     vec[off : off + psi0.values.size] = psi0.values
-    ev, vecs = _eigensystem(_operator_tag(request.kind), request.V, n)
-    weight = _spectral_weight(request.kind, request.t, ev)
-    out = vecs @ (weight * (vecs.T @ vec))
-    return LatticeVector(n, out)
+    weight, vecs = _dense_weight(request)
+    return LatticeVector(n, vecs @ (weight * (vecs.T @ vec)))
 
 
 def kernel_spectral(request: PropagatorRequest) -> KernelSlice:
     """Kernel entries of the requested flow on the observation window."""
-    n, r = request.window_radius, request.observe_radius
-    ev, vecs = _eigensystem(_operator_tag(request.kind), request.V, n)
-    weight = _spectral_weight(request.kind, request.t, ev)
-    rows = vecs[n - r : n + r + 1]
-    entries = (rows * weight[None, :]) @ rows.T
-    return KernelSlice(request.t, r, entries, "spectral")
+    weight, vecs = _dense_weight(request)
+    return _window_kernel(
+        request.t, vecs, weight, request.window_radius, request.observe_radius
+    )
 
 
 class PacSplit:
@@ -223,13 +202,10 @@ class PacSplit:
 
     Bound states are the localized eigenvalues of the window truncation
     outside the band; everything orthogonal to them carries the
-    continuous part. apply_ac evolves a state with the bound component
-    removed; kernel_ac gives the corresponding kernel slice.
+    continuous part, whose kernel kernel_ac gives.
     """
 
     def __init__(self, V: Optional[PotentialSpec], window_radius: int):
-        from .spectral import discrete_eigs, embedded_eig_scan
-
         self.V = V
         self.window_radius = window_radius
         self.bound_states = discrete_eigs(V, window_radius)
@@ -237,93 +213,67 @@ class PacSplit:
         scan = embedded_eig_scan(
             V, (max(window_radius // 2, 4 * support + 8), window_radius)
         )
-        warn: List[str] = []
+        self.warnings = ()
         if scan.stable_candidates:
-            warn.append(
+            self.warnings = (
                 "embedded-eigenvalue candidates at "
                 + ", ".join(f"{x:.8f}" for x in scan.stable_candidates)
-                + "; the continuous part excludes them only approximately"
+                + "; the continuous part excludes them only approximately",
             )
-        self.warnings = tuple(warn)
 
     @property
     def projector_rank(self) -> int:
         return len(self.bound_states)
 
-    def _remove_bound(self, vec: np.ndarray) -> np.ndarray:
-        for _, state in self.bound_states:
-            vec = vec - state.values * (state.values.conj() @ vec)
-        return vec
-
-    def apply_ac(self, t: float, psi0: LatticeVector) -> LatticeVector:
-        """Evolve the continuous-spectrum component of psi0 to time t."""
-        n = self.window_radius
-        req = PropagatorRequest(
-            "schrodinger_h", self.V, t, n, max(0, int(n - np.ceil(SPEED_BOUND * abs(t))))
-        )
-        vec = np.zeros(2 * n + 1, dtype=complex)
-        off = n - psi0.window_radius
-        vec[off : off + psi0.values.size] = psi0.values
-        projected = LatticeVector(n, self._remove_bound(vec))
-        return evolve_spectral(req, projected)
-
     def kernel_ac(self, t: float, observe_radius: int) -> KernelSlice:
         """Continuous-part kernel on the observation window."""
-        n, r = self.window_radius, observe_radius
-        ev, vecs = _eigensystem("bilap", self.V, n)
-        weight = _spectral_weight("schrodinger_h", t, ev)
+        ev, vecs = eigensystem(self.V, self.window_radius)
         keep = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
-        weight = np.where(keep, 0.0, weight)
-        rows = vecs[n - r : n + r + 1]
-        return KernelSlice(t, r, (rows * weight[None, :]) @ rows.T, "spectral")
+        weight = np.where(keep, 0.0, FLOWS["schrodinger"](t, ev))
+        return _window_kernel(t, vecs, weight, self.window_radius, observe_radius)
 
 
-def pac_split(
-    V: PotentialSpec, window_radius: int, max_doublings: int = 3
-) -> PacSplit:
+def pac_split(V: PotentialSpec, window_radius: int) -> PacSplit:
     """Bound/continuous splitting of the perturbed flow on a window.
 
     Shallow bound states sitting close to a band edge decay slowly, so
     the requested window may not localize them; in that case the window
-    is doubled, up to max_doublings times, before giving up.
+    is doubled, up to three times, before giving up.
     """
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         try:
             return PacSplit(V, window_radius)
-        except ValueError as exc:
-            if "localization" not in str(exc):
-                raise
+        except LocalizationError:
             window_radius *= 2
     return PacSplit(V, window_radius)
 
 
-def _fft_weight(kind: str, t: float, band: np.ndarray) -> np.ndarray:
-    """Symbol weight for the free kernels; band holds 2 - 2 cos x >= 0."""
-    if kind == "schrodinger_free_bilap" or kind == "schrodinger_h":
-        return np.exp(-1j * t * band * band)
-    if kind in ("schrodinger_free_lap", "halfwave"):
-        return np.exp(-1j * t * band)
-    if kind == "beam_cos":
-        return np.cos(t * band).astype(complex)
-    if kind == "beam_sinc":
-        return np.sinc(t * band / np.pi).astype(complex)
-    raise ValueError(f"no free kernel for kind {kind!r}")
+def fft_ring_band(t: float, kmax: int) -> np.ndarray:
+    """Second-difference symbol 2 - 2 cos x on an FFT ring for time t.
+
+    The ring has a power of two of at least 256 points and covers the
+    separations up to 1.2 SPEED_BOUND |t| + kmax + 64 both ways, so
+    wraparound sits at the far-field noise floor.
+    """
+    need = 2.0 * (_RING_SAFETY * SPEED_BOUND * abs(t) + kmax + _RING_MARGIN)
+    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
+    x = 2.0 * np.pi * np.arange(size) / size
+    return 2.0 - 2.0 * np.cos(x)
 
 
-def free_kernel_full(
-    t: float, kind: str, kmax: int = 0, safety: float = 1.2, margin: int = 64
-) -> np.ndarray:
+def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     """Free kernel over a full FFT ring covering the causal range of t.
 
     Index k of the returned array is the site separation modulo the ring
-    size; the ring is large enough that wraparound sits at the far-field
-    noise floor. Useful for suprema over the whole causal range.
+    size (see fft_ring_band). Useful for suprema over the whole causal
+    range.
     """
-    need = 2.0 * (safety * SPEED_BOUND * abs(t) + kmax + margin)
-    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
-    x = 2.0 * np.pi * np.arange(size) / size
-    band = 2.0 - 2.0 * np.cos(x)
-    return np.fft.ifft(_fft_weight(kind, t, band))
+    if kind not in _KIND_TABLE:
+        raise ValueError(f"no free kernel for kind {kind!r}")
+    flow, operator, _ = _KIND_TABLE[kind]
+    band = fft_ring_band(t, kmax)
+    energy = band if operator == "lap" else band * band
+    return np.fft.ifft(FLOWS[flow](t, energy))
 
 
 def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:
@@ -331,25 +281,11 @@ def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:
     return free_kernel_full(t, kind, kmax=kmax)[: kmax + 1]
 
 
-_STONE_PHASES = ("schrodinger", "halfwave", "beam_cos", "beam_sinc")
-
-
-def _stone_weight(phase: str, t: float, mu: np.ndarray) -> np.ndarray:
-    energy = mu**4 if phase == "schrodinger" else mu**2
-    if phase in ("schrodinger", "halfwave"):
-        return np.exp(-1j * t * energy)
-    if phase == "beam_cos":
-        return np.cos(t * energy).astype(complex)
-    return np.sinc(t * energy / np.pi).astype(complex)
-
-
 def _stone_nodes(
     t: float,
     phase_power: int,
     reach: float,
     budget: float,
-    edge_cutoff: float,
-    inner: float,
     lo_strip: bool,
     hi_strip: bool,
 ):
@@ -361,7 +297,7 @@ def _stone_nodes(
     where those variables are locally analytic. reach bounds the site
     separations that multiply the oscillatory and evanescent exponents in
     the budget. Dropping a strip truncates the band integral at
-    edge_cutoff from that edge.
+    _EDGE_CUTOFF from that edge.
     """
 
     def b_of(mu):
@@ -373,7 +309,7 @@ def _stone_nodes(
     pieces = []
 
     # bulk, in theta
-    th_lo, th_hi = theta_of(2.0 - edge_cutoff), theta_of(edge_cutoff)
+    th_lo, th_hi = theta_of(2.0 - _EDGE_CUTOFF), theta_of(_EDGE_CUTOFF)
 
     def bulk_cost(th):
         mu = 2.0 * np.sin(-th / 2.0)
@@ -389,7 +325,9 @@ def _stone_nodes(
         def lo_cost(mu):
             return np.stack([t * mu**phase_power, reach * theta_of(mu), reach * b_of(mu)])
 
-        edges = edges_from_budget(inner, edge_cutoff, lo_cost, budget=budget, min_panels=4)
+        edges = edges_from_budget(
+            _INNER_CUTOFF, _EDGE_CUTOFF, lo_cost, budget=budget, min_panels=4
+        )
         mu, w = gauss_panels(edges)
         pieces.append((mu, w, 1.0 - mu * mu / 4.0))
 
@@ -400,7 +338,7 @@ def _stone_nodes(
             return np.stack([t * mu**phase_power, reach * theta_of(mu), reach * b_of(mu)])
 
         edges = edges_from_budget(
-            inner, np.sqrt(edge_cutoff), hi_cost, budget=budget, min_panels=4
+            _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4
         )
         wv, w = gauss_panels(edges)
         mu = 2.0 - wv * wv
@@ -418,12 +356,10 @@ def _stone_assemble(
     targets: np.ndarray,
     phase: str,
     budget: float,
-    edge_cutoff: float,
-    inner_cutoff: float,
 ) -> np.ndarray:
     """Band-quadrature kernel at all target pairs, shape (T, T)."""
-    if phase not in _STONE_PHASES:
-        raise ValueError(f"phase must be one of {_STONE_PHASES}")
+    if phase not in FLOWS:
+        raise ValueError(f"phase must be one of {tuple(FLOWS)}")
     sys = decompose_potential(V) if V is not None else None
 
     strips = {"zero": True, "sixteen": True}
@@ -433,7 +369,7 @@ def _stone_assemble(
                 strips[threshold] = False
                 warnings.warn(
                     f"threshold {threshold!r} not regular; band integral "
-                    f"truncated at distance {edge_cutoff:.1e} from that edge",
+                    f"truncated at distance {_EDGE_CUTOFF:.1e} from that edge",
                     stacklevel=3,
                 )
 
@@ -443,16 +379,11 @@ def _stone_assemble(
         sep_corr = np.abs(targets[:, None] - sys.sites[None, :])
         reach = max(reach, float(sep_corr.max()) + 2.0)
 
+    # the phase advances like E = mu^4 for the Schrodinger flow and like
+    # sqrt(E) = mu^2 for the half-wave and beam flows
     phase_power = 4 if phase == "schrodinger" else 2
     mu, wts, omq = _stone_nodes(
-        t,
-        phase_power,
-        reach,
-        budget,
-        edge_cutoff,
-        inner_cutoff,
-        strips["zero"],
-        strips["sixteen"],
+        t, phase_power, reach, budget, strips["zero"], strips["sixteen"]
     )
     kfree = np.arange(int(sep_free.max()) + 1)
 
@@ -462,7 +393,7 @@ def _stone_assemble(
     for start in range(0, mu.size, chunk):
         sl = slice(start, start + chunk)
         mus, ws, oq = mu[sl], wts[sl], omq[sl]
-        phw = _stone_weight(phase, t, mus) * mus**3 * ws
+        phw = FLOWS[phase](t, mus**4) * mus**3 * ws
         rho_free = boundary_kernel_plus(mus, kfree, one_minus_q=oq)
         free_vals += phw @ (2j * rho_free.imag)
         if sys is None:
@@ -494,22 +425,19 @@ def stone_kernel_slice(
     observe_radius: int,
     phase: str = "schrodinger",
     budget: float = 0.5,
-    edge_cutoff: float = 1e-4,
-    inner_cutoff: float = 1e-9,
     check_error: bool = False,
     tol: float = 1e-8,
 ) -> KernelSlice:
     """Continuous-part kernel on a window via the band quadrature.
 
-    check_error reruns the quadrature at half budget and warns when the
-    two passes differ by more than tol; the finer result is returned.
+    phase names the flow in FLOWS. check_error reruns the quadrature at
+    half budget and warns when the two passes differ by more than tol;
+    the finer result is returned.
     """
     targets = np.arange(-observe_radius, observe_radius + 1)
-    entries = _stone_assemble(t, V, targets, phase, budget, edge_cutoff, inner_cutoff)
+    entries = _stone_assemble(t, V, targets, phase, budget)
     if check_error:
-        finer = _stone_assemble(
-            t, V, targets, phase, budget / 2.0, edge_cutoff, inner_cutoff
-        )
+        finer = _stone_assemble(t, V, targets, phase, budget / 2.0)
         err = float(np.abs(finer - entries).max())
         if err > tol:
             warnings.warn(
@@ -519,74 +447,3 @@ def stone_kernel_slice(
             )
         entries = finer
     return KernelSlice(t, observe_radius, entries, "stone")
-
-
-def _stone_entry(t, V, n, m, phase, **kw) -> complex:
-    targets = np.array([int(n), int(m)])
-    kernel = _stone_assemble(
-        t,
-        V,
-        targets,
-        phase,
-        kw.get("budget", 0.5),
-        kw.get("edge_cutoff", 1e-4),
-        kw.get("inner_cutoff", 1e-9),
-    )
-    return complex(kernel[0, 1])
-
-
-def stone_kernel_schrodinger(
-    t: float, V: Optional[PotentialSpec], n: int, m: int, **kw
-) -> complex:
-    """Kernel entry of the continuous part of exp(-i t (bilaplacian + V))."""
-    return _stone_entry(t, V, n, m, "schrodinger", **kw)
-
-
-def stone_kernel_halfwave(
-    t: float, V: Optional[PotentialSpec], n: int, m: int, **kw
-) -> complex:
-    """Kernel entry of the continuous part of the half-wave flow.
-
-    The spectral weight is exp(-i t mu^2), the flow generated by the
-    positive square root of the operator. Beam kernels follow by
-    combining the two time directions, cos(t sqrt(H)) as the average of
-    the two half-waves, and its time average over [-t, t] gives the
-    sinc flow; those weights are available directly through
-    stone_kernel_slice(phase="beam_cos") and phase="beam_sinc".
-    """
-    return _stone_entry(t, V, n, m, "halfwave", **kw)
-
-
-def sup_norm_kernel(request: PropagatorRequest, method: str = "auto") -> float:
-    """Largest kernel magnitude over the observation window.
-
-    Free kinds use the FFT kernel; the perturbed fourth-difference flow
-    uses the band quadrature (continuous part); beam flows with a
-    potential fall back to dense spectral evaluation.
-    """
-    if method not in ("auto", "spectral", "stone", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    r = request.observe_radius
-    if method == "auto":
-        if request.V is None:
-            method = "fft"
-        elif request.kind == "schrodinger_h":
-            method = "stone"
-        else:
-            method = "spectral"
-    if method == "fft":
-        kind = "schrodinger_free_bilap" if request.kind == "schrodinger_h" else request.kind
-        vals = free_kernel_fft(request.t, kind, 2 * r)
-        return float(np.abs(vals).max())
-    if method == "stone":
-        phase = {
-            "schrodinger_h": "schrodinger",
-            "schrodinger_free_bilap": "schrodinger",
-            "beam_cos": "beam_cos",
-            "beam_sinc": "beam_sinc",
-        }.get(request.kind)
-        if phase is None:
-            raise ValueError(f"no band quadrature for kind {request.kind!r}")
-        slice_ = stone_kernel_slice(request.t, request.V, r, phase=phase)
-        return float(np.abs(slice_.entries).max())
-    return float(np.abs(kernel_spectral(request).entries).max())

@@ -10,18 +10,25 @@ all restricted to the support sites. Threshold behaviour at the band edges
 is governed by M's compression to explicit subspaces: the complement of the
 potential's zeroth and first moments at the lower edge, and of the
 alternating-sign moment at the upper edge. Bound and embedded spectrum of
-window truncations is computed by dense diagonalisation.
+window truncations is computed by dense diagonalisation, once per matrix
+through the memoised eigensystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .expansion import coeff_sixteen, coeff_zero
-from .lattice import LatticeVector, PotentialSpec, build_hamiltonian
+from .lattice import (
+    LatticeVector,
+    PotentialSpec,
+    _neg_laplacian_matrix,
+    build_hamiltonian,
+)
 from .resolvent import SpectralParam, boundary_kernel_plus
 
 __all__ = [
@@ -39,8 +46,10 @@ __all__ = [
     "regular_point_check",
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
+    "eigensystem",
     "discrete_eigs",
     "embedded_eig_scan",
+    "LocalizationError",
     "BAND_MARGIN",
 ]
 
@@ -48,6 +57,10 @@ BAND_MARGIN = 1e-6
 """Margin delta_b separating "outside the band" from [0 - delta_b, 16 + delta_b]."""
 
 _LOCALIZATION_RATIO = 0.999
+
+
+class LocalizationError(ValueError):
+    """A window truncation too small to localize an eigenvector."""
 
 
 @dataclass(frozen=True)
@@ -357,6 +370,39 @@ def minv_expansion_probe(
     )
 
 
+@functools.lru_cache(maxsize=9)
+def _eigensystem(operator, support, values, window_radius):
+    if operator == "lap":
+        h = _neg_laplacian_matrix(window_radius, "dirichlet")
+    else:
+        V = None if support is None else PotentialSpec(support, np.array(values))
+        h = build_hamiltonian(V, window_radius)
+    ev, vecs = np.linalg.eigh(h)
+    ev.flags.writeable = False
+    vecs.flags.writeable = False
+    return ev, vecs
+
+
+def eigensystem(
+    V: Optional[PotentialSpec], window_radius: int, operator: str = "bilap"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Dirichlet window truncation.
+
+    operator "bilap" is the fourth difference plus V, "lap" the free
+    second difference. Each matrix is diagonalised once per process: the
+    last nine results are kept, keyed on the operator, the potential's
+    support and values and the window radius, and returned as read-only
+    arrays shared by every caller.
+    """
+    if operator not in ("bilap", "lap"):
+        raise ValueError(f"operator must be 'bilap' or 'lap', got {operator!r}")
+    if operator == "lap" and V is not None:
+        raise ValueError("the second-difference operator takes no potential")
+    if V is None:
+        return _eigensystem(operator, None, None, window_radius)
+    return _eigensystem(operator, V.support, tuple(V.values.tolist()), window_radius)
+
+
 def _localization_ratio(vec: np.ndarray, window_radius: int) -> float:
     sites = np.arange(-window_radius, window_radius + 1)
     inner = np.abs(sites) <= window_radius // 2
@@ -365,15 +411,16 @@ def _localization_ratio(vec: np.ndarray, window_radius: int) -> float:
 
 
 def discrete_eigs(
-    V: PotentialSpec, window_radius: int, boundary_mode: str = "dirichlet"
+    V: PotentialSpec, window_radius: int
 ) -> List[Tuple[float, LatticeVector]]:
     """Eigenvalues of the truncated perturbed operator outside the band.
 
     Keeps eigenvalues below -BAND_MARGIN or above 16 + BAND_MARGIN. The
     window must be at least four times the potential support radius so the
     returned eigenvectors are window-localized; a vector failing the
-    localization ratio raises, since it signals a too-small window. A None
-    potential is the free operator, which has no eigenvalues off the band.
+    localization ratio raises LocalizationError, since it signals a
+    too-small window. A None potential is the free operator, which has no
+    eigenvalues off the band.
     """
     if V is None:
         return []
@@ -382,15 +429,14 @@ def discrete_eigs(
             "window_radius must be >= 4 * support radius "
             f"(need {4 * max(V.support_radius, 1)}, got {window_radius})"
         )
-    h = build_hamiltonian(V, window_radius, boundary_mode)
-    ev, vecs = np.linalg.eigh(h.entries)
+    ev, vecs = eigensystem(V, window_radius)
     out: List[Tuple[float, LatticeVector]] = []
     for lam, vec in zip(ev, vecs.T):
         if -BAND_MARGIN <= lam <= 16.0 + BAND_MARGIN:
             continue
         ratio = _localization_ratio(vec, window_radius)
         if ratio < _LOCALIZATION_RATIO:
-            raise ValueError(
+            raise LocalizationError(
                 f"eigenvector at {lam:.6g} has localization ratio {ratio:.4f}; "
                 "enlarge the window"
             )
@@ -418,8 +464,7 @@ def embedded_eig_scan(V: PotentialSpec, window_radii) -> EmbeddedScanReport:
         )
     candidates = {}
     for radius in radii:
-        h = build_hamiltonian(V, radius, "dirichlet")
-        ev, vecs = np.linalg.eigh(h.entries)
+        ev, vecs = eigensystem(V, radius)
         found = [
             float(lam)
             for lam, vec in zip(ev, vecs.T)

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, file outputs, byte-level determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -32,10 +33,37 @@ def test_unknown_field_exits_two(tmp_path, capsys):
 
 
 def test_wrong_field_type_exits_two(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "cfg", {"points": "many"})
-    code = main(["resolvent-check", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "points" in capsys.readouterr().err
+    for command, payload in (
+        ("resolvent-check", {"points": "many"}),
+        ("free-decay", {"band": [None, 1]}),
+    ):
+        cfg = _write_config(tmp_path, "cfg", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert next(iter(payload)) in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("free-decay", {"t_min": 1e3, "t_max": 1e2}),
+        ("beam-decay", {"t_min": 1e2, "t_max": 1e2}),
+        ("perturbed-decay", {"potential": None}),
+        ("minv-probe", {"potential": None}),
+        ("regular-check", {"potential": None}),
+        ("eig-scan", {"potential": None}),
+    ],
+)
+def test_cross_field_config_errors_exit_two_before_mkdir(
+    tmp_path, capsys, command, payload
+):
+    cfg = _write_config(tmp_path, "cfg", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_out_of_range_field_exits_two(tmp_path, capsys):
@@ -72,7 +100,9 @@ def test_help_lists_every_command(capsys):
 # a full run: report, manifest, defaults
 
 
-def test_stationary_phase_default_run(tmp_path):
+def test_stationary_phase_default_run(tmp_path, monkeypatch):
+    # without threadpoolctl --threads cannot be applied
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     out = tmp_path / "run"
     assert main(["stationary-phase", "--out", str(out), "--threads", "1"]) == 0
 
@@ -96,6 +126,7 @@ def test_stationary_phase_default_run(tmp_path):
     assert manifest["command"] == "stationary-phase"
     assert manifest["exit_code"] == 0
     assert manifest["seed"] == 0
+    assert manifest["threads"] is None
     assert manifest["outputs"] == ["roots.json"]
     assert manifest["wall_time_seconds"] >= 0.0
     # defaults are materialised into the recorded config

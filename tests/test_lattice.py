@@ -55,12 +55,12 @@ def test_plane_wave_is_symbol_eigenvector():
 def test_hamiltonian_is_hermitian():
     rng = np.random.default_rng(7)
     V = PotentialSpec((-3, 3), rng.normal(size=7))
-    h = build_hamiltonian(V, 16).entries
+    h = build_hamiltonian(V, 16)
     assert np.max(np.abs(h - h.T)) == 0.0
 
 
 def test_free_periodic_spectrum_is_the_band():
-    h = build_hamiltonian(None, 64, boundary_mode="periodic").entries
+    h = build_hamiltonian(None, 64, boundary_mode="periodic")
     ev = np.linalg.eigvalsh(h)
     assert ev.min() >= -1e-10 and ev.max() <= 16.0 + 1e-10
 
@@ -70,7 +70,7 @@ def test_periodic_eigenvalues_match_symbol_exactly():
     # sampled at the ring frequencies
     N = 20
     L = 2 * N + 1
-    ev = np.sort(np.linalg.eigvalsh(build_hamiltonian(None, N, "periodic").entries))
+    ev = np.sort(np.linalg.eigvalsh(build_hamiltonian(None, N, "periodic")))
     freqs = 2.0 * np.pi * np.arange(L) / L
     freqs = np.where(freqs > np.pi, freqs - 2.0 * np.pi, freqs)
     np.testing.assert_allclose(ev, np.sort(fourier_symbol(freqs)), atol=1e-10)
@@ -78,7 +78,7 @@ def test_periodic_eigenvalues_match_symbol_exactly():
 
 def test_delta_potential_bound_state_counts():
     for c, expected_above in ((5.0, 1), (0.5, 1)):
-        h = build_hamiltonian(PotentialSpec.delta(c), 128).entries
+        h = build_hamiltonian(PotentialSpec.delta(c), 128)
         ev = np.linalg.eigvalsh(h)
         assert np.sum(ev > 16.0 + 1e-6) == expected_above
         assert np.sum(ev < -1e-6) == 0
@@ -86,7 +86,7 @@ def test_delta_potential_bound_state_counts():
 
 def test_stencil_matches_matrix_on_interior():
     N = 12
-    h = build_hamiltonian(None, N).entries
+    h = build_hamiltonian(None, N)
     interior = slice(2, 2 * N - 1)  # |n| <= N - 2
     for j in range(2 * N + 1):
         col = apply_bilaplacian(LatticeVector.delta(N, j - N)).values
@@ -208,7 +208,7 @@ def test_build_hamiltonian_window_and_mode_checks():
 
 
 def test_dirichlet_matrix_matches_oracle_assembly():
-    got = build_hamiltonian(PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 8).entries
+    got = build_hamiltonian(PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 8)
     diag = np.zeros(17)
     diag[7:10] = [0.3, -0.2, 0.1]
     np.testing.assert_allclose(got, oracles.dense_hamiltonian(17, diag), atol=0)

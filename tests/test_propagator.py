@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from bilap.lattice import LatticeVector, PotentialSpec, build_hamiltonian
+from bilap.lattice import (
+    SPEED_BOUND,
+    LatticeVector,
+    PotentialSpec,
+    build_hamiltonian,
+)
 from bilap.propagator import (
+    FLOWS,
     KINDS,
     KernelSlice,
     PropagatorRequest,
@@ -14,11 +20,9 @@ from bilap.propagator import (
     free_kernel_full,
     kernel_spectral,
     pac_split,
-    stone_kernel_halfwave,
-    stone_kernel_schrodinger,
     stone_kernel_slice,
-    sup_norm_kernel,
 )
+from bilap.spectral import eigensystem
 
 import oracles
 
@@ -32,7 +36,7 @@ def _req(kind, V, t, observe):
 
 def _banded_eigensystem(V, window_radius):
     # dense reference eigensystem, band part only
-    ev, vecs = np.linalg.eigh(build_hamiltonian(V, window_radius).entries)
+    ev, vecs = np.linalg.eigh(build_hamiltonian(V, window_radius))
     keep = (ev > -1e-6) & (ev < 16.0 + 1e-6)
     return ev, vecs, keep
 
@@ -142,19 +146,17 @@ def test_pac_split_free_keeps_everything():
 
 
 def test_pac_split_removes_bound_state():
-    split = pac_split(PotentialSpec.delta(5.0), 48)
+    n = 48
+    split = pac_split(PotentialSpec.delta(5.0), n)
     assert split.projector_rank == 1
     lam, state = split.bound_states[0]
     assert lam > 16.0
-    rng = np.random.default_rng(1)
-    psi0 = LatticeVector(8, rng.normal(size=17).astype(complex))
-    out = split.apply_ac(2.0, psi0)
-    # evolved continuous part stays orthogonal to the bound state
-    assert abs(state.values.conj() @ out.values) < 1e-10
-    # removing the bound part twice changes nothing
-    once = split.apply_ac(0.0, psi0)
-    twice = split.apply_ac(0.0, once)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
+    # on the whole window the continuous-part kernel annihilates the bound
+    # state at every time, and at t = 0 it is a projection
+    ac = split.kernel_ac(2.0, n).entries
+    assert np.abs(ac @ state.values).max() < 1e-10
+    proj = split.kernel_ac(0.0, n).entries
+    np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
 
 
 def test_pac_split_bound_plus_continuous_is_everything():
@@ -177,20 +179,20 @@ def test_pac_split_doubles_window_for_shallow_states():
 
 
 def test_stone_free_matches_spectral():
-    got = stone_kernel_schrodinger(1.0, None, 0, 0)
+    got = stone_kernel_slice(1.0, None, 0).entry(0, 0)
     want = kernel_spectral(_req("schrodinger_free_bilap", None, 1.0, 0)).entry(0, 0)
     assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_stone_perturbed_matches_continuous_reference():
-    got = stone_kernel_schrodinger(5.0, DELTA_HALF, 1, -1)
+    got = stone_kernel_slice(5.0, DELTA_HALF, 1).entry(1, -1)
     ref = pac_split(DELTA_HALF, auto_window_radius(5.0, 4)).kernel_ac(5.0, 4)
     assert got == pytest.approx(ref.entry(1, -1), abs=1e-7)
 
 
 def test_kernel_time_reversal_conjugates():
-    fwd = stone_kernel_schrodinger(2.0, DELTA_HALF, 1, 0)
-    bwd = stone_kernel_schrodinger(-2.0, DELTA_HALF, 1, 0)
+    fwd = stone_kernel_slice(2.0, DELTA_HALF, 1).entry(1, 0)
+    bwd = stone_kernel_slice(-2.0, DELTA_HALF, 1).entry(1, 0)
     assert bwd == pytest.approx(np.conj(fwd), abs=1e-10)
     a = kernel_spectral(_req("schrodinger_h", DELTA_HALF, 1.5, 3)).entries
     b = kernel_spectral(_req("schrodinger_h", DELTA_HALF, -1.5, 3)).entries
@@ -207,7 +209,7 @@ def test_stone_at_time_zero_projects_out_bound_state():
 
     lam, state = discrete_eigs(DELTA_HALF, 256)[0]
     want = 1.0 - abs(state[2]) ** 2
-    got = stone_kernel_halfwave(0.0, DELTA_HALF, 2, 2)
+    got = stone_kernel_slice(0.0, DELTA_HALF, 2, phase="halfwave").entry(2, 2)
     assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -248,7 +250,7 @@ def test_beam_sinc_is_time_average_of_beam_cos():
 
 def test_stone_warns_at_non_regular_threshold():
     with pytest.warns(UserWarning, match="not regular"):
-        stone_kernel_schrodinger(1.0, NONREGULAR, 0, 0)
+        stone_kernel_slice(1.0, NONREGULAR, 0)
 
 
 def test_stone_error_check_warns_when_unreachable():
@@ -257,24 +259,23 @@ def test_stone_error_check_warns_when_unreachable():
 
 
 def test_sup_norm_routes_agree():
-    req = _req("schrodinger_free_bilap", None, 2.0, 5)
-    a = sup_norm_kernel(req, "fft")
-    b = sup_norm_kernel(req, "spectral")
+    # window sup of the free kernel: FFT separations 0..2r against the dense slice
+    kind, t, r = "schrodinger_free_bilap", 2.0, 5
+    a = np.abs(free_kernel_fft(t, kind, 2 * r)).max()
+    b = np.abs(kernel_spectral(_req(kind, None, t, r)).entries).max()
     assert a == pytest.approx(b, abs=1e-10)
-    assert sup_norm_kernel(_req("schrodinger_free_bilap", None, 0.0, 3)) == (
-        pytest.approx(1.0, abs=1e-12)
-    )
-    with pytest.raises(ValueError, match="unknown method"):
-        sup_norm_kernel(req, "dense")
-    with pytest.raises(ValueError, match="no band quadrature"):
-        sup_norm_kernel(_req("schrodinger_free_lap", None, 1.0, 2), "stone")
+    assert np.abs(free_kernel_fft(0.0, kind, 6)).max() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="no free kernel"):
+        free_kernel_fft(1.0, "heat", 2)
+    with pytest.raises(ValueError, match="phase must be one of"):
+        stone_kernel_slice(1.0, None, 1, phase="heat")
 
 
 def test_beam_evolution_conserves_wave_energy():
     # v(t) = cos(t sqrt(H)) f + t sinc(t sqrt(H)) g solves the fourth-order
     # wave equation; |v'|^2 + <v, H v> must not drift
     n, t = 96, 2.7
-    H = build_hamiltonian(DELTA_HALF, n).entries
+    H = build_hamiltonian(DELTA_HALF, n)
     ev, vecs = np.linalg.eigh(H)
     root = np.sqrt(np.clip(ev, 0.0, None))
     rng = np.random.default_rng(3)
@@ -299,3 +300,103 @@ def test_beam_evolution_conserves_wave_energy():
     gvec = LatticeVector(n, g.astype(complex))
     out = evolve_spectral(PropagatorRequest("beam_sinc", DELTA_HALF, t, n, 0), gvec)
     np.testing.assert_allclose(t * out.values, vecs @ (sinc_t * ge), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the flow table against the closed forms each route used to code itself
+
+
+def _old_ring_band(t, kmax=0):
+    need = 2.0 * (1.2 * SPEED_BOUND * abs(t) + kmax + 64)
+    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
+    return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(size) / size)
+
+
+_OLD_FFT_WEIGHT = {
+    "schrodinger_free_lap": lambda t, b: np.exp(-1j * t * b),
+    "schrodinger_free_bilap": lambda t, b: np.exp(-1j * t * b * b),
+    "beam_cos": lambda t, b: np.cos(t * b).astype(complex),
+    "beam_sinc": lambda t, b: np.sinc(t * b / np.pi).astype(complex),
+}
+
+
+@pytest.mark.parametrize("t", [0.7, 37.0, 1e3])
+def test_fft_route_matches_old_symbol_weights(t):
+    band = _old_ring_band(t)
+    for kind, weight in _OLD_FFT_WEIGHT.items():
+        want = np.fft.ifft(weight(t, band))
+        got = free_kernel_full(t, kind)
+        if kind == "schrodinger_free_bilap":
+            # -1j*t*b*b and -1j*t*(b*b) round differently
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+        else:
+            assert np.array_equal(got, want), kind
+
+
+@pytest.mark.parametrize("t", [-2.0, 0.5, 3.0, 100.0])
+def test_stone_weights_match_old_closed_forms(t):
+    mu = np.linspace(1e-6, 2.0, 401)
+    assert np.array_equal(
+        FLOWS["schrodinger"](t, mu**4), np.exp(-1j * t * mu**4)
+    )
+    old = {
+        "halfwave": np.exp(-1j * t * mu**2),
+        "beam_cos": np.cos(t * mu**2).astype(complex),
+        "beam_sinc": np.sinc(t * mu**2 / np.pi).astype(complex),
+    }
+    for phase, want in old.items():
+        np.testing.assert_allclose(
+            FLOWS[phase](t, mu**4), want, rtol=0, atol=1e-11
+        )
+
+
+def _old_dense_sinc(t, lam):
+    root = np.sqrt(lam.astype(complex))
+    x = t * t * lam
+    out = np.empty(lam.shape, dtype=complex)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = 1.0 - xs / 6.0 + xs * xs / 120.0
+    arg = t * root[~small]
+    out[~small] = np.sin(arg) / arg
+    return out
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_dense_weights_match_old_closed_forms(t):
+    # eigenvalues below, inside and above the band, plus values at zero
+    lam = np.concatenate([
+        eigensystem(PotentialSpec((-1, 1), [-5.0, 0.0, 5.0]), 24)[0],
+        [0.0, 1e-14, -1e-14],
+    ])
+    assert lam.min() < 0.0 and lam.max() > 16.0
+    assert np.array_equal(FLOWS["schrodinger"](t, lam), np.exp(-1j * t * lam))
+    np.testing.assert_allclose(
+        FLOWS["beam_sinc"](t, lam), _old_dense_sinc(t, lam), rtol=0, atol=1e-11
+    )
+    np.testing.assert_allclose(
+        FLOWS["beam_cos"](t, lam),
+        np.cos(t * np.sqrt(lam.astype(complex))),
+        rtol=0,
+        atol=1e-11,
+    )
+
+
+def test_pac_split_diagonalises_each_matrix_once(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # a coupling no other test uses, so nothing is cached yet
+    V = PotentialSpec.delta(4.375)
+    split = pac_split(V, 48)
+    for t in (0.5, 1.0, 2.0):
+        split.kernel_ac(t, 4)
+    kernel_spectral(PropagatorRequest("schrodinger_h", V, 1.0, 48, 4))
+    assert split.window_radius == 48
+    # windows 24 (scan) and 48 (bound states, scan, kernels): one eigh each
+    assert sorted(shapes) == [(49, 49), (97, 97)]

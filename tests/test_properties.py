@@ -65,7 +65,7 @@ def test_sandwich_matrix_complex_symmetric(vals, mu):
 @given(n_ring=st.integers(min_value=3, max_value=24))
 def test_periodic_truncation_spectrum_is_symbol_samples(n_ring):
     ev = np.sort(np.linalg.eigvalsh(
-        build_hamiltonian(None, n_ring, "periodic").entries
+        build_hamiltonian(None, n_ring, "periodic")
     ))
     L = 2 * n_ring + 1
     x = 2.0 * np.pi * np.arange(L) / L

@@ -12,6 +12,7 @@ from bilap.resolvent import (
 )
 from bilap.spectral import (
     BirmanSchwingerSystem,
+    LocalizationError,
     build_M,
     build_projections,
     build_T0,
@@ -327,7 +328,7 @@ def test_discrete_eigs_validation_and_empty():
     with pytest.raises(ValueError, match="window_radius must be >= 4"):
         discrete_eigs(DELTA_HALF, 3)
     # a state this shallow spreads over hundreds of sites
-    with pytest.raises(ValueError, match="localization ratio"):
+    with pytest.raises(LocalizationError, match="localization ratio"):
         discrete_eigs(GENERIC, 128)
 
 
