@@ -157,29 +157,46 @@ def _as_int_list(lo=None, min_len=1):
     return cast
 
 
+# Sites are int64 lattice indices; the bound keeps every separation
+# between two of them representable.
+_SITE_BOUND = 2**62
+
+
+def _potential_entry(name, cast, value):
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise ValueError(f"potential {name!r}: {exc}") from exc
+
+
 def _as_potential(v):
     """Potential object: {"delta": c, "site": s}, or support/values."""
     if not isinstance(v, dict):
         raise ValueError(f"expected an object describing a potential, got {v!r}")
-    try:
-        if "delta" in v:
-            extra = set(v) - {"delta", "site", "beta"}
-            if extra:
-                raise ValueError(f"unknown potential field(s) {sorted(extra)}")
-            return PotentialSpec.delta(
-                float(v["delta"]), int(v.get("site", 0)),
-                beta=float(v.get("beta", np.inf)),
-            )
-        extra = set(v) - {"support", "values", "beta"}
+    site = _as_int(lo=-_SITE_BOUND, hi=_SITE_BOUND)
+    beta = _potential_entry("beta", _as_float(), v["beta"]) if "beta" in v else np.inf
+    if "delta" in v:
+        extra = set(v) - {"delta", "site", "beta"}
         if extra:
             raise ValueError(f"unknown potential field(s) {sorted(extra)}")
-        return PotentialSpec(
-            (int(v["support"][0]), int(v["support"][1])),
-            np.asarray(v["values"], dtype=float),
-            beta=float(v.get("beta", np.inf)),
+        return PotentialSpec.delta(
+            _potential_entry("delta", _as_float(), v["delta"]),
+            _potential_entry("site", site, v.get("site", 0)),
+            beta=beta,
         )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed potential: {exc}") from exc
+    extra = set(v) - {"support", "values", "beta"}
+    if extra:
+        raise ValueError(f"unknown potential field(s) {sorted(extra)}")
+    if "support" not in v or "values" not in v:
+        raise ValueError("a potential needs 'delta', or 'support' and 'values'")
+    support = v["support"]
+    if not isinstance(support, (list, tuple)) or len(support) != 2:
+        raise ValueError("potential 'support' must be [lo, hi]")
+    return PotentialSpec(
+        tuple(_potential_entry("support", site, x) for x in support),
+        _potential_entry("values", _as_float_list(), v["values"]),
+        beta=beta,
+    )
 
 
 def _as_potential_list(v):
@@ -395,7 +412,12 @@ def _free_source(cfg, times) -> _DecaySource:
 def _perturbed_source(cfg, times) -> _DecaySource:
     V = cfg["potential"]
     series = perturbed_decay_series(V, times, observe_radius=cfg["observe_radius"])
-    fields = {"potential": _potential_label(V), "observe_radius": cfg["observe_radius"]}
+    fields = {
+        "potential": _potential_label(V),
+        "observe_radius": cfg["observe_radius"],
+        "stone_budgets": list(series.budgets),
+        "stone_max_error_estimate": float(series.error_estimates.max()),
+    }
     claim = (
         "for a small potential keeping both band edges regular, the "
         "continuous part of the perturbed fourth-difference flow keeps "
@@ -755,7 +777,14 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
             err = float(np.abs(stone.entries - reference.entries).max())
             max_err = max(max_err, err)
             combos.append(
-                {"potential": _potential_label(V), "t": t, "max_abs_err": err}
+                {
+                    "potential": _potential_label(V),
+                    "t": t,
+                    "max_abs_err": err,
+                    "stone_budget": stone.budget,
+                    "stone_nodes": stone.nodes,
+                    "stone_error_estimate": stone.error_estimate,
+                }
             )
             for _ in range(cfg["n_pairs"]):
                 n = int(rng.integers(-obs, obs + 1))

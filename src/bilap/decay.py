@@ -46,12 +46,16 @@ class DecaySeries:
     """Sup norms of a kernel family over increasing times.
 
     source is a free-form descriptor of what produced the numbers (flow
-    kind, potential, evaluation route).
+    kind, potential, evaluation route). A series from the band quadrature
+    also carries, per time, the accepted budget and the half-budget error
+    estimate of its slice; other routes leave them None.
     """
 
     times: np.ndarray
     sup_norms: np.ndarray
     source: str
+    budgets: Optional[np.ndarray] = None
+    error_estimates: Optional[np.ndarray] = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -137,14 +141,13 @@ def perturbed_decay_series(
     and the window may stay fixed while t grows.
     """
     times = np.asarray(times, dtype=float)
-    sups = np.empty(times.size)
-    for i, t in enumerate(times):
-        ker = stone_kernel_slice(t, V, observe_radius)
-        sups[i] = float(np.abs(ker.entries).max())
+    slices = [stone_kernel_slice(t, V, observe_radius) for t in times]
     return DecaySeries(
         times=times,
-        sup_norms=sups,
+        sup_norms=np.array([float(np.abs(k.entries).max()) for k in slices]),
         source=f"stone:schrodinger_h:observe_radius={observe_radius}",
+        budgets=np.array([k.budget for k in slices]),
+        error_estimates=np.array([k.error_estimate for k in slices]),
     )
 
 

@@ -16,8 +16,12 @@ the operator itself, exp(-i t sqrt E), cos(t sqrt E) or
 sin(t sqrt E)/(t sqrt E) for half-wave and beam flows. The substitution
 mu = 2 sin(-theta/2) removes the inverse square-root singularity of the
 jump at the upper band edge, and narrow endpoint strips are integrated in
-locally analytic variables. Panel sizes follow the budget rule from the
-quadrature module, so cost scales linearly in |t|.
+locally analytic variables. Panels are sized by the budget rule of the
+quadrature module: the phase and the wave exponents advance by at most a
+budget per panel, so cost scales linearly in |t| and inversely in the
+budget. stone_kernel_slice picks the budget itself, halving it from 8
+until two successive passes agree to the requested tolerance, and reports
+the accepted budget, its node count and that half-budget error estimate.
 """
 
 from __future__ import annotations
@@ -86,6 +90,11 @@ _RING_MARGIN = 64
 _MAX_DOUBLINGS = 3
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
+# Stone budget ladder: phase advance per 15-point Gauss panel. Budget 4
+# already reproduces the budget-0.125 kernel to about 1e-13 on free and
+# single-site slices; 8 is the first, cheapest pass and 0.25 the finest.
+_BUDGET_START = 8.0
+_BUDGET_FLOOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,20 @@ class KernelSlice:
     entries[i, j] is the kernel between sites i - observe_radius and
     j - observe_radius. method records the evaluation route, "spectral"
     for dense diagonalisation of a truncation, "stone" for the band
-    quadrature (which carries only the continuous-spectrum part).
+    quadrature (which carries only the continuous-spectrum part). A stone
+    slice also records the accepted quadrature budget, the node count of
+    that pass and its half-budget error estimate, the largest entry
+    difference from the pass at twice the budget; the spectral route
+    leaves them None.
     """
 
     t: float
     observe_radius: int
     entries: np.ndarray
     method: str
+    budget: Optional[float] = None
+    nodes: Optional[int] = None
+    error_estimate: Optional[float] = None
 
     def __post_init__(self):
         side = 2 * self.observe_radius + 1
@@ -356,8 +372,8 @@ def _stone_assemble(
     targets: np.ndarray,
     phase: str,
     budget: float,
-) -> np.ndarray:
-    """Band-quadrature kernel at all target pairs, shape (T, T)."""
+):
+    """Band-quadrature kernel at all target pairs, shape (T, T), and node count."""
     if phase not in FLOWS:
         raise ValueError(f"phase must be one of {tuple(FLOWS)}")
     sys = decompose_potential(V) if V is not None else None
@@ -374,31 +390,34 @@ def _stone_assemble(
                 )
 
     sep_free = np.abs(targets[:, None] - targets[None, :])
-    reach = float(sep_free.max()) + 2.0
+    free_reach = int(sep_free.max())
+    reach = free_reach
     if sys is not None:
         sep_corr = np.abs(targets[:, None] - sys.sites[None, :])
-        reach = max(reach, float(sep_corr.max()) + 2.0)
+        reach = max(reach, int(sep_corr.max()))
 
     # the phase advances like E = mu^4 for the Schrodinger flow and like
     # sqrt(E) = mu^2 for the half-wave and beam flows
     phase_power = 4 if phase == "schrodinger" else 2
     mu, wts, omq = _stone_nodes(
-        t, phase_power, reach, budget, strips["zero"], strips["sixteen"]
+        t, phase_power, reach + 2.0, budget, strips["zero"], strips["sixteen"]
     )
-    kfree = np.arange(int(sep_free.max()) + 1)
+    # one kernel evaluation per node and separation 0..reach; the free part
+    # and the correction term both read from it
+    seps = np.arange(reach + 1)
 
-    free_vals = np.zeros(kfree.size, dtype=complex)
+    free_vals = np.zeros(free_reach + 1, dtype=complex)
     corr = np.zeros((targets.size, targets.size), dtype=complex)
     chunk = 4096
     for start in range(0, mu.size, chunk):
         sl = slice(start, start + chunk)
         mus, ws, oq = mu[sl], wts[sl], omq[sl]
         phw = FLOWS[phase](t, mus**4) * mus**3 * ws
-        rho_free = boundary_kernel_plus(mus, kfree, one_minus_q=oq)
-        free_vals += phw @ (2j * rho_free.imag)
+        rho_all = boundary_kernel_plus(mus, seps, one_minus_q=oq)
+        free_vals += phw @ (2j * rho_all[:, : free_reach + 1].imag)
         if sys is None:
             continue
-        rho = boundary_kernel_plus(mus, sep_corr, one_minus_q=oq)
+        rho = rho_all[:, sep_corr]
         minv = np.linalg.inv(m_matrix_grid(mus, sys, one_minus_q=oq))
         sup_inv = float(np.linalg.norm(minv, axis=(1, 2)).max())
         if sup_inv > 1e10:
@@ -415,8 +434,7 @@ def _stone_assemble(
         )
 
     factor = 2.0 / (np.pi * 1j)
-    kernel = factor * (free_vals[sep_free] - corr)
-    return kernel
+    return factor * (free_vals[sep_free] - corr), mu.size
 
 
 def stone_kernel_slice(
@@ -424,26 +442,30 @@ def stone_kernel_slice(
     V: Optional[PotentialSpec],
     observe_radius: int,
     phase: str = "schrodinger",
-    budget: float = 0.5,
-    check_error: bool = False,
     tol: float = 1e-8,
 ) -> KernelSlice:
     """Continuous-part kernel on a window via the band quadrature.
 
-    phase names the flow in FLOWS. check_error reruns the quadrature at
-    half budget and warns when the two passes differ by more than tol;
-    the finer result is returned.
+    phase names the flow in FLOWS. The quadrature runs at budget 8 and then
+    at half the budget until two successive passes differ by at most tol in
+    every entry; the finer pass is returned with that difference as its
+    error estimate. Each step costs one new pass. The ladder stops at
+    budget 0.25 and warns there if the estimate still misses tol.
     """
     targets = np.arange(-observe_radius, observe_radius + 1)
-    entries = _stone_assemble(t, V, targets, phase, budget)
-    if check_error:
-        finer = _stone_assemble(t, V, targets, phase, budget / 2.0)
-        err = float(np.abs(finer - entries).max())
-        if err > tol:
-            warnings.warn(
-                f"band quadrature achieved error estimate {err:.3e} above "
-                f"the target {tol:.1e}",
-                stacklevel=2,
-            )
-        entries = finer
-    return KernelSlice(t, observe_radius, entries, "stone")
+    budget = _BUDGET_START
+    coarse, _ = _stone_assemble(t, V, targets, phase, budget)
+    while True:
+        budget /= 2.0
+        entries, nodes = _stone_assemble(t, V, targets, phase, budget)
+        err = float(np.abs(entries - coarse).max())
+        if err <= tol or budget <= _BUDGET_FLOOR:
+            break
+        coarse = entries
+    if err > tol:
+        warnings.warn(
+            f"band quadrature achieved error estimate {err:.3e} above "
+            f"the target {tol:.1e} at budget {budget:g}",
+            stacklevel=2,
+        )
+    return KernelSlice(t, observe_radius, entries, "stone", budget, nodes, err)

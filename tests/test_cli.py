@@ -1,10 +1,15 @@
 """Command line front end: exit codes, file outputs, byte-level determinism."""
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilap import cli
 from bilap.cli import ConfigError, main, render_loglog_svg, write_csv, write_json
@@ -64,6 +69,86 @@ def test_cross_field_config_errors_exit_two_before_mkdir(
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "potential,field",
+    [
+        ({"delta": True}, "delta"),
+        ({"delta": "0.5"}, "delta"),
+        ({"delta": 0.5, "site": 1.5}, "site"),
+        ({"delta": 0.5, "site": 10**30}, "site"),
+        ({"delta": 0.5, "beta": "inf"}, "beta"),
+        ({"support": [0.5, 1.7], "values": [1, 2]}, "support"),
+        ({"support": [0, 1], "values": [1, True]}, "values"),
+        ({"support": [0, 1], "values": ["1", 2]}, "values"),
+        ({"support": [0], "values": [1]}, "support"),
+        ({"values": [1]}, "support"),
+    ],
+)
+def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field):
+    # every entry is cast strictly: no bool as a number, no numeric string,
+    # no truncated fractional site
+    cfg = _write_config(tmp_path, "cfg", {"potential": potential})
+    out = tmp_path / "o"
+    assert main(["regular-check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_SITE = st.integers(-6, 6) | st.sampled_from([2**63, -(2**63) - 1, 10**30]) | _JSON
+_NUMBER = st.floats(-4.0, 4.0) | st.integers(-3, 3) | _JSON
+_POTENTIAL = (
+    st.fixed_dictionaries(
+        {"delta": _NUMBER}, optional={"site": _SITE, "beta": _NUMBER}
+    )
+    | st.fixed_dictionaries(
+        {"support": st.lists(_SITE, min_size=1, max_size=3),
+         "values": st.lists(_NUMBER, max_size=4)},
+        optional={"beta": _NUMBER},
+    )
+    | st.dictionaries(
+        st.sampled_from(["delta", "site", "beta", "support", "values", "x"]),
+        _JSON,
+        max_size=3,
+    )
+    | _JSON
+)
+_CONFIG = (
+    st.fixed_dictionaries({"potential": _POTENTIAL})
+    | st.dictionaries(
+        st.sampled_from(["potential", "output_dir", "bogus"]), _JSON, max_size=2
+    )
+    | _JSON
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=_CONFIG)
+def test_cli_contract_holds_for_arbitrary_configs(config):
+    # exit 0, 1 or 2, never a traceback, and no output directory on exit 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["regular-check", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()
 
 
 def test_out_of_range_field_exits_two(tmp_path, capsys):
@@ -206,6 +291,29 @@ def test_expansion_band_failure_exits_one(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 1
     assert "remainder_zero_N1.csv" in manifest["outputs"]
+
+
+def test_stone_reports_show_quadrature_budgets(tmp_path):
+    cfg = _write_config(tmp_path, "decay", {
+        "t_min": 1.0, "t_max": 2.0, "per_decade": 32, "observe_radius": 2,
+        "band": [-1.0, 1.0],
+    })
+    out = tmp_path / "decay"
+    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert len(fit["stone_budgets"]) == 11
+    assert all(0.25 <= b <= 4.0 for b in fit["stone_budgets"])
+    assert 0.0 < fit["stone_max_error_estimate"] <= 1e-8
+
+    cfg = _write_config(tmp_path, "svs", {
+        "potentials": [None, {"delta": 0.5}], "times": [1.0, 20.0], "observe_radius": 2,
+    })
+    out = tmp_path / "svs"
+    assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 0
+    for combo in json.loads((out / "report.json").read_text())["combos"]:
+        assert 0.25 <= combo["stone_budget"] <= 4.0
+        assert combo["stone_nodes"] > 0
+        assert combo["stone_error_estimate"] <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Propagator evaluation routes: spectral truncation, FFT ring, band quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+from bilap import propagator
 
 from bilap.lattice import (
     SPEED_BOUND,
@@ -255,7 +259,49 @@ def test_stone_warns_at_non_regular_threshold():
 
 def test_stone_error_check_warns_when_unreachable():
     with pytest.warns(UserWarning, match="error estimate"):
-        stone_kernel_slice(1.0, None, 1, check_error=True, tol=1e-30)
+        stone_kernel_slice(1.0, None, 1, tol=1e-30)
+
+
+# ---------------------------------------------------------------------------
+# the Stone budget ladder against the finest budget it may reach
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0, 100.0])
+@pytest.mark.parametrize("V", [None, DELTA_HALF], ids=["free", "delta"])
+def test_stone_ladder_matches_floor_budget(t, V):
+    r = 3
+    sl = stone_kernel_slice(t, V, r)
+    ref, _ = propagator._stone_assemble(t, V, np.arange(-r, r + 1), "schrodinger", 0.25)
+    assert np.abs(sl.entries - ref).max() <= 1e-12
+    assert sl.budget >= 0.25 and sl.error_estimate <= 1e-8
+    assert sl.nodes > 0
+
+
+def test_stone_ladder_multi_site_within_floor():
+    # successive budgets agree only to about 1e-9 on multi-site potentials
+    V, t, r = PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 1.0, 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sl = stone_kernel_slice(t, V, r)
+    ref, _ = propagator._stone_assemble(t, V, np.arange(-r, r + 1), "schrodinger", 0.25)
+    assert np.abs(sl.entries - ref).max() <= 2e-9
+    assert sl.error_estimate <= 1e-8
+
+
+def test_stone_ladder_stops_after_two_passes(monkeypatch):
+    calls = []
+    assemble = propagator._stone_assemble
+
+    def counted(*args):
+        calls.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(propagator, "_stone_assemble", counted)
+    sl = stone_kernel_slice(50.0, DELTA_HALF, 2)
+    assert calls == [8.0, 4.0]
+    assert sl.budget == 4.0
+    spectral = kernel_spectral(_req("schrodinger_h", DELTA_HALF, 1.0, 2))
+    assert (spectral.budget, spectral.nodes, spectral.error_estimate) == (None,) * 3
 
 
 def test_sup_norm_routes_agree():
