@@ -48,6 +48,7 @@ from .spectral import (
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
+    min_localizing_radius,
     minv_expansion_probe,
     perturbed_resolvent_boundary,
     regular_point_check,
@@ -1084,6 +1085,34 @@ _COMMANDS = {
 }
 
 
+# resolvent-check's window oracle reaches past the potential, so its
+# memory grows with the support radius.
+_ORACLE_SITE_BOUND = 2**16
+
+
+def _window_rules(command, cfg):
+    """(fields, potential, window, needed, given) for each window a command sizes."""
+    if command == "resolvent-check":
+        for i, V in enumerate(cfg["potentials"]):
+            if V is not None:
+                yield (f"field 'potentials' entry {i}", V, "the window oracle's "
+                       "site limit", V.support_radius, _ORACLE_SITE_BOUND)
+    if command == "eig-scan":
+        V = cfg["potential"]
+        yield ("fields 'potential', 'discrete_window'", V, "discrete_window",
+               min_localizing_radius(V), cfg["discrete_window"])
+        # build_hamiltonian keeps the stencil two sites clear of the support
+        yield ("fields 'potential', 'window_radii'", V, "every window radius",
+               V.support_radius + 2, min(cfg["window_radii"]))
+    if command == "stone-vs-spectral":
+        window = auto_window_radius(max(cfg["times"]), cfg["observe_radius"])
+        for i, V in enumerate(cfg["potentials"]):
+            if V is not None:
+                yield (f"field 'potentials' entry {i}", V, "the dense reference "
+                       "window set by 'times' and 'observe_radius'",
+                       min_localizing_radius(V), window)
+
+
 def _check_config(raw: dict, schema: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config for {command} must be a JSON object")
@@ -1115,6 +1144,12 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
             f"fields 't_min', 't_max': need t_min < t_max, got "
             f"{out['t_min']} and {out['t_max']}"
         )
+    for fields, V, window, need, given in _window_rules(command, out):
+        if given < need:
+            raise ConfigError(
+                f"{fields}: support radius {V.support_radius} needs {window} "
+                f">= {need}, got {given}"
+            )
     return out
 
 

@@ -250,6 +250,11 @@ def weighted_operator_norm(K, s: float) -> float:
 
     Measures K as an operator from the weight-s space to the weight-(-s)
     space. K is a dense square array centred on its window.
+
+    When K equals its reflection K[::-1, ::-1] exactly, D^{-s} K D^{-s}
+    commutes with n -> -n and is block diagonal in the even and odd
+    sequences; the norm is then the larger of the norms of the two blocks,
+    of sizes R + 1 and R on the window [-R, R].
     """
     entries = np.asarray(K)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -258,7 +263,18 @@ def weighted_operator_norm(K, s: float) -> float:
         raise ValueError("window must be symmetric (odd side length)")
     radius = entries.shape[0] // 2
     d = site_weights(radius, -s)
-    return float(np.linalg.norm(d[:, None] * entries * d[None, :], 2))
+    if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):
+        return float(np.linalg.norm(d[:, None] * entries * d[None, :], 2))
+    # Rows n >= 0 against columns +m and -m, m >= 0, in the orthonormal
+    # bases (delta_n +- delta_{-n}) / sqrt(2) and delta_0.
+    half = entries[radius:]
+    cols, mirror = half[:, radius:], half[:, radius::-1]
+    w = d[radius:]
+    even = w[:, None] * (cols + mirror) * w[None, :]
+    even[0] /= np.sqrt(2.0)
+    even[:, 0] /= np.sqrt(2.0)
+    odd = w[1:, None] * (cols - mirror)[1:, 1:] * w[None, 1:]
+    return float(max(np.linalg.norm(even, 2), np.linalg.norm(odd, 2)))
 
 
 def sign_flip(psi: LatticeVector) -> LatticeVector:

@@ -203,22 +203,29 @@ def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> complex:
     return t[0]
 
 
+_LADDER = 4
+"""Rungs of the eps ladder, each twice the previous."""
+
+_DECAY_LENGTHS = 30.0
+"""Regularised decay lengths each rung's window holds on either side."""
+
+
 def windowed_boundary_resolvent(
     mu: float,
     n: int,
     m: int,
     sign: str = "plus",
     V=None,
-    ladder: int = 4,
-    eps_min: float | None = None,
-    window_radius: int | None = None,
 ) -> complex:
     """Boundary resolvent entry by direct window inversion, no closed forms.
 
     Solves the pentadiagonal system (fourth difference + V - mu^4 - i eps)
-    on a window sized to hold thirty resolvent decay lengths at the
-    smallest eps, then removes the regularisation by polynomial
-    extrapolation along a factor-two eps ladder. Serves as an independent
+    on each rung of a factor-two eps ladder, then removes the
+    regularisation by polynomial extrapolation to eps = 0. Each rung's
+    window holds thirty decay lengths of the regularised kernel at its own
+    eps beyond the sites n, m and the potential's support, so the windows
+    nearly halve along the ladder; all rungs share the band array of the
+    first, solving on centred slices of it. Serves as an independent
     cross-check of the closed kernels; relative agreement is typically
     well below 1e-6.
 
@@ -226,8 +233,6 @@ def windowed_boundary_resolvent(
     ----------
     V : PotentialSpec, optional
         Real finitely supported perturbation added to the diagonal.
-    ladder : int
-        Number of eps rungs, each twice the previous.
     """
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
@@ -235,13 +240,17 @@ def windowed_boundary_resolvent(
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     lam = mu**4
     rho = min(lam, 16.0 - lam)
-    if eps_min is None:
-        eps_min = min(2e-3, rho / 400.0)
+    eps_values = min(2e-3, rho / 400.0) * 2.0 ** np.arange(_LADDER)
     # decay length of the regularised kernel ~ (band speed at mu) / eps
     scale = 4.0 * mu**3 * float(np.sqrt(1.0 - mu * mu / 4.0))
-    if window_radius is None:
-        window_radius = int(np.ceil(30.0 * scale / eps_min)) + max(abs(n), abs(m)) + 64
-    side = 2 * window_radius + 1
+    support = V.support_radius if V is not None else 0
+    pad = max(abs(n), abs(m), support) + 64
+    radii = [int(np.ceil(_DECAY_LENGTHS * scale / eps)) + pad for eps in eps_values]
+    big = radii[0]
+    side = 2 * big + 1
+    # LAPACK reads no band entry outside the matrix (the corners of rows 0,
+    # 1, 3 and 4), so a centred column slice is the same system on a
+    # smaller window.
     ab = np.zeros((5, side), dtype=complex)
     ab[0, 2:] = 1.0
     ab[1, 1:] = -4.0
@@ -249,14 +258,14 @@ def windowed_boundary_resolvent(
     ab[4, :-2] = 1.0
     diag = np.full(side, 6.0, dtype=complex)
     if V is not None:
-        diag += V.on_window(window_radius)
+        diag += V.on_window(big)
     rhs = np.zeros(side, dtype=complex)
-    rhs[m + window_radius] = 1.0
-    eps_values = eps_min * 2.0 ** np.arange(ladder)
+    rhs[m + big] = 1.0
     samples = []
-    for eps in eps_values:
-        ab[2, :] = diag - (lam + 1j * eps)
-        sol = solve_banded((2, 2), ab, rhs)
-        samples.append(sol[n + window_radius])
+    for eps, radius in zip(eps_values, radii):
+        cols = slice(big - radius, big + radius + 1)
+        ab[2, cols] = diag[cols] - (lam + 1j * eps)
+        sol = solve_banded((2, 2), ab[:, cols], rhs[cols], check_finite=False)
+        samples.append(sol[n + radius])
     val = complex(_neville_at_zero(eps_values, np.array(samples)))
     return val if sign == "plus" else val.conjugate()

@@ -49,6 +49,7 @@ __all__ = [
     "eigensystem",
     "discrete_eigs",
     "embedded_eig_scan",
+    "min_localizing_radius",
     "LocalizationError",
     "BAND_MARGIN",
 ]
@@ -403,11 +404,16 @@ def eigensystem(
     return _eigensystem(operator, V.support, tuple(V.values.tolist()), window_radius)
 
 
-def _localization_ratio(vec: np.ndarray, window_radius: int) -> float:
-    sites = np.arange(-window_radius, window_radius + 1)
-    inner = np.abs(sites) <= window_radius // 2
-    total = float(np.sum(np.abs(vec) ** 2))
-    return float(np.sum(np.abs(vec[inner]) ** 2)) / total
+def _localization_ratios(vecs: np.ndarray, window_radius: int) -> np.ndarray:
+    """Share of each column's squared norm on the sites |n| <= window_radius // 2."""
+    lo, hi = window_radius - window_radius // 2, window_radius + window_radius // 2 + 1
+    inner = np.einsum("ij,ij->j", vecs[lo:hi], vecs[lo:hi])
+    return inner / np.einsum("ij,ij->j", vecs, vecs)
+
+
+def min_localizing_radius(V: PotentialSpec) -> int:
+    """Smallest window radius discrete_eigs accepts: four support radii, at least 4."""
+    return 4 * max(V.support_radius, 1)
 
 
 def discrete_eigs(
@@ -424,17 +430,18 @@ def discrete_eigs(
     """
     if V is None:
         return []
-    if window_radius < 4 * max(V.support_radius, 1):
+    need = min_localizing_radius(V)
+    if window_radius < need:
         raise ValueError(
             "window_radius must be >= 4 * support radius "
-            f"(need {4 * max(V.support_radius, 1)}, got {window_radius})"
+            f"(need {need}, got {window_radius})"
         )
     ev, vecs = eigensystem(V, window_radius)
+    ratios = _localization_ratios(vecs, window_radius)
     out: List[Tuple[float, LatticeVector]] = []
-    for lam, vec in zip(ev, vecs.T):
+    for lam, vec, ratio in zip(ev, vecs.T, ratios):
         if -BAND_MARGIN <= lam <= 16.0 + BAND_MARGIN:
             continue
-        ratio = _localization_ratio(vec, window_radius)
         if ratio < _LOCALIZATION_RATIO:
             raise LocalizationError(
                 f"eigenvector at {lam:.6g} has localization ratio {ratio:.4f}; "
@@ -465,13 +472,12 @@ def embedded_eig_scan(V: PotentialSpec, window_radii) -> EmbeddedScanReport:
     candidates = {}
     for radius in radii:
         ev, vecs = eigensystem(V, radius)
-        found = [
-            float(lam)
-            for lam, vec in zip(ev, vecs.T)
-            if BAND_MARGIN < lam < 16.0 - BAND_MARGIN
-            and _localization_ratio(vec, radius) >= _LOCALIZATION_RATIO
-        ]
-        candidates[radius] = found
+        keep = (
+            (BAND_MARGIN < ev)
+            & (ev < 16.0 - BAND_MARGIN)
+            & (_localization_ratios(vecs, radius) >= _LOCALIZATION_RATIO)
+        )
+        candidates[radius] = [float(lam) for lam in ev[keep]]
     stable = [
         lam
         for lam in candidates[radii[0]]

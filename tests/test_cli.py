@@ -97,6 +97,53 @@ def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,payload,named",
+    [
+        ("eig-scan", {"potential": {"delta": 0.5, "site": 600}}, "discrete_window"),
+        (
+            "eig-scan",
+            {"potential": {"delta": 0.5, "site": 600}, "discrete_window": 2400},
+            "window_radii",
+        ),
+        (
+            "stone-vs-spectral",
+            {"potentials": [{"delta": 0.5, "site": 600}], "times": [1.0]},
+            "'potentials' entry 0",
+        ),
+        (
+            "resolvent-check",
+            {"potentials": [None, {"delta": 0.5, "site": 10**5}]},
+            "'potentials' entry 1",
+        ),
+    ],
+)
+def test_off_centre_potentials_exit_two_before_mkdir(
+    tmp_path, capsys, command, payload, named
+):
+    # the windows these commands diagonalise or solve on must reach past
+    # the potential; the config is refused before anything runs
+    cfg = _write_config(tmp_path, "cfg", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        "cfg",
+        {
+            "potential": {"delta": 5.0, "site": 20},
+            "discrete_window": 80,
+            "window_radii": [22, 40],
+        },
+    )
+    assert main(["eig-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()

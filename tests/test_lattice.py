@@ -212,3 +212,49 @@ def test_dirichlet_matrix_matches_oracle_assembly():
     diag = np.zeros(17)
     diag[7:10] = [0.3, -0.2, 0.1]
     np.testing.assert_allclose(got, oracles.dense_hamiltonian(17, diag), atol=0)
+
+
+def _reflection_symmetric(rng, radius):
+    side = 2 * radius + 1
+    a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    return a + a[::-1, ::-1]
+
+
+def _record_norm_shapes(monkeypatch):
+    shapes = []
+    full_norm = np.linalg.norm
+
+    def norm(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return full_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return shapes
+
+
+def test_parity_split_norm_matches_full_svd(monkeypatch):
+    rng = np.random.default_rng(11)
+    for radius in (1, 2, 64):
+        for s in (0.0, 1.5):
+            d = site_weights(radius, -s)
+            K = _reflection_symmetric(rng, radius)
+            want = np.linalg.norm(d[:, None] * K * d[None, :], 2)
+            assert weighted_operator_norm(K, s) == pytest.approx(want, rel=1e-13)
+    # a non-symmetric input takes the full SVD
+    shapes = _record_norm_shapes(monkeypatch)
+    K = _reflection_symmetric(rng, 2)
+    K[0, 1] += 1.0
+    d = site_weights(2, -1.5)
+    want = float(np.linalg.svd(d[:, None] * K * d[None, :], compute_uv=False)[0])
+    assert weighted_operator_norm(K, 1.5) == pytest.approx(want, rel=1e-13)
+    assert shapes == [(5, 5)]
+
+
+def test_symmetric_weighted_norm_never_decomposes_the_full_window(monkeypatch):
+    # the remainder kernels of expansion-check: Toeplitz on [-64, 64]
+    sites = np.arange(-64, 65)
+    row = np.random.default_rng(5).normal(size=129) * (1 + 0.5j)
+    K = row[np.abs(sites[:, None] - sites[None, :])]
+    shapes = _record_norm_shapes(monkeypatch)
+    weighted_operator_norm(K, 5.0)
+    assert sorted(shapes) == [(64, 64), (65, 65)]

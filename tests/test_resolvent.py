@@ -4,7 +4,10 @@ import cmath
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bilap import resolvent
+from bilap.lattice import PotentialSpec
 from bilap.resolvent import (
     SpectralParam,
     b_of_mu,
@@ -226,3 +229,48 @@ def test_boundary_kernel_against_multiprecision():
                 got = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
                 want = complex(oracles.mp_boundary_kernel(thr, d, k))
                 assert abs(got - want) / abs(want) < 1e-12
+
+
+def _fixed_window_oracle(mu, n, m, V=None):
+    # every rung on the one window sized for the smallest eps
+    lam = mu**4
+    eps_min = min(2e-3, min(lam, 16.0 - lam) / 400.0)
+    scale = 4.0 * mu**3 * np.sqrt(1.0 - mu * mu / 4.0)
+    radius = int(np.ceil(30.0 * scale / eps_min)) + max(abs(n), abs(m)) + 64
+    side = 2 * radius + 1
+    ab = np.zeros((5, side), dtype=complex)
+    ab[0, 2:], ab[1, 1:], ab[3, :-1], ab[4, :-2] = 1.0, -4.0, -4.0, 1.0
+    diag = np.full(side, 6.0, dtype=complex)
+    if V is not None:
+        diag += V.on_window(radius)
+    rhs = np.zeros(side, dtype=complex)
+    rhs[m + radius] = 1.0
+    eps_values = eps_min * 2.0 ** np.arange(4)
+    samples = []
+    for eps in eps_values:
+        ab[2] = diag - (lam + 1j * eps)
+        samples.append(scipy.linalg.solve_banded((2, 2), ab, rhs)[n + radius])
+    return complex(resolvent._neville_at_zero(eps_values, np.array(samples)))
+
+
+def test_rung_windows_match_fixed_window_oracle():
+    for V in (None, PotentialSpec.delta(0.5), PotentialSpec((-1, 1), [0.3, -0.2, 0.1])):
+        for mu in (0.3, 1.0, 1.8):
+            want = _fixed_window_oracle(mu, 3, -2, V)
+            got = windowed_boundary_resolvent(mu, 3, -2, V=V)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_rung_windows_halve_along_the_ladder(monkeypatch):
+    sizes = []
+    full_solve = resolvent.solve_banded
+
+    def solve(lu, ab, b, **kwargs):
+        sizes.append(ab.shape[1])
+        return full_solve(lu, ab, b, **kwargs)
+
+    monkeypatch.setattr(resolvent, "solve_banded", solve)
+    windowed_boundary_resolvent(1.0, 3, -2)
+    assert len(sizes) == 4
+    assert all(0.45 * a < b < 0.55 * a for a, b in zip(sizes, sizes[1:]))
+    assert sum(sizes) <= 2 * sizes[0]

@@ -11,6 +11,7 @@ from bilap.resolvent import (
     windowed_boundary_resolvent,
 )
 from bilap.spectral import (
+    BAND_MARGIN,
     BirmanSchwingerSystem,
     LocalizationError,
     build_M,
@@ -19,12 +20,14 @@ from bilap.spectral import (
     build_T0_tilde,
     decompose_potential,
     discrete_eigs,
+    eigensystem,
     embedded_eig_scan,
     m_matrix_grid,
     minv_expansion_probe,
     perturbed_resolvent_boundary,
     regular_point_check,
 )
+from bilap.spectral import _localization_ratios
 
 import oracles
 
@@ -340,3 +343,29 @@ def test_embedded_scan_clean_for_delta():
     assert rep.stable_candidates == ()
     with pytest.raises(ValueError, match="at least two window radii"):
         embedded_eig_scan(DELTA_HALF, (128,))
+
+
+def _per_vector_ratio(vec, window_radius):
+    sites = np.arange(-window_radius, window_radius + 1)
+    inner = np.abs(sites) <= window_radius // 2
+    return float(np.sum(np.abs(vec[inner]) ** 2)) / float(np.sum(np.abs(vec) ** 2))
+
+
+def test_vectorised_ratios_match_per_vector_ratio():
+    # the default eig-scan windows: discrete 512, scan 128, 256, 384
+    found = {}
+    for radius in (512, 128, 256, 384):
+        ev, vecs = eigensystem(DELTA_HALF, radius)
+        want = np.array([_per_vector_ratio(v, radius) for v in vecs.T])
+        got = _localization_ratios(vecs, radius)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        found[radius] = [
+            float(lam)
+            for lam, ratio in zip(ev, want)
+            if BAND_MARGIN < lam < 16.0 - BAND_MARGIN and ratio >= 0.999
+        ]
+    scan = embedded_eig_scan(DELTA_HALF, (128, 256, 384))
+    assert scan.candidates == {r: found[r] for r in (128, 256, 384)}
+    ev, vecs = eigensystem(DELTA_HALF, 512)
+    outside = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
+    assert [lam for lam, _ in discrete_eigs(DELTA_HALF, 512)] == list(ev[outside])
