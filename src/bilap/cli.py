@@ -45,6 +45,7 @@ from .propagator import (
 from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
 from .resolvent import SpectralParam, windowed_boundary_resolvent
 from .spectral import (
+    LocalizationError,
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
@@ -882,7 +883,8 @@ def _run_strichartz(cfg, outdir, rng):
     ]
     write_csv(outdir / "norms.csv", ["T", "norm"], zip(cfg["T_values"], norms))
     lo, hi = min(norms), max(norms)
-    spread = hi / lo - 1.0
+    # a horizon so short that the norm underflows to 0 has no finite spread
+    spread = hi / lo - 1.0 if lo > 0 else np.inf
     if cfg["expect"] == "bounded":
         ok = spread <= cfg["ratio_tol"]
     else:
@@ -1144,6 +1146,13 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
             f"fields 't_min', 't_max': need t_min < t_max, got "
             f"{out['t_min']} and {out['t_max']}"
         )
+    if "per_decade" in out:
+        points = log_time_grid(out["t_min"], out["t_max"], out["per_decade"]).size
+        if points < 8:
+            raise ConfigError(
+                f"fields 't_min', 't_max', 'per_decade': the time grid has "
+                f"{points} points, the fit needs at least 8"
+            )
     for fields, V, window, need, given in _window_rules(command, out):
         if given < need:
             raise ConfigError(
@@ -1189,6 +1198,7 @@ def main(argv=None) -> int:
         return 2
 
     outdir = args.out or Path(cfg.get("output_dir") or f"bilap_out_{args.command}")
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     threads = None
@@ -1204,8 +1214,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, report, outputs = runner(cfg, outdir, rng)
-    except ConfigError as exc:
-        print(f"bilap {args.command}: config error: {exc}", file=sys.stderr)
+    except (ConfigError, LocalizationError) as exc:
+        if created and not any(outdir.iterdir()):
+            outdir.rmdir()
+        what = "config error" if isinstance(exc, ConfigError) else "numerical refusal"
+        print(f"bilap {args.command}: {what}: {exc}", file=sys.stderr)
         return 2
     wall = time.monotonic() - started
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.fft
 
 from .lattice import LatticeVector
 from .propagator import (
     FLOWS,
     KINDS,
+    _mirror,
     fft_ring_band,
     free_kernel_full,
     stone_kernel_slice,
@@ -84,7 +86,7 @@ def log_time_grid(t_min: float, t_max: float, per_decade: int = 16) -> np.ndarra
     """Logarithmic time grid with the given density of points per decade."""
     if not (0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
-    decades = np.log10(t_max / t_min)
+    decades = np.log10(t_max) - np.log10(t_min)
     count = max(int(round(per_decade * decades)) + 1, 2)
     return np.geomspace(t_min, t_max, count)
 
@@ -177,27 +179,24 @@ def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
     """Space-time norm of the free fourth-difference flow from psi0.
 
     Computes (Int_0^T (sum_n |u(t, n)|^r)^(q/r) dt)^(1/q) with
-    u(t) = exp(-i t bilaplacian) psi0, evaluated on the FFT ring of
-    fft_ring_band for horizon T. r may be inf for the sup norm in space.
+    u(t) = exp(-i t bilaplacian) psi0. Each time node t of the quadrature
+    evolves psi0 on its own ring, the one fft_ring_band gives for t and
+    the radius of psi0. r may be inf for the sup norm in space.
     """
     if not (q >= 1 and T > 0):
         raise ValueError("need q >= 1 and T > 0")
     if not (r >= 1):
         raise ValueError("need r >= 1 (inf allowed)")
-    band = fft_ring_band(T, psi0.window_radius)
-    energy = band * band
-    size = band.size
-    ring = np.zeros(size, dtype=complex)
-    vals = psi0.values
     n0 = psi0.window_radius
-    for i, v in enumerate(vals):
-        ring[(i - n0) % size] = v
-    spectrum = np.fft.fft(ring)
     nodes, weights = _time_quadrature(T)
     acc = 0.0
     for t, w in zip(nodes, weights):
-        u = np.fft.ifft(spectrum * FLOWS["schrodinger"](t, energy))
-        mags = np.abs(u)
+        band, size = fft_ring_band(t, n0)
+        ring = np.zeros(size, dtype=complex)
+        ring[np.arange(-n0, n0 + 1) % size] = psi0.values
+        spectrum = scipy.fft.fft(ring, overwrite_x=True)
+        weight = _mirror(FLOWS["schrodinger"](t, band * band), size)
+        mags = np.abs(scipy.fft.ifft(spectrum * weight, overwrite_x=True))
         if np.isinf(r):
             space = float(mags.max())
         else:

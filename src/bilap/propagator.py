@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
@@ -264,32 +265,43 @@ def pac_split(V: PotentialSpec, window_radius: int) -> PacSplit:
     return PacSplit(V, window_radius)
 
 
-def fft_ring_band(t: float, kmax: int) -> np.ndarray:
-    """Second-difference symbol 2 - 2 cos x on an FFT ring for time t.
+def fft_ring_band(t: float, kmax: int) -> tuple[np.ndarray, int]:
+    """Second-difference symbol 4 sin^2(x/2) on half of an FFT ring for time t.
 
-    The ring has a power of two of at least 256 points and covers the
+    The ring is even, 5-smooth, of at least 256 points, and covers the
     separations up to 1.2 SPEED_BOUND |t| + kmax + 64 both ways, so
-    wraparound sits at the far-field noise floor.
+    wraparound sits at the far-field noise floor. Returns (band, size):
+    band[j] is the symbol at x = 2 pi j / size for j = 0..size/2. The
+    symbol is even on the ring, so index size - j carries band[j] too.
     """
     need = 2.0 * (_RING_SAFETY * SPEED_BOUND * abs(t) + kmax + _RING_MARGIN)
-    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
-    x = 2.0 * np.pi * np.arange(size) / size
-    return 2.0 - 2.0 * np.cos(x)
+    size = 2 * scipy.fft.next_fast_len(int(np.ceil(max(need, 256.0) / 2)), real=True)
+    half = np.sin(np.pi * np.arange(size // 2 + 1) / size)
+    return 4.0 * half * half, size
+
+
+def _mirror(half: np.ndarray, size: int) -> np.ndarray:
+    """Full even ring of the given size from its values on j = 0..size/2."""
+    full = np.empty(size, dtype=half.dtype)
+    full[: half.size] = half
+    full[half.size :] = half[-2:0:-1]
+    return full
 
 
 def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     """Free kernel over a full FFT ring covering the causal range of t.
 
-    Index k of the returned array is the site separation modulo the ring
-    size (see fft_ring_band). Useful for suprema over the whole causal
-    range.
+    The flow weight is evaluated on the half-ring symbol of fft_ring_band
+    and mirrored to the even 5-smooth ring. Index k of the returned array
+    is the site separation modulo the ring size. Useful for suprema over
+    the whole causal range.
     """
     if kind not in _KIND_TABLE:
         raise ValueError(f"no free kernel for kind {kind!r}")
     flow, operator, _ = _KIND_TABLE[kind]
-    band = fft_ring_band(t, kmax)
+    band, size = fft_ring_band(t, kmax)
     energy = band if operator == "lap" else band * band
-    return np.fft.ifft(FLOWS[flow](t, energy))
+    return scipy.fft.ifft(_mirror(FLOWS[flow](t, energy), size), overwrite_x=True)
 
 
 def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:

@@ -144,6 +144,21 @@ def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
     assert main(["eig-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
+    # discrete_window 80 cannot localise the shallow bound state of delta 0.5
+    cfg = _write_config(tmp_path, "cfg", {"discrete_window": 80})
+    out = tmp_path / "o"
+    assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "numerical refusal" in err and "localization ratio" in err
+    assert not out.exists()
+    # an output directory the run did not create is left in place
+    out.mkdir()
+    assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
+    assert out.is_dir()
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -181,17 +196,67 @@ _CONFIG = (
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(config=_CONFIG)
-def test_cli_contract_holds_for_arbitrary_configs(config):
+# The costly commands draw mostly valid configs, so that most examples
+# run the command; junk values reach the number and list casters through
+# regular-check's potential. Fields that scale cost are capped (t_max and
+# T_values <= 1e3, per_decade <= 8, epsilons >= 1e-3), and t_max and
+# per_decade are always present, since their defaults start longer runs.
+_POWER = st.floats(1.0, 64.0)
+_TOL = st.floats(0.0, 1.0)
+_DECAY = {"t_max": st.floats(1e2, 1e3), "per_decade": st.integers(4, 8)}
+_DECAY_OPTIONAL = {
+    "t_min": st.floats(1e-3, 1e2),
+    "band": st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2, unique=True).map(sorted),
+}
+_COMMAND_CONFIGS = (
+    st.tuples(st.just("regular-check"), _CONFIG)
+    | st.tuples(
+        st.just("free-decay"),
+        st.fixed_dictionaries(_DECAY, optional={
+            **_DECAY_OPTIONAL,
+            "kind": st.sampled_from(list(cli.FREE_KINDS)),
+        }),
+    )
+    | st.tuples(
+        st.just("beam-decay"), st.fixed_dictionaries(_DECAY, optional=_DECAY_OPTIONAL)
+    )
+    | st.tuples(
+        st.just("strichartz"),
+        st.fixed_dictionaries(
+            {"T_values": st.lists(st.floats(0.0, 1e3), min_size=2, max_size=3)},
+            optional={
+                "q": _POWER,
+                "r": _POWER | st.just("inf"),
+                "ratio_tol": _TOL,
+                "expect": st.sampled_from(["bounded", "growth"]),
+            },
+        ),
+    )
+    | st.tuples(
+        st.just("knapp"),
+        st.fixed_dictionaries({}, optional={
+            "epsilons": st.lists(st.floats(1e-3, 0.1), min_size=2, max_size=4),
+            "q": _POWER,
+            "r": _POWER,
+            "lhs_tol": _TOL,
+            "rhs_tol": _TOL,
+        }),
+    )
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_config=_COMMAND_CONFIGS)
+def test_cli_contract_holds_for_arbitrary_configs(command_config):
     # exit 0, 1 or 2, never a traceback, and no output directory on exit 2
+    command, config = command_config
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["regular-check", "--config", str(path), "--out", str(out)])
+            code = main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 2:

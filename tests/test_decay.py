@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from bilap.lattice import LatticeVector
+from bilap.lattice import SPEED_BOUND, LatticeVector
 from bilap.decay import (
     DecaySeries,
+    _time_quadrature,
     fit_decay_exponent,
     free_decay_series,
     knapp_experiment,
@@ -123,6 +124,33 @@ def test_strichartz_sup_norm_in_space():
     v_inf = strichartz_norm(8.0, np.inf, 1e2, psi)
     v_64 = strichartz_norm(8.0, 64.0, 1e2, psi)
     assert 0.0 < v_inf <= v_64
+
+
+def _strichartz_on_horizon_ring(q, r, T, psi0):
+    # every node on the one power-of-two ring sized for the horizon T
+    n0 = psi0.window_radius
+    need = 2.0 * (1.2 * SPEED_BOUND * T + n0 + 64)
+    size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
+    energy = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(size) / size)) ** 2
+    ring = np.zeros(size, dtype=complex)
+    for i, v in enumerate(psi0.values):
+        ring[(i - n0) % size] = v
+    spectrum = np.fft.fft(ring)
+    acc = 0.0
+    for t, w in zip(*_time_quadrature(T)):
+        mags = np.abs(np.fft.ifft(spectrum * np.exp(-1j * t * energy)))
+        space = mags.max() if np.isinf(r) else np.sum(mags**r) ** (1.0 / r)
+        acc += w * space**q
+    return acc ** (1.0 / q)
+
+
+@pytest.mark.parametrize("T", [3.0, 1e2])
+@pytest.mark.parametrize("q,r", [(8.0, 64.0), (8.0, np.inf), (4.0, 4.0)])
+def test_strichartz_node_rings_match_horizon_ring(q, r, T):
+    rng = np.random.default_rng(11)
+    psi = LatticeVector(5, rng.normal(size=11) + 1j * rng.normal(size=11))
+    want = _strichartz_on_horizon_ring(q, r, T, psi)
+    assert strichartz_norm(q, r, T, psi) == pytest.approx(want, rel=1e-14)
 
 
 def test_strichartz_validation():

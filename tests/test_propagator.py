@@ -368,15 +368,17 @@ _OLD_FFT_WEIGHT = {
 
 @pytest.mark.parametrize("t", [0.7, 37.0, 1e3])
 def test_fft_route_matches_old_symbol_weights(t):
+    # the power-of-two ring and the even 5-smooth one hold the same kernel
+    # up to far-field noise; compare on the separations of the smaller ring
     band = _old_ring_band(t)
     for kind, weight in _OLD_FFT_WEIGHT.items():
         want = np.fft.ifft(weight(t, band))
         got = free_kernel_full(t, kind)
-        if kind == "schrodinger_free_bilap":
-            # -1j*t*b*b and -1j*t*(b*b) round differently
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
-        else:
-            assert np.array_equal(got, want), kind
+        assert got.size <= want.size
+        half = got.size // 2 + 1
+        np.testing.assert_allclose(
+            got[:half], want[:half], rtol=0, atol=1e-11, err_msg=kind
+        )
 
 
 @pytest.mark.parametrize("t", [-2.0, 0.5, 3.0, 100.0])
