@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .decay import (
+    FIT_MIN_POINTS,
     DecaySeries,
     fit_decay_exponent,
     free_decay_series,
@@ -1148,10 +1149,10 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
         )
     if "per_decade" in out:
         points = log_time_grid(out["t_min"], out["t_max"], out["per_decade"]).size
-        if points < 8:
+        if points < FIT_MIN_POINTS:
             raise ConfigError(
                 f"fields 't_min', 't_max', 'per_decade': the time grid has "
-                f"{points} points, the fit needs at least 8"
+                f"{points} points, the fit needs at least {FIT_MIN_POINTS}"
             )
     for fields, V, window, need, given in _window_rules(command, out):
         if given < need:
@@ -1198,7 +1199,8 @@ def main(argv=None) -> int:
         return 2
 
     outdir = args.out or Path(cfg.get("output_dir") or f"bilap_out_{args.command}")
-    created = not outdir.exists()
+    # directories this run makes, innermost first
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     threads = None
@@ -1215,8 +1217,10 @@ def main(argv=None) -> int:
     try:
         code, report, outputs = runner(cfg, outdir, rng)
     except (ConfigError, LocalizationError) as exc:
-        if created and not any(outdir.iterdir()):
-            outdir.rmdir()
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         what = "config error" if isinstance(exc, ConfigError) else "numerical refusal"
         print(f"bilap {args.command}: {what}: {exc}", file=sys.stderr)
         return 2

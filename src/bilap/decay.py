@@ -18,18 +18,12 @@ import numpy as np
 import scipy.fft
 
 from .lattice import LatticeVector
-from .propagator import (
-    FLOWS,
-    KINDS,
-    _mirror,
-    fft_ring_band,
-    free_kernel_full,
-    stone_kernel_slice,
-)
+from .propagator import KINDS, free_kernel_full, ring_weight, stone_kernel_slice
 
 __all__ = [
     "DecaySeries",
     "DecayFit",
+    "FIT_MIN_POINTS",
     "log_time_grid",
     "fit_decay_exponent",
     "free_decay_series",
@@ -37,6 +31,9 @@ __all__ = [
     "strichartz_norm",
     "knapp_experiment",
 ]
+
+# fewest points inside a fit window that fit_decay_exponent accepts
+FIT_MIN_POINTS = 8
 
 # every kind has a free kernel; schrodinger_h names the perturbed flow,
 # whose free case is schrodinger_free_bilap
@@ -96,15 +93,17 @@ def fit_decay_exponent(
 ) -> DecayFit:
     """Least-squares power-law fit of a decay series on a time window.
 
-    Requires at least eight points inside the window so the fit carries
-    statistical weight.
+    Requires at least FIT_MIN_POINTS points inside the window so the fit
+    carries statistical weight.
     """
     if window is None:
         window = (float(series.times[0]), float(series.times[-1]))
     lo, hi = window
     keep = (series.times >= lo) & (series.times <= hi)
-    if int(keep.sum()) < 8:
-        raise ValueError(f"need at least 8 points in the fit window, got {keep.sum()}")
+    if int(keep.sum()) < FIT_MIN_POINTS:
+        raise ValueError(
+            f"need at least {FIT_MIN_POINTS} points in the fit window, got {keep.sum()}"
+        )
     x = np.log(series.times[keep])
     y = np.log(series.sup_norms[keep])
     slope, intercept = np.polyfit(x, y, 1)
@@ -180,7 +179,7 @@ def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
 
     Computes (Int_0^T (sum_n |u(t, n)|^r)^(q/r) dt)^(1/q) with
     u(t) = exp(-i t bilaplacian) psi0. Each time node t of the quadrature
-    evolves psi0 on its own ring, the one fft_ring_band gives for t and
+    evolves psi0 on its own ring, the one ring_weight builds for t and
     the radius of psi0. r may be inf for the sup norm in space.
     """
     if not (q >= 1 and T > 0):
@@ -191,11 +190,10 @@ def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
     nodes, weights = _time_quadrature(T)
     acc = 0.0
     for t, w in zip(nodes, weights):
-        band, size = fft_ring_band(t, n0)
-        ring = np.zeros(size, dtype=complex)
-        ring[np.arange(-n0, n0 + 1) % size] = psi0.values
+        weight = ring_weight(t, "schrodinger_free_bilap", n0)
+        ring = np.zeros(weight.size, dtype=complex)
+        ring[np.arange(-n0, n0 + 1) % weight.size] = psi0.values
         spectrum = scipy.fft.fft(ring, overwrite_x=True)
-        weight = _mirror(FLOWS["schrodinger"](t, band * band), size)
         mags = np.abs(scipy.fft.ifft(spectrum * weight, overwrite_x=True))
         if np.isinf(r):
             space = float(mags.max())

@@ -61,6 +61,7 @@ __all__ = [
     "fft_ring_band",
     "free_kernel_fft",
     "free_kernel_full",
+    "ring_weight",
     "stone_kernel_slice",
 ]
 
@@ -280,8 +281,18 @@ def fft_ring_band(t: float, kmax: int) -> tuple[np.ndarray, int]:
     return 4.0 * half * half, size
 
 
-def _mirror(half: np.ndarray, size: int) -> np.ndarray:
-    """Full even ring of the given size from its values on j = 0..size/2."""
+def ring_weight(t: float, kind: str, kmax: int = 0) -> np.ndarray:
+    """Flow weight of a free kind over the full FFT ring of fft_ring_band.
+
+    The weight is evaluated on the half-ring symbol only and mirrored to
+    the even 5-smooth ring, so index j and size - j carry the same value.
+    """
+    if kind not in _KIND_TABLE:
+        raise ValueError(f"no free kernel for kind {kind!r}")
+    flow, operator, _ = _KIND_TABLE[kind]
+    band, size = fft_ring_band(t, kmax)
+    energy = band if operator == "lap" else band * band
+    half = FLOWS[flow](t, energy)
     full = np.empty(size, dtype=half.dtype)
     full[: half.size] = half
     full[half.size :] = half[-2:0:-1]
@@ -291,17 +302,12 @@ def _mirror(half: np.ndarray, size: int) -> np.ndarray:
 def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     """Free kernel over a full FFT ring covering the causal range of t.
 
-    The flow weight is evaluated on the half-ring symbol of fft_ring_band
-    and mirrored to the even 5-smooth ring. Index k of the returned array
-    is the site separation modulo the ring size. Useful for suprema over
-    the whole causal range.
+    One inverse FFT of ring_weight, whose half-ring symbol weights fill
+    the even 5-smooth ring. Index k of the returned array is the site
+    separation modulo the ring size. Useful for suprema over the whole
+    causal range.
     """
-    if kind not in _KIND_TABLE:
-        raise ValueError(f"no free kernel for kind {kind!r}")
-    flow, operator, _ = _KIND_TABLE[kind]
-    band, size = fft_ring_band(t, kmax)
-    energy = band if operator == "lap" else band * band
-    return scipy.fft.ifft(_mirror(FLOWS[flow](t, energy), size), overwrite_x=True)
+    return scipy.fft.ifft(ring_weight(t, kind, kmax), overwrite_x=True)
 
 
 def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:

@@ -153,6 +153,10 @@ def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "numerical refusal" in err and "localization ratio" in err
     assert not out.exists()
+    # nested directories the run made are all removed again
+    nested = tmp_path / "a" / "b" / "c"
+    assert main(["eig-scan", "--config", cfg, "--out", str(nested)]) == 2
+    assert not (tmp_path / "a").exists()
     # an output directory the run did not create is left in place
     out.mkdir()
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
@@ -196,10 +200,31 @@ _CONFIG = (
 )
 
 
+def _assert_cli_contract(command, config):
+    # exit 0, 1 or 2, never a traceback, and no output directory on exit 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=_CONFIG)
+def test_cli_contract_holds_for_arbitrary_configs(config):
+    _assert_cli_contract("regular-check", config)
+
+
 # The costly commands draw mostly valid configs, so that most examples
 # run the command; junk values reach the number and list casters through
-# regular-check's potential. Fields that scale cost are capped (t_max and
-# T_values <= 1e3, per_decade <= 8, epsilons >= 1e-3), and t_max and
+# regular-check's potential above. Fields that scale cost are capped (t_max
+# and T_values <= 1e3, per_decade <= 8, epsilons >= 1e-3), and t_max and
 # per_decade are always present, since their defaults start longer runs.
 _POWER = st.floats(1.0, 64.0)
 _TOL = st.floats(0.0, 1.0)
@@ -208,9 +233,8 @@ _DECAY_OPTIONAL = {
     "t_min": st.floats(1e-3, 1e2),
     "band": st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2, unique=True).map(sorted),
 }
-_COMMAND_CONFIGS = (
-    st.tuples(st.just("regular-check"), _CONFIG)
-    | st.tuples(
+_COSTLY_COMMAND_CONFIGS = (
+    st.tuples(
         st.just("free-decay"),
         st.fixed_dictionaries(_DECAY, optional={
             **_DECAY_OPTIONAL,
@@ -245,22 +269,10 @@ _COMMAND_CONFIGS = (
 )
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(command_config=_COMMAND_CONFIGS)
-def test_cli_contract_holds_for_arbitrary_configs(command_config):
-    # exit 0, 1 or 2, never a traceback, and no output directory on exit 2
-    command, config = command_config
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(config))
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path), "--out", str(out)])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert not out.exists()
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_config=_COSTLY_COMMAND_CONFIGS)
+def test_cli_contract_holds_for_costly_commands(command_config):
+    _assert_cli_contract(*command_config)
 
 
 def test_out_of_range_field_exits_two(tmp_path, capsys):
