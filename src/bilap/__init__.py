@@ -74,6 +74,7 @@ from .resolvent import (
 from .spectral import (
     BirmanSchwingerSystem,
     LocalizationError,
+    SingularSandwichError,
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
@@ -113,6 +114,7 @@ __all__ = [
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
     "LocalizationError",
+    "SingularSandwichError",
     "discrete_eigs",
     "embedded_eig_scan",
     "PhaseSpec",

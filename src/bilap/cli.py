@@ -47,6 +47,7 @@ from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
 from .resolvent import SpectralParam, windowed_boundary_resolvent
 from .spectral import (
     LocalizationError,
+    SingularSandwichError,
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
@@ -129,13 +130,26 @@ def _as_str(v):
     return v
 
 
-def _as_band(v):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError("expected [lo, hi]")
-    lo, hi = _as_float()(v[0]), _as_float()(v[1])
-    if not lo < hi:
-        raise ValueError("band bounds must have lo < hi")
-    return (lo, hi)
+def _as_range(lo=None, hi=None, lo_open=False, hi_open=False):
+    """Pair [a, b] with a < b, both inside the bounds of _as_float."""
+    item = _as_float(lo, hi, lo_open, hi_open)
+
+    def cast(v):
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise ValueError("expected [lo, hi]")
+        a, b = item(v[0]), item(v[1])
+        if not a < b:
+            raise ValueError("band bounds must have lo < hi")
+        return (a, b)
+
+    return cast
+
+
+_as_band = _as_range()
+# minv-probe grids hold edge distances in (0, 2); much closer to an edge
+# than 1e-12 the distance^-3 growth of the sandwich entries defeats its
+# inversion (a singular-matrix error at 1e-30)
+_as_edge_grid = _as_range(lo=1e-12, hi=2.0, hi_open=True)
 
 
 def _as_float_list(lo=None, hi=None, min_len=1, lo_open=False, hi_open=False):
@@ -1020,8 +1034,8 @@ _COMMANDS = {
         _run_minv_probe,
         {
             "potential": (_as_potential, _MINV_DEFAULT),
-            "grid_zero": (_as_band, (1e-3, 1e-1)),
-            "grid_sixteen": (_as_band, (1e-8, 1e-5)),
+            "grid_zero": (_as_edge_grid, (1e-3, 1e-1)),
+            "grid_sixteen": (_as_edge_grid, (1e-8, 1e-5)),
             "min_slope_zero": (_as_float(), 0.85),
             "min_slope_sixteen": (_as_float(), 0.4),
             "bound_cap": (_as_float(lo=0, lo_open=True), 100.0),
@@ -1058,7 +1072,7 @@ _COMMANDS = {
         {
             "branch": (_as_choice(("minus_cos", "plus_cos")), "minus_cos"),
             "s_values": (_as_float_list(), [0.0, -_SIX_ROOT_THREE]),
-            "interval": (_as_band, (-np.pi, 0.0)),
+            "interval": (_as_range(lo=-np.pi, hi=0.0), (-np.pi, 0.0)),
             "certify": (_as_bool, True),
         },
         "stationary points, orders and decay prediction of the kernel phase",
@@ -1216,7 +1230,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, report, outputs = runner(cfg, outdir, rng)
-    except (ConfigError, LocalizationError) as exc:
+    except (ConfigError, LocalizationError, SingularSandwichError) as exc:
         for d in created:
             if any(d.iterdir()):
                 break

@@ -129,15 +129,41 @@ def resolvent_neg_laplacian_kernel(omega: complex, n: int, m: int) -> complex:
     return -1j * cmath.exp(-1j * theta * k) / (2.0 * cmath.sin(theta))
 
 
+_PHASE_SPLIT = 2.0**13 + 1.0
+"""Veltkamp factor splitting the phase into a 40-bit head and its tail."""
+
+
+def _turns(phase_head, phase_tail, ks):
+    """exp(i (head + tail) k) for k in ks, shape (len(ks),) + phase.shape.
+
+    head * k is exact for k below 2^13, so the cosine and sine see the
+    exact phase; the tail's share, below 2.3e-8 radians there, enters to
+    first order, which is exact to rounding.
+    """
+    arg = np.multiply.outer(ks, phase_head)
+    cos, sin = np.cos(arg), np.sin(arg)
+    small = np.multiply.outer(ks, phase_tail)
+    out = np.empty(arg.shape, dtype=complex)
+    np.subtract(cos, sin * small, out=out.real)
+    np.add(sin, cos * small, out=out.imag)
+    return out
+
+
 def boundary_kernel_plus(mu, k, one_minus_q=None):
     """Vectorised upper boundary kernel of the fourth-difference resolvent.
+
+    Each separation splits as k = q B + r with B = ceil(sqrt(max k + 1)),
+    so both waves come from products of a coarse table over q B, which
+    carries the per-node amplitudes, and a fine table over r: 2 B
+    evaluations of cos, sin and exp per node instead of one per
+    separation.
 
     Parameters
     ----------
     mu : ndarray
         Band coordinates in (0, 2), shape (...,).
     k : ndarray
-        Non-negative site separations |n - m|, broadcast against mu.
+        Non-negative integer site separations |n - m|, any shape and order.
     one_minus_q : ndarray, optional
         Precomputed values of 1 - mu**2/4. Near mu = 2 the subtraction
         cancels; callers working in the variable w = sqrt(2 - mu) should
@@ -151,15 +177,32 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     """
     mu = np.asarray(mu, dtype=float)
     k = np.asarray(k)
+    sep = k.astype(np.int64)
+    if np.any(sep != k) or np.any(sep < 0):
+        raise ValueError("separations must be non-negative integers")
     if one_minus_q is None:
         one_minus_q = 1.0 - mu * mu / 4.0
     one_minus_q = np.asarray(one_minus_q, dtype=float)
-    tp = -np.arccos(1.0 - mu * mu / 2.0)
+    phase = np.arccos(1.0 - mu * mu / 2.0)  # -theta_plus
     b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
-    lift = mu.shape + (1,) * k.ndim
-    osc = 1j * np.exp(-1j * np.multiply.outer(tp, k)) / np.sqrt(one_minus_q).reshape(lift)
-    dec = np.exp(np.multiply.outer(b, k)) / np.sqrt(2.0 - one_minus_q).reshape(lift)
-    return (osc - dec) / (4.0 * mu**3).reshape(lift)
+    head = phase * _PHASE_SPLIT
+    head -= head - phase
+    tail = phase - head
+
+    top = int(sep.max()) if sep.size else 0
+    step = int(np.ceil(np.sqrt(top + 1)))
+    fine = np.arange(step, dtype=float)
+    coarse = step * np.arange(top // step + 1, dtype=float)
+    amp = 4.0 * mu**3
+    osc = _turns(head, tail, coarse)
+    osc *= 1j / (amp * np.sqrt(one_minus_q))
+    dec = np.exp(np.multiply.outer(coarse, b))
+    dec /= amp * np.sqrt(2.0 - one_minus_q)
+    # table[q, r] holds separation q B + r, node axes last
+    table = osc[:, None] * _turns(head, tail, fine)[None]
+    table.real -= dec[:, None] * np.exp(np.multiply.outer(fine, b))[None]
+    vals = table.reshape((-1,) + mu.shape)[sep]
+    return np.moveaxis(vals, tuple(range(k.ndim)), tuple(range(-k.ndim, 0)))
 
 
 def free_biresolvent_boundary(p: SpectralParam, n: int, m: int) -> complex:

@@ -51,6 +51,7 @@ __all__ = [
     "embedded_eig_scan",
     "min_localizing_radius",
     "LocalizationError",
+    "SingularSandwichError",
     "BAND_MARGIN",
 ]
 
@@ -62,6 +63,10 @@ _LOCALIZATION_RATIO = 0.999
 
 class LocalizationError(ValueError):
     """A window truncation too small to localize an eigenvector."""
+
+
+class SingularSandwichError(ValueError):
+    """A sandwich matrix M(mu) numerically singular on the band."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +314,7 @@ def perturbed_resolvent_boundary(
     if singular_tol is None:
         singular_tol = 1e-10 * float(svals.max())
     if float(svals.min()) <= singular_tol:
-        raise ValueError(
+        raise SingularSandwichError(
             f"sandwich matrix singular at energy mu^4 = {p.mu**4:.6g}: "
             "possible embedded eigenvalue, evaluation refused"
         )

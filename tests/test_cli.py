@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilap import cli
+from bilap import cli, propagator
 from bilap.cli import ConfigError, main, render_loglog_svg, write_csv, write_json
 
 
@@ -163,6 +163,26 @@ def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
     assert out.is_dir()
 
 
+def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch):
+    grid = propagator.m_matrix_grid
+
+    def one_singular(mu, sys, one_minus_q=None):
+        m = grid(mu, sys, one_minus_q=one_minus_q)
+        m[m.shape[0] // 2] = 0.0
+        return m
+
+    monkeypatch.setattr(propagator, "m_matrix_grid", one_singular)
+    cfg = _write_config(
+        tmp_path, "cfg", {"t_min": 10.0, "t_max": 100.0, "per_decade": 8, "observe_radius": 4}
+    )
+    out = tmp_path / "a" / "o"
+    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "numerical refusal" in err and "possible embedded eigenvalue" in err
+    assert not (tmp_path / "a").exists()
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -272,6 +292,89 @@ _COSTLY_COMMAND_CONFIGS = (
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_config=_COSTLY_COMMAND_CONFIGS)
 def test_cli_contract_holds_for_costly_commands(command_config):
+    _assert_cli_contract(*command_config)
+
+
+# The analysis commands, on mostly valid configs with small potentials.
+# Fields that scale cost are capped: dense windows (discrete_window and
+# window_radii <= 160, expansion-check's window_radius <= 80), Stone and
+# dense-reference times (times <= 5, observe_radius <= 8) and expansion
+# orders (<= 4 at zero, <= 3 at sixteen); window fields are always present,
+# since their defaults diagonalise larger matrices.
+_SMALL_POTENTIAL = st.fixed_dictionaries(
+    {"delta": st.floats(-4.0, 4.0)}, optional={"site": st.integers(-3, 3)}
+) | st.integers(-2, 1).flatmap(
+    lambda lo: st.integers(0, 3).flatmap(
+        lambda extra: st.fixed_dictionaries({
+            "support": st.just([lo, lo + extra]),
+            "values": st.lists(st.floats(-1.0, 1.0), min_size=extra + 1, max_size=extra + 1),
+        })
+    )
+)
+
+
+def _pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+_ANALYSIS_COMMAND_CONFIGS = (
+    st.tuples(
+        st.just("eig-scan"),
+        st.fixed_dictionaries(
+            {"discrete_window": st.integers(8, 160),
+             "window_radii": st.lists(st.integers(8, 160), min_size=2, max_size=3)},
+            optional={"potential": _SMALL_POTENTIAL},
+        ),
+    )
+    | st.tuples(
+        st.just("expansion-check"),
+        st.fixed_dictionaries(
+            {"window_radius": st.integers(64, 80)},
+            optional={
+                "threshold": st.sampled_from(["zero", "sixteen", "both"]),
+                "orders_zero": st.lists(st.integers(-3, 4), min_size=1, max_size=2),
+                "orders_sixteen": st.lists(st.integers(-1, 3), min_size=1, max_size=2),
+                "s_margin": st.floats(0.1, 4.0),
+                "tol_zero": _TOL,
+                "tol_sixteen": _TOL,
+            },
+        ),
+    )
+    | st.tuples(
+        st.just("minv-probe"),
+        st.fixed_dictionaries({}, optional={
+            "potential": _SMALL_POTENTIAL,
+            "grid_zero": _pair(0.0, 2.5),
+            "grid_sixteen": _pair(0.0, 2.5),
+            "min_slope_zero": st.floats(-1.0, 2.0),
+            "min_slope_sixteen": st.floats(-1.0, 2.0),
+            "bound_cap": st.floats(0.0, 1e3),
+        }),
+    )
+    | st.tuples(
+        st.just("stone-vs-spectral"),
+        st.fixed_dictionaries(
+            {"potentials": st.lists(st.none() | _SMALL_POTENTIAL, min_size=1, max_size=2),
+             "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2),
+             "observe_radius": st.integers(1, 8)},
+            optional={"n_pairs": st.integers(1, 5), "tolerance": _TOL},
+        ),
+    )
+    | st.tuples(
+        st.just("stationary-phase"),
+        st.fixed_dictionaries({}, optional={
+            "branch": st.sampled_from(["minus_cos", "plus_cos"]),
+            "s_values": st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+            "interval": _pair(-4.0, 1.0),
+            "certify": st.booleans(),
+        }),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command_config=_ANALYSIS_COMMAND_CONFIGS)
+def test_cli_contract_holds_for_analysis_commands(command_config):
     _assert_cli_contract(*command_config)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bilap import decay
 from bilap.lattice import SPEED_BOUND, LatticeVector
 from bilap.decay import (
     DecaySeries,
@@ -185,6 +186,15 @@ def test_knapp_obstruction_grows_for_bad_pair():
     eps = [0.1, 0.05, 0.025, 0.0125]
     ratios = [l / r for l, r in (knapp_experiment(e, 8.0, 8.0) for e in eps)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_knapp_blocked_space_sum_matches_one_block(monkeypatch):
+    # epsilon 1e-4 sums 12.6 million sites, 96 blocks of 2^17
+    blocked = knapp_experiment(1e-4)
+    monkeypatch.setattr(decay, "_KNAPP_BLOCK", 13_000_000)
+    whole = knapp_experiment(1e-4)
+    assert blocked[0] == whole[0]
+    assert blocked[1] == pytest.approx(whole[1], rel=1e-12, abs=0.0)
 
 
 def test_admissibility_arithmetic():

@@ -26,12 +26,13 @@ from bilap.propagator import (
     pac_split,
     stone_kernel_slice,
 )
-from bilap.spectral import eigensystem
+from bilap.spectral import SingularSandwichError, eigensystem
 
 import oracles
 
 DELTA_HALF = PotentialSpec.delta(0.5)
 NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
+GENERIC_SMALL = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
 
 
 def _req(kind, V, t, observe):
@@ -278,14 +279,46 @@ def test_stone_ladder_matches_floor_budget(t, V):
 
 
 def test_stone_ladder_multi_site_within_floor():
-    # successive budgets agree only to about 1e-9 on multi-site potentials
-    V, t, r = PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 1.0, 3
+    # the accepted pass is within its own error estimate of the finest budget
+    V, t, r = GENERIC_SMALL, 1.0, 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sl = stone_kernel_slice(t, V, r)
     ref, _ = propagator._stone_assemble(t, V, np.arange(-r, r + 1), "schrodinger", 0.25)
     assert np.abs(sl.entries - ref).max() <= 2e-9
     assert sl.error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize(
+    "V",
+    [GENERIC_SMALL, PotentialSpec((-2, 2), [0.5, 0.6, 0.7, 0.45, 0.55])],
+    ids=["three-site", "five-site"],
+)
+def test_stone_multi_site_budgets_agree(t, V):
+    # the solved sandwich leaves no accuracy floor near mu = 0, where
+    # cond(M) grows like mu^-3: budget 4 already matches the finest budget
+    targets = np.arange(-10, 11)
+    coarse, _ = propagator._stone_assemble(t, V, targets, "schrodinger", 4.0)
+    fine, _ = propagator._stone_assemble(t, V, targets, "schrodinger", 0.25)
+    assert np.abs(coarse - fine).max() <= 1e-13
+
+
+@pytest.mark.parametrize("V", [DELTA_HALF, GENERIC_SMALL], ids=["one-site", "three-site"])
+@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["singular", "near-singular"])
+def test_stone_refuses_singular_sandwich(monkeypatch, V, scale):
+    # one node's sandwich becomes scale * identity, whose inverse norm
+    # is infinite or sqrt(d) 1e12, above the 1e10 refusal threshold
+    grid = propagator.m_matrix_grid
+
+    def one_singular(mu, sys, one_minus_q=None):
+        m = grid(mu, sys, one_minus_q=one_minus_q)
+        m[m.shape[0] // 2] = scale * np.eye(m.shape[1])
+        return m
+
+    monkeypatch.setattr(propagator, "m_matrix_grid", one_singular)
+    with pytest.raises(SingularSandwichError, match="possible embedded eigenvalue"):
+        propagator._stone_assemble(1.0, V, np.arange(-2, 3), "schrodinger", 8.0)
 
 
 def test_stone_ladder_stops_after_two_passes(monkeypatch):

@@ -102,6 +102,49 @@ def test_boundary_kernel_reference_value():
     assert boundary_kernel_plus(1.0, 0) == pytest.approx(want, abs=1e-14)
 
 
+# lower strip and bulk in mu; the upper strip in w = sqrt(2 - mu), with
+# 1 - mu^2/4 passed from w as the Stone nodes do
+_STRIP_W = np.geomspace(1e-9, 1e-2, 7)
+_KERNEL_NODES = [
+    (np.geomspace(1e-9, 1e-4, 7), None),
+    (np.linspace(1e-4, 2.0 - 1e-4, 41), None),
+    (2.0 - _STRIP_W**2, _STRIP_W**2 * (4.0 - _STRIP_W**2) / 4.0),
+]
+
+
+@pytest.mark.parametrize("mu, omq", _KERNEL_NODES, ids=["lower", "bulk", "upper"])
+@pytest.mark.parametrize(
+    "ks",
+    [
+        np.arange(2001),
+        np.random.default_rng(7).permutation(np.r_[np.arange(0, 2001, 13), 5, 5, 2000, 0]),
+        np.array([3, 3, 3]),
+    ],
+    ids=["range", "unsorted", "repeated"],
+)
+def test_boundary_kernel_power_tables_match_direct_exp(mu, omq, ks):
+    got = boundary_kernel_plus(mu, ks, one_minus_q=omq)
+    want = oracles.direct_boundary_kernel(mu, ks, one_minus_q=omq)
+    assert got.shape == want.shape
+    # relative to each node's largest entry: the oscillating wave keeps its
+    # modulus along k, so this is relative accuracy at every separation
+    rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert rel.max() <= 1e-14
+
+
+def test_boundary_kernel_keeps_the_shape_of_k():
+    mu = np.array([0.3, 1.1, 1.7])
+    ks = np.array([[4, 0], [1, 9]])
+    got = boundary_kernel_plus(mu, ks)
+    assert got.shape == (3, 2, 2)
+    want = oracles.direct_boundary_kernel(mu, ks.ravel()).reshape(3, 2, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert boundary_kernel_plus(mu, np.array([], dtype=int)).shape == (3, 0)
+    for bad in ([-1], [0.5]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            boundary_kernel_plus(mu, np.array(bad))
+
+
 def test_boundary_values_conjugate_pair():
     for mu in MU_GRID:
         for n, m in ((0, 0), (3, -2), (7, 1)):

@@ -14,6 +14,7 @@ from bilap.spectral import (
     BAND_MARGIN,
     BirmanSchwingerSystem,
     LocalizationError,
+    SingularSandwichError,
     build_M,
     build_projections,
     build_T0,
@@ -306,6 +307,13 @@ def test_perturbed_resolvent_second_identity():
 
 def test_perturbed_resolvent_refuses_singular_sandwich():
     with pytest.raises(ValueError, match="possible embedded eigenvalue"):
+        perturbed_resolvent_boundary(
+            SpectralParam(1.0), GENERIC, 0, 0, singular_tol=1e10
+        )
+
+
+def test_singular_sandwich_refusal_is_typed():
+    with pytest.raises(SingularSandwichError):
         perturbed_resolvent_boundary(
             SpectralParam(1.0), GENERIC, 0, 0, singular_tol=1e10
         )
