@@ -156,7 +156,7 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     so both waves come from products of a coarse table over q B, which
     carries the per-node amplitudes, and a fine table over r: 2 B
     evaluations of cos, sin and exp per node instead of one per
-    separation.
+    separation, and one product per requested separation.
 
     Parameters
     ----------
@@ -198,10 +198,11 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     osc *= 1j / (amp * np.sqrt(one_minus_q))
     dec = np.exp(np.multiply.outer(coarse, b))
     dec /= amp * np.sqrt(2.0 - one_minus_q)
-    # table[q, r] holds separation q B + r, node axes last
-    table = osc[:, None] * _turns(head, tail, fine)[None]
-    table.real -= dec[:, None] * np.exp(np.multiply.outer(fine, b))[None]
-    vals = table.reshape((-1,) + mu.shape)[sep]
+    # table rows are node arrays: row q of a coarse table times row r of
+    # the matching fine table gives separation q B + r
+    q, r = np.divmod(sep, step)
+    vals = osc[q] * _turns(head, tail, fine)[r]
+    vals -= dec[q] * np.exp(np.multiply.outer(fine, b))[r]
     return np.moveaxis(vals, tuple(range(k.ndim)), tuple(range(-k.ndim, 0)))
 
 
