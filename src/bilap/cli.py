@@ -14,6 +14,7 @@ an acceptance band fails, and 2 on config or usage errors.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import sys
 import time
@@ -21,6 +22,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+# every command draws a generator: load it with the package, not in the run
+import numpy.random  # noqa: F401
 
 from . import __version__
 from .decay import (
@@ -58,6 +62,13 @@ from .spectral import (
 )
 
 __all__ = ["main"]
+
+# Read from the installed distribution's metadata: only resolvent-check
+# imports scipy, and the manifest of every command records its version.
+try:
+    _SCIPY_VERSION = importlib.metadata.version("scipy")
+except importlib.metadata.PackageNotFoundError:
+    _SCIPY_VERSION = None
 
 
 class ConfigError(Exception):
@@ -1240,8 +1251,6 @@ def main(argv=None) -> int:
         return 2
     wall = time.monotonic() - started
 
-    import scipy
-
     manifest = {
         "command": args.command,
         "config": {k: _manifest_value(v) for k, v in cfg.items()},
@@ -1249,7 +1258,7 @@ def main(argv=None) -> int:
         "threads": threads,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": _SCIPY_VERSION,
         "python_version": sys.version.split()[0],
         "wall_time_seconds": wall,
         "outputs": outputs,

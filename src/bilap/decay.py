@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.fft
+from numpy.fft import fft, ifft
 
 from .lattice import LatticeVector
 from .propagator import KINDS, free_kernel_full, ring_weight, stone_kernel_slice
@@ -169,7 +169,9 @@ def _time_quadrature(T: float):
         decades = np.log10(T)
         count = max(int(np.ceil(per_decade * decades)), 1)
         edges.extend(np.geomspace(1.0, T, count + 1)[1:])
-    edges = np.unique(np.asarray(edges))
+    edges = np.asarray(edges)
+    # sorted already; only a subnormal T repeats an edge
+    edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
     gx, gw = np.polynomial.legendre.leggauss(order)
     lo = edges[:-1]
     half = 0.5 * np.diff(edges)
@@ -197,8 +199,9 @@ def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
         weight = ring_weight(t, "schrodinger_free_bilap", n0)
         ring = np.zeros(weight.size, dtype=complex)
         ring[np.arange(-n0, n0 + 1) % weight.size] = psi0.values
-        spectrum = scipy.fft.fft(ring, overwrite_x=True)
-        mags = np.abs(scipy.fft.ifft(spectrum * weight, overwrite_x=True))
+        fft(ring, out=ring)
+        ring *= weight
+        mags = np.abs(ifft(ring, out=ring))
         if np.isinf(r):
             space = float(mags.max())
         else:

@@ -263,18 +263,36 @@ def weighted_operator_norm(K, s: float) -> float:
         raise ValueError("window must be symmetric (odd side length)")
     radius = entries.shape[0] // 2
     d = site_weights(radius, -s)
-    if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):
+    blocks = _parity_blocks(entries, d[radius:])
+    if blocks is None:
         return float(np.linalg.norm(d[:, None] * entries * d[None, :], 2))
-    # Rows n >= 0 against columns +m and -m, m >= 0, in the orthonormal
-    # bases (delta_n +- delta_{-n}) / sqrt(2) and delta_0.
+    return float(max(np.linalg.norm(blocks[0], 2), np.linalg.norm(blocks[1], 2)))
+
+
+def _parity_blocks(entries: np.ndarray, w: Optional[np.ndarray] = None):
+    """Even and odd blocks of W K W when K equals its reflection, else None.
+
+    K is a square array on the window [-R, R], R >= 1, and W = diag(w) an
+    even weight given on the sites 0..R (omitted means W = I). When
+    K[::-1, ::-1] equals K exactly, W K W commutes with n -> -n and is
+    block diagonal in the orthonormal bases delta_0, (delta_n +
+    delta_{-n}) / sqrt(2) of the even sequences and (delta_n -
+    delta_{-n}) / sqrt(2), n = 1..R, of the odd ones; the blocks have sizes
+    R + 1 and R.
+    """
+    radius = entries.shape[0] // 2
+    if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):
+        return None
+    # Rows n >= 0 against columns +m and -m, m >= 0.
     half = entries[radius:]
     cols, mirror = half[:, radius:], half[:, radius::-1]
-    w = d[radius:]
-    even = w[:, None] * (cols + mirror) * w[None, :]
+    even, odd = cols + mirror, (cols - mirror)[1:, 1:]
+    if w is not None:
+        even = w[:, None] * even * w[None, :]
+        odd = w[1:, None] * odd * w[None, 1:]
     even[0] /= np.sqrt(2.0)
     even[:, 0] /= np.sqrt(2.0)
-    odd = w[1:, None] * (cols - mirror)[1:, 1:] * w[None, 1:]
-    return float(max(np.linalg.norm(even, 2), np.linalg.norm(odd, 2)))
+    return even, odd
 
 
 def sign_flip(psi: LatticeVector) -> LatticeVector:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft
+from numpy.fft import ifft
 
 from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
@@ -269,6 +269,20 @@ def pac_split(V: PotentialSpec, window_radius: int) -> PacSplit:
     return PacSplit(V, window_radius)
 
 
+def _five_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5, n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fft_ring_band(t: float, kmax: int) -> tuple[np.ndarray, int]:
     """Second-difference symbol 4 sin^2(x/2) on half of an FFT ring for time t.
 
@@ -279,7 +293,7 @@ def fft_ring_band(t: float, kmax: int) -> tuple[np.ndarray, int]:
     symbol is even on the ring, so index size - j carries band[j] too.
     """
     need = 2.0 * (_RING_SAFETY * SPEED_BOUND * abs(t) + kmax + _RING_MARGIN)
-    size = 2 * scipy.fft.next_fast_len(int(np.ceil(max(need, 256.0) / 2)), real=True)
+    size = 2 * _five_smooth(int(np.ceil(max(need, 256.0) / 2)))
     half = np.sin(np.pi * np.arange(size // 2 + 1) / size)
     return 4.0 * half * half, size
 
@@ -310,7 +324,8 @@ def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     separation modulo the ring size. Useful for suprema over the whole
     causal range.
     """
-    return scipy.fft.ifft(ring_weight(t, kind, kmax), overwrite_x=True)
+    weight = ring_weight(t, kind, kmax)
+    return ifft(weight, out=weight)
 
 
 def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "PhaseSpec",
@@ -120,6 +119,21 @@ def _monotone_breakpoints(spec: PhaseSpec) -> List[float]:
     return [x for x in crit if a < x < b]
 
 
+def _bisect(spec: PhaseSpec, lo: float, hi: float, flo: float) -> float:
+    """Root of the slope on [lo, hi], where it changes sign, to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        fmid = _phase_slope(spec, mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
 def stationary_points(spec: PhaseSpec) -> List[StationaryPoint]:
     """All roots of the phase derivative on the interval, with orders.
 
@@ -143,7 +157,7 @@ def stationary_points(spec: PhaseSpec) -> List[StationaryPoint]:
         if abs(fhi) <= _ROOT_RESIDUAL:
             push(hi)
         if flo * fhi < 0.0 and abs(flo) > _ROOT_RESIDUAL and abs(fhi) > _ROOT_RESIDUAL:
-            push(float(brentq(lambda x: _phase_slope(spec, x), lo, hi, xtol=1e-15)))
+            push(_bisect(spec, lo, hi, flo))
 
     out: List[StationaryPoint] = []
     for x in sorted(roots):
@@ -197,7 +211,8 @@ def edges_from_budget(
     targets = np.linspace(0.0, total, panels + 1)
     edges = np.interp(targets, cum, xs)
     edges[0], edges[-1] = lo, hi
-    return np.unique(edges)
+    # nondecreasing already; drop the repeats that flat stretches leave
+    return edges[np.concatenate([[True], np.diff(edges) > 0])]
 
 
 def gauss_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

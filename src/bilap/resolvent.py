@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = [
     "SpectralParam",
@@ -235,6 +234,17 @@ def free_biresolvent_complex(z: complex, n: int, m: int) -> complex:
     a = resolvent_neg_laplacian_kernel(w, n, m)
     b = resolvent_neg_laplacian_kernel(-w, n, m)
     return (a - b) / (2.0 * w)
+
+
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """scipy.linalg.solve_banded, imported on the first call.
+
+    The window oracle is the package's one use of scipy, so importing the
+    package does not load it.
+    """
+    from scipy.linalg import solve_banded as solve
+
+    return solve(l_and_u, ab, b, **kwargs)
 
 
 def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> complex:

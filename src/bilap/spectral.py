@@ -27,6 +27,7 @@ from .lattice import (
     LatticeVector,
     PotentialSpec,
     _neg_laplacian_matrix,
+    _parity_blocks,
     build_hamiltonian,
 )
 from .resolvent import SpectralParam, boundary_kernel_plus
@@ -376,6 +377,28 @@ def minv_expansion_probe(
     )
 
 
+def _parity_eigh(even: np.ndarray, odd: np.ndarray):
+    """Eigensystem of a reflection-symmetric window from its parity blocks.
+
+    even and odd are the blocks of lattice._parity_blocks, sizes R + 1 and
+    R. Each is diagonalised on its own; the eigenvectors are mapped back
+    to the sites -R..R and all eigenpairs sorted by eigenvalue.
+    """
+    radius = odd.shape[0]
+    ev_even, a = np.linalg.eigh(even)
+    ev_odd, b = np.linalg.eigh(odd)
+    a[1:] /= np.sqrt(2.0)
+    b /= np.sqrt(2.0)
+    vecs = np.zeros((2 * radius + 1, 2 * radius + 1))
+    vecs[radius:, : radius + 1] = a
+    vecs[radius - 1 :: -1, : radius + 1] = a[1:]
+    vecs[radius + 1 :, radius + 1 :] = b
+    vecs[radius - 1 :: -1, radius + 1 :] = -b
+    ev = np.concatenate([ev_even, ev_odd])
+    order = np.argsort(ev, kind="stable")
+    return ev[order], vecs[:, order]
+
+
 @functools.lru_cache(maxsize=9)
 def _eigensystem(operator, support, values, window_radius):
     if operator == "lap":
@@ -383,7 +406,11 @@ def _eigensystem(operator, support, values, window_radius):
     else:
         V = None if support is None else PotentialSpec(support, np.array(values))
         h = build_hamiltonian(V, window_radius)
-    ev, vecs = np.linalg.eigh(h)
+    blocks = _parity_blocks(h)
+    if blocks is None:
+        ev, vecs = np.linalg.eigh(h)
+    else:
+        ev, vecs = _parity_eigh(*blocks)
     ev.flags.writeable = False
     vecs.flags.writeable = False
     return ev, vecs
@@ -395,10 +422,13 @@ def eigensystem(
     """Eigenvalues and eigenvectors of a Dirichlet window truncation.
 
     operator "bilap" is the fourth difference plus V, "lap" the free
-    second difference. Each matrix is diagonalised once per process: the
-    last nine results are kept, keyed on the operator, the potential's
-    support and values and the window radius, and returned as read-only
-    arrays shared by every caller.
+    second difference. A window matrix equal to its reflection n -> -n
+    (no potential, the second difference, or an even potential) is
+    diagonalised as its even and odd blocks, each about half the window.
+    Each matrix is diagonalised once per process: the last nine results
+    are kept, keyed on the operator, the potential's support and values
+    and the window radius, and returned as read-only arrays shared by
+    every caller.
     """
     if operator not in ("bilap", "lap"):
         raise ValueError(f"operator must be 'bilap' or 'lap', got {operator!r}")

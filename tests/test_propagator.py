@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bilap import propagator
 
@@ -15,6 +16,7 @@ from bilap.lattice import (
 )
 from bilap.propagator import (
     FLOWS,
+    FREE_KINDS,
     KINDS,
     KernelSlice,
     PropagatorRequest,
@@ -24,6 +26,7 @@ from bilap.propagator import (
     free_kernel_full,
     kernel_spectral,
     pac_split,
+    ring_weight,
     stone_kernel_slice,
 )
 from bilap.spectral import SingularSandwichError, eigensystem
@@ -385,6 +388,20 @@ def test_beam_evolution_conserves_wave_energy():
 # the flow table against the closed forms each route used to code itself
 
 
+def test_five_smooth_matches_scipy_next_fast_len():
+    rng = np.random.default_rng(8)
+    sizes = list(range(1, 20001)) + rng.integers(20001, 3_000_000, 2000).tolist()
+    for n in sizes:
+        assert propagator._five_smooth(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("t", [0.7, 37.0, 1e3])
+def test_free_kernel_full_matches_scipy_ifft(t):
+    for kind in FREE_KINDS + ("beam_cos", "beam_sinc"):
+        want = scipy.fft.ifft(ring_weight(t, kind, 5))
+        assert np.array_equal(free_kernel_full(t, kind, 5), want), kind
+
+
 def _old_ring_band(t, kmax=0):
     need = 2.0 * (1.2 * SPEED_BOUND * abs(t) + kmax + 64)
     size = 1 << int(np.ceil(np.log2(max(need, 256.0))))
@@ -479,5 +496,6 @@ def test_pac_split_diagonalises_each_matrix_once(monkeypatch):
         split.kernel_ac(t, 4)
     kernel_spectral(PropagatorRequest("schrodinger_h", V, 1.0, 48, 4))
     assert split.window_radius == 48
-    # windows 24 (scan) and 48 (bound states, scan, kernels): one eigh each
-    assert sorted(shapes) == [(49, 49), (97, 97)]
+    # windows 24 (scan) and 48 (bound states, scan, kernels): each is
+    # diagonalised once, as its even (R + 1) and odd (R) parity blocks
+    assert sorted(shapes) == [(24, 24), (25, 25), (48, 48), (49, 49)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from bilap.quadrature import (
     PhaseSpec,
@@ -95,6 +96,29 @@ def test_stationary_points_match_sign_scan():
         want = oracles.sign_scan_roots(_phi_prime(s), -np.pi, 0.0)
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+@pytest.mark.parametrize("branch,speeds", [
+    ("minus_cos", (-0.5, -2.0, -5.0, -9.0, -10.0)),
+    ("plus_cos", (0.5, 2.0, 5.0, 9.0, 10.0)),
+])
+def test_bisected_roots_match_brentq(branch, speeds):
+    # brentq at xtol 1e-15 on each monotone piece, as stationary_points
+    # used before it bisected
+    for s in speeds:
+        spec = PhaseSpec(branch, s)
+        slope = lambda x: phase_derivatives(spec, x, up_to=1)[1]  # noqa: E731
+        mid = -2.0 * np.pi / 3.0 if branch == "minus_cos" else -np.pi / 3.0
+        want = [
+            brentq(slope, lo, hi, xtol=1e-15)
+            for lo, hi in ((-np.pi, mid), (mid, 0.0))
+            if slope(lo) * slope(hi) < 0.0
+        ]
+        got = stationary_points(spec)
+        assert len(want) == 2 and len(got) == 2, s
+        for p, x in zip(got, want):
+            assert abs(p.x - x) <= 2e-15, (s, p.x, x)
+            assert abs(slope(p.x)) <= 1e-10
 
 
 def test_no_stationary_points_beyond_range():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilap.expansion import geometric_grid
-from bilap.lattice import PotentialSpec
+from bilap.lattice import PotentialSpec, _neg_laplacian_matrix, build_hamiltonian
 from bilap.resolvent import (
     SpectralParam,
     free_biresolvent_boundary,
@@ -377,3 +377,55 @@ def test_vectorised_ratios_match_per_vector_ratio():
     ev, vecs = eigensystem(DELTA_HALF, 512)
     outside = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
     assert [lam for lam, _ in discrete_eigs(DELTA_HALF, 512)] == list(ev[outside])
+
+
+# ---------------------------------------------------------------------------
+# reflection-symmetric windows split by parity
+
+
+@pytest.mark.parametrize(
+    "V,operator",
+    [
+        (None, "bilap"),
+        (DELTA_HALF, "bilap"),
+        (PotentialSpec((-2, 2), [0.3, -0.15, 0.45, -0.15, 0.3]), "bilap"),
+        (None, "lap"),
+    ],
+)
+def test_parity_eigensystem_matches_full_eigh(V, operator):
+    radius, observe, t = 60, 6, 1.7
+    if operator == "lap":
+        h = _neg_laplacian_matrix(radius, "dirichlet")
+    else:
+        h = build_hamiltonian(V, radius)
+    want_ev, want_vecs = np.linalg.eigh(h)
+    ev, vecs = eigensystem(V, radius, operator)
+    assert not ev.flags.writeable and not vecs.flags.writeable
+    np.testing.assert_allclose(ev, want_ev, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(2 * radius + 1), rtol=0, atol=1e-13)
+
+    def window_kernel(lam, u):
+        rows = u[radius - observe : radius + observe + 1]
+        return (rows * np.exp(-1j * t * lam)[None, :]) @ rows.T
+
+    np.testing.assert_allclose(
+        window_kernel(ev, vecs), window_kernel(want_ev, want_vecs), rtol=0, atol=1e-13
+    )
+
+
+def test_eigensystem_diagonalises_by_parity_only_when_symmetric(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # values no other test uses, so nothing is cached yet
+    eigensystem(PotentialSpec((-1, 1), [0.35, -0.2, 0.35]), 20)
+    assert shapes == [(21, 21), (20, 20)]
+    shapes.clear()
+    ev, vecs = eigensystem(PotentialSpec((-1, 1), [0.35, -0.2, 0.1]), 20)
+    assert shapes == [(41, 41)]
+    assert np.all(np.diff(ev) >= 0.0) and vecs.shape == (41, 41)
