@@ -31,7 +31,7 @@ from .decay import (
     perturbed_decay_series,
     strichartz_norm,
 )
-from .expansion import coeff_numeric, coeff_sixteen, coeff_zero, remainder_norms
+from .expansion import coeff_sixteen, coeff_zero, remainder_norms
 from .lattice import (
     SPEED_BOUND,
     LatticeVector,
@@ -106,7 +106,6 @@ __all__ = [
     "windowed_boundary_resolvent",
     "coeff_zero",
     "coeff_sixteen",
-    "coeff_numeric",
     "remainder_norms",
     "BirmanSchwingerSystem",
     "decompose_potential",

@@ -631,7 +631,7 @@ def _run_expansion_check(cfg, outdir, rng):
         lemma_min = 0.5 + n_order + (4 if threshold == "zero" else 2)
         s = lemma_min + cfg["s_margin"]
         grid, norms = remainder_norms(
-            threshold, "plus", n_order, s, window_radius=cfg["window_radius"]
+            threshold, n_order, s, window_radius=cfg["window_radius"]
         )
         slope = float(np.polyfit(np.log(grid), np.log(norms), 1)[0])
         expected = remainder_order(threshold, n_order)

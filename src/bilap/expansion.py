@@ -2,18 +2,14 @@
 
 Near the lower band edge the boundary kernel expands in integer powers of mu
 starting at mu**(-3); near the upper edge (energy 16, mu near 2) it expands
-in half powers of the distance mt = 2 - mu starting at mt**(-1/2). At the
-lower edge every coefficient is an exact polynomial in the site separation,
-generated by a two-term recurrence; at the upper edge the leading ones are
-closed and higher ones are recovered numerically by peeling the expansion
-off kernel samples on a geometric grid. Remainder checks certify the decay
-order of what is left after subtracting a partial sum, measured in weighted
-operator norm over a lattice window.
+in half powers of the distance mt = 2 - mu starting at mt**(-1/2). At both
+edges every coefficient is exact, generated by recurrences in the order
+with the site separation as a parameter. Remainder checks certify the
+decay order of what is left after subtracting a partial sum, measured in
+weighted operator norm over a lattice window.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +19,8 @@ from .lattice import weighted_operator_norm
 __all__ = [
     "coeff_zero",
     "coeff_sixteen",
-    "coeff_numeric",
     "coeff_zero_series",
+    "coeff_sixteen_series",
     "remainder_zero",
     "remainder_order",
     "remainder_norms",
@@ -32,10 +28,9 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
-
-# Orders recoverable from float64 kernel samples before cancellation noise
-# dominates the fit.
-_MAX_ORDER = {"zero": 4, "sixteen": 3}
+# 3 - 2 sqrt(2) = exp(b) at mu = 2, correctly rounded; the float difference
+# 3 - 2 * _SQRT2 is off by seven units in the last place.
+_DECAY_RATIO = 0.1715728752538099
 _BASE_ORDER = {"zero": -3, "sixteen": -1}
 
 
@@ -52,50 +47,41 @@ def _require_sign(sign: str):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def coeff_zero(j: int, sign: str, n: int, m: int) -> complex:
-    """Closed expansion coefficient of order j at the lower band edge.
+def _require_threshold(threshold: str):
+    if threshold not in _BASE_ORDER:
+        raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
 
-    Supported orders are -3 through 0. The order -2 coefficient vanishes
-    identically. The minus-side coefficient is the complex conjugate of the
-    plus side.
-    """
+
+def _read_series(series, threshold: str, j: int, sign: str, n: int, m: int) -> complex:
+    """Coefficient of order j at one separation, read off an exact series."""
     _require_sign(sign)
-    k = abs(int(n) - int(m))
-    if j == -3:
-        val = (-1.0 + 1.0j) / 4.0
-    elif j == -2:
-        val = 0.0 + 0.0j
-    elif j == -1:
-        val = ((1.0 + 1.0j) / 4.0) * (1.0 / 8.0 - k * k / 2.0)
-    elif j == 0:
-        val = complex(k * (k - 1) * (k + 1) / 12.0)
-    else:
+    base = _BASE_ORDER[threshold]
+    if j < base:
         raise ValueError(
-            f"closed coefficients cover orders -3..0, got {j}; "
-            "use coeff_numeric for higher orders"
+            f"order {j} below the leading order {base} at threshold {threshold!r}"
         )
+    val = complex(series(j, abs(int(n) - int(m)))[j - base])
     return val if sign == "plus" else val.conjugate()
+
+
+def coeff_zero(j: int, sign: str, n: int, m: int) -> complex:
+    """Expansion coefficient of order j >= -3 at the lower band edge.
+
+    Order j multiplies mu**j; the value is row j + 3 of coeff_zero_series.
+    The minus-side coefficient is the complex conjugate of the plus side.
+    """
+    return _read_series(coeff_zero_series, "zero", j, sign, n, m)
 
 
 def coeff_sixteen(j: int, sign: str, n: int, m: int) -> complex:
-    """Closed expansion coefficient of half-order j at the upper band edge.
+    """Expansion coefficient of half-order j >= -1 at the upper band edge.
 
-    Order j multiplies mt**(j/2) with mt the distance to the edge in the
-    quarter-root coordinate. Supported orders are -1 and 0.
+    Order j multiplies mt**(j/2) with mt = 2 - mu the distance to the edge
+    in the quarter-root coordinate; the value is row j + 1 of
+    coeff_sixteen_series. The minus-side coefficient is the complex
+    conjugate of the plus side.
     """
-    _require_sign(sign)
-    k = abs(int(n) - int(m))
-    p = -1.0 if k % 2 else 1.0
-    if j == -1:
-        val = 1j * p / 32.0
-    elif j == 0:
-        val = (p / (32.0 * _SQRT2)) * (2.0 * _SQRT2 * k - (2.0 * _SQRT2 - 3.0) ** k)
-    else:
-        raise ValueError(
-            f"closed coefficients cover orders -1..0, got {j}; "
-            "use coeff_numeric for higher orders"
-        )
-    return val if sign == "plus" else val.conjugate()
+    return _read_series(coeff_sixteen_series, "sixteen", j, sign, n, m)
 
 
 # (i - i**n) / 4 by n mod 4: the phase that order n - 3 of the lower-edge
@@ -141,12 +127,67 @@ def coeff_zero_series(top: int, ks) -> np.ndarray:
     Returns
     -------
     ndarray
-        Shape (top + 4, len(ks)); row j + 3 holds order j.
+        Shape (top + 4,) + ks.shape; row j + 3 holds order j.
     """
     if top < -3:
         raise ValueError(f"top must be >= -3, got {top}")
-    h = _h_taylor(top + 3, np.asarray(ks, dtype=float))
-    return _ZERO_PHASE[np.arange(top + 4) % 4][:, None] * h
+    ks = np.asarray(ks, dtype=float)
+    h = _h_taylor(top + 3, ks.ravel())
+    series = _ZERO_PHASE[np.arange(top + 4) % 4][:, None] * h
+    return series.reshape((top + 4,) + ks.shape)
+
+
+def _decay_taylor(count: int, ks: np.ndarray) -> np.ndarray:
+    """Taylor coefficients c_0..c_{count-1} of the decaying wave in mt = 2 - mu.
+
+    With mu = 2 sinh(phi) the wave exp(b k) / sqrt(1 + mu^2/4) is
+    exp(-2k phi) / cosh(phi), which solves
+    (4 + mu^2) f'' + 3 mu f' + (1 - 4k^2) f = 0. In powers of mt,
+
+        8 (n+1)(n+2) c_{n+2} = 2 (n+1)(2n+3) c_{n+1} - ((n+1)^2 - 4k^2) c_n,
+
+    with c_0 = r^k / sqrt(2), c_1 = r^k (k/2 + 1/(4 sqrt(2))) and
+    r = 3 - 2 sqrt(2), the value of exp(b) at mu = 2.
+    """
+    c = np.zeros((max(count, 2), ks.size))
+    c[0] = _DECAY_RATIO**ks / _SQRT2
+    c[1] = _DECAY_RATIO**ks * (ks / 2.0 + 1.0 / (4.0 * _SQRT2))
+    for n in range(count - 2):
+        c[n + 2] = (
+            2 * (n + 1) * (2 * n + 3) * c[n + 1] - ((n + 1) ** 2 - 4.0 * ks * ks) * c[n]
+        ) / (8.0 * (n + 1) * (n + 2))
+    return c[:count]
+
+
+def coeff_sixteen_series(top: int, ks) -> np.ndarray:
+    """Exact plus-side upper-edge coefficients of half-orders -1 through top.
+
+    With mu = 2 cos(psi) and s = sqrt(2 - mu) = 2 sin(psi/2), the
+    oscillating wave i exp(-i theta_plus k) / sqrt(1 - mu^2/4) equals
+    i (-1)^k h(s) / s, with h the function of coeff_zero_series at
+    separation -2k; it puts i (-1)^k h_{j+1} on s**j. The decaying wave is
+    analytic in mt = s^2 (see _decay_taylor) and enters the even orders.
+    Both are multiplied by the amplitude
+
+        1 / (4 mu^3) = (1/32) sum_p C(p+2, 2) 2^-p s^(2p).
+
+    Returns
+    -------
+    ndarray
+        Shape (top + 2,) + ks.shape; row j + 1 holds order j, the
+        coefficient of mt**(j/2).
+    """
+    if top < -1:
+        raise ValueError(f"top must be >= -1, got {top}")
+    ks = np.asarray(ks, dtype=float)
+    flat = ks.ravel()
+    rows = top + 2
+    waves = 1j * np.where(flat % 2, -1.0, 1.0) * _h_taylor(top + 1, -2.0 * flat)
+    waves[1::2] -= _decay_taylor(rows // 2, flat)
+    series = np.zeros_like(waves)
+    for p in range((rows + 1) // 2):
+        series[2 * p:] += (p + 1) * (p + 2) / 2.0 ** (p + 6) * waves[: rows - 2 * p]
+    return series.reshape((rows,) + ks.shape)
 
 
 def remainder_zero(n_order: int, mu, ks) -> np.ndarray:
@@ -215,138 +256,19 @@ def remainder_order(threshold: str, n_order: int) -> float:
 
     At the lower edge this is the first order above n_order whose
     coefficient does not vanish identically; orders j = 2 (mod 4) do (see
-    coeff_zero_series). At the upper edge it is the generic half power
-    (n_order + 1)/2: no closed form settles whether a half order vanishes.
+    coeff_zero_series). At the upper edge it is the next half power
+    (n_order + 1)/2: coeff_sixteen_series has no identically vanishing
+    order (no entry of orders -1..14 over separations 0..199 is zero).
     """
-    if threshold not in _BASE_ORDER:
-        raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
+    _require_threshold(threshold)
     if threshold == "sixteen":
         return (n_order + 1) / 2.0
     j = n_order + 1
     return float(j + 1 if j % 4 == 2 else j)
 
 
-def _kernel_samples(threshold: str, dist: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Plus-side kernel on a grid of edge distances, shape (len(dist), len(ks))."""
-    if threshold == "zero":
-        return boundary_kernel_plus(dist, ks)
-    # Upper edge: mu = 2 - mt. Recompute 1 - mu^2/4 from mt to dodge the
-    # cancellation, 1 - (2-mt)^2/4 = mt (4 - mt) / 4... accurate directly.
-    mt = dist
-    one_minus_q = mt * (4.0 - mt) / 4.0
-    return boundary_kernel_plus(2.0 - mt, ks, one_minus_q=one_minus_q)
-
-
-def _power(threshold: str, j: int, dist: np.ndarray) -> np.ndarray:
-    return dist ** float(j) if threshold == "zero" else dist ** (j / 2.0)
-
-
-def _closed(threshold: str, j: int, ks: np.ndarray) -> np.ndarray | None:
-    fn = coeff_zero if threshold == "zero" else coeff_sixteen
-    try:
-        return np.array([fn(j, "plus", int(k), 0) for k in ks])
-    except ValueError:
-        return None
-
-
-@lru_cache(maxsize=64)
-def _numeric_table(threshold: str, j: int, kmax: int, grid_key) -> np.ndarray:
-    """Plus-side coefficients of order j for separations 0..kmax.
-
-    Peels the expansion sequentially: closed orders are subtracted exactly,
-    unknown orders below j are fitted and subtracted one at a time, and the
-    order-j coefficient is read off a guarded least-squares fit. grid_key is
-    the sample grid as a tuple (hashable for the cache).
-    """
-    dist = np.asarray(grid_key)
-    ks = np.arange(kmax + 1)
-    resid = _kernel_samples(threshold, dist, ks)
-    base = _BASE_ORDER[threshold]
-    extra = 4 if threshold == "zero" else 5
-    coeffs = None
-    for order in range(base, j + 1):
-        closed = _closed(threshold, order, ks)
-        if closed is not None and order < j:
-            resid = resid - np.outer(_power(threshold, order, dist), closed)
-            continue
-        cols = np.stack(
-            [_power(threshold, order + e, dist) for e in range(extra + 1)], axis=1
-        )
-        scale = np.linalg.norm(cols, axis=0)
-        sol, *_ = np.linalg.lstsq(cols / scale, resid, rcond=None)
-        coeffs = sol[0] / scale[0]
-        if order < j:
-            resid = resid - np.outer(cols[:, 0], coeffs)
-    return coeffs
-
-
-def _default_fit_grid(threshold: str) -> np.ndarray:
-    # The lower-edge kernel is ~ mu^-3 so samples below 1e-2 lose too many
-    # digits to cancellation for coefficient fits; the upper-edge kernel is
-    # O(1) and the full default span is usable.
-    if threshold == "zero":
-        return geometric_grid(1e-2, 1e-1)
-    return geometric_grid(1e-3, 1e-1)
-
-
-def coeff_numeric(
-    threshold: str,
-    sign: str,
-    j: int,
-    n: int,
-    m: int,
-    mu_grid: np.ndarray | None = None,
-) -> complex:
-    """Expansion coefficient of order j recovered from kernel samples.
-
-    Parameters
-    ----------
-    threshold : {"zero", "sixteen"}
-        Which band edge to expand at.
-    sign : {"plus", "minus"}
-        Boundary side; the minus side is the conjugate of the plus side.
-    j : int
-        Expansion order. At the lower edge order j multiplies mu**j, at
-        the upper edge mt**(j/2).
-    n, m : int
-        Lattice sites; only |n - m| enters.
-    mu_grid : ndarray, optional
-        Grid of distances to the edge used for the fit. Defaults to a
-        geometric grid with ratio near 2**(1/4); the lower-edge default is
-        narrowed to [1e-2, 1e-1] for conditioning.
-
-    Raises
-    ------
-    ValueError
-        For orders beyond the float64 noise floor (4 at the lower edge,
-        3 at the upper), reporting the achieved range.
-    """
-    _require_sign(sign)
-    if threshold not in _BASE_ORDER:
-        raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
-    base, top = _BASE_ORDER[threshold], _MAX_ORDER[threshold]
-    if j < base or j > top:
-        raise ValueError(
-            f"order {j} outside the achievable range {base}..{top} at "
-            f"threshold {threshold!r}"
-        )
-    grid = _default_fit_grid(threshold) if mu_grid is None else np.asarray(mu_grid)
-    k = abs(int(n) - int(m))
-    table = _numeric_table(threshold, j, k, tuple(grid.tolist()))
-    val = complex(table[k])
-    return val if sign == "plus" else val.conjugate()
-
-
-def _coefficient(threshold: str, j: int, ks: np.ndarray) -> np.ndarray:
-    """Plus-side coefficient values over a separation table, closed or fitted."""
-    closed = _closed(threshold, j, ks)
-    if closed is not None:
-        return closed
-    grid = _default_fit_grid(threshold)
-    return _numeric_table(threshold, j, int(ks.max()), tuple(grid.tolist()))
-
-
 def _check_weight(threshold: str, n_order: int, s: float):
+    _require_threshold(threshold)
     base = _BASE_ORDER[threshold]
     if n_order < base:
         raise ValueError(f"n_order must be >= {base} at threshold {threshold!r}")
@@ -360,13 +282,16 @@ def _check_weight(threshold: str, n_order: int, s: float):
 
 def remainder_norms(
     threshold: str,
-    sign: str,
     n_order: int,
     s: float,
     mu_grid: np.ndarray | None = None,
     window_radius: int = 64,
 ):
     """Weighted norms of the kernel minus its partial sum through n_order.
+
+    The remainder is taken on the plus side. The minus-side remainder is
+    its complex conjugate, which has the same singular values, so the
+    norms serve both sides.
 
     Returns
     -------
@@ -376,7 +301,6 @@ def remainder_norms(
         Weighted operator norm of the remainder at each distance, taken
         over the window [-window_radius, window_radius] with weight s.
     """
-    _require_sign(sign)
     _check_weight(threshold, n_order, s)
     if window_radius < 64:
         raise ValueError("window_radius must be at least 64")
@@ -389,13 +313,12 @@ def remainder_norms(
         # summed series tail the whole grid is usable at every order.
         resid = remainder_zero(n_order, grid, ks)
     else:
-        resid = _kernel_samples(threshold, grid, ks)
-        for order in range(_BASE_ORDER[threshold], n_order + 1):
-            resid = resid - np.outer(
-                _power(threshold, order, grid), _coefficient(threshold, order, ks)
-            )
-    if sign == "minus":
-        resid = resid.conj()
+        # The kernel is O(mt**(-1/2)) here, so the plain difference keeps
+        # its digits; 1 - mu^2/4 is formed from mt to avoid cancelling.
+        one_minus_q = grid * (4.0 - grid) / 4.0
+        kernel = boundary_kernel_plus(2.0 - grid, ks, one_minus_q=one_minus_q)
+        powers = grid[:, None] ** (np.arange(-1.0, n_order + 1.0) / 2.0)
+        resid = kernel - powers @ coeff_sixteen_series(n_order, ks)
     sites = np.arange(-window_radius, window_radius + 1)
     sep = np.abs(sites[:, None] - sites[None, :])
     norms = np.array([weighted_operator_norm(row[sep], s) for row in resid])

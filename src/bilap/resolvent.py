@@ -164,9 +164,10 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     k : ndarray
         Non-negative integer site separations |n - m|, any shape and order.
     one_minus_q : ndarray, optional
-        Precomputed values of 1 - mu**2/4. Near mu = 2 the subtraction
-        cancels; callers working in the variable w = sqrt(2 - mu) should
-        pass w**2 (4 - w**2) / 4 instead.
+        Precomputed values of 1 - mu**2/4. The default
+        (1 - mu/2)(1 + mu/2) keeps its relative error at rounding level as
+        mu -> 2; callers working in the variable w = sqrt(2 - mu) should
+        pass w**2 (4 - w**2) / 4, which also keeps the rounding of mu out.
 
     Returns
     -------
@@ -180,7 +181,7 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     if np.any(sep != k) or np.any(sep < 0):
         raise ValueError("separations must be non-negative integers")
     if one_minus_q is None:
-        one_minus_q = 1.0 - mu * mu / 4.0
+        one_minus_q = (1.0 - mu / 2.0) * (1.0 + mu / 2.0)
     one_minus_q = np.asarray(one_minus_q, dtype=float)
     phase = np.arccos(1.0 - mu * mu / 2.0)  # -theta_plus
     b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .expansion import coeff_sixteen, coeff_zero
+from .expansion import coeff_sixteen_series, coeff_zero_series
 from .lattice import (
     LatticeVector,
     PotentialSpec,
@@ -242,15 +242,16 @@ def build_T0(sys: BirmanSchwingerSystem) -> np.ndarray:
     G0 is the order-zero expansion coefficient of the boundary kernel,
     (k^3 - k)/12 at separation k.
     """
-    sep = _separations(sys)
-    g0 = np.vectorize(lambda k: coeff_zero(0, "plus", int(k), 0).real)(sep)
+    g0 = coeff_zero_series(0, _separations(sys))[3].real
     return np.diag(sys.u) + np.outer(sys.v, sys.v) * g0
 
 
 def build_T0_tilde(sys: BirmanSchwingerSystem) -> np.ndarray:
-    """Upper-edge limit operator U + v G0~ v, real symmetric."""
-    sep = _separations(sys)
-    g0 = np.vectorize(lambda k: coeff_sixteen(0, "plus", int(k), 0).real)(sep)
+    """Upper-edge limit operator U + v G0~ v, real symmetric.
+
+    G0~ is the order-zero coefficient of the upper-edge expansion.
+    """
+    g0 = coeff_sixteen_series(0, _separations(sys))[1].real
     return np.diag(sys.u) + np.outer(sys.v, sys.v) * g0
 
 

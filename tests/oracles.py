@@ -149,15 +149,16 @@ def dense_boundary_resolvent(mu: float, n: int, m: int, potential=None,
 def direct_boundary_kernel(mu, k, one_minus_q=None) -> np.ndarray:
     """Upper boundary kernel by one exponential per (mu, k) entry.
 
-    Takes theta_plus and b from the same closed forms as the package, but
-    forms each phase theta k exactly: theta is split into two 26-bit halves,
-    whose products with an integer k below 2^27 carry no rounding, and
-    each half's exponential is taken on its own. Shape (len(mu), len(k)).
+    Takes theta_plus, b and the default 1 - mu^2/4 from the same closed
+    forms as the package, but forms each phase theta k exactly: theta is
+    split into two 26-bit halves, whose products with an integer k below
+    2^27 carry no rounding, and each half's exponential is taken on its
+    own. Shape (len(mu), len(k)).
     """
     mu = np.asarray(mu, dtype=float)[:, None]
     k = np.asarray(k, dtype=float)[None, :]
     if one_minus_q is None:
-        one_minus_q = 1.0 - mu * mu / 4.0
+        one_minus_q = (1.0 - mu / 2.0) * (1.0 + mu / 2.0)
     one_minus_q = np.asarray(one_minus_q, dtype=float).reshape(mu.shape)
     phase = np.arccos(1.0 - mu * mu / 2.0)
     b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bilap.expansion import (
-    coeff_numeric,
     coeff_sixteen,
+    coeff_sixteen_series,
     coeff_zero,
     coeff_zero_series,
     geometric_grid,
@@ -39,30 +39,25 @@ def test_closed_upper_edge_against_multiprecision():
             assert got == pytest.approx(complex(mp[j]), abs=1e-12 * scale)
 
 
-def test_numeric_higher_orders_against_multiprecision():
-    mp = oracles.mp_expansion_coeffs("zero", 1, 3)
-    assert coeff_numeric("zero", "plus", 1, 0, 1) == pytest.approx(
-        complex(mp[1]), rel=1e-6
-    )
-    # order three sits just under the float noise ceiling of the fit
-    assert coeff_numeric("zero", "plus", 3, 0, 1) == pytest.approx(
-        complex(mp[3]), rel=5e-2
-    )
-    mp = oracles.mp_expansion_coeffs("sixteen", 2, 2)
-    assert coeff_numeric("sixteen", "plus", 1, 0, 2) == pytest.approx(
-        complex(mp[1]), rel=1e-4
-    )
-    assert coeff_numeric("sixteen", "plus", 2, 0, 2) == pytest.approx(
-        complex(mp[2]), rel=2e-3
-    )
+def test_series_higher_orders_against_multiprecision():
+    # the oracle's Vandermonde solve loses digits in its top order, so it
+    # is asked for orders beyond the ones compared
+    mp = oracles.mp_expansion_coeffs("zero", 1, 5)
+    for j in (1, 3):
+        assert coeff_zero(j, "plus", 0, 1) == pytest.approx(complex(mp[j]), rel=1e-12)
+    for k in (0, 1, 2, 3, 5):
+        mp = oracles.mp_expansion_coeffs("sixteen", k, 6)
+        for j in range(-1, 6):
+            assert coeff_sixteen(j, "plus", 0, k) == pytest.approx(
+                complex(mp[j]), rel=1e-12
+            )
 
 
 def test_lower_edge_even_orders_vanish():
     for k in range(9):
         assert coeff_zero(-2, "plus", 0, k) == 0.0
-    # order two vanishes too; the numeric fit can only see its noise floor
     for k in (0, 1, 2):
-        assert abs(coeff_numeric("zero", "plus", 2, 0, k)) < 1e-5
+        assert coeff_zero(2, "plus", 0, k) == 0.0
 
 
 def test_lower_edge_series_orders_two_mod_four_vanish_exactly():
@@ -82,10 +77,15 @@ def test_lower_edge_series_orders_two_mod_four_vanish_exactly():
 def test_lower_edge_series_matches_closed_forms():
     ks = np.arange(40)
     table = coeff_zero_series(4, ks)
-    for j in range(-3, 1):
-        want = np.array([coeff_zero(j, "plus", 0, k) for k in ks])
-        np.testing.assert_allclose(table[j + 3], want, rtol=1e-15, atol=0.0)
     k = ks.astype(float)
+    closed = {
+        -3: np.full(k.shape, (-1.0 + 1.0j) / 4.0),
+        -2: np.zeros(k.shape),
+        -1: ((1.0 + 1.0j) / 4.0) * (1.0 / 8.0 - k * k / 2.0),
+        0: k * (k - 1) * (k + 1) / 12.0,
+    }
+    for j, want in closed.items():
+        np.testing.assert_allclose(table[j + 3], want, rtol=1e-15, atol=0.0)
     order_one = (-1 + 1j) / 1536 * (2 * k + 1) * (2 * k - 1) * (2 * k + 3) * (2 * k - 3)
     order_four = k * (k * k - 1) * (k * k - 4) * (k * k - 9) / 10080
     np.testing.assert_allclose(table[4], order_one, rtol=1e-14, atol=0.0)
@@ -153,32 +153,51 @@ def test_minus_side_is_conjugate():
             assert coeff_sixteen(j, "minus", 0, k) == np.conj(
                 coeff_sixteen(j, "plus", 0, k)
             )
-    got = coeff_numeric("sixteen", "minus", 1, 0, 2)
-    assert got == pytest.approx(np.conj(coeff_numeric("sixteen", "plus", 1, 0, 2)))
+    got = coeff_sixteen(1, "minus", 0, 2)
+    assert got == np.conj(coeff_sixteen(1, "plus", 0, 2))
 
 
 def test_upper_edge_order_two_table():
-    # fitted values against independently frozen closed-form multiples
+    # series values against independently frozen closed-form multiples
     frozen = {0: -7 * SQRT2 / 256, 1: -13 * SQRT2 / 256,
               2: -23 * SQRT2 / 256, 3: 147 * SQRT2 / 256}
     for k, want in frozen.items():
-        got = coeff_numeric("sixteen", "plus", 2, 0, k)
-        assert got == pytest.approx(want, rel=2e-3)
+        got = coeff_sixteen(2, "plus", 0, k)
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_upper_edge_order_one_quadratic_in_separation():
     # after stripping the alternating phase the order-one coefficient is a
     # quadratic polynomial in the separation with leading weight -1/16
     f = [
-        (coeff_numeric("sixteen", "plus", 1, 0, k) / (1j * (-1.0) ** k)).real
+        (coeff_sixteen(1, "plus", 0, k) / (1j * (-1.0) ** k)).real
         for k in (0, 2)
     ]
-    assert (f[1] - f[0]) / 4.0 == pytest.approx(-1.0 / 16.0, rel=1e-4)
+    assert (f[1] - f[0]) / 4.0 == pytest.approx(-1.0 / 16.0, rel=1e-15)
 
 
-def test_numeric_reproduces_closed_order_zero():
-    got = coeff_numeric("zero", "plus", 0, 0, 2)
-    assert got == pytest.approx(0.5, abs=1e-8)
+def test_upper_edge_series_matches_closed_forms():
+    ks = np.arange(40)
+    table = coeff_sixteen_series(2, ks)
+    k = ks.astype(float)
+    p = np.where(ks % 2, -1.0, 1.0)
+    closed = {
+        -1: 1j * p / 32.0,
+        0: (p / (32.0 * SQRT2)) * (2.0 * SQRT2 * k - (2.0 * SQRT2 - 3.0) ** k),
+    }
+    for j, want in closed.items():
+        np.testing.assert_allclose(table[j + 1], want, rtol=1e-15, atol=0.0)
+
+
+def test_upper_edge_series_orders_never_vanish():
+    # no half order drops out, so the remainder after order N decays at
+    # the next half power (N + 1)/2
+    table = coeff_sixteen_series(14, np.arange(200))
+    assert table.shape == (16, 200)
+    assert np.all(table != 0.0)
+    assert [remainder_order("sixteen", n) for n in (-1, 0, 1, 4)] == [
+        0.0, 0.5, 1.0, 2.5
+    ]
 
 
 def test_vanishing_second_order_shows_in_partial_sums():
@@ -187,7 +206,7 @@ def test_vanishing_second_order_shows_in_partial_sums():
     def resid(mu, k=1):
         kern = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
         s = sum(coeff_zero(j, "plus", 0, k) * mu**j for j in range(-3, 1))
-        s += coeff_numeric("zero", "plus", 1, 0, k) * mu
+        s += coeff_zero(1, "plus", 0, k) * mu
         return abs(kern - s)
 
     ratio = resid(0.02) / resid(0.01)
@@ -195,7 +214,7 @@ def test_vanishing_second_order_shows_in_partial_sums():
 
 
 def _remainder_slope(threshold, n_order, s, mu_grid=None):
-    grid, norms = remainder_norms(threshold, "plus", n_order, s, mu_grid)
+    grid, norms = remainder_norms(threshold, n_order, s, mu_grid)
     return np.polyfit(np.log(grid), np.log(norms), 1)[0]
 
 
@@ -219,33 +238,37 @@ def test_remainder_slope_upper_edge():
 
 
 def test_remainder_norms_shapes_and_positivity():
-    grid, norms = remainder_norms("sixteen", "plus", 0, 3.0)
+    grid, norms = remainder_norms("sixteen", 0, 3.0)
     assert grid.shape == norms.shape and np.all(norms > 0.0)
     assert np.all(np.diff(grid) > 0.0)
 
 
 def test_order_range_errors():
-    with pytest.raises(ValueError, match="coeff_numeric"):
-        coeff_zero(1, "plus", 0, 0)
-    with pytest.raises(ValueError, match="coeff_numeric"):
-        coeff_sixteen(1, "plus", 0, 0)
-    with pytest.raises(ValueError, match="achievable range"):
-        coeff_numeric("zero", "plus", 5, 0, 0)
-    with pytest.raises(ValueError, match="achievable range"):
-        coeff_numeric("sixteen", "plus", 4, 0, 0)
+    with pytest.raises(ValueError, match="below the leading order -3"):
+        coeff_zero(-4, "plus", 0, 0)
+    with pytest.raises(ValueError, match="below the leading order -1"):
+        coeff_sixteen(-2, "plus", 0, 0)
+    with pytest.raises(ValueError, match="top must be >= -3"):
+        coeff_zero_series(-4, [0])
+    with pytest.raises(ValueError, match="top must be >= -1"):
+        coeff_sixteen_series(-2, [0])
     with pytest.raises(ValueError, match="threshold"):
-        coeff_numeric("eight", "plus", 0, 0, 0)
+        remainder_order("eight", 0)
     with pytest.raises(ValueError, match="sign"):
         coeff_zero(0, "up", 0, 0)
+    with pytest.raises(ValueError, match="sign"):
+        coeff_sixteen(0, "up", 0, 0)
 
 
 def test_remainder_validation():
     with pytest.raises(ValueError, match="window_radius"):
-        remainder_norms("zero", "plus", 0, 5.0, window_radius=32)
+        remainder_norms("zero", 0, 5.0, window_radius=32)
     with pytest.raises(ValueError, match="need s >"):
-        remainder_norms("zero", "plus", 0, 4.0)
+        remainder_norms("zero", 0, 4.0)
     with pytest.raises(ValueError, match="n_order"):
-        remainder_norms("zero", "plus", -4, 5.0)
+        remainder_norms("zero", -4, 5.0)
+    with pytest.raises(ValueError, match="threshold"):
+        remainder_norms("eight", 0, 5.0)
 
 
 def test_geometric_grid_properties():

@@ -2,6 +2,7 @@
 
 import cmath
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -130,6 +131,19 @@ def test_boundary_kernel_power_tables_match_direct_exp(mu, omq, ks):
     # modulus along k, so this is relative accuracy at every separation
     rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
     assert rel.max() <= 1e-14
+
+
+def test_boundary_kernel_default_amplitude_near_upper_edge():
+    # without one_minus_q the kernel forms 1 - mu^2/4 itself; the plain
+    # subtraction loses up to 1.25e-9 relative here to cancellation
+    mu = 2.0 - np.geomspace(1e-9, 1e-2, 15)
+    ks = np.arange(11)
+    got = boundary_kernel_plus(mu, ks)
+    with mp.workdps(50):
+        want = np.array(
+            [[complex(oracles.mp_boundary_kernel("zero", m, k)) for k in ks] for m in mu]
+        )
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
 
 def test_boundary_kernel_keeps_the_shape_of_k():
