@@ -6,7 +6,7 @@ where Delta is the second difference and V a finitely supported real
 potential. Submodules:
 
 ``lattice``
-    finite windows, difference operators, weighted norms, potentials
+    finite windows, Dirichlet truncations, weighted norms, potentials
 ``resolvent``
     closed boundary kernels of the free resolvent on and off the band
 ``expansion``
@@ -31,24 +31,18 @@ from .decay import (
     perturbed_decay_series,
     strichartz_norm,
 )
-from .expansion import coeff_sixteen, coeff_zero, remainder_norms
+from .expansion import remainder_norms
 from .lattice import (
     SPEED_BOUND,
     LatticeVector,
     PotentialSpec,
-    WeightedNormSpec,
-    apply_bilaplacian,
-    apply_neg_laplacian,
     build_hamiltonian,
-    fourier_symbol,
-    weighted_norm,
     weighted_operator_norm,
 )
 from .propagator import (
     KernelSlice,
     PropagatorRequest,
     auto_window_radius,
-    evolve_spectral,
     free_kernel_fft,
     kernel_spectral,
     pac_split,
@@ -64,11 +58,8 @@ from .quadrature import (
 )
 from .resolvent import (
     SpectralParam,
-    ThetaValues,
-    free_biresolvent_boundary,
     free_biresolvent_complex,
     resolvent_neg_laplacian_kernel,
-    theta_values,
     windowed_boundary_resolvent,
 )
 from .spectral import (
@@ -90,22 +81,12 @@ __all__ = [
     "SPEED_BOUND",
     "LatticeVector",
     "PotentialSpec",
-    "WeightedNormSpec",
-    "apply_bilaplacian",
-    "apply_neg_laplacian",
     "build_hamiltonian",
-    "fourier_symbol",
-    "weighted_norm",
     "weighted_operator_norm",
     "SpectralParam",
-    "ThetaValues",
-    "theta_values",
     "resolvent_neg_laplacian_kernel",
-    "free_biresolvent_boundary",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
-    "coeff_zero",
-    "coeff_sixteen",
     "remainder_norms",
     "BirmanSchwingerSystem",
     "decompose_potential",
@@ -125,7 +106,6 @@ __all__ = [
     "PropagatorRequest",
     "KernelSlice",
     "auto_window_radius",
-    "evolve_spectral",
     "kernel_spectral",
     "pac_split",
     "free_kernel_fft",

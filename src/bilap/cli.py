@@ -202,17 +202,15 @@ def _as_potential(v):
     if not isinstance(v, dict):
         raise ValueError(f"expected an object describing a potential, got {v!r}")
     site = _as_int(lo=-_SITE_BOUND, hi=_SITE_BOUND)
-    beta = _potential_entry("beta", _as_float(), v["beta"]) if "beta" in v else np.inf
     if "delta" in v:
-        extra = set(v) - {"delta", "site", "beta"}
+        extra = set(v) - {"delta", "site"}
         if extra:
             raise ValueError(f"unknown potential field(s) {sorted(extra)}")
         return PotentialSpec.delta(
             _potential_entry("delta", _as_float(), v["delta"]),
             _potential_entry("site", site, v.get("site", 0)),
-            beta=beta,
         )
-    extra = set(v) - {"support", "values", "beta"}
+    extra = set(v) - {"support", "values"}
     if extra:
         raise ValueError(f"unknown potential field(s) {sorted(extra)}")
     if "support" not in v or "values" not in v:
@@ -223,7 +221,6 @@ def _as_potential(v):
     return PotentialSpec(
         tuple(_potential_entry("support", site, x) for x in support),
         _potential_entry("values", _as_float_list(), v["values"]),
-        beta=beta,
     )
 
 

@@ -19,6 +19,7 @@ from numpy.fft import fft, ifft
 
 from .lattice import LatticeVector
 from .propagator import KINDS, free_kernel_full, ring_weight, stone_kernel_slice
+from .resolvent import _band_rates
 
 __all__ = [
     "DecaySeries",
@@ -245,7 +246,7 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
         raise ValueError("epsilon must lie in (0, 0.1]")
     if q <= 1 or r <= 1:
         raise ValueError("need q > 1 and r > 1 for finite dual exponents")
-    lhs = float(np.sqrt(2.0 * min(epsilon, np.arccos(1.0 - epsilon**2 / 2.0))))
+    lhs = float(np.sqrt(2.0 * min(epsilon, _band_rates(epsilon)[0])))
 
     qp = q / (q - 1.0)
     rp = r / (r - 1.0)

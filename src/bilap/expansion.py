@@ -17,8 +17,6 @@ from .resolvent import boundary_kernel_plus
 from .lattice import weighted_operator_norm
 
 __all__ = [
-    "coeff_zero",
-    "coeff_sixteen",
     "coeff_zero_series",
     "coeff_sixteen_series",
     "remainder_zero",
@@ -42,46 +40,9 @@ def geometric_grid(lo: float, hi: float, ratio: float = 2.0 ** 0.25) -> np.ndarr
     return np.geomspace(lo, hi, max(count, 2))
 
 
-def _require_sign(sign: str):
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-
-
 def _require_threshold(threshold: str):
     if threshold not in _BASE_ORDER:
         raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
-
-
-def _read_series(series, threshold: str, j: int, sign: str, n: int, m: int) -> complex:
-    """Coefficient of order j at one separation, read off an exact series."""
-    _require_sign(sign)
-    base = _BASE_ORDER[threshold]
-    if j < base:
-        raise ValueError(
-            f"order {j} below the leading order {base} at threshold {threshold!r}"
-        )
-    val = complex(series(j, abs(int(n) - int(m)))[j - base])
-    return val if sign == "plus" else val.conjugate()
-
-
-def coeff_zero(j: int, sign: str, n: int, m: int) -> complex:
-    """Expansion coefficient of order j >= -3 at the lower band edge.
-
-    Order j multiplies mu**j; the value is row j + 3 of coeff_zero_series.
-    The minus-side coefficient is the complex conjugate of the plus side.
-    """
-    return _read_series(coeff_zero_series, "zero", j, sign, n, m)
-
-
-def coeff_sixteen(j: int, sign: str, n: int, m: int) -> complex:
-    """Expansion coefficient of half-order j >= -1 at the upper band edge.
-
-    Order j multiplies mt**(j/2) with mt = 2 - mu the distance to the edge
-    in the quarter-root coordinate; the value is row j + 1 of
-    coeff_sixteen_series. The minus-side coefficient is the complex
-    conjugate of the plus side.
-    """
-    return _read_series(coeff_sixteen_series, "sixteen", j, sign, n, m)
 
 
 # (i - i**n) / 4 by n mod 4: the phase that order n - 3 of the lower-edge

@@ -1,31 +1,24 @@
 """Finite windows of lattice sequences and the discrete difference operators.
 
-Sequences live on integer windows [-N, N]. The second-difference operator
-(neg_laplacian), its square (bilaplacian), truncated Hamiltonians
-H = bilaplacian + V, polynomially weighted norms, the alternating sign flip,
-and the Fourier symbol of the fourth-difference operator are provided here.
-All constructions are dense; windows at desk scale stay below a few thousand
-sites.
+Sequences live on integer windows [-N, N]. Dirichlet truncations of the
+second-difference operator (neg_laplacian) and of H = bilaplacian + V,
+finitely supported potentials and polynomially weighted operator norms are
+provided here. All constructions are dense; windows at desk scale stay
+below a few thousand sites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "LatticeVector",
-    "WeightedNormSpec",
     "PotentialSpec",
-    "apply_neg_laplacian",
-    "apply_bilaplacian",
     "build_hamiltonian",
-    "weighted_norm",
     "weighted_operator_norm",
-    "sign_flip",
-    "fourier_symbol",
 ]
 
 SPEED_BOUND = 6.0 * np.sqrt(3.0)
@@ -69,10 +62,6 @@ class LatticeVector:
         return complex(self.values[n + self.window_radius])
 
     @classmethod
-    def zeros(cls, window_radius: int) -> "LatticeVector":
-        return cls(window_radius, np.zeros(2 * window_radius + 1, dtype=complex))
-
-    @classmethod
     def delta(cls, window_radius: int, site: int = 0) -> "LatticeVector":
         """Kronecker delta supported at the given site."""
         vals = np.zeros(2 * window_radius + 1, dtype=complex)
@@ -81,19 +70,8 @@ class LatticeVector:
 
 
 @dataclass(frozen=True)
-class WeightedNormSpec:
-    """Weight exponent s for the polynomial weight <n>^s = (1 + n^2)^(s/2)."""
-
-    s: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.s):
-            raise ValueError("weight exponent must be finite")
-
-
-@dataclass(frozen=True)
 class PotentialSpec:
-    """Real potential of finite support with a declared decay exponent.
+    """Real potential of finite support.
 
     Parameters
     ----------
@@ -101,14 +79,10 @@ class PotentialSpec:
         Inclusive site interval (lo, hi) carrying the values.
     values : ndarray
         Real values on the support sites, at least one nonzero.
-    beta : float, optional
-        Declared decay exponent of the underlying infinite potential.
-        Informational only.
     """
 
     support: Tuple[int, int]
     values: np.ndarray
-    beta: float = float("inf")
 
     def __post_init__(self):
         lo, hi = int(self.support[0]), int(self.support[1])
@@ -144,90 +118,45 @@ class PotentialSpec:
         return out
 
     @classmethod
-    def delta(cls, coupling: float, site: int = 0, beta: float = float("inf")):
-        return cls((site, site), np.array([coupling]), beta)
+    def delta(cls, coupling: float, site: int = 0):
+        return cls((site, site), np.array([coupling]))
 
 
-def _shift(values: np.ndarray, offset: int, boundary_mode: str) -> np.ndarray:
-    """Array of psi(n + offset) under the given truncation."""
-    if boundary_mode == "periodic":
-        return np.roll(values, -offset)
-    out = np.zeros_like(values)
-    if offset >= 0:
-        out[: values.size - offset] = values[offset:]
-    else:
-        out[-offset:] = values[: values.size + offset]
-    return out
-
-
-def apply_neg_laplacian(
-    psi: LatticeVector, boundary_mode: str = "dirichlet"
-) -> LatticeVector:
-    """Second-difference operator, out(n) = -psi(n+1) - psi(n-1) + 2 psi(n).
-
-    Out-of-window neighbours are zero in dirichlet mode and wrap in periodic
-    mode.
-    """
-    v = psi.values
-    out = 2.0 * v - _shift(v, 1, boundary_mode) - _shift(v, -1, boundary_mode)
-    return LatticeVector(psi.window_radius, out)
-
-
-def apply_bilaplacian(
-    psi: LatticeVector, boundary_mode: str = "dirichlet"
-) -> LatticeVector:
-    """Fourth-difference operator, the square of apply_neg_laplacian.
-
-    On interior sites this is the five-point stencil (1, -4, 6, -4, 1).
-    """
-    return apply_neg_laplacian(apply_neg_laplacian(psi, boundary_mode), boundary_mode)
-
-
-def _neg_laplacian_matrix(window_radius: int, boundary_mode: str) -> np.ndarray:
+def _neg_laplacian_matrix(window_radius: int) -> np.ndarray:
+    """Dirichlet truncation of the second difference on [-N, N]."""
     side = 2 * window_radius + 1
     a = 2.0 * np.eye(side)
     idx = np.arange(side - 1)
     a[idx, idx + 1] = -1.0
     a[idx + 1, idx] = -1.0
-    if boundary_mode == "periodic":
-        a[0, -1] = -1.0
-        a[-1, 0] = -1.0
     return a
 
 
-def _bilaplacian_matrix(window_radius: int, boundary_mode: str) -> np.ndarray:
+def _bilaplacian_matrix(window_radius: int) -> np.ndarray:
     side = 2 * window_radius + 1
     a = 6.0 * np.eye(side)
     idx = np.arange(side)
     for off, val in ((1, -4.0), (2, 1.0)):
-        if boundary_mode == "periodic":
-            a[idx, (idx + off) % side] += val
-            a[idx, (idx - off) % side] += val
-        else:
-            sub = idx[: side - off]
-            a[sub, sub + off] = val
-            a[sub + off, sub] = val
+        sub = idx[: side - off]
+        a[sub, sub + off] = val
+        a[sub + off, sub] = val
     return a
 
 
-def build_hamiltonian(
-    V: Optional[PotentialSpec], window_radius: int, boundary_mode: str = "dirichlet"
-) -> np.ndarray:
+def build_hamiltonian(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
     """Dense truncation of bilaplacian + diag(V) on [-N, N], as a square array.
 
-    Dirichlet mode chops the infinite pentadiagonal matrix; periodic mode
-    wraps it on the ring. Requires the window to exceed the potential
-    support by at least two sites so the stencil never straddles the
-    support edge and the boundary at once.
+    The truncation chops the infinite pentadiagonal matrix (Dirichlet
+    boundary). Requires the window to exceed the potential support by at
+    least two sites so the stencil never straddles the support edge and the
+    boundary at once.
     """
-    if boundary_mode not in ("dirichlet", "periodic"):
-        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
     if V is not None and window_radius < V.support_radius + 2:
         raise ValueError(
             "window_radius must be >= potential support radius + 2 "
             f"(need {V.support_radius + 2}, got {window_radius})"
         )
-    h = _bilaplacian_matrix(window_radius, boundary_mode)
+    h = _bilaplacian_matrix(window_radius)
     if V is not None:
         np.fill_diagonal(h, np.diag(h) + V.on_window(window_radius))
     return h
@@ -237,12 +166,6 @@ def site_weights(window_radius: int, s: float) -> np.ndarray:
     """Diagonal of the weight <n>^s over the window."""
     n = np.arange(-window_radius, window_radius + 1)
     return (1.0 + n.astype(float) ** 2) ** (s / 2.0)
-
-
-def weighted_norm(psi: LatticeVector, spec: WeightedNormSpec) -> float:
-    """Weighted sequence norm (sum <n>^{2s} |psi(n)|^2)^{1/2} on the window."""
-    w = site_weights(psi.window_radius, spec.s)
-    return float(np.sqrt(np.sum((w * np.abs(psi.values)) ** 2)))
 
 
 def weighted_operator_norm(K, s: float) -> float:
@@ -293,18 +216,3 @@ def _parity_blocks(entries: np.ndarray, w: Optional[np.ndarray] = None):
     even[0] /= np.sqrt(2.0)
     even[:, 0] /= np.sqrt(2.0)
     return even, odd
-
-
-def sign_flip(psi: LatticeVector) -> LatticeVector:
-    """Pointwise multiplication by (-1)^n. An involution."""
-    signs = np.where(psi.sites % 2 == 0, 1.0, -1.0)
-    return LatticeVector(psi.window_radius, signs * psi.values)
-
-
-def fourier_symbol(x):
-    """Symbol (2 - 2 cos x)^2 of the fourth-difference operator, x in [-pi, pi]."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > np.pi + 1e-12):
-        raise ValueError("x must lie in [-pi, pi]")
-    out = (2.0 - 2.0 * np.cos(xa)) ** 2
-    return out if out.ndim else float(out)

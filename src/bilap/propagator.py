@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 from numpy.fft import ifft
 
-from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
+from .lattice import SPEED_BOUND, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
-from .resolvent import boundary_kernel_plus
+from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BAND_MARGIN,
     LocalizationError,
@@ -43,7 +43,6 @@ from .spectral import (
     decompose_potential,
     discrete_eigs,
     eigensystem,
-    embedded_eig_scan,
     m_matrix_grid,
     regular_point_check,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "KernelSlice",
     "PacSplit",
     "auto_window_radius",
-    "evolve_spectral",
     "kernel_spectral",
     "pac_split",
     "fft_ring_band",
@@ -88,6 +86,8 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 
+# Margin factor on the causal range SPEED_BOUND |t|, for FFT rings and for
+# dense truncation windows alike.
 _RING_SAFETY = 1.2
 _RING_MARGIN = 64
 _MAX_DOUBLINGS = 3
@@ -176,9 +176,9 @@ class KernelSlice:
         return complex(self.entries[n + r, m + r])
 
 
-def auto_window_radius(t: float, observe_radius: int, safety: float = 1.2) -> int:
+def auto_window_radius(t: float, observe_radius: int) -> int:
     """Truncation radius covering the causal range of time t with a margin."""
-    return int(np.ceil(observe_radius + safety * SPEED_BOUND * abs(t))) + 8
+    return int(np.ceil(observe_radius + _RING_SAFETY * SPEED_BOUND * abs(t))) + 8
 
 
 def _window_kernel(t, vecs, weight, window_radius, observe_radius) -> KernelSlice:
@@ -191,23 +191,6 @@ def _dense_weight(request: PropagatorRequest):
     flow, operator, _ = _KIND_TABLE[request.kind]
     ev, vecs = eigensystem(request.V, request.window_radius, operator)
     return FLOWS[flow](request.t, ev), vecs
-
-
-def evolve_spectral(request: PropagatorRequest, psi0: LatticeVector) -> LatticeVector:
-    """Apply the requested flow to psi0 by dense diagonalisation.
-
-    psi0 may live on a smaller window; it is zero-extended to the
-    truncation window. The result is reported on the full truncation
-    window so norms are not clipped.
-    """
-    n = request.window_radius
-    if psi0.window_radius > n:
-        raise ValueError("initial state wider than the truncation window")
-    vec = np.zeros(2 * n + 1, dtype=complex)
-    off = n - psi0.window_radius
-    vec[off : off + psi0.values.size] = psi0.values
-    weight, vecs = _dense_weight(request)
-    return LatticeVector(n, vecs @ (weight * (vecs.T @ vec)))
 
 
 def kernel_spectral(request: PropagatorRequest) -> KernelSlice:
@@ -223,28 +206,14 @@ class PacSplit:
 
     Bound states are the localized eigenvalues of the window truncation
     outside the band; everything orthogonal to them carries the
-    continuous part, whose kernel kernel_ac gives.
+    continuous part, whose kernel kernel_ac gives. Eigenvalues inside the
+    band, which embedded_eig_scan looks for, are not split off.
     """
 
     def __init__(self, V: Optional[PotentialSpec], window_radius: int):
         self.V = V
         self.window_radius = window_radius
         self.bound_states = discrete_eigs(V, window_radius)
-        support = V.support_radius if V is not None else 0
-        scan = embedded_eig_scan(
-            V, (max(window_radius // 2, 4 * support + 8), window_radius)
-        )
-        self.warnings = ()
-        if scan.stable_candidates:
-            self.warnings = (
-                "embedded-eigenvalue candidates at "
-                + ", ".join(f"{x:.8f}" for x in scan.stable_candidates)
-                + "; the continuous part excludes them only approximately",
-            )
-
-    @property
-    def projector_rank(self) -> int:
-        return len(self.bound_states)
 
     def kernel_ac(self, t: float, observe_radius: int) -> KernelSlice:
         """Continuous-part kernel on the observation window."""
@@ -352,33 +321,29 @@ def _stone_nodes(
     _EDGE_CUTOFF from that edge.
     """
 
-    def b_of(mu):
-        return np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
-
-    def theta_of(mu):
-        return -np.arccos(np.clip(1.0 - mu * mu / 2.0, -1.0, 1.0))
-
     pieces = []
 
-    # bulk, in theta
-    th_lo, th_hi = theta_of(2.0 - _EDGE_CUTOFF), theta_of(_EDGE_CUTOFF)
+    # bulk, in theta = -phase
+    th_lo, th_hi = -_band_rates(2.0 - _EDGE_CUTOFF)[0], -_band_rates(_EDGE_CUTOFF)[0]
 
     def bulk_cost(th):
         mu = 2.0 * np.sin(-th / 2.0)
-        return np.stack([t * mu**phase_power, reach * th, reach * b_of(mu)])
+        return np.stack([t * mu**phase_power, reach * th, reach * _band_rates(mu)[1]])
 
     edges = edges_from_budget(th_lo, th_hi, bulk_cost, budget=budget, min_panels=8)
     th, w = gauss_panels(edges)
     mu = 2.0 * np.sin(-th / 2.0)
     pieces.append((mu, w * np.cos(th / 2.0), np.cos(th / 2.0) ** 2))
 
+    # the sign of a cost row does not move an edge: only |variation| counts
+    def strip_cost(mu):
+        phase, b = _band_rates(mu)
+        return np.stack([t * mu**phase_power, reach * phase, reach * b])
+
     if lo_strip:
         # lower strip, in mu
-        def lo_cost(mu):
-            return np.stack([t * mu**phase_power, reach * theta_of(mu), reach * b_of(mu)])
-
         edges = edges_from_budget(
-            _INNER_CUTOFF, _EDGE_CUTOFF, lo_cost, budget=budget, min_panels=4
+            _INNER_CUTOFF, _EDGE_CUTOFF, strip_cost, budget=budget, min_panels=4
         )
         mu, w = gauss_panels(edges)
         pieces.append((mu, w, 1.0 - mu * mu / 4.0))
@@ -386,8 +351,7 @@ def _stone_nodes(
     if hi_strip:
         # upper strip, in w = sqrt(2 - mu); 1 - mu^2/4 = w^2 (4 - w^2) / 4
         def hi_cost(wv):
-            mu = 2.0 - wv * wv
-            return np.stack([t * mu**phase_power, reach * theta_of(mu), reach * b_of(mu)])
+            return strip_cost(2.0 - wv * wv)
 
         edges = edges_from_budget(
             _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4

@@ -33,6 +33,8 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(15)
 
 _DERIVATIVE_FLOOR = 1e-8
 _ROOT_RESIDUAL = 1e-10
+# Grid points on which edges_from_budget accumulates the cost variation.
+_EDGE_SCAN = 8193
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,6 @@ def edges_from_budget(
     hi: float,
     cost: Callable[[np.ndarray], np.ndarray],
     budget: float = 0.5,
-    scan: int = 8193,
     min_panels: int = 1,
 ) -> np.ndarray:
     """Panel edges on [lo, hi] with bounded cost variation per panel.
@@ -197,7 +198,7 @@ def edges_from_budget(
     their sum across each returned panel is at most budget, up to the scan
     resolution. The total panel count is at least min_panels.
     """
-    xs = np.linspace(lo, hi, scan)
+    xs = np.linspace(lo, hi, _EDGE_SCAN)
     ys = np.atleast_2d(np.asarray(cost(xs)))
     cum = np.concatenate(
         [[0.0], np.cumsum(np.sum(np.abs(np.diff(ys, axis=-1)), axis=0))]

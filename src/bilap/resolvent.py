@@ -7,27 +7,23 @@ The second-difference resolvent on the integer lattice has the closed form
 where theta solves 2 - 2 cos theta = omega in the strip
 {a + i b : -pi <= a <= pi, b < 0}. The fourth-difference resolvent follows by
 a partial-fraction split over the two square roots of the spectral parameter.
-Boundary values on the band (0, 16), approached from above or below, are an
-explicit combination of an oscillating and an exponentially decaying wave;
-they are parametrised here by mu = (band energy)^(1/4) in (0, 2).
+Boundary values on the band (0, 16) are an explicit combination of an
+oscillating and an exponentially decaying wave; they are parametrised here
+by mu = (band energy)^(1/4) in (0, 2). Every boundary value computed here is
+the one approached from the upper half plane; the value from the lower half
+plane is its complex conjugate.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "SpectralParam",
-    "ThetaValues",
-    "theta_plus",
-    "b_of_mu",
-    "theta_values",
     "resolvent_neg_laplacian_kernel",
-    "free_biresolvent_boundary",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
 ]
@@ -35,81 +31,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Quarter-root coordinate mu in (0, 2) on the band, with a side marker.
+    """Quarter-root coordinate mu in (0, 2) on the band.
 
-    The energy is mu**4; sign "plus" denotes the boundary value from the
-    upper half plane, "minus" from the lower.
+    The energy is mu**4; values at it are boundary values from the upper
+    half plane.
     """
 
     mu: float
-    sign: str = "plus"
 
     def __post_init__(self):
         mu = float(self.mu)
         if not (0.0 < mu < 2.0):
             raise ValueError(f"mu must lie in (0, 2), got {mu}")
-        if self.sign not in ("plus", "minus"):
-            raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
         object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class ThetaValues:
-    """Phase data attached to a band energy mu**4.
+def _band_rates(mu):
+    """Oscillation phase and decay rate of the boundary kernel at energy mu**4.
 
-    Attributes
-    ----------
-    theta_plus : float
-        Oscillatory phase in (-pi, 0), solving 2 - 2 cos theta = mu**2.
-    theta_minus : float
-        Mirror phase, -theta_plus.
-    theta_neg : complex
-        Phase attached to the energy -mu**2, purely imaginary with
-        negative imaginary part.
-    b : float
-        Negative decay rate; exp(b |k|) is the evanescent wave amplitude.
-    g : float
-        Normalised decay rate -b / (mu sqrt(1 + mu**2 / 4)); tends to 1
-        as mu tends to 0.
+    Returns (phase, b), elementwise in mu: phase = arccos(1 - mu^2/2) =
+    -theta_plus, the phase in (0, pi) with 2 - 2 cos(phase) = mu^2, and
+    b = log(1 + mu^2/2 - mu sqrt(1 + mu^2/4)), negative on (0, 2], with
+    log1p keeping full relative accuracy as mu tends to 0. The kernel at
+    separation k is a combination of exp(i phase k) and exp(b k).
     """
-
-    theta_plus: float
-    theta_minus: float
-    theta_neg: complex
-    b: float
-    g: float
-
-
-def theta_plus(lambda2: float) -> float:
-    """Phase -arccos(1 - lambda2 / 2) for a second-difference energy in (0, 4)."""
-    lam = float(lambda2)
-    if not (0.0 < lam < 4.0):
-        raise ValueError(f"energy must lie in the open band (0, 4), got {lam}")
-    return -float(np.arccos(1.0 - lam / 2.0))
-
-
-def b_of_mu(mu: float) -> float:
-    """Decay rate of the evanescent wave at band energy mu**4.
-
-    Equals log(1 + mu**2/2 - mu sqrt(1 + mu**2/4)), which is negative on
-    (0, 2]; the log1p form keeps full relative accuracy as mu tends to 0.
-    The closed right endpoint is allowed since the decaying wave survives
-    there, b(2) = log(3 - 2 sqrt(2)).
-    """
-    mu = float(mu)
-    if not (0.0 < mu <= 2.0):
-        raise ValueError(f"mu must lie in (0, 2], got {mu}")
-    return float(np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0)))
-
-
-def theta_values(mu: float) -> ThetaValues:
-    """All phase data for the band energy mu**4, mu in (0, 2)."""
-    mu = float(mu)
-    tp = theta_plus(mu * mu)
-    b = b_of_mu(mu)
-    tneg = -1j * float(np.arccosh(1.0 + mu * mu / 2.0))
-    g = -b / (mu * float(np.sqrt(1.0 + mu * mu / 4.0)))
-    return ThetaValues(theta_plus=tp, theta_minus=-tp, theta_neg=tneg, b=b, g=g)
+    phase = np.arccos(1.0 - mu * mu / 2.0)
+    b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
+    return phase, b
 
 
 def resolvent_neg_laplacian_kernel(omega: complex, n: int, m: int) -> complex:
@@ -183,8 +131,7 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     if one_minus_q is None:
         one_minus_q = (1.0 - mu / 2.0) * (1.0 + mu / 2.0)
     one_minus_q = np.asarray(one_minus_q, dtype=float)
-    phase = np.arccos(1.0 - mu * mu / 2.0)  # -theta_plus
-    b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
+    phase, b = _band_rates(mu)
     head = phase * _PHASE_SPLIT
     head -= head - phase
     tail = phase - head
@@ -204,16 +151,6 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     vals = osc[q] * _turns(head, tail, fine)[r]
     vals -= dec[q] * np.exp(np.multiply.outer(fine, b))[r]
     return np.moveaxis(vals, tuple(range(k.ndim)), tuple(range(-k.ndim, 0)))
-
-
-def free_biresolvent_boundary(p: SpectralParam, n: int, m: int) -> complex:
-    """Boundary value of the fourth-difference resolvent at band energy mu**4.
-
-    The minus-side value is the complex conjugate of the plus side.
-    """
-    k = abs(int(n) - int(m))
-    val = complex(boundary_kernel_plus(np.array([p.mu]), np.array([k]))[0, 0])
-    return val if p.sign == "plus" else val.conjugate()
 
 
 def free_biresolvent_complex(z: complex, n: int, m: int) -> complex:
@@ -269,7 +206,6 @@ def windowed_boundary_resolvent(
     mu: float,
     n: int,
     m: int,
-    sign: str = "plus",
     V=None,
 ) -> complex:
     """Boundary resolvent entry by direct window inversion, no closed forms.
@@ -291,8 +227,6 @@ def windowed_boundary_resolvent(
     """
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     lam = mu**4
     rho = min(lam, 16.0 - lam)
     eps_values = min(2e-3, rho / 400.0) * 2.0 ** np.arange(_LADDER)
@@ -322,5 +256,4 @@ def windowed_boundary_resolvent(
         ab[2, cols] = diag[cols] - (lam + 1j * eps)
         sol = solve_banded((2, 2), ab[:, cols], rhs[cols], check_finite=False)
         samples.append(sol[n + radius])
-    val = complex(_neville_at_zero(eps_values, np.array(samples)))
-    return val if sign == "plus" else val.conjugate()
+    return complex(_neville_at_zero(eps_values, np.array(samples)))

@@ -39,7 +39,6 @@ __all__ = [
     "MinvProbeReport",
     "EmbeddedScanReport",
     "decompose_potential",
-    "build_M",
     "m_matrix_grid",
     "build_projections",
     "build_T0",
@@ -107,10 +106,6 @@ class BirmanSchwingerSystem:
     @property
     def dim(self) -> int:
         return int(self.sites.size)
-
-    def potential_values(self) -> np.ndarray:
-        """Reconstructed potential u * v**2 on the support sites."""
-        return self.u * self.v**2
 
 
 @dataclass(frozen=True)
@@ -202,12 +197,6 @@ def m_matrix_grid(
     m = r * np.outer(sys.v, sys.v)[None, :, :]
     m[:, np.arange(sys.dim), np.arange(sys.dim)] += sys.u[None, :]
     return m
-
-
-def build_M(p: SpectralParam, sys: BirmanSchwingerSystem) -> np.ndarray:
-    """Sandwich matrix U + v R(mu^4) v at one spectral point, complex symmetric."""
-    m = m_matrix_grid(np.array([p.mu]), sys)[0]
-    return m if p.sign == "plus" else m.conj()
 
 
 def build_projections(sys: BirmanSchwingerSystem) -> ProjectionSet:
@@ -307,9 +296,9 @@ def perturbed_resolvent_boundary(
     since that signals a possible embedded eigenvalue.
     """
     mu_arr = np.array([p.mu])
+    free = complex(boundary_kernel_plus(mu_arr, np.array([abs(n - m)]))[0, 0])
     if V is None:
-        val = complex(boundary_kernel_plus(mu_arr, np.array([abs(n - m)]))[0, 0])
-        return val if p.sign == "plus" else val.conjugate()
+        return free
     sys = decompose_potential(V)
     M = m_matrix_grid(mu_arr, sys)[0]
     svals = np.linalg.svd(M, compute_uv=False)
@@ -322,10 +311,8 @@ def perturbed_resolvent_boundary(
         )
     rn = boundary_kernel_plus(mu_arr, np.abs(n - sys.sites))[0]
     rm = boundary_kernel_plus(mu_arr, np.abs(sys.sites - m))[0]
-    free = complex(boundary_kernel_plus(mu_arr, np.array([abs(n - m)]))[0, 0])
     corr = rn * sys.v @ np.linalg.solve(M, sys.v * rm)
-    val = free - complex(corr)
-    return val if p.sign == "plus" else val.conjugate()
+    return free - complex(corr)
 
 
 def minv_expansion_probe(
@@ -403,7 +390,7 @@ def _parity_eigh(even: np.ndarray, odd: np.ndarray):
 @functools.lru_cache(maxsize=9)
 def _eigensystem(operator, support, values, window_radius):
     if operator == "lap":
-        h = _neg_laplacian_matrix(window_radius, "dirichlet")
+        h = _neg_laplacian_matrix(window_radius)
     else:
         V = None if support is None else PotentialSpec(support, np.array(values))
         h = build_hamiltonian(V, window_radius)

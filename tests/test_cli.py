@@ -84,6 +84,9 @@ def test_cross_field_config_errors_exit_two_before_mkdir(
         ({"support": [0, 1], "values": ["1", 2]}, "values"),
         ({"support": [0], "values": [1]}, "support"),
         ({"values": [1]}, "support"),
+        # beta is no potential field, even as a valid number
+        ({"delta": 0.5, "beta": 2.0}, "unknown potential field"),
+        ({"support": [0, 1], "values": [1, 2], "beta": 2.0}, "unknown potential field"),
     ],
 )
 def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field):
@@ -196,13 +199,10 @@ _JSON = st.recursive(
 _SITE = st.integers(-6, 6) | st.sampled_from([2**63, -(2**63) - 1, 10**30]) | _JSON
 _NUMBER = st.floats(-4.0, 4.0) | st.integers(-3, 3) | _JSON
 _POTENTIAL = (
-    st.fixed_dictionaries(
-        {"delta": _NUMBER}, optional={"site": _SITE, "beta": _NUMBER}
-    )
+    st.fixed_dictionaries({"delta": _NUMBER}, optional={"site": _SITE})
     | st.fixed_dictionaries(
         {"support": st.lists(_SITE, min_size=1, max_size=3),
          "values": st.lists(_NUMBER, max_size=4)},
-        optional={"beta": _NUMBER},
     )
     | st.dictionaries(
         st.sampled_from(["delta", "site", "beta", "support", "values", "x"]),

@@ -5,20 +5,28 @@ import numpy as np
 import pytest
 
 from bilap.expansion import (
-    coeff_sixteen,
     coeff_sixteen_series,
-    coeff_zero,
     coeff_zero_series,
     geometric_grid,
     remainder_norms,
     remainder_order,
     remainder_zero,
 )
-from bilap.resolvent import SpectralParam, free_biresolvent_boundary
+from bilap.resolvent import boundary_kernel_plus
 
 import oracles
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _coeff_zero(j, k):
+    """Lower-edge coefficient of order j >= -3 at separation k (row j + 3)."""
+    return complex(coeff_zero_series(j, k)[j + 3])
+
+
+def _coeff_sixteen(j, k):
+    """Upper-edge coefficient of half-order j >= -1 at separation k (row j + 1)."""
+    return complex(coeff_sixteen_series(j, k)[j + 1])
 
 
 def test_closed_lower_edge_against_multiprecision():
@@ -26,7 +34,7 @@ def test_closed_lower_edge_against_multiprecision():
         mp = oracles.mp_expansion_coeffs("zero", k, 0)
         scale = max(abs(complex(v)) for v in mp.values())
         for j in (-3, -2, -1, 0):
-            got = coeff_zero(j, "plus", 0, k)
+            got = _coeff_zero(j, k)
             assert got == pytest.approx(complex(mp[j]), abs=1e-12 * scale)
 
 
@@ -35,7 +43,7 @@ def test_closed_upper_edge_against_multiprecision():
         mp = oracles.mp_expansion_coeffs("sixteen", k, 0)
         scale = max(abs(complex(v)) for v in mp.values())
         for j in (-1, 0):
-            got = coeff_sixteen(j, "plus", 0, k)
+            got = _coeff_sixteen(j, k)
             assert got == pytest.approx(complex(mp[j]), abs=1e-12 * scale)
 
 
@@ -44,20 +52,20 @@ def test_series_higher_orders_against_multiprecision():
     # is asked for orders beyond the ones compared
     mp = oracles.mp_expansion_coeffs("zero", 1, 5)
     for j in (1, 3):
-        assert coeff_zero(j, "plus", 0, 1) == pytest.approx(complex(mp[j]), rel=1e-12)
+        assert _coeff_zero(j, 1) == pytest.approx(complex(mp[j]), rel=1e-12)
     for k in (0, 1, 2, 3, 5):
         mp = oracles.mp_expansion_coeffs("sixteen", k, 6)
         for j in range(-1, 6):
-            assert coeff_sixteen(j, "plus", 0, k) == pytest.approx(
+            assert _coeff_sixteen(j, k) == pytest.approx(
                 complex(mp[j]), rel=1e-12
             )
 
 
 def test_lower_edge_even_orders_vanish():
     for k in range(9):
-        assert coeff_zero(-2, "plus", 0, k) == 0.0
+        assert _coeff_zero(-2, k) == 0.0
     for k in (0, 1, 2):
-        assert coeff_zero(2, "plus", 0, k) == 0.0
+        assert _coeff_zero(2, k) == 0.0
 
 
 def test_lower_edge_series_orders_two_mod_four_vanish_exactly():
@@ -120,7 +128,7 @@ def test_lower_edge_remainder_against_multiprecision():
                     )
                     assert abs(val - exact) <= 1e-13 * abs(exact)
                     if n_order >= 1 and k == 1 and mu <= 3e-3:
-                        kernel = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
+                        kernel = boundary_kernel_plus(np.array([mu]), np.array([k]))[0, 0]
                         naive = kernel - complex(_mp_partial_sum(mp.mpf(mu), k, n_order))
                         assert abs(naive - exact) > abs(exact)
 
@@ -140,21 +148,9 @@ def test_lower_edge_remainder_far_from_edge():
 
 
 def test_reference_coefficient_values():
-    assert coeff_zero(0, "plus", 0, 2) == pytest.approx(0.5, rel=1e-15)
-    assert coeff_sixteen(-1, "plus", 0, 1) == pytest.approx(-1j / 32.0)
-    assert coeff_sixteen(0, "plus", 0, 0) == pytest.approx(-1.0 / (32.0 * SQRT2))
-
-
-def test_minus_side_is_conjugate():
-    for k in (0, 1, 4):
-        for j in (-3, -1, 0):
-            assert coeff_zero(j, "minus", 0, k) == np.conj(coeff_zero(j, "plus", 0, k))
-        for j in (-1, 0):
-            assert coeff_sixteen(j, "minus", 0, k) == np.conj(
-                coeff_sixteen(j, "plus", 0, k)
-            )
-    got = coeff_sixteen(1, "minus", 0, 2)
-    assert got == np.conj(coeff_sixteen(1, "plus", 0, 2))
+    assert _coeff_zero(0, 2) == pytest.approx(0.5, rel=1e-15)
+    assert _coeff_sixteen(-1, 1) == pytest.approx(-1j / 32.0)
+    assert _coeff_sixteen(0, 0) == pytest.approx(-1.0 / (32.0 * SQRT2))
 
 
 def test_upper_edge_order_two_table():
@@ -162,7 +158,7 @@ def test_upper_edge_order_two_table():
     frozen = {0: -7 * SQRT2 / 256, 1: -13 * SQRT2 / 256,
               2: -23 * SQRT2 / 256, 3: 147 * SQRT2 / 256}
     for k, want in frozen.items():
-        got = coeff_sixteen(2, "plus", 0, k)
+        got = _coeff_sixteen(2, k)
         assert got == pytest.approx(want, rel=1e-15)
 
 
@@ -170,7 +166,7 @@ def test_upper_edge_order_one_quadratic_in_separation():
     # after stripping the alternating phase the order-one coefficient is a
     # quadratic polynomial in the separation with leading weight -1/16
     f = [
-        (coeff_sixteen(1, "plus", 0, k) / (1j * (-1.0) ** k)).real
+        (_coeff_sixteen(1, k) / (1j * (-1.0) ** k)).real
         for k in (0, 2)
     ]
     assert (f[1] - f[0]) / 4.0 == pytest.approx(-1.0 / 16.0, rel=1e-15)
@@ -204,9 +200,9 @@ def test_vanishing_second_order_shows_in_partial_sums():
     # residual of the partial sum through order one drops like the cube of
     # the edge distance because the order-two coefficient is identically zero
     def resid(mu, k=1):
-        kern = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
-        s = sum(coeff_zero(j, "plus", 0, k) * mu**j for j in range(-3, 1))
-        s += coeff_zero(1, "plus", 0, k) * mu
+        kern = boundary_kernel_plus(np.array([mu]), np.array([k]))[0, 0]
+        s = sum(_coeff_zero(j, k) * mu**j for j in range(-3, 1))
+        s += _coeff_zero(1, k) * mu
         return abs(kern - s)
 
     ratio = resid(0.02) / resid(0.01)
@@ -244,20 +240,12 @@ def test_remainder_norms_shapes_and_positivity():
 
 
 def test_order_range_errors():
-    with pytest.raises(ValueError, match="below the leading order -3"):
-        coeff_zero(-4, "plus", 0, 0)
-    with pytest.raises(ValueError, match="below the leading order -1"):
-        coeff_sixteen(-2, "plus", 0, 0)
     with pytest.raises(ValueError, match="top must be >= -3"):
         coeff_zero_series(-4, [0])
     with pytest.raises(ValueError, match="top must be >= -1"):
         coeff_sixteen_series(-2, [0])
     with pytest.raises(ValueError, match="threshold"):
         remainder_order("eight", 0)
-    with pytest.raises(ValueError, match="sign"):
-        coeff_zero(0, "up", 0, 0)
-    with pytest.raises(ValueError, match="sign"):
-        coeff_sixteen(0, "up", 0, 0)
 
 
 def test_remainder_validation():

@@ -1,4 +1,4 @@
-"""Difference operators, weighted norms and the sign flip on finite windows."""
+"""Difference operators, weighted norms and potentials on finite windows."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,9 @@ from bilap.lattice import (
     SPEED_BOUND,
     LatticeVector,
     PotentialSpec,
-    WeightedNormSpec,
-    apply_bilaplacian,
-    apply_neg_laplacian,
+    _neg_laplacian_matrix,
     build_hamiltonian,
-    fourier_symbol,
-    sign_flip,
     site_weights,
-    weighted_norm,
     weighted_operator_norm,
 )
 
@@ -22,34 +17,13 @@ import oracles
 
 
 def test_neg_laplacian_delta_stencil():
-    out = apply_neg_laplacian(LatticeVector.delta(2))
-    np.testing.assert_allclose(out.values, [0, -1, 2, -1, 0], atol=0)
+    out = _neg_laplacian_matrix(2)[:, 2]
+    np.testing.assert_allclose(out, [0, -1, 2, -1, 0], atol=0)
 
 
 def test_bilaplacian_delta_stencil():
-    out = apply_bilaplacian(LatticeVector.delta(3))
-    np.testing.assert_allclose(out.values, [0, 1, -4, 6, -4, 1, 0], atol=0)
-
-
-def test_constant_is_harmonic_periodic():
-    ones = LatticeVector(5, np.ones(11))
-    for op in (apply_neg_laplacian, apply_bilaplacian):
-        out = op(ones, boundary_mode="periodic")
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
-
-
-def test_plane_wave_is_symbol_eigenvector():
-    # the ring has odd length, so the wavenumber must be commensurate:
-    # x0 = 2 pi k / L with L = 2N+1; k = round(L/4) lands close to pi/2
-    N = 64
-    L = 2 * N + 1
-    x0 = 2.0 * np.pi * 32 / L
-    psi = LatticeVector(N, np.exp(1j * x0 * np.arange(-N, N + 1)))
-    lam1 = 2.0 - 2.0 * np.cos(x0)
-    out1 = apply_neg_laplacian(psi, boundary_mode="periodic")
-    np.testing.assert_allclose(out1.values, lam1 * psi.values, atol=1e-12)
-    out2 = apply_bilaplacian(psi, boundary_mode="periodic")
-    np.testing.assert_allclose(out2.values, lam1**2 * psi.values, atol=1e-12)
+    out = build_hamiltonian(None, 3)[:, 3]
+    np.testing.assert_allclose(out, [0, 1, -4, 6, -4, 1, 0], atol=0)
 
 
 def test_hamiltonian_is_hermitian():
@@ -57,23 +31,6 @@ def test_hamiltonian_is_hermitian():
     V = PotentialSpec((-3, 3), rng.normal(size=7))
     h = build_hamiltonian(V, 16)
     assert np.max(np.abs(h - h.T)) == 0.0
-
-
-def test_free_periodic_spectrum_is_the_band():
-    h = build_hamiltonian(None, 64, boundary_mode="periodic")
-    ev = np.linalg.eigvalsh(h)
-    assert ev.min() >= -1e-10 and ev.max() <= 16.0 + 1e-10
-
-
-def test_periodic_eigenvalues_match_symbol_exactly():
-    # the periodic truncation is a circulant, so its spectrum is the symbol
-    # sampled at the ring frequencies
-    N = 20
-    L = 2 * N + 1
-    ev = np.sort(np.linalg.eigvalsh(build_hamiltonian(None, N, "periodic")))
-    freqs = 2.0 * np.pi * np.arange(L) / L
-    freqs = np.where(freqs > np.pi, freqs - 2.0 * np.pi, freqs)
-    np.testing.assert_allclose(ev, np.sort(fourier_symbol(freqs)), atol=1e-10)
 
 
 def test_delta_potential_bound_state_counts():
@@ -86,20 +43,12 @@ def test_delta_potential_bound_state_counts():
 
 def test_stencil_matches_matrix_on_interior():
     N = 12
+    # the bilaplacian is the square of the second difference away from the
+    # window edge
     h = build_hamiltonian(None, N)
+    lap = _neg_laplacian_matrix(N)
     interior = slice(2, 2 * N - 1)  # |n| <= N - 2
-    for j in range(2 * N + 1):
-        col = apply_bilaplacian(LatticeVector.delta(N, j - N)).values
-        np.testing.assert_allclose(col[interior], h[interior, j], atol=0)
-
-
-def test_weighted_norm_values():
-    for s in (0.0, 1.0, 3.5):
-        assert weighted_norm(LatticeVector.delta(4), WeightedNormSpec(s)) == 1.0
-    got = weighted_norm(LatticeVector.delta(4, 1), WeightedNormSpec(1.0))
-    assert got == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    ones = LatticeVector(2, np.ones(5))
-    assert weighted_norm(ones, WeightedNormSpec(0.0)) == pytest.approx(np.sqrt(5.0))
+    np.testing.assert_allclose((lap @ lap)[interior], h[interior], atol=0)
 
 
 def test_weighted_operator_norm_identity_and_rank_one():
@@ -135,33 +84,13 @@ def test_site_weights_center_and_symmetry():
     np.testing.assert_allclose(w, (1.0 + np.arange(-3, 4) ** 2) ** 1.0)
 
 
-def test_sign_flip_is_involution_and_fixes_delta():
-    rng = np.random.default_rng(11)
-    psi = LatticeVector(6, rng.normal(size=13) + 1j * rng.normal(size=13))
-    np.testing.assert_allclose(sign_flip(sign_flip(psi)).values, psi.values, atol=0)
-    np.testing.assert_allclose(
-        sign_flip(LatticeVector.delta(6)).values, LatticeVector.delta(6).values
-    )
-
-
 def test_sign_flip_conjugates_neg_laplacian():
     # J (-lap) J = 4 I - (-lap), exact for the dirichlet truncation
     N = 8
     side = 2 * N + 1
-    A = np.column_stack(
-        [apply_neg_laplacian(LatticeVector.delta(N, j - N)).values.real
-         for j in range(side)]
-    )
+    A = _neg_laplacian_matrix(N)
     J = np.diag([(-1.0) ** n for n in range(-N, N + 1)])
     np.testing.assert_allclose(J @ A @ J, 4.0 * np.eye(side) - A, atol=1e-12)
-
-
-def test_fourier_symbol_values_and_domain():
-    assert fourier_symbol(0.0) == 0.0
-    assert fourier_symbol(np.pi) == pytest.approx(16.0, rel=1e-15)
-    assert fourier_symbol(np.pi / 2) == pytest.approx(4.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        fourier_symbol(3.5)
 
 
 def test_speed_bound_is_max_symbol_slope():
@@ -203,8 +132,6 @@ def test_build_hamiltonian_window_and_mode_checks():
     V = PotentialSpec((-3, 3), np.ones(7))
     with pytest.raises(ValueError):
         build_hamiltonian(V, 4)
-    with pytest.raises(ValueError):
-        build_hamiltonian(V, 16, boundary_mode="absorbing")
 
 
 def test_dirichlet_matrix_matches_oracle_assembly():

@@ -10,7 +10,6 @@ from bilap import propagator
 
 from bilap.lattice import (
     SPEED_BOUND,
-    LatticeVector,
     PotentialSpec,
     build_hamiltonian,
 )
@@ -21,7 +20,6 @@ from bilap.propagator import (
     KernelSlice,
     PropagatorRequest,
     auto_window_radius,
-    evolve_spectral,
     free_kernel_fft,
     free_kernel_full,
     kernel_spectral,
@@ -89,22 +87,16 @@ def test_time_zero_is_identity_for_all_kinds():
 
 
 def test_unitarity_of_fourth_difference_flow():
+    # observed at twice the causal window, the kernel keeps all of the norm
     rng = np.random.default_rng(0)
-    psi0 = LatticeVector(8, rng.normal(size=17) + 1j * rng.normal(size=17))
-    norm0 = np.linalg.norm(psi0.values)
+    psi0 = rng.normal(size=17) + 1j * rng.normal(size=17)
+    norm0 = np.linalg.norm(psi0)
     for t in (0.7, 4.0):
-        out = evolve_spectral(_req("schrodinger_h", DELTA_HALF, t, 8), psi0)
-        assert np.linalg.norm(out.values) == pytest.approx(norm0, abs=1e-10)
-
-
-def test_evolution_extends_narrow_states():
-    psi0 = LatticeVector.delta(2)
-    out = evolve_spectral(PropagatorRequest("schrodinger_h", None, 0.0, 32, 2), psi0)
-    assert out.window_radius == 32
-    np.testing.assert_allclose(out.values, LatticeVector.delta(32).values, atol=1e-14)
-    with pytest.raises(ValueError, match="wider"):
-        evolve_spectral(PropagatorRequest("schrodinger_h", None, 0.0, 4, 2),
-                        LatticeVector.delta(8))
+        r = 2 * auto_window_radius(t, 8)
+        vec = np.zeros(2 * r + 1, dtype=complex)
+        vec[r - 8 : r + 9] = psi0
+        out = kernel_spectral(_req("schrodinger_h", DELTA_HALF, t, r)).entries @ vec
+        assert np.linalg.norm(out) == pytest.approx(norm0, abs=1e-10)
 
 
 def test_kernel_spectral_matches_dense_oracle():
@@ -147,7 +139,7 @@ def test_free_kernel_full_ring_symmetry():
 
 def test_pac_split_free_keeps_everything():
     split = pac_split(None, 48)
-    assert split.projector_rank == 0 and split.warnings == ()
+    assert split.bound_states == []
     got = split.kernel_ac(1.5, 4).entries
     want = kernel_spectral(PropagatorRequest("schrodinger_h", None, 1.5, 48, 4)).entries
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -156,7 +148,7 @@ def test_pac_split_free_keeps_everything():
 def test_pac_split_removes_bound_state():
     n = 48
     split = pac_split(PotentialSpec.delta(5.0), n)
-    assert split.projector_rank == 1
+    assert len(split.bound_states) == 1
     lam, state = split.bound_states[0]
     assert lam > 16.0
     # on the whole window the continuous-part kernel annihilates the bound
@@ -183,7 +175,7 @@ def test_pac_split_bound_plus_continuous_is_everything():
 def test_pac_split_doubles_window_for_shallow_states():
     split = pac_split(PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 128)
     assert split.window_radius == 1024
-    assert split.projector_rank == 1
+    assert len(split.bound_states) == 1
 
 
 def test_stone_free_matches_spectral():
@@ -374,14 +366,19 @@ def test_beam_evolution_conserves_wave_energy():
     et = vdot @ vdot + v @ (H @ v)
     assert et == pytest.approx(e0, rel=1e-8)
 
-    # the package evolution reproduces the eigen-built cosine part
-    fvec = LatticeVector(n, f.astype(complex))
-    out = evolve_spectral(PropagatorRequest("beam_cos", DELTA_HALF, t, n, 0), fvec)
-    np.testing.assert_allclose(out.values, vecs @ (np.cos(t * root) * fe), atol=1e-10)
+    # the package kernels reproduce the eigen-built cosine part on the
+    # widest window the causal range leaves
+    r = 64
+    sites = slice(n - r, n + r + 1)
+    cos_k = kernel_spectral(PropagatorRequest("beam_cos", DELTA_HALF, t, n, r)).entries
+    np.testing.assert_allclose(
+        cos_k @ f[sites], (vecs @ (np.cos(t * root) * fe))[sites], atol=1e-10
+    )
     # and t * sinc recovers the velocity part of the solution map
-    gvec = LatticeVector(n, g.astype(complex))
-    out = evolve_spectral(PropagatorRequest("beam_sinc", DELTA_HALF, t, n, 0), gvec)
-    np.testing.assert_allclose(t * out.values, vecs @ (sinc_t * ge), atol=1e-10)
+    sinc_k = kernel_spectral(PropagatorRequest("beam_sinc", DELTA_HALF, t, n, r)).entries
+    np.testing.assert_allclose(
+        t * (sinc_k @ g[sites]), (vecs @ (sinc_t * ge))[sites], atol=1e-10
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +493,6 @@ def test_pac_split_diagonalises_each_matrix_once(monkeypatch):
         split.kernel_ac(t, 4)
     kernel_spectral(PropagatorRequest("schrodinger_h", V, 1.0, 48, 4))
     assert split.window_radius == 48
-    # windows 24 (scan) and 48 (bound states, scan, kernels): each is
-    # diagonalised once, as its even (R + 1) and odd (R) parity blocks
-    assert sorted(shapes) == [(24, 24), (25, 25), (48, 48), (49, 49)]
+    # window 48 (bound states, kernels) is diagonalised once, as its even
+    # (R + 1) and odd (R) parity blocks
+    assert sorted(shapes) == [(48, 48), (49, 49)]

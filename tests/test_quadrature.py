@@ -16,7 +16,7 @@ from bilap.quadrature import (
     phase_derivatives,
     stationary_points,
 )
-from bilap.resolvent import theta_plus
+from bilap.resolvent import _band_rates
 
 import oracles
 
@@ -204,7 +204,7 @@ def test_gauss_panels_integrate_polynomials():
 
 def test_phase_change_of_variables_identity():
     # mu = -2 sin(theta/2) carries the quartic-exponent integral on [0, mu0]
-    # to the cosine phase on [theta_plus(mu0^2), 0]
+    # to the cosine phase on [theta_plus, 0], theta_plus = -phase(mu0)
     t, mu0 = 37.0, 1.5
     f = lambda mu: 1.0 / (1.0 + mu**2)
 
@@ -218,7 +218,7 @@ def test_phase_change_of_variables_identity():
             val = np.exp(-1j * t * (2.0 - 2.0 * np.cos(th)) ** 2) * f(mu)
             return part(val * np.cos(th / 2.0))
 
-        return quad(g, theta_plus(mu0**2), 0.0, limit=400, epsabs=1e-12)[0]
+        return quad(g, -_band_rates(mu0)[0], 0.0, limit=400, epsabs=1e-12)[0]
 
     assert lhs(np.real) == pytest.approx(rhs(np.real), abs=1e-9)
     assert lhs(np.imag) == pytest.approx(rhs(np.imag), abs=1e-9)

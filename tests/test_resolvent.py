@@ -11,13 +11,10 @@ from bilap import resolvent
 from bilap.lattice import PotentialSpec
 from bilap.resolvent import (
     SpectralParam,
-    b_of_mu,
+    _band_rates,
     boundary_kernel_plus,
-    free_biresolvent_boundary,
     free_biresolvent_complex,
     resolvent_neg_laplacian_kernel,
-    theta_plus,
-    theta_values,
     windowed_boundary_resolvent,
 )
 
@@ -26,40 +23,40 @@ import oracles
 MU_GRID = np.linspace(0.1, 1.9, 10)
 
 
+def _kernel(mu, k):
+    """Plus-side boundary kernel at one band coordinate and separation."""
+    return complex(boundary_kernel_plus(np.array([mu]), np.array([k]))[0, 0])
+
+
 def test_theta_plus_reference_values():
-    assert theta_plus(2.0) == pytest.approx(-np.pi / 2, rel=1e-15)
-    assert theta_plus(1.0) == pytest.approx(-np.pi / 3, rel=1e-15)
-    for bad in (0.0, 4.0, -1.0, 5.0):
-        with pytest.raises(ValueError):
-            theta_plus(bad)
+    # theta_plus = -phase at second-difference energy mu^2
+    assert -_band_rates(np.sqrt(2.0))[0] == pytest.approx(-np.pi / 2, rel=1e-15)
+    assert -_band_rates(1.0)[0] == pytest.approx(-np.pi / 3, rel=1e-15)
 
 
 def test_theta_plus_small_energy_series():
-    # theta_plus(lam) = -sqrt(lam) - lam^(3/2)/24 + O(lam^(5/2))
-    lam = 1e-4
-    got = (theta_plus(lam) + np.sqrt(lam)) / lam**1.5
+    # theta_plus(lam) = -sqrt(lam) - lam^(3/2)/24 + O(lam^(5/2)), lam = mu^2
+    mu = 1e-2
+    got = (-_band_rates(mu)[0] + mu) / mu**3
     assert got == pytest.approx(-1.0 / 24.0, rel=1e-3)
 
 
 def test_b_reference_values_and_series():
-    assert b_of_mu(2.0) == pytest.approx(np.log(3.0 - 2.0 * np.sqrt(2.0)), rel=1e-14)
+    def b_of(mu):
+        return _band_rates(mu)[1]
+
+    assert b_of(2.0) == pytest.approx(np.log(3.0 - 2.0 * np.sqrt(2.0)), rel=1e-14)
     mu = 1e-4
-    assert (b_of_mu(mu) + mu) / mu**3 == pytest.approx(1.0 / 24.0, rel=1e-3)
-    assert b_of_mu(1.5) < b_of_mu(0.5) < 0.0
-    for bad in (0.0, -0.3, 2.5):
-        with pytest.raises(ValueError):
-            b_of_mu(bad)
+    assert (b_of(mu) + mu) / mu**3 == pytest.approx(1.0 / 24.0, rel=1e-3)
+    assert b_of(1.5) < b_of(0.5) < 0.0
 
 
 def test_theta_values_invariants():
-    for mu in MU_GRID:
-        tv = theta_values(mu)
-        assert 2.0 - 2.0 * np.cos(tv.theta_plus) == pytest.approx(mu**2, abs=1e-12)
-        assert tv.theta_minus == -tv.theta_plus
-        assert np.exp(tv.b) + np.exp(-tv.b) == pytest.approx(2.0 + mu**2, abs=1e-12)
-        want = -1j * mu * np.sqrt(1.0 + mu**2 / 4.0)
-        assert cmath.sin(tv.theta_neg) == pytest.approx(want, abs=1e-12)
-        assert tv.g * mu * np.sqrt(1.0 + mu**2 / 4.0) == pytest.approx(-tv.b, abs=1e-13)
+    phases, bs = _band_rates(MU_GRID)
+    for mu, phase, b in zip(MU_GRID, phases, bs):
+        assert (phase, b) == _band_rates(float(mu))
+        assert 2.0 - 2.0 * np.cos(phase) == pytest.approx(mu**2, abs=1e-12)
+        assert np.exp(b) + np.exp(-b) == pytest.approx(2.0 + mu**2, abs=1e-12)
 
 
 def test_second_order_kernel_closed_value():
@@ -159,37 +156,22 @@ def test_boundary_kernel_keeps_the_shape_of_k():
             boundary_kernel_plus(mu, np.array(bad))
 
 
-def test_boundary_values_conjugate_pair():
-    for mu in MU_GRID:
-        for n, m in ((0, 0), (3, -2), (7, 1)):
-            plus = free_biresolvent_boundary(SpectralParam(mu, "plus"), n, m)
-            minus = free_biresolvent_boundary(SpectralParam(mu, "minus"), n, m)
-            assert minus == pytest.approx(np.conj(plus), abs=1e-14)
-
-
 def test_boundary_jump_is_oscillatory():
     # the difference of the two boundary values keeps only the circle part:
-    # R+ - R- = i cos(theta_plus k) / (2 mu^3 sqrt(1 - mu^2/4))
+    # R+ - R- = 2i Im R+ = i cos(theta_plus k) / (2 mu^3 sqrt(1 - mu^2/4))
     for mu in MU_GRID:
-        tv = theta_values(mu)
+        phase = _band_rates(mu)[0]
         for k in range(7):
-            plus = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
-            minus = free_biresolvent_boundary(SpectralParam(mu, "minus"), k, 0)
-            want = (
-                1j
-                * np.cos(tv.theta_plus * k)
-                / (2.0 * mu**3 * np.sqrt(1.0 - mu**2 / 4.0))
-            )
-            assert plus - minus == pytest.approx(want, abs=1e-12)
+            plus = _kernel(mu, k)
+            want = 1j * np.cos(phase * k) / (2.0 * mu**3 * np.sqrt(1.0 - mu**2 / 4.0))
+            assert plus - plus.conjugate() == pytest.approx(want, abs=1e-12)
 
 
 def test_boundary_kernel_solves_difference_equation():
     # (stencil - mu^4) K = delta row by row, away from nothing: the kernel
     # is defined on all of the line so every row is interior
     for mu in (0.4, 1.0, 1.7):
-        vals = np.array(
-            [free_biresolvent_boundary(SpectralParam(mu), n, 0) for n in range(-9, 10)]
-        )
+        vals = boundary_kernel_plus(np.array([mu]), np.abs(np.arange(-9, 10)))[0]
         sten = vals[:-4] - 4 * vals[1:-3] + 6 * vals[2:-2] - 4 * vals[3:-1] + vals[4:]
         rhs = sten - mu**4 * vals[2:-2]
         want = np.zeros(15, dtype=complex)
@@ -199,10 +181,9 @@ def test_boundary_kernel_solves_difference_equation():
 
 def test_boundary_kernel_is_outgoing():
     # far from the diagonal only the oscillatory mode survives
-    tv = theta_values(1.0)
-    a = free_biresolvent_boundary(SpectralParam(1.0), 61, 0)
-    b = free_biresolvent_boundary(SpectralParam(1.0), 60, 0)
-    assert a / b == pytest.approx(cmath.exp(-1j * tv.theta_plus), abs=1e-12)
+    theta_plus = -_band_rates(1.0)[0]
+    a, b = _kernel(1.0, 61), _kernel(1.0, 60)
+    assert a / b == pytest.approx(cmath.exp(-1j * theta_plus), abs=1e-12)
 
 
 def test_complex_resolvent_against_dense_solve():
@@ -214,16 +195,20 @@ def test_complex_resolvent_against_dense_solve():
 
 
 def test_complex_resolvent_limits_to_boundary():
+    # from above the limit is the plus-side kernel, from below its conjugate
     mu = 1.1
-    bdry = free_biresolvent_boundary(SpectralParam(mu, "plus"), 2, -1)
+    bdry = _kernel(mu, 3)
     eps = np.array([4e-3, 2e-3, 1e-3, 5e-4])
-    ys = np.array([free_biresolvent_complex(mu**4 + 1j * e, 2, -1) for e in eps])
-    t = ys.astype(complex)
-    for j in range(1, len(eps)):  # Neville table toward eps = 0
-        t = (eps[j:] * t[:-1] - eps[: len(t) - 1] * t[1:]) / (
-            eps[j:] - eps[: len(t) - 1]
+    for side, want in ((1.0, bdry), (-1.0, bdry.conjugate())):
+        ys = np.array(
+            [free_biresolvent_complex(mu**4 + side * 1j * e, 2, -1) for e in eps]
         )
-    assert t[0] == pytest.approx(bdry, abs=1e-10 * abs(bdry))
+        t = ys.astype(complex)
+        for j in range(1, len(eps)):  # Neville table toward eps = 0
+            t = (eps[j:] * t[:-1] - eps[: len(t) - 1] * t[1:]) / (
+                eps[j:] - eps[: len(t) - 1]
+            )
+        assert t[0] == pytest.approx(want, abs=1e-10 * abs(want))
 
 
 def test_complex_resolvent_square_root_split():
@@ -251,29 +236,20 @@ def test_spectral_param_validation():
     for mu in (0.0, 2.0, -1.0):
         with pytest.raises(ValueError):
             SpectralParam(mu)
-    with pytest.raises(ValueError):
-        SpectralParam(1.0, "upper")
 
 
 def test_windowed_resolvent_matches_closed_form():
     for mu in (0.3, 0.7, 1.0, 1.4, 1.8):
-        want = free_biresolvent_boundary(SpectralParam(mu, "plus"), 3, -2)
-        got = windowed_boundary_resolvent(mu, 3, -2, sign="plus")
+        want = _kernel(mu, 5)
+        got = windowed_boundary_resolvent(mu, 3, -2)
         assert abs(got - want) / abs(want) < 1e-6
-
-
-def test_windowed_resolvent_minus_sign():
-    mu = 0.9
-    want = free_biresolvent_boundary(SpectralParam(mu, "minus"), 1, 0)
-    got = windowed_boundary_resolvent(mu, 1, 0, sign="minus")
-    assert abs(got - want) / abs(want) < 1e-6
 
 
 def test_dense_ladder_oracle_smoke():
     # coarse independent path: dense solves on a ladder of offsets, then
     # polynomial extrapolation; only accurate away from the band edges
     mu = 1.3
-    want = free_biresolvent_boundary(SpectralParam(mu, "plus"), 0, 0)
+    want = _kernel(mu, 0)
     got = oracles.dense_boundary_resolvent(mu, 0, 0)
     assert abs(got - want) / abs(want) < 2e-5
 
@@ -283,7 +259,7 @@ def test_boundary_kernel_against_multiprecision():
         for d in dists:
             mu = d if thr == "zero" else 2.0 - d
             for k in (0, 1, 3, 6):
-                got = free_biresolvent_boundary(SpectralParam(mu, "plus"), k, 0)
+                got = _kernel(mu, k)
                 want = complex(oracles.mp_boundary_kernel(thr, d, k))
                 assert abs(got - want) / abs(want) < 1e-12
 

@@ -7,7 +7,7 @@ from bilap.expansion import geometric_grid
 from bilap.lattice import PotentialSpec, _neg_laplacian_matrix, build_hamiltonian
 from bilap.resolvent import (
     SpectralParam,
-    free_biresolvent_boundary,
+    boundary_kernel_plus,
     windowed_boundary_resolvent,
 )
 from bilap.spectral import (
@@ -15,7 +15,6 @@ from bilap.spectral import (
     BirmanSchwingerSystem,
     LocalizationError,
     SingularSandwichError,
-    build_M,
     build_projections,
     build_T0,
     build_T0_tilde,
@@ -38,6 +37,11 @@ GENERIC = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
 # complement of the moment vectors vanishes identically (2 + a = 4a/|b|
 # with a = 0.5, |b| = 0.8)
 NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
+
+
+def _kernel(mu, k):
+    """Plus-side free boundary kernel at one band coordinate and separation."""
+    return complex(boundary_kernel_plus(np.array([mu]), np.array([k]))[0, 0])
 
 
 def test_decompose_delta():
@@ -83,8 +87,8 @@ def test_system_validation():
 def test_sandwich_matrix_single_site_value():
     sys_ = decompose_potential(DELTA_HALF)
     mu = 0.9
-    want = 1.0 + 0.5 * free_biresolvent_boundary(SpectralParam(mu), 0, 0)
-    got = build_M(SpectralParam(mu), sys_)
+    want = 1.0 + 0.5 * _kernel(mu, 0)
+    got = m_matrix_grid(mu, sys_)[0]
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(want, rel=1e-14)
 
@@ -92,10 +96,8 @@ def test_sandwich_matrix_single_site_value():
 def test_sandwich_matrix_is_complex_symmetric_and_conjugate():
     sys_ = decompose_potential(GENERIC)
     for mu in (0.4, 1.2, 1.8):
-        plus = build_M(SpectralParam(mu, "plus"), sys_)
-        minus = build_M(SpectralParam(mu, "minus"), sys_)
+        plus = m_matrix_grid(mu, sys_)[0]
         np.testing.assert_allclose(plus, plus.T, atol=1e-14)
-        np.testing.assert_allclose(minus, np.conj(plus), atol=1e-14)
 
 
 def test_sandwich_matrix_grid_consistency():
@@ -104,7 +106,7 @@ def test_sandwich_matrix_grid_consistency():
     grid = m_matrix_grid(mus, sys_)
     assert grid.shape == (3, 3, 3)
     for i, mu in enumerate(mus):
-        np.testing.assert_allclose(grid[i], build_M(SpectralParam(mu), sys_), atol=0)
+        np.testing.assert_allclose(grid[i], m_matrix_grid(mu, sys_)[0], atol=0)
 
 
 def test_sandwich_matrix_never_singular_on_band():
@@ -113,7 +115,7 @@ def test_sandwich_matrix_never_singular_on_band():
     for V in (DELTA_HALF, GENERIC):
         sys_ = decompose_potential(V)
         ssv = min(
-            np.linalg.svd(build_M(SpectralParam(m), sys_), compute_uv=False).min()
+            np.linalg.svd(m_matrix_grid(m, sys_)[0], compute_uv=False).min()
             for m in mus
         )
         assert ssv > 1e-2
@@ -224,9 +226,7 @@ def test_probe_grid_validation():
 
 def test_perturbed_resolvent_none_is_free():
     p = SpectralParam(1.1)
-    assert perturbed_resolvent_boundary(p, None, 2, -1) == free_biresolvent_boundary(
-        p, 2, -1
-    )
+    assert perturbed_resolvent_boundary(p, None, 2, -1) == _kernel(1.1, 3)
 
 
 def test_perturbed_resolvent_solves_difference_equation():
@@ -265,15 +265,11 @@ def test_perturbed_resolvent_against_dense_ladder_oracle():
 
 
 def test_perturbed_resolvent_symmetry_and_conjugate():
-    p = SpectralParam(0.8, "plus")
-    m = SpectralParam(0.8, "minus")
+    p = SpectralParam(0.8)
     for n, mm in ((2, -1), (0, 3)):
         a = perturbed_resolvent_boundary(p, GENERIC, n, mm)
         assert a == pytest.approx(
             perturbed_resolvent_boundary(p, GENERIC, mm, n), rel=1e-13
-        )
-        assert perturbed_resolvent_boundary(m, GENERIC, n, mm) == pytest.approx(
-            np.conj(a), rel=1e-13
         )
 
 
@@ -285,7 +281,7 @@ def test_perturbed_resolvent_second_identity():
         p = SpectralParam(mu)
         n, m = 2, -1
         r0 = {
-            (a, b): free_biresolvent_boundary(p, a, b)
+            (a, b): _kernel(mu, abs(a - b))
             for a in (n, *sites)
             for b in (m, *sites)
         }
@@ -395,7 +391,7 @@ def test_vectorised_ratios_match_per_vector_ratio():
 def test_parity_eigensystem_matches_full_eigh(V, operator):
     radius, observe, t = 60, 6, 1.7
     if operator == "lap":
-        h = _neg_laplacian_matrix(radius, "dirichlet")
+        h = _neg_laplacian_matrix(radius)
     else:
         h = build_hamiltonian(V, radius)
     want_ev, want_vecs = np.linalg.eigh(h)
