@@ -57,7 +57,6 @@ from .quadrature import (
     stationary_points,
 )
 from .resolvent import (
-    SpectralParam,
     free_biresolvent_complex,
     resolvent_neg_laplacian_kernel,
     windowed_boundary_resolvent,
@@ -83,7 +82,6 @@ __all__ = [
     "PotentialSpec",
     "build_hamiltonian",
     "weighted_operator_norm",
-    "SpectralParam",
     "resolvent_neg_laplacian_kernel",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",

@@ -17,33 +17,14 @@ plane is its complex conjugate.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpectralParam",
     "resolvent_neg_laplacian_kernel",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralParam:
-    """Quarter-root coordinate mu in (0, 2) on the band.
-
-    The energy is mu**4; values at it are boundary values from the upper
-    half plane.
-    """
-
-    mu: float
-
-    def __post_init__(self):
-        mu = float(self.mu)
-        if not (0.0 < mu < 2.0):
-            raise ValueError(f"mu must lie in (0, 2), got {mu}")
-        object.__setattr__(self, "mu", mu)
 
 
 def _band_rates(mu):
@@ -185,8 +166,8 @@ def solve_banded(l_and_u, ab, b, **kwargs):
     return solve(l_and_u, ab, b, **kwargs)
 
 
-def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> complex:
-    """Polynomial extrapolation of samples (xs, ys) to x = 0."""
+def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Polynomial extrapolation of samples ys[j] at xs[j] to x = 0, elementwise."""
     t = list(ys)
     n = len(t)
     for k in range(1, n):
@@ -202,58 +183,68 @@ _DECAY_LENGTHS = 30.0
 """Regularised decay lengths each rung's window holds on either side."""
 
 
-def windowed_boundary_resolvent(
-    mu: float,
-    n: int,
-    m: int,
-    V=None,
-) -> complex:
-    """Boundary resolvent entry by direct window inversion, no closed forms.
+def _pentadiagonal_band(side: int) -> np.ndarray:
+    """LAPACK band storage of the fourth difference, diagonal row left zero."""
+    ab = np.zeros((5, side), dtype=complex)
+    ab[0, 2:], ab[1, 1:], ab[3, :-1], ab[4, :-2] = 1.0, -4.0, -4.0, 1.0
+    return ab
 
-    Solves the pentadiagonal system (fourth difference + V - mu^4 - i eps)
-    on each rung of a factor-two eps ladder, then removes the
-    regularisation by polynomial extrapolation to eps = 0. Each rung's
-    window holds thirty decay lengths of the regularised kernel at its own
-    eps beyond the sites n, m and the potential's support, so the windows
-    nearly halve along the ladder; all rungs share the band array of the
-    first, solving on centred slices of it. Serves as an independent
-    cross-check of the closed kernels; relative agreement is typically
-    well below 1e-6.
 
-    Parameters
-    ----------
-    V : PotentialSpec, optional
-        Real finitely supported perturbation added to the diagonal.
+def windowed_boundary_resolvent(mu: float, pairs, potentials):
+    """Boundary resolvent entries by direct window inversion, no closed forms.
+
+    Returns (values, run): values[i, j] is the entry at sites pairs[j] =
+    (n, m) for potentials[i] (None is the free operator); run holds mu, the
+    eps ladder, the rung radii R, the central half-width c and tail solves.
+
+    Solves (fourth difference + V - mu^4 - i eps) on [-R, R] on each rung
+    of a factor-two eps ladder and extrapolates to eps = 0. Outside [-c, c],
+    c = max(2, |n|, |m|, support radius) over the batch, the window is the
+    free operator and its two tails mirror each other, so one banded solve
+    per rung on a tail of length R - c, with two unit columns, gives
+    G = T^{-1}[:2, :2]. Eliminating both tails changes only the 2 x 2
+    corners of the central block, the right one by -B G B^T with
+    B = [[1, 0], [-4, 1]] and the left one by its mirror; the block stays
+    pentadiagonal and is solved per potential, with the distinct m as
+    columns. Each tail holds thirty decay lengths of the regularised kernel
+    at its rung's eps, so the tails nearly halve along the ladder. Serves as
+    an independent cross-check of the closed kernels; relative agreement is
+    typically well below 1e-6.
     """
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
     lam = mu**4
-    rho = min(lam, 16.0 - lam)
-    eps_values = min(2e-3, rho / 400.0) * 2.0 ** np.arange(_LADDER)
+    eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(_LADDER)
     # decay length of the regularised kernel ~ (band speed at mu) / eps
     scale = 4.0 * mu**3 * float(np.sqrt(1.0 - mu * mu / 4.0))
-    support = V.support_radius if V is not None else 0
-    pad = max(abs(n), abs(m), support) + 64
-    radii = [int(np.ceil(_DECAY_LENGTHS * scale / eps)) + pad for eps in eps_values]
-    big = radii[0]
-    side = 2 * big + 1
-    # LAPACK reads no band entry outside the matrix (the corners of rows 0,
-    # 1, 3 and 4), so a centred column slice is the same system on a
-    # smaller window.
-    ab = np.zeros((5, side), dtype=complex)
-    ab[0, 2:] = 1.0
-    ab[1, 1:] = -4.0
-    ab[3, :-1] = -4.0
-    ab[4, :-2] = 1.0
-    diag = np.full(side, 6.0, dtype=complex)
-    if V is not None:
-        diag += V.on_window(big)
-    rhs = np.zeros(side, dtype=complex)
-    rhs[m + big] = 1.0
-    samples = []
-    for eps, radius in zip(eps_values, radii):
-        cols = slice(big - radius, big + radius + 1)
-        ab[2, cols] = diag[cols] - (lam + 1j * eps)
-        sol = solve_banded((2, 2), ab[:, cols], rhs[cols], check_finite=False)
-        samples.append(sol[n + radius])
-    return complex(_neville_at_zero(eps_values, np.array(samples)))
+    ns = np.array([n for n, _ in pairs])
+    cols, col_of = np.unique([m for _, m in pairs], return_inverse=True)
+    supports = [V.support_radius for V in potentials if V is not None]
+    half = int(max(2, *np.abs(ns), *np.abs(cols), *supports))
+    tails = [int(np.ceil(_DECAY_LENGTHS * scale / eps)) + 64 for eps in eps_values]
+    # LAPACK reads no band entry outside the matrix (the corners of rows 0, 1,
+    # 3 and 4), so a leading column slice is the same system on a shorter tail.
+    tail = _pentadiagonal_band(tails[0])
+    band = _pentadiagonal_band(2 * half + 1)
+    on_window = [V.on_window(half) if V is not None else 0.0 for V in potentials]
+    rhs = np.zeros((2 * half + 1, cols.size), dtype=complex)
+    rhs[cols + half, np.arange(cols.size)] = 1.0
+    couple = np.array([[1.0, 0.0], [-4.0, 1.0]])
+    samples = np.empty((_LADDER, len(potentials), len(pairs)), dtype=complex)
+    for k, (eps, length) in enumerate(zip(eps_values, tails)):
+        diag = np.full(2 * half + 1, 6.0 - (lam + 1j * eps))
+        tail[2, :length] = diag[0]
+        units = np.eye(length, 2, dtype=complex)
+        green = solve_banded((2, 2), tail[:, :length], units, check_finite=False)
+        s = couple @ green[:2] @ couple.T
+        # sites (c - 1, c) meet the right tail, (-c, -c + 1) the left one
+        band[1, [1, -1]] = -4.0 - s[1, 0], -4.0 - s[0, 1]
+        band[3, [0, -2]] = -4.0 - s[0, 1], -4.0 - s[1, 0]
+        diag[[0, 1, -2, -1]] -= s[1, 1], s[0, 0], s[0, 0], s[1, 1]
+        for i, v in enumerate(on_window):
+            band[2] = diag + v
+            sol = solve_banded((2, 2), band, rhs, check_finite=False)
+            samples[k, i] = sol[ns + half, col_of]
+    run = {"mu": mu, "eps": eps_values.tolist(), "rung_radii": [half + t for t in tails],
+           "half_width": half, "tail_solves": len(tails)}
+    return _neville_at_zero(eps_values, samples), run

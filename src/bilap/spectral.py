@@ -30,7 +30,7 @@ from .lattice import (
     _parity_blocks,
     build_hamiltonian,
 )
-from .resolvent import SpectralParam, boundary_kernel_plus
+from .resolvent import boundary_kernel_plus
 
 __all__ = [
     "BirmanSchwingerSystem",
@@ -282,7 +282,7 @@ def regular_point_check(
 
 
 def perturbed_resolvent_boundary(
-    p: SpectralParam,
+    mu: float,
     V: Optional[PotentialSpec],
     n: int,
     m: int,
@@ -293,9 +293,11 @@ def perturbed_resolvent_boundary(
     Evaluates R - R v M^{-1} v R at sites (n, m). A potential of None (or
     identically zero support after decomposition) returns the free kernel.
     Refuses to evaluate when M is numerically singular, naming the energy,
-    since that signals a possible embedded eigenvalue.
+    since that signals a possible embedded eigenvalue. mu lies in (0, 2).
     """
-    mu_arr = np.array([p.mu])
+    if not (0.0 < mu < 2.0):
+        raise ValueError(f"mu must lie in (0, 2), got {mu}")
+    mu_arr = np.array([mu], dtype=float)
     free = complex(boundary_kernel_plus(mu_arr, np.array([abs(n - m)]))[0, 0])
     if V is None:
         return free
@@ -306,7 +308,7 @@ def perturbed_resolvent_boundary(
         singular_tol = 1e-10 * float(svals.max())
     if float(svals.min()) <= singular_tol:
         raise SingularSandwichError(
-            f"sandwich matrix singular at energy mu^4 = {p.mu**4:.6g}: "
+            f"sandwich matrix singular at energy mu^4 = {mu**4:.6g}: "
             "possible embedded eigenvalue, evaluation refused"
         )
     rn = boundary_kernel_plus(mu_arr, np.abs(n - sys.sites))[0]

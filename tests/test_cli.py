@@ -71,6 +71,16 @@ def test_cross_field_config_errors_exit_two_before_mkdir(
     assert not out.exists()
 
 
+def test_knapp_repeated_epsilons_exit_two_before_mkdir(tmp_path, capsys):
+    # one distinct abscissa leaves both exponent fits rank-deficient
+    cfg = _write_config(tmp_path, "cfg", {"epsilons": [0.05, 0.025, 0.05]})
+    out = tmp_path / "o"
+    assert main(["knapp", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'epsilons'" in err and "distinct" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "potential,field",
     [
@@ -483,6 +493,23 @@ def test_resolvent_check_same_seed_same_bytes(tmp_path):
     report = json.loads((out_a / "report.json").read_text())
     assert report["max_rel_err"] <= report["tolerance"]
     assert report["potentials"] == ["free", "[0,0]:0.5"]
+
+
+def test_resolvent_report_shows_each_oracle_run(tmp_path):
+    _, out = _run_resolvent(tmp_path, "a", 3)
+    report = json.loads((out / "report.json").read_text())
+    rows = (out / "checks.csv").read_text().splitlines()[1:]
+    drawn = {}
+    for row in rows:
+        mu, n, m = row.split(",")[:3]
+        drawn.setdefault(float(mu), set()).update((abs(int(n)), abs(int(m))))
+    assert [run["mu"] for run in report["oracle"]] == sorted(drawn)
+    for run in report["oracle"]:
+        # the delta potential sits at 0, so the drawn sites set the block
+        assert run["half_width"] == max(2, *drawn[run["mu"]])
+        assert run["tail_solves"] == len(run["eps"]) == len(run["rung_radii"]) == 4
+        assert run["eps"] == sorted(run["eps"])
+        assert run["rung_radii"] == sorted(run["rung_radii"], reverse=True)
 
 
 def test_resolvent_check_seed_changes_sample(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bilap.lattice import PotentialSpec
 from bilap.propagator import PropagatorRequest, auto_window_radius, kernel_spectral
-from bilap.resolvent import SpectralParam, boundary_kernel_plus
+from bilap.resolvent import boundary_kernel_plus
 from bilap.spectral import (
     decompose_potential,
     m_matrix_grid,
@@ -31,10 +31,9 @@ def test_boundary_kernel_solves_equation_everywhere(mu, k):
 @settings(**COMMON)
 @given(mu=mu_values, n=st.integers(-6, 6), m=st.integers(-6, 6))
 def test_boundary_kernel_symmetries(mu, n, m):
-    p = SpectralParam(mu)
-    a = perturbed_resolvent_boundary(p, None, n, m)
-    assert perturbed_resolvent_boundary(p, None, m, n) == pytest.approx(a, rel=1e-12)
-    assert perturbed_resolvent_boundary(p, None, n + 3, m + 3) == pytest.approx(
+    a = perturbed_resolvent_boundary(mu, None, n, m)
+    assert perturbed_resolvent_boundary(mu, None, m, n) == pytest.approx(a, rel=1e-12)
+    assert perturbed_resolvent_boundary(mu, None, n + 3, m + 3) == pytest.approx(
         a, rel=1e-12
     )
 

@@ -9,8 +9,8 @@ import scipy.linalg
 
 from bilap import resolvent
 from bilap.lattice import PotentialSpec
+from bilap.spectral import perturbed_resolvent_boundary
 from bilap.resolvent import (
-    SpectralParam,
     _band_rates,
     boundary_kernel_plus,
     free_biresolvent_complex,
@@ -234,14 +234,16 @@ def test_complex_resolvent_rejects_band():
 
 def test_spectral_param_validation():
     for mu in (0.0, 2.0, -1.0):
-        with pytest.raises(ValueError):
-            SpectralParam(mu)
+        with pytest.raises(ValueError, match="mu must lie in"):
+            perturbed_resolvent_boundary(mu, None, 0, 0)
+        with pytest.raises(ValueError, match="mu must lie in"):
+            windowed_boundary_resolvent(mu, [(0, 0)], [None])
 
 
 def test_windowed_resolvent_matches_closed_form():
     for mu in (0.3, 0.7, 1.0, 1.4, 1.8):
         want = _kernel(mu, 5)
-        got = windowed_boundary_resolvent(mu, 3, -2)
+        got = windowed_boundary_resolvent(mu, [(3, -2)], [None])[0][0, 0]
         assert abs(got - want) / abs(want) < 1e-6
 
 
@@ -265,11 +267,13 @@ def test_boundary_kernel_against_multiprecision():
 
 
 def _fixed_window_oracle(mu, n, m, V=None):
-    # every rung on the one window sized for the smallest eps
+    # one window per entry, every rung on the window sized for
+    # the smallest eps, no tail elimination
     lam = mu**4
     eps_min = min(2e-3, min(lam, 16.0 - lam) / 400.0)
     scale = 4.0 * mu**3 * np.sqrt(1.0 - mu * mu / 4.0)
-    radius = int(np.ceil(30.0 * scale / eps_min)) + max(abs(n), abs(m)) + 64
+    support = V.support_radius if V is not None else 0
+    radius = int(np.ceil(30.0 * scale / eps_min)) + max(abs(n), abs(m), support) + 64
     side = 2 * radius + 1
     ab = np.zeros((5, side), dtype=complex)
     ab[0, 2:], ab[1, 1:], ab[3, :-1], ab[4, :-2] = 1.0, -4.0, -4.0, 1.0
@@ -286,24 +290,55 @@ def _fixed_window_oracle(mu, n, m, V=None):
     return complex(resolvent._neville_at_zero(eps_values, np.array(samples)))
 
 
+DEFAULT_POTENTIALS = (
+    None, PotentialSpec.delta(0.5), PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
+)
+
+
 def test_rung_windows_match_fixed_window_oracle():
-    for V in (None, PotentialSpec.delta(0.5), PotentialSpec((-1, 1), [0.3, -0.2, 0.1])):
-        for mu in (0.3, 1.0, 1.8):
-            want = _fixed_window_oracle(mu, 3, -2, V)
-            got = windowed_boundary_resolvent(mu, 3, -2, V=V)
-            assert abs(got - want) <= 1e-10 * abs(want)
+    pairs = [(3, -2), (8, -8), (0, 0)]
+    for mu in (0.3, 1.0, 1.8):
+        got, run = windowed_boundary_resolvent(mu, pairs, DEFAULT_POTENTIALS)
+        assert got.shape == (3, 3) and run["half_width"] == 8
+        for i, V in enumerate(DEFAULT_POTENTIALS):
+            for j, (n, m) in enumerate(pairs):
+                want = _fixed_window_oracle(mu, n, m, V)
+                assert abs(got[i, j] - want) <= 1e-10 * abs(want)
+
+
+def test_oracle_holds_a_wide_support():
+    # radius 203: the central block, not the pairs, sets its half-width
+    wide = PotentialSpec((199, 203), [0.4, -0.1, 0.25, 0.0, 0.3])
+    for mu in (0.7, 1.4):
+        got, run = windowed_boundary_resolvent(mu, [(3, -2), (201, 200)], [wide])
+        assert run["half_width"] == 203
+        for j, (n, m) in enumerate([(3, -2), (201, 200)]):
+            want = _fixed_window_oracle(mu, n, m, wide)
+            assert abs(got[0, j] - want) <= 1e-10 * abs(want)
 
 
 def test_rung_windows_halve_along_the_ladder(monkeypatch):
-    sizes = []
     full_solve = resolvent.solve_banded
 
-    def solve(lu, ab, b, **kwargs):
-        sizes.append(ab.shape[1])
-        return full_solve(lu, ab, b, **kwargs)
+    def tail_sizes(pairs, potentials):
+        sizes = []
 
-    monkeypatch.setattr(resolvent, "solve_banded", solve)
-    windowed_boundary_resolvent(1.0, 3, -2)
-    assert len(sizes) == 4
-    assert all(0.45 * a < b < 0.55 * a for a, b in zip(sizes, sizes[1:]))
-    assert sum(sizes) <= 2 * sizes[0]
+        def solve(lu, ab, b, **kwargs):
+            sizes.append(ab.shape[1])
+            return full_solve(lu, ab, b, **kwargs)
+
+        monkeypatch.setattr(resolvent, "solve_banded", solve)
+        _, run = windowed_boundary_resolvent(1.0, pairs, potentials)
+        monkeypatch.undo()
+        central = 2 * run["half_width"] + 1
+        # one central solve per (rung, potential); the rest are tails
+        assert sizes.count(central) == 4 * len(potentials)
+        tails = [size for size in sizes if size != central]
+        assert run["tail_solves"] == len(tails)
+        return tails
+
+    one = tail_sizes([(3, -2)], [None])
+    many = tail_sizes([(3, -2), (8, -8), (0, 0), (-5, 7)], DEFAULT_POTENTIALS)
+    assert one == many and len(one) == 4
+    assert all(0.45 * a < b < 0.55 * a for a, b in zip(one, one[1:]))
+    assert sum(one) <= 2 * one[0]

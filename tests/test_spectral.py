@@ -6,7 +6,6 @@ import pytest
 from bilap.expansion import geometric_grid
 from bilap.lattice import PotentialSpec, _neg_laplacian_matrix, build_hamiltonian
 from bilap.resolvent import (
-    SpectralParam,
     boundary_kernel_plus,
     windowed_boundary_resolvent,
 )
@@ -225,8 +224,7 @@ def test_probe_grid_validation():
 
 
 def test_perturbed_resolvent_none_is_free():
-    p = SpectralParam(1.1)
-    assert perturbed_resolvent_boundary(p, None, 2, -1) == _kernel(1.1, 3)
+    assert perturbed_resolvent_boundary(1.1, None, 2, -1) == _kernel(1.1, 3)
 
 
 def test_perturbed_resolvent_solves_difference_equation():
@@ -234,9 +232,8 @@ def test_perturbed_resolvent_solves_difference_equation():
         vals = V.on_window(1) if V is GENERIC else np.array([0.5])
         sites = V.sites
         for mu in (0.6, 1.3):
-            p = SpectralParam(mu)
             col = np.array(
-                [perturbed_resolvent_boundary(p, V, n, 0) for n in range(-9, 10)]
+                [perturbed_resolvent_boundary(mu, V, n, 0) for n in range(-9, 10)]
             )
             sten = (
                 col[:-4] - 4 * col[1:-3] + 6 * col[2:-2] - 4 * col[3:-1] + col[4:]
@@ -252,24 +249,23 @@ def test_perturbed_resolvent_solves_difference_equation():
 def test_perturbed_resolvent_matches_windowed_ladder():
     for V in (DELTA_HALF, GENERIC):
         for mu in (0.7, 1.3):
-            want = perturbed_resolvent_boundary(SpectralParam(mu), V, 3, -2)
-            got = windowed_boundary_resolvent(mu, 3, -2, V=V)
+            want = perturbed_resolvent_boundary(mu, V, 3, -2)
+            got = windowed_boundary_resolvent(mu, [(3, -2)], [V])[0][0, 0]
             assert abs(got - want) / abs(want) < 1e-6
 
 
 def test_perturbed_resolvent_against_dense_ladder_oracle():
     mu = 1.3
-    want = perturbed_resolvent_boundary(SpectralParam(mu), DELTA_HALF, 0, 0)
+    want = perturbed_resolvent_boundary(mu, DELTA_HALF, 0, 0)
     got = oracles.dense_boundary_resolvent(mu, 0, 0, potential=([0], [0.5]))
     assert abs(got - want) / abs(want) < 2e-5
 
 
 def test_perturbed_resolvent_symmetry_and_conjugate():
-    p = SpectralParam(0.8)
     for n, mm in ((2, -1), (0, 3)):
-        a = perturbed_resolvent_boundary(p, GENERIC, n, mm)
+        a = perturbed_resolvent_boundary(0.8, GENERIC, n, mm)
         assert a == pytest.approx(
-            perturbed_resolvent_boundary(p, GENERIC, mm, n), rel=1e-13
+            perturbed_resolvent_boundary(0.8, GENERIC, mm, n), rel=1e-13
         )
 
 
@@ -278,7 +274,6 @@ def test_perturbed_resolvent_second_identity():
     sites = GENERIC.sites
     vals = GENERIC.on_window(1)
     for mu in (0.6, 1.2):
-        p = SpectralParam(mu)
         n, m = 2, -1
         r0 = {
             (a, b): _kernel(mu, abs(a - b))
@@ -286,7 +281,7 @@ def test_perturbed_resolvent_second_identity():
             for b in (m, *sites)
         }
         rv = {
-            (a, b): perturbed_resolvent_boundary(p, GENERIC, a, b)
+            (a, b): perturbed_resolvent_boundary(mu, GENERIC, a, b)
             for a in sites
             for b in sites
         }
@@ -297,21 +292,21 @@ def test_perturbed_resolvent_second_identity():
             for l, cl in zip(sites, vals)
         )
         want = r0[n, m] - first + second
-        got = perturbed_resolvent_boundary(p, GENERIC, n, m)
+        got = perturbed_resolvent_boundary(mu, GENERIC, n, m)
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_perturbed_resolvent_refuses_singular_sandwich():
     with pytest.raises(ValueError, match="possible embedded eigenvalue"):
         perturbed_resolvent_boundary(
-            SpectralParam(1.0), GENERIC, 0, 0, singular_tol=1e10
+            1.0, GENERIC, 0, 0, singular_tol=1e10
         )
 
 
 def test_singular_sandwich_refusal_is_typed():
     with pytest.raises(SingularSandwichError):
         perturbed_resolvent_boundary(
-            SpectralParam(1.0), GENERIC, 0, 0, singular_tol=1e10
+            1.0, GENERIC, 0, 0, singular_tol=1e10
         )
 
 
