@@ -569,7 +569,8 @@ def _run_beam_decay(cfg, outdir, rng):
 
 
 def _run_resolvent_check(cfg, outdir, rng):
-    mu_values, potentials = cfg["mu_values"], cfg["potentials"]
+    mu_values = cfg["mu_values"]
+    potentials = cfg["potentials"]
     points = [(float(mu_values[rng.integers(len(mu_values))]), int(rng.integers(-8, 9)),
                int(rng.integers(-8, 9))) for _ in range(cfg["points"])]
     # one oracle call per distinct mu holds every entry drawn at it

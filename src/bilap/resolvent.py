@@ -180,7 +180,7 @@ _LADDER = 4
 """Rungs of the eps ladder, each twice the previous."""
 
 _DECAY_LENGTHS = 30.0
-"""Regularised decay lengths each rung's window holds on either side."""
+"""Regularised decay lengths each rung's tail holds past the central block."""
 
 
 def _pentadiagonal_band(side: int) -> np.ndarray:

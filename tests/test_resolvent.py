@@ -9,7 +9,6 @@ import scipy.linalg
 
 from bilap import resolvent
 from bilap.lattice import PotentialSpec
-from bilap.spectral import perturbed_resolvent_boundary
 from bilap.resolvent import (
     _band_rates,
     boundary_kernel_plus,
@@ -17,6 +16,7 @@ from bilap.resolvent import (
     resolvent_neg_laplacian_kernel,
     windowed_boundary_resolvent,
 )
+from bilap.spectral import perturbed_resolvent_boundary
 
 import oracles
 
@@ -307,7 +307,7 @@ def test_rung_windows_match_fixed_window_oracle():
 
 
 def test_oracle_holds_a_wide_support():
-    # radius 203: the central block, not the pairs, sets its half-width
+    # radius 203: the support, not the pairs, sets the central half-width
     wide = PotentialSpec((199, 203), [0.4, -0.1, 0.25, 0.0, 0.3])
     for mu in (0.7, 1.4):
         got, run = windowed_boundary_resolvent(mu, [(3, -2), (201, 200)], [wide])
