@@ -58,7 +58,6 @@ from .quadrature import (
 )
 from .resolvent import (
     free_biresolvent_complex,
-    resolvent_neg_laplacian_kernel,
     windowed_boundary_resolvent,
 )
 from .spectral import (
@@ -82,7 +81,6 @@ __all__ = [
     "PotentialSpec",
     "build_hamiltonian",
     "weighted_operator_norm",
-    "resolvent_neg_laplacian_kernel",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
     "remainder_norms",

@@ -37,11 +37,9 @@ from .lattice import SPEED_BOUND, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
-    BAND_MARGIN,
-    LocalizationError,
     SingularSandwichError,
+    bound_states,
     decompose_potential,
-    discrete_eigs,
     eigensystem,
     m_matrix_grid,
     regular_point_check,
@@ -90,7 +88,6 @@ FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 # dense truncation windows alike.
 _RING_SAFETY = 1.2
 _RING_MARGIN = 64
-_MAX_DOUBLINGS = 3
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
 # Stone budget ladder: phase advance per 15-point Gauss panel. Budget 4
@@ -181,60 +178,40 @@ def auto_window_radius(t: float, observe_radius: int) -> int:
     return int(np.ceil(observe_radius + _RING_SAFETY * SPEED_BOUND * abs(t))) + 8
 
 
-def _window_kernel(t, vecs, weight, window_radius, observe_radius) -> KernelSlice:
-    n, r = window_radius, observe_radius
-    rows = vecs[n - r : n + r + 1]
-    return KernelSlice(t, r, (rows * weight[None, :]) @ rows.T, "spectral")
-
-
-def _dense_weight(request: PropagatorRequest):
-    flow, operator, _ = _KIND_TABLE[request.kind]
-    ev, vecs = eigensystem(request.V, request.window_radius, operator)
-    return FLOWS[flow](request.t, ev), vecs
-
-
 def kernel_spectral(request: PropagatorRequest) -> KernelSlice:
     """Kernel entries of the requested flow on the observation window."""
-    weight, vecs = _dense_weight(request)
-    return _window_kernel(
-        request.t, vecs, weight, request.window_radius, request.observe_radius
-    )
+    flow, operator, _ = _KIND_TABLE[request.kind]
+    ev, vecs = eigensystem(request.V, request.window_radius, operator)
+    n, r = request.window_radius, request.observe_radius
+    rows = vecs[n - r : n + r + 1]
+    return KernelSlice(request.t, r, (rows * FLOWS[flow](request.t, ev)) @ rows.T, "spectral")
 
 
 class PacSplit:
-    """Splitting of a perturbed flow into bound and continuous parts.
+    """Splitting of the flow exp(-i t H) into bound and continuous parts.
 
-    Bound states are the localized eigenvalues of the window truncation
-    outside the band; everything orthogonal to them carries the
-    continuous part, whose kernel kernel_ac gives. Eigenvalues inside the
-    band, which embedded_eig_scan looks for, are not split off.
+    kernel_ac is the dense kernel on the window minus the part of the (E, psi)
+    pairs of spectral.bound_states, so no window has to localise them.
     """
 
     def __init__(self, V: Optional[PotentialSpec], window_radius: int):
         self.V = V
         self.window_radius = window_radius
-        self.bound_states = discrete_eigs(V, window_radius)
+        self.bound_states = bound_states(V)
 
     def kernel_ac(self, t: float, observe_radius: int) -> KernelSlice:
-        """Continuous-part kernel on the observation window."""
-        ev, vecs = eigensystem(self.V, self.window_radius)
-        keep = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
-        weight = np.where(keep, 0.0, FLOWS["schrodinger"](t, ev))
-        return _window_kernel(t, vecs, weight, self.window_radius, observe_radius)
+        """Continuous-part kernel on an observation window; the window holds t's causal range."""
+        request = PropagatorRequest("schrodinger_h", self.V, t, self.window_radius, observe_radius)
+        entries = kernel_spectral(request).entries
+        sites = np.arange(-observe_radius, observe_radius + 1)
+        for energy, psi in self.bound_states:
+            piece = psi(sites)
+            entries -= FLOWS["schrodinger"](t, energy) * np.outer(piece, piece)
+        return KernelSlice(t, observe_radius, entries, "spectral")
 
 
-def pac_split(V: PotentialSpec, window_radius: int) -> PacSplit:
-    """Bound/continuous splitting of the perturbed flow on a window.
-
-    Shallow bound states sitting close to a band edge decay slowly, so
-    the requested window may not localize them; in that case the window
-    is doubled, up to three times, before giving up.
-    """
-    for _ in range(_MAX_DOUBLINGS):
-        try:
-            return PacSplit(V, window_radius)
-        except LocalizationError:
-            window_radius *= 2
+def pac_split(V: Optional[PotentialSpec], window_radius: int) -> PacSplit:
+    """Bound/continuous splitting of the perturbed flow on a window."""
     return PacSplit(V, window_radius)
 
 

@@ -21,7 +21,6 @@ import cmath
 import numpy as np
 
 __all__ = [
-    "resolvent_neg_laplacian_kernel",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
 ]
@@ -39,22 +38,6 @@ def _band_rates(mu):
     phase = np.arccos(1.0 - mu * mu / 2.0)
     b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
     return phase, b
-
-
-def resolvent_neg_laplacian_kernel(omega: complex, n: int, m: int) -> complex:
-    """Second-difference resolvent entry at sites n, m.
-
-    Rejects omega on the closed band [0, 4], where the two strip solutions
-    collide and the kernel has no single-valued meaning.
-    """
-    om = complex(omega)
-    if om.imag == 0.0 and 0.0 <= om.real <= 4.0:
-        raise ValueError(f"omega = {om} lies on the band [0, 4]")
-    theta = cmath.acos(1.0 - om / 2.0)
-    if theta.imag >= 0.0:
-        theta = -theta
-    k = abs(int(n) - int(m))
-    return -1j * cmath.exp(-1j * theta * k) / (2.0 * cmath.sin(theta))
 
 
 _PHASE_SPLIT = 2.0**13 + 1.0
@@ -134,25 +117,30 @@ def boundary_kernel_plus(mu, k, one_minus_q=None):
     return np.moveaxis(vals, tuple(range(k.ndim)), tuple(range(-k.ndim, 0)))
 
 
-def free_biresolvent_complex(z: complex, n: int, m: int) -> complex:
-    """Fourth-difference resolvent entry at spectral parameter z off [0, 16].
+def _off_band_waves(z: complex):
+    """(amps, rates): the kernel at z off [0, 16] is sum(amps * exp(rates * |k|)).
 
-    Uses the split over the two square roots w and -w of z,
-
-        (R2(w, n, m) - R2(-w, n, m)) / (2 w),
-
-    with R2 the second-difference kernel and Im w >= 0. The value does not
-    depend on which square root is taken, so real z > 16 and z < 0 are fine.
+    It is (R2(w, k) - R2(-w, k)) / (2 w), w^2 = z, with R2(omega, k) =
+    r^k / q, |r| < 1, r + 1 / r = 2 - omega and q = 1 / r - r; q^2 = omega
+    (omega - 4) is formed as w (z - 16) / (w + 4) at omega = w to stay exact
+    as z tends to 16.
     """
     zc = complex(z)
     if zc.imag == 0.0 and 0.0 <= zc.real <= 16.0:
         raise ValueError(f"z = {zc} lies on the band [0, 16]")
-    w = cmath.sqrt(zc)
-    if w.imag < 0.0:
-        w = -w
-    a = resolvent_neg_laplacian_kernel(w, n, m)
-    b = resolvent_neg_laplacian_kernel(-w, n, m)
-    return (a - b) / (2.0 * w)
+    w = cmath.sqrt(zc)  # Re w >= 0, so w + 4 never cancels
+    omega = np.array([w, -w])
+    q = np.sqrt(np.array([w * (zc - 16.0) / (w + 4.0), w * (w + 4.0)]))
+    # the sign that puts 1 / r = (2 - omega + q) / 2 outside the unit circle
+    q[((2.0 - omega).conj() * q).real < 0.0] *= -1.0
+    return np.array([1.0, -1.0]) / (2.0 * w * q), -np.log((2.0 - omega + q) / 2.0)
+
+
+def free_biresolvent_complex(z: complex, k) -> np.ndarray:
+    """Fourth-difference resolvent kernel at z off [0, 16], over any array of
+    integer separations k; real up to rounding for real z."""
+    amps, rates = _off_band_waves(z)
+    return np.exp(np.multiply.outer(np.abs(k), rates)) @ amps
 
 
 def solve_banded(l_and_u, ab, b, **kwargs):

@@ -9,16 +9,16 @@ the free boundary resolvent, controls the perturbed resolvent through
 all restricted to the support sites. Threshold behaviour at the band edges
 is governed by M's compression to explicit subspaces: the complement of the
 potential's zeroth and first moments at the lower edge, and of the
-alternating-sign moment at the upper edge. Bound and embedded spectrum of
-window truncations is computed by dense diagonalisation, once per matrix
-through the memoised eigensystem.
+alternating-sign moment at the upper edge. Off the band M is real symmetric
+and locates the bound states with no window; window truncations are
+diagonalised once per matrix through the memoised eigensystem.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .lattice import (
     _parity_blocks,
     build_hamiltonian,
 )
-from .resolvent import boundary_kernel_plus
+from .resolvent import _off_band_waves, boundary_kernel_plus, free_biresolvent_complex
 
 __all__ = [
     "BirmanSchwingerSystem",
@@ -47,6 +47,7 @@ __all__ = [
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
     "eigensystem",
+    "bound_states",
     "discrete_eigs",
     "embedded_eig_scan",
     "min_localizing_radius",
@@ -59,6 +60,8 @@ BAND_MARGIN = 1e-6
 """Margin delta_b separating "outside the band" from [0 - delta_b, 16 + delta_b]."""
 
 _LOCALIZATION_RATIO = 0.999
+
+_GAP = 1e-12  # bound_states' distance from the band edges; closer roots are one energy
 
 
 class LocalizationError(ValueError):
@@ -427,6 +430,73 @@ def eigensystem(
     if V is None:
         return _eigensystem(operator, None, None, window_radius)
     return _eigensystem(operator, V.support, tuple(V.values.tolist()), window_radius)
+
+
+def _off_band_sandwich(E: float, sys: BirmanSchwingerSystem) -> np.ndarray:
+    """U + v R0(E) v at a real energy E off [0, 16], real symmetric."""
+    m = free_biresolvent_complex(E, _separations(sys)).real * np.outer(sys.v, sys.v)
+    m[np.diag_indices(sys.dim)] += sys.u
+    return m
+
+
+def _count_drops(a: float, b: float, sys: BirmanSchwingerSystem) -> List[float]:
+    """Energies in [a, b], bisected to adjacent floats, where M's negative count falls."""
+    def count(E):
+        return int(np.count_nonzero(np.linalg.eigvalsh(_off_band_sandwich(E, sys)) < 0.0))
+    found, stack = [], [(a, count(a), b, count(b))]
+    while stack:
+        a, na, b, nb = stack.pop()
+        mid = 0.5 * (a + b)
+        if na <= nb or not a < mid < b:
+            found += [b] * (na - nb)
+            continue
+        # rounding can bend the monotone count within a few ulps of a root
+        nm = min(max(count(mid), nb), na)
+        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
+    return found
+
+
+def _bound_wave(E, sites, x, n):
+    return free_biresolvent_complex(E, np.subtract.outer(n, sites)).real @ x
+
+
+def _bound_vectors(E: float, k: int, sys: BirmanSchwingerSystem) -> np.ndarray:
+    """x = v w, w null vectors of M(E), with the psi = R0(E) x orthonormal in l2."""
+    ev, vecs = np.linalg.eigh(_off_band_sandwich(E, sys))
+    x = sys.v[:, None] * vecs[:, np.argsort(np.abs(ev))[:k]]
+    lo, hi = sys.sites[0], sys.sites[-1]
+    inner = _bound_wave(E, sys.sites, x, np.arange(lo, hi + 1))
+    amps, rates = _off_band_waves(E)
+    series = 1.0 / np.expm1(-(rates[:, None] + rates[None, :]))
+    # past the support's hull psi is the kernel's two waves: geometric series
+    gram = inner.T @ inner
+    for reach in (hi - sys.sites, sys.sites - lo):
+        tail = amps[:, None] * np.exp(np.outer(rates, reach)) @ x
+        gram += (tail.T @ series @ tail).real
+    return x @ np.linalg.inv(np.linalg.cholesky(gram)).T
+
+
+def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
+    """(E, psi) for every eigenvalue E of H off the band, E increasing, no window.
+
+    psi maps sites to a real l2-normalised eigenvector R0(E) v w, w in ker M(E),
+    one pair per eigenvector. As dM/dE = v R0^2 v > 0, M's negative count falls
+    by each eigenvalue's multiplicity; it is bisected on [min(V, 0) - 1, -1e-12]
+    and [16 + 1e-12, 16 + max(V, 0) + 1]. Roots within 1e-12 are one energy.
+    """
+    if V is None:
+        return []
+    sys = decompose_potential(V)
+    drops = []
+    for a, b in ((min(V.values.min(), 0.0) - 1.0, -_GAP),
+                 (16.0 + _GAP, 16.0 + max(V.values.max(), 0.0) + 1.0)):
+        drops += _count_drops(a, b, sys)
+    states = []
+    for group in np.split(drops, np.flatnonzero(np.diff(drops) > _GAP) + 1) if drops else []:
+        E = float(group.mean())
+        for x in _bound_vectors(E, group.size, sys).T:
+            states.append((E, functools.partial(_bound_wave, E, sys.sites, x)))
+    return states
 
 
 def _localization_ratios(vecs: np.ndarray, window_radius: int) -> np.ndarray:

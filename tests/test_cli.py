@@ -129,6 +129,11 @@ def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field
             {"potentials": [None, {"delta": 0.5, "site": 10**5}]},
             "'potentials' entry 1",
         ),
+        (
+            "stone-vs-spectral",
+            {"potentials": [{"delta": 0.5, "site": 30}], "times": [1.0], "observe_radius": 1},
+            "'potentials' entry 0",
+        ),
     ],
 )
 def test_off_centre_potentials_exit_two_before_mkdir(
@@ -155,6 +160,30 @@ def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
         },
     )
     assert main(["eig-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_stone_reference_window_needs_only_the_support(tmp_path):
+    # the dense reference window (radius 22) holds the support and the
+    # stencil; the shallow state at 16.008 need not localise in it
+    cfg = _write_config(tmp_path, "cfg", {
+        "potentials": [{"delta": 0.5, "site": 10}], "times": [1.0], "observe_radius": 1,
+    })
+    out = tmp_path / "o"
+    assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["max_abs_err"] <= 1e-9
+
+
+def test_stone_vs_spectral_mixed_sign_draw_passes(tmp_path):
+    # one state sits 3e-6 above the band, far too shallow for the dense
+    # window to localise; the reference subtracts it in closed form
+    values = [-0.219381, 0.20846, 0.158265, -0.146959, -0.002739]
+    cfg = _write_config(tmp_path, "cfg", {"potentials": [{"support": [-2, 2], "values": values}]})
+    out = tmp_path / "o"
+    assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_abs_err"] <= 1e-9
+    (energies,) = report["bound_states"].values()
+    assert len(energies) == 3 and energies[0] < energies[1] < 0.0 < 16.0 < energies[2]
 
 
 def test_localization_refusal_exits_two_without_output(tmp_path, capsys):

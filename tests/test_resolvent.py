@@ -13,7 +13,6 @@ from bilap.resolvent import (
     _band_rates,
     boundary_kernel_plus,
     free_biresolvent_complex,
-    resolvent_neg_laplacian_kernel,
     windowed_boundary_resolvent,
 )
 from bilap.spectral import perturbed_resolvent_boundary
@@ -59,40 +58,64 @@ def test_theta_values_invariants():
         assert np.exp(b) + np.exp(-b) == pytest.approx(2.0 + mu**2, abs=1e-12)
 
 
+def _second_difference_kernel(omega, k):
+    """-i exp(-i theta |k|) / (2 sin theta), 2 - 2 cos theta = omega, Im theta < 0."""
+    theta = cmath.acos(1.0 - omega / 2.0)
+    if theta.imag >= 0.0:
+        theta = -theta
+    return -1j * cmath.exp(-1j * theta * abs(k)) / (2.0 * cmath.sin(theta))
+
+
 def test_second_order_kernel_closed_value():
-    got = resolvent_neg_laplacian_kernel(-1.0, 0, 0)
-    assert got == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-14)
+    # at z = 25 the split has second-difference values 1 / sqrt(omega (omega - 4))
+    # at omega = -5 and minus that at omega = 5: (-1/sqrt(5) - 1/sqrt(45)) / 10
+    assert free_biresolvent_complex(25.0, 0) == pytest.approx(
+        -2.0 / (15.0 * np.sqrt(5.0)), abs=1e-15
+    )
+    # the diagonal is the mean of 1 / (symbol - z) over the circle, where the
+    # trapezoid rule converges geometrically
+    x = 2.0 * np.pi * np.arange(4096) / 4096
+    symbol = (2.0 - 2.0 * np.cos(x)) ** 2
+    for z in (-1.0, 3.0 + 2.0j, 40.0):
+        want = np.mean(1.0 / (symbol - z))
+        assert free_biresolvent_complex(z, 0) == pytest.approx(want, abs=1e-14)
 
 
 def test_second_order_kernel_against_dense_solve():
-    # tridiagonal (2, -1) matrix; the closed form is its inverse deep inside
+    # one dense solve of the fourth difference per z; the closed form is its
+    # inverse deep inside the window
     side = 513
-    A = 2.0 * np.eye(side) - np.eye(side, k=1) - np.eye(side, k=-1)
     c = side // 2
-    for omega in (-1.0, 5.0 + 0.5j, 2.0 + 1.0j):
-        delta = np.zeros(side)
-        delta[c] = 1.0
-        col = np.linalg.solve(A - omega * np.eye(side, dtype=complex), delta)
-        for n in (0, 1, 4, -3):
-            got = resolvent_neg_laplacian_kernel(omega, n, 0)
-            assert got == pytest.approx(col[c + n], abs=1e-10)
+    ks = np.array([0, 1, 4, -3, 9])
+    delta = np.zeros(side)
+    delta[c] = 1.0
+    for z in (-1.0, 25.0, 5.0 + 0.5j, 2.0 + 1.0j):
+        a = oracles.dense_hamiltonian(side, np.zeros(side)) - z * np.eye(side)
+        col = np.linalg.solve(a, delta.astype(complex))
+        np.testing.assert_allclose(
+            free_biresolvent_complex(z, ks), col[c + ks], rtol=0, atol=1e-12
+        )
 
 
 def test_second_order_kernel_symmetry_and_decay():
-    omega = 3.0 + 0.7j
-    vals = [resolvent_neg_laplacian_kernel(omega, n, 0) for n in range(6)]
-    ratios = [vals[k + 1] / vals[k] for k in range(5)]
-    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
-    assert abs(ratios[0]) < 1.0
-    assert resolvent_neg_laplacian_kernel(omega, 2, -3) == pytest.approx(
-        resolvent_neg_laplacian_kernel(omega, -3, 2)
+    z = 3.0 + 0.7j
+    ks = np.arange(-8, 61)
+    vals = free_biresolvent_complex(z, ks)
+    # an array call is the scalar calls, and the kernel is even
+    np.testing.assert_allclose(
+        vals, [free_biresolvent_complex(z, int(k)) for k in ks], rtol=1e-15, atol=0
     )
+    np.testing.assert_array_equal(vals[:8], vals[16:8:-1])
+    # far out the slower of the two waves is all that is left
+    ratios = vals[-6:] / vals[-7:-1]
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
+    assert abs(ratios[0]) < 1.0
 
 
 def test_second_order_kernel_rejects_band():
-    for omega in (0.0, 2.0, 4.0):
-        with pytest.raises(ValueError):
-            resolvent_neg_laplacian_kernel(omega, 0, 0)
+    for z in (0.0, 4.0, 16.0):
+        with pytest.raises(ValueError, match="band"):
+            free_biresolvent_complex(z, np.arange(3))
 
 
 def test_boundary_kernel_reference_value():
@@ -189,7 +212,7 @@ def test_boundary_kernel_is_outgoing():
 def test_complex_resolvent_against_dense_solve():
     for z in (-1.0, 24.0 + 0.5j, 1.0 + 0.2j):
         for n, m in ((0, 0), (3, -2)):
-            got = free_biresolvent_complex(z, n, m)
+            got = free_biresolvent_complex(z, n - m)
             want = oracles.dense_complex_resolvent(z, n, m, window_radius=512)
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -201,7 +224,7 @@ def test_complex_resolvent_limits_to_boundary():
     eps = np.array([4e-3, 2e-3, 1e-3, 5e-4])
     for side, want in ((1.0, bdry), (-1.0, bdry.conjugate())):
         ys = np.array(
-            [free_biresolvent_complex(mu**4 + side * 1j * e, 2, -1) for e in eps]
+            [free_biresolvent_complex(mu**4 + side * 1j * e, 3) for e in eps]
         )
         t = ys.astype(complex)
         for j in range(1, len(eps)):  # Neville table toward eps = 0
@@ -218,10 +241,9 @@ def test_complex_resolvent_square_root_split():
         w = cmath.sqrt(z)
         for n in (0, 2, 5):
             manual = (
-                resolvent_neg_laplacian_kernel(w, n, 0)
-                - resolvent_neg_laplacian_kernel(-w, n, 0)
+                _second_difference_kernel(w, n) - _second_difference_kernel(-w, n)
             ) / (2.0 * w)
-            assert free_biresolvent_complex(z, n, 0) == pytest.approx(
+            assert free_biresolvent_complex(z, n) == pytest.approx(
                 manual, abs=1e-13
             )
 
@@ -229,7 +251,7 @@ def test_complex_resolvent_square_root_split():
 def test_complex_resolvent_rejects_band():
     for z in (0.0, 0.5, 16.0):
         with pytest.raises(ValueError):
-            free_biresolvent_complex(z, 0, 0)
+            free_biresolvent_complex(z, 0)
 
 
 def test_spectral_param_validation():

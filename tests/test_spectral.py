@@ -14,6 +14,7 @@ from bilap.spectral import (
     BirmanSchwingerSystem,
     LocalizationError,
     SingularSandwichError,
+    bound_states,
     build_projections,
     build_T0,
     build_T0_tilde,
@@ -36,6 +37,8 @@ GENERIC = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
 # complement of the moment vectors vanishes identically (2 + a = 4a/|b|
 # with a = 0.5, |b| = 0.8)
 NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
+# a mixed-sign draw with two states below the band and one 3e-6 above it
+MIXED = PotentialSpec((-2, 2), [-0.219381, 0.20846, 0.158265, -0.146959, -0.002739])
 
 
 def _kernel(mu, k):
@@ -332,6 +335,50 @@ def test_discrete_eigs_validation_and_empty():
     # a state this shallow spreads over hundreds of sites
     with pytest.raises(LocalizationError, match="localization ratio"):
         discrete_eigs(GENERIC, 128)
+
+
+def test_bound_states_match_window_eigenvalues():
+    # the state falls by e^-0.032 per site: window 256 still moves its
+    # eigenvalue by 2.8e-9, eig-scan's window 512 by 4e-15
+    got = [E for E, _ in bound_states(DELTA_HALF)]
+    want = [lam for lam, _ in discrete_eigs(DELTA_HALF, 512)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # window 268 localises the two states below the band but not the third,
+    # 3e-6 above it, which no window of that size holds
+    got = [E for E, _ in bound_states(MIXED)]
+    assert len(got) == 3 and 16.0 < got[2] < 16.0 + 1e-5
+    want = [lam for lam, _ in discrete_eigs(MIXED, 268)]
+    np.testing.assert_allclose(got[:2], want, rtol=0, atol=1e-10)
+    assert bound_states(None) == []
+
+
+def test_bound_state_norms_are_closed_form():
+    # the shallowest state still falls below 1e-30 by |n| = 70000
+    sites = np.arange(-70000, 70001)
+    for E, psi in bound_states(DELTA_HALF) + bound_states(MIXED):
+        assert np.sum(psi(sites) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bound_states_are_eigenvectors():
+    radius = 300
+    sites = np.arange(-radius, radius + 1)
+    for V in (DELTA_HALF, MIXED, PotentialSpec.delta(-5.0)):
+        h = build_hamiltonian(V, radius)
+        for E, psi in bound_states(V):
+            vals = psi(sites)
+            # the Dirichlet stencil cuts the two outermost sites on each side
+            assert np.abs(h @ vals - E * vals)[2:-2].max() < 1e-12
+
+
+def test_coincident_bound_states_are_orthonormal():
+    # two deep wells 120 sites apart split their states by far less than a
+    # float's spacing at 16.9
+    V = PotentialSpec((-60, 60), np.r_[5.0, np.zeros(119), 5.0])
+    states = bound_states(V)
+    assert len(states) == 2 and states[0][0] == states[1][0]
+    sites = np.arange(-400, 401)
+    vals = np.array([psi(sites) for _, psi in states])
+    np.testing.assert_allclose(vals @ vals.T, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_embedded_scan_clean_for_delta():
