@@ -43,6 +43,7 @@ from .propagator import (
     FREE_KINDS,
     auto_window_radius,
     pac_split,
+    ring_size,
     stone_kernel_slice,
 )
 from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
@@ -429,8 +430,9 @@ class _DecaySource(NamedTuple):
 def _free_source(cfg, times) -> _DecaySource:
     kind = cfg["kind"]
     band = cfg["band"] if cfg["band"] is not None else _FREE_BANDS[kind]
+    fields = {"kind": kind, "ring_sizes": [ring_size(t, kind) for t in times]}
     return _DecaySource(
-        free_decay_series(kind, times), band, kind, {"kind": kind},
+        free_decay_series(kind, times), band, kind, fields,
         _FREE_CLAIMS[kind], f"free decay, {kind}",
     )
 
@@ -541,6 +543,8 @@ def _run_beam_decay(cfg, outdir, rng):
         "pass_sinc": pass_sinc,
         "pass_sum": pass_sum,
         "band_pass": ok,
+        # both beam kinds move at group speed 2, so they share each ring
+        "ring_sizes": [ring_size(t, "beam_cos") for t in times],
         "paper_claim": (
             "||cos(t sqrt(Delta^2))|| + ||sin(t sqrt(Delta^2))/(t sqrt(Delta^2))|| "
             "<~ |t|^(-1/3) from l^1 to l^infinity: the summed pair decays at "

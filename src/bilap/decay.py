@@ -127,9 +127,10 @@ def free_decay_series(kind: str, times: np.ndarray) -> DecaySeries:
     """Full-causal-range kernel sup norms of a free flow.
 
     The sup at each time is taken over every separation on an FFT ring
-    that contains the causal range with margin, which is the kernel's
-    translation-invariant sup over the whole lattice up to far-field
-    noise.
+    that contains the causal range with margin (the separations 0..size/2
+    of free_kernel_full, which hold the whole even ring), which is the
+    kernel's translation-invariant sup over the whole lattice up to
+    far-field noise.
     """
     if kind not in _FREE_SERIES_KINDS:
         raise ValueError(f"kind must be one of {_FREE_SERIES_KINDS}, got {kind!r}")

@@ -5,7 +5,9 @@ operator H that generates it, and FLOWS defines each one once. Three
 routes evaluate them and are cross-checked against each other. Dense
 spectral evolution diagonalises a window truncation and passes its
 eigenvalues as E. Free translation-invariant kernels come from the band
-symbol by FFT, with E the symbol of H on the ring. Perturbed kernels
+symbol by FFT, with E the symbol of H on the ring: the weight lives on
+half of an even ring sized by the flow's own group speed, and the even
+kernel comes from one complex FFT of half the ring's length. Perturbed kernels
 restricted to the continuous spectrum come from a quadrature of the
 resolvent jump across the band,
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.fft import ifft
+from numpy.fft import fft
 
 from .lattice import SPEED_BOUND, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
@@ -58,6 +60,7 @@ __all__ = [
     "fft_ring_band",
     "free_kernel_fft",
     "free_kernel_full",
+    "ring_size",
     "ring_weight",
     "stone_kernel_slice",
 ]
@@ -84,8 +87,8 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 
-# Margin factor on the causal range SPEED_BOUND |t|, for FFT rings and for
-# dense truncation windows alike.
+# Margin factor on the causal range c |t|, for FFT rings (c the flow's group
+# speed, see ring_size) and for dense truncation windows (c = SPEED_BOUND).
 _RING_SAFETY = 1.2
 _RING_MARGIN = 64
 _EDGE_CUTOFF = 1e-4
@@ -229,49 +232,107 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def fft_ring_band(t: float, kmax: int) -> tuple[np.ndarray, int]:
-    """Second-difference symbol 4 sin^2(x/2) on half of an FFT ring for time t.
+def ring_size(t: float, kind: str, kmax: int = 0) -> int:
+    """Size of the FFT ring that carries the free kernel of a kind at time t.
 
     The ring is even, 5-smooth, of at least 256 points, and covers the
-    separations up to 1.2 SPEED_BOUND |t| + kmax + 64 both ways, so
-    wraparound sits at the far-field noise floor. Returns (band, size):
-    band[j] is the symbol at x = 2 pi j / size for j = 0..size/2. The
-    symbol is even on the ring, so index size - j carries band[j] too.
-    """
-    need = 2.0 * (_RING_SAFETY * SPEED_BOUND * abs(t) + kmax + _RING_MARGIN)
-    size = 2 * _five_smooth(int(np.ceil(max(need, 256.0) / 2)))
-    half = np.sin(np.pi * np.arange(size // 2 + 1) / size)
-    return 4.0 * half * half, size
-
-
-def ring_weight(t: float, kind: str, kmax: int = 0) -> np.ndarray:
-    """Flow weight of a free kind over the full FFT ring of fft_ring_band.
-
-    The weight is evaluated on the half-ring symbol only and mirrored to
-    the even 5-smooth ring, so index j and size - j carry the same value.
+    separations up to 1.2 c |t| + kmax + 64 both ways, so wraparound sits
+    at the far-field noise floor. c is the flow's largest group speed:
+    SPEED_BOUND = 6 sqrt(3) where the phase is t b^2 (the fourth-difference
+    Schrodinger flow), 2 where it is t b (the second-difference flow, and
+    the beam flows, whose sqrt(E) is the symbol b = 4 sin^2(x/2) itself).
     """
     if kind not in _KIND_TABLE:
         raise ValueError(f"no free kernel for kind {kind!r}")
     flow, operator, _ = _KIND_TABLE[kind]
-    band, size = fft_ring_band(t, kmax)
-    energy = band if operator == "lap" else band * band
-    half = FLOWS[flow](t, energy)
-    full = np.empty(size, dtype=half.dtype)
+    speed = SPEED_BOUND if (flow, operator) == ("schrodinger", "bilap") else 2.0
+    need = 2.0 * (_RING_SAFETY * speed * abs(t) + kmax + _RING_MARGIN)
+    return 2 * _five_smooth(int(np.ceil(max(need, 256.0) / 2)))
+
+
+def fft_ring_band(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Second-difference symbol 4 sin^2(x/2) on half of an FFT ring of even size.
+
+    Returns (band, sine) at x = 2 pi j / size for j = 0..size/2, with
+    sine[j] = sin(x/2) the half-angle sine the symbol is built from. Both
+    are even on the ring, so index size - j carries the values of j.
+    """
+    sine = np.sin(np.pi * np.arange(size // 2 + 1) / size)
+    return 4.0 * sine * sine, sine
+
+
+def _half_ring_weight(t: float, kind: str, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flow weight of a kind on the half ring of ring_size, with its half-angle sine."""
+    size = ring_size(t, kind, kmax)
+    flow, operator, _ = _KIND_TABLE[kind]
+    band, sine = fft_ring_band(size)
+    # the fourth-difference energy b^2 overwrites the symbol it squares
+    energy = band if operator == "lap" else np.square(band, out=band)
+    return FLOWS[flow](t, energy), sine
+
+
+def ring_weight(t: float, kind: str, kmax: int = 0) -> np.ndarray:
+    """Flow weight of a kind over the full FFT ring of ring_size.
+
+    The weight is evaluated on the half ring only and mirrored, so index
+    j and size - j carry the same value. The full ring is for data that
+    need not be even; an even kernel needs only free_kernel_full.
+    """
+    half, _ = _half_ring_weight(t, kind, kmax)
+    full = np.empty(2 * half.size - 2, dtype=half.dtype)
     full[: half.size] = half
     full[half.size :] = half[-2:0:-1]
     return full
 
 
 def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
-    """Free kernel over a full FFT ring covering the causal range of t.
+    """Free kernel at separations 0..size/2 of a ring covering the causal range of t.
 
-    One inverse FFT of ring_weight, whose half-ring symbol weights fill
-    the even 5-smooth ring. Index k of the returned array is the site
-    separation modulo the ring size. Useful for suprema over the whole
-    causal range.
+    The kernel is even, so these separations hold the whole ring. Its
+    inverse transform of the even weight h_0..h_M (M = size/2) is a DCT-I,
+    computed with one complex FFT of length M (Makhoul 1980; Numerical
+    Recipes, cosft1): Y = fft(y), y_j = (h_j + h_{M-j})/2 - sin(pi j/M)
+    (h_j - h_{M-j}). The even separations are K_{2p} = (Y_p + Y_{-p})/size,
+    the odd ones K_{2p+1} = K_{2p-1} + i (Y_p - Y_{-p})/size from
+    K_1 = (2/size) [(h_0 - h_M)/2 + sum_{0<j<M} h_j cos(pi j/M)]. Both
+    trigonometric factors come from the half-angle sines s_j of
+    fft_ring_band: sin(pi j/M) = 2 s_j s_{M-j}, cos(pi j/M) = 1 - 2 s_j^2.
+    Useful for suprema over the whole causal range.
     """
-    weight = ring_weight(t, kind, kmax)
-    return ifft(weight, out=weight)
+    h, sine = _half_ring_weight(t, kind, kmax)
+    M = h.size - 1
+    size = 2 * M
+    # size * K_1, read before y overwrites h; cos(pi j/M) stays a real factor
+    cos = sine[1:M] ** 2
+    cos *= -2.0
+    cos += 1.0
+    k1 = h[0] - h[M] + 2.0 * (cos @ h[1:M].real + 1j * (cos @ h[1:M].imag))
+    del cos
+    # y in place of h, over the pairs (j, M - j), j = 1..M//2: with
+    # a = (h_j + h_{M-j})/2 and b = sin(pi j/M)(h_j - h_{M-j}), y_j = a - b
+    # and y_{M-j} = a + b; at j = M/2 both are one entry and b = 0
+    m = M // 2
+    lo, hi = h[1 : m + 1], h[M - 1 : M - m - 1 : -1]
+    b = lo - hi
+    b *= 2.0 * sine[1 : m + 1] * sine[M - 1 : M - m - 1 : -1]
+    a = lo + hi
+    a *= 0.5
+    np.subtract(a, b, out=lo)
+    np.add(a, b, out=hi)
+    del a, b, sine
+    h[0] = 0.5 * (h[0] + h[M])
+    y = h[:M]
+    fft(y, out=y)
+    # Y_{-p} is y[M - p]; the odd separations accumulate from K_1
+    even, odd = M // 2 + 1, (M + 1) // 2
+    kernel = np.empty(M + 1, dtype=complex)
+    kernel[0], kernel[1] = 2.0 * y[0], k1
+    np.add(y[1:even], y[M - 1 : M - even : -1], out=kernel[2::2])
+    np.subtract(y[1:odd], y[M - 1 : M - odd : -1], out=kernel[3::2])
+    kernel[3::2] *= 1j
+    np.cumsum(kernel[1::2], out=kernel[1::2])
+    kernel /= size
+    return kernel
 
 
 def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:

@@ -481,15 +481,17 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
 
     psi maps sites to a real l2-normalised eigenvector R0(E) v w, w in ker M(E),
     one pair per eigenvector. As dM/dE = v R0^2 v > 0, M's negative count falls
-    by each eigenvalue's multiplicity; it is bisected on [min(V, 0) - 1, -1e-12]
-    and [16 + 1e-12, 16 + max(V, 0) + 1]. Roots within 1e-12 are one energy.
+    by each eigenvalue's multiplicity; it is bisected on [lo - p(lo), -1e-12]
+    and [16 + 1e-12, hi + p(hi)], where [lo, hi] = [min(V, 0), 16 + max(V, 0)]
+    holds the spectrum and p(x) = max(1, 1e-12 |x|) keeps both ends off it
+    even where x +- 1 rounds to x. Roots within 1e-12 are one energy.
     """
     if V is None:
         return []
     sys = decompose_potential(V)
+    lo, hi = min(V.values.min(), 0.0), 16.0 + max(V.values.max(), 0.0)
     drops = []
-    for a, b in ((min(V.values.min(), 0.0) - 1.0, -_GAP),
-                 (16.0 + _GAP, 16.0 + max(V.values.max(), 0.0) + 1.0)):
+    for a, b in ((lo - max(1.0, -1e-12 * lo), -_GAP), (16.0 + _GAP, hi + max(1.0, 1e-12 * hi))):
         drops += _count_drops(a, b, sys)
     states = []
     for group in np.split(drops, np.flatnonzero(np.diff(drops) > _GAP) + 1) if drops else []:

@@ -603,6 +603,26 @@ def test_stone_reports_show_quadrature_budgets(tmp_path):
 # output directory resolution
 
 
+@pytest.mark.parametrize("command,kinds", [
+    ("free-decay", ["schrodinger_free_bilap"]),
+    ("beam-decay", ["beam_cos", "beam_sinc"]),
+])
+def test_free_decay_reports_ring_sizes(tmp_path, command, kinds):
+    cfg = _write_config(tmp_path, "ring", {
+        "t_min": 1.0, "t_max": 300.0, "per_decade": 4, "band": [-1.0, 1.0],
+    })
+    out = tmp_path / "ring"
+    main([command, "--config", cfg, "--out", str(out)])
+    sizes = json.loads((out / "fit.json").read_text())["ring_sizes"]
+    rows = sorted(out.glob("*.csv"))[0].read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert len(sizes) == len(times) == 11
+    for kind in kinds:
+        assert sizes == [propagator.ring_size(t, kind) for t in times]
+        assert sizes[-1] == 2 * (propagator.free_kernel_full(times[-1], kind).size - 1)
+    assert sizes[0] == 256 < sizes[-1]
+
+
 def test_output_dir_from_config(tmp_path):
     target = tmp_path / "from_config"
     cfg = _write_config(tmp_path, "cfg", {"output_dir": str(target)})

@@ -24,6 +24,7 @@ from bilap.propagator import (
     free_kernel_full,
     kernel_spectral,
     pac_split,
+    ring_size,
     ring_weight,
     stone_kernel_slice,
 )
@@ -127,14 +128,6 @@ def test_free_kernels_match_symbol_integral(kind, sym):
     sl = kernel_spectral(_req(kind, None, t, 4))
     for k in range(5):
         assert sl.entry(k, 0) == pytest.approx(fft_vals[k], abs=1e-8)
-
-
-def test_free_kernel_full_ring_symmetry():
-    full = free_kernel_full(2.0, "schrodinger_free_bilap")
-    assert full[-3] == pytest.approx(full[3], rel=1e-12)
-    np.testing.assert_allclose(
-        free_kernel_fft(2.0, "schrodinger_free_bilap", 6), full[:7], atol=0
-    )
 
 
 def test_pac_split_free_keeps_everything():
@@ -387,11 +380,55 @@ def test_five_smooth_matches_scipy_next_fast_len():
         assert propagator._five_smooth(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
-@pytest.mark.parametrize("t", [0.7, 37.0, 1e3])
-def test_free_kernel_full_matches_scipy_ifft(t):
+# (t, kmax) where the second-difference and beam rings have an odd half
+# size M: 135, 135, 225 and 3125 points
+@pytest.mark.parametrize("t,kmax_odd", [(0.0, 66), (0.7, 66), (37.0, 66), (1e3, 640)])
+def test_free_kernel_half_ring_matches_mirrored_ifft(t, kmax_odd):
+    # the half-length transform against the full-length inverse FFT of the
+    # mirrored weight, over every separation of the half ring
+    halves = set()
     for kind in FREE_KINDS + ("beam_cos", "beam_sinc"):
-        want = scipy.fft.ifft(ring_weight(t, kind, 5))
-        assert np.array_equal(free_kernel_full(t, kind, 5), want), kind
+        for kmax in (5, kmax_odd):
+            weight = ring_weight(t, kind, kmax)
+            size = ring_size(t, kind, kmax)
+            assert weight.size == size
+            assert np.array_equal(weight[1:], weight[:0:-1]), kind
+            want = np.fft.ifft(weight)[: size // 2 + 1]
+            got = free_kernel_full(t, kind, kmax)
+            assert got.size == size // 2 + 1
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=kind)
+            assert np.array_equal(free_kernel_fft(t, kind, kmax), got[: kmax + 1])
+            halves.add(size // 2)
+    assert any(m % 2 for m in halves), sorted(halves)
+
+
+def _even_five_smooth_at_least(need):
+    n = int(np.ceil(max(need, 256.0)))
+    n += n % 2
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 2
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 37.0, -250.0, 1e3, 1e5])
+def test_ring_size_follows_each_flow_speed(t):
+    # the second-difference and beam phases move at group speed 2, the
+    # fourth-difference Schrodinger phase at SPEED_BOUND
+    for kmax in (0, 9):
+        for kind in ("schrodinger_free_lap", "beam_cos", "beam_sinc"):
+            need = 2.0 * (1.2 * 2.0 * abs(t) + kmax + 64)
+            assert ring_size(t, kind, kmax) == _even_five_smooth_at_least(need), kind
+        old = 2.0 * (1.2 * SPEED_BOUND * abs(t) + kmax + 64)
+        assert ring_size(t, "schrodinger_free_bilap", kmax) == 2 * scipy.fft.next_fast_len(
+            int(np.ceil(max(old, 256.0) / 2)), real=True
+        )
+    with pytest.raises(ValueError, match="no free kernel"):
+        ring_size(t, "heat")
 
 
 def _old_ring_band(t, kmax=0):

@@ -381,6 +381,19 @@ def test_coincident_bound_states_are_orthonormal():
     np.testing.assert_allclose(vals @ vals.T, np.eye(2), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("coupling", [-1e18, -1e22])
+def test_huge_negative_coupling_keeps_its_bound_state(coupling):
+    # a delta of coupling V < 0 binds one state at E = V + 6 + O(1/V); the
+    # bracket below V must not round onto V where 1 is below V's spacing
+    states = bound_states(PotentialSpec.delta(coupling))
+    assert len(states) == 1
+    E, psi = states[0]
+    assert abs(E - coupling) <= 16.0
+    vals = psi(np.arange(-8, 9))
+    assert np.sum(vals**2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(vals[8]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_embedded_scan_clean_for_delta():
     rep = embedded_eig_scan(PotentialSpec.delta(1.0), (128, 256))
     assert rep.verdict == "no embedded eigenvalues detected"
