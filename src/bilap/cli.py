@@ -47,7 +47,7 @@ from .propagator import (
     stone_kernel_slice,
 )
 from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
-from .resolvent import windowed_boundary_resolvent
+from .resolvent import _eps_ladder, windowed_boundary_resolvent
 from .spectral import (
     LocalizationError,
     SingularSandwichError,
@@ -583,12 +583,10 @@ def _run_resolvent_check(cfg, outdir, rng):
         runs.append(run)
         oracle.update(((mu, *pair), values[:, j].tolist()) for j, pair in enumerate(pairs))
     rows = []
-    max_err = 0.0
     for mu, n, m in points:
         for V, value in zip(potentials, oracle[mu, n, m]):
             closed = perturbed_resolvent_boundary(mu, V, n, m)
             err = abs(closed - value) / max(abs(closed), 1e-300)
-            max_err = max(max_err, err)
             rows.append(
                 (mu, n, m, _potential_label(V), closed.real, closed.imag,
                  value.real, value.imag, err)
@@ -599,6 +597,8 @@ def _run_resolvent_check(cfg, outdir, rng):
          "oracle_re", "oracle_im", "rel_err"],
         rows,
     )
+    # np.max keeps a NaN error, which then fails the check
+    max_err = float(np.max([row[-1] for row in rows]))
     ok = max_err <= cfg["tolerance"]
     report = {
         "points": cfg["points"],
@@ -686,12 +686,13 @@ def _run_minv_probe(cfg, outdir, rng):
     curves = []
     report = {"potential": _potential_label(V)}
     all_ok = True
-    for threshold, grid_cfg, min_slope in (
-        ("zero", cfg["grid_zero"], cfg["min_slope_zero"]),
-        ("sixteen", cfg["grid_sixteen"], cfg["min_slope_sixteen"]),
-    ):
-        grid = geometric_grid(grid_cfg[0], grid_cfg[1])
-        probe = minv_expansion_probe(sys_, threshold, grid)
+    # both probes run before any file is written, so a refusal leaves none
+    probes = {
+        threshold: minv_expansion_probe(sys_, threshold, geometric_grid(*cfg[f"grid_{threshold}"]))
+        for threshold in ("zero", "sixteen")
+    }
+    for threshold, probe in probes.items():
+        min_slope = cfg[f"min_slope_{threshold}"]
         if probe.skipped:
             report[threshold] = {"skipped": True, "diagnostic": probe.diagnostic}
             all_ok = False
@@ -799,7 +800,6 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
     obs = cfg["observe_radius"]
     rows = []
     combos = []
-    max_err = 0.0
     bound = {}
     for V in cfg["potentials"]:
         window = auto_window_radius(max(cfg["times"]), obs)
@@ -809,7 +809,6 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
             stone = stone_kernel_slice(t, V, obs, phase="schrodinger")
             reference = split.kernel_ac(t, obs)
             err = float(np.abs(stone.entries - reference.entries).max())
-            max_err = max(max_err, err)
             combos.append(
                 {
                     "potential": _potential_label(V),
@@ -827,6 +826,7 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
                     val = slc.entry(n, m)
                     rows.append((t, n, m, val.real, val.imag, label))
     write_csv(outdir / "kernels.csv", ["t", "n", "m", "re", "im", "method"], rows)
+    max_err = float(np.max([c["max_abs_err"] for c in combos]))
     ok = max_err <= tol
     report = {
         "tolerance": tol,
@@ -1123,15 +1123,21 @@ _COMMANDS = {
 # resolvent-check's window oracle reaches past the potential, so its
 # memory grows with the support radius.
 _ORACLE_SITE_BOUND = 2**16
+# Its free tails grow like 1 / mu and 1 / sqrt(2 - mu) at the band edges; a
+# tail of 2^21 sites peaks near 670 MB and takes 6 s on a 2-core host.
+_ORACLE_TAIL_BOUND = 2**21
 
 
 def _window_rules(command, cfg):
-    """(fields, potential, window, needed, given) for each window a command sizes."""
+    """(fields, potential or mu, window, needed, given) for each window a command sizes."""
     if command == "resolvent-check":
         for i, V in enumerate(cfg["potentials"]):
             if V is not None:
                 yield (f"field 'potentials' entry {i}", V, "the window oracle's "
                        "site limit", V.support_radius, _ORACLE_SITE_BOUND)
+        for i, mu in enumerate(cfg["mu_values"]):
+            yield (f"field 'mu_values' entry {i}", mu, "the window oracle's "
+                   "tail limit", _eps_ladder(mu)[1][0], _ORACLE_TAIL_BOUND)
     if command == "eig-scan":
         V = cfg["potential"]
         yield ("fields 'potential', 'discrete_window'", V, "discrete_window",
@@ -1187,11 +1193,16 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
                 f"{points} points, the fit needs at least {FIT_MIN_POINTS}"
             )
     for fields, V, window, need, given in _window_rules(command, out):
-        if given < need:
-            raise ConfigError(
-                f"{fields}: support radius {V.support_radius} needs {window} "
-                f">= {need}, got {given}"
-            )
+        if not given >= need:
+            what = f"mu = {V!r}" if isinstance(V, float) else f"support radius {V.support_radius}"
+            raise ConfigError(f"{fields}: {what} needs {window} >= {need:.17g}, got {given}")
+    if command == "stone-vs-spectral":
+        # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
+        top = max([np.abs(V.values).max() for V in out["potentials"] if V is not None] + [0.0])
+        lost = max(out["times"]) * (16.0 + top) * 2.0**-52
+        if lost > out["tolerance"]:
+            raise ConfigError(f"fields 'potentials', 'times', 'tolerance': a state near |V| = "
+                              f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
     return out
 
 

@@ -39,12 +39,12 @@ from .lattice import SPEED_BOUND, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
-    SingularSandwichError,
     bound_states,
     decompose_potential,
     eigensystem,
     m_matrix_grid,
     regular_point_check,
+    solve_sandwich,
 )
 
 __all__ = [
@@ -98,8 +98,6 @@ _INNER_CUTOFF = 1e-9
 # single-site slices; 8 is the first, cheapest pass and 0.25 the finest.
 _BUDGET_START = 8.0
 _BUDGET_FLOOR = 0.25
-# Stone refuses a node whose sandwich inverse exceeds this Frobenius norm.
-_SINGULAR_NORM = 1e10
 
 
 @dataclass(frozen=True)
@@ -465,7 +463,7 @@ def _stone_assemble(
         # side is the conjugate of the plus side taken with conj(phw)
         z = rho_all[:, sep_corr.T]
         z *= sys.v[None, :, None]
-        y = _solve_sandwich(m_matrix_grid(mus, sys, one_minus_q=oq), z, mus)
+        y, _ = solve_sandwich(m_matrix_grid(mus, sys, one_minus_q=oq), z, mus)
         sides = y[:, :, None, :] * np.stack([phw, phw.conj()], axis=1)[:, None, :, None]
         corr += sides.reshape(-1, 2 * targets.size).T @ z.reshape(-1, targets.size)
 
@@ -473,37 +471,6 @@ def _stone_assemble(
     free = 2j * (free_vals[0] + 1j * free_vals[1])
     corr = (corr[: targets.size] - corr[targets.size :].conj()).T
     return factor * (free[sep_free] - corr), mu.size
-
-
-def _solve_sandwich(m, z, mus):
-    """M^-1 z per node, refusing a node whose M^-1 exceeds _SINGULAR_NORM.
-
-    m has shape (nodes, d, d) and z (nodes, d, T). A 1 x 1 sandwich is a
-    division; otherwise one batched solve takes the identity as d more
-    right-hand sides, so the Frobenius norm of each M^-1 costs no
-    factorisation of its own.
-    """
-    d, cols = m.shape[1], z.shape[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if d == 1:
-            inv = 1.0 / m
-            y, norms = z * inv, np.abs(inv[:, 0, 0])
-        else:
-            eye = np.broadcast_to(np.eye(d), (m.shape[0], d, d))
-            try:
-                sol = np.linalg.solve(m, np.concatenate([z, eye], axis=2))
-            except np.linalg.LinAlgError:
-                y, norms = None, np.where(np.linalg.det(m) == 0.0, np.inf, 0.0)
-            else:
-                y = sol[:, :, :cols]
-                norms = np.linalg.norm(sol[:, :, cols:], axis=(1, 2))
-    worst = int(np.argmax(norms))
-    if norms[worst] > _SINGULAR_NORM:
-        raise SingularSandwichError(
-            "sandwich matrix numerically singular at energy "
-            f"mu^4 = {mus[worst] ** 4:.6g}: possible embedded eigenvalue"
-        )
-    return y
 
 
 def stone_kernel_slice(

@@ -178,6 +178,19 @@ def _pentadiagonal_band(side: int) -> np.ndarray:
     return ab
 
 
+def _eps_ladder(mu: float):
+    """(eps, tails) of windowed_boundary_resolvent's rungs at mu, tails in sites as floats.
+
+    Rung 0's tail is the longest; it grows like 1 / mu and 1 / sqrt(2 - mu) at the edges.
+    """
+    lam = mu**4
+    eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(_LADDER)
+    # decay length of the regularised kernel ~ (band speed at mu) / eps
+    scale = 4.0 * mu**3 * float(np.sqrt(1.0 - mu * mu / 4.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return eps_values, np.ceil(_DECAY_LENGTHS * scale / eps_values) + 64
+
+
 def windowed_boundary_resolvent(mu: float, pairs, potentials):
     """Boundary resolvent entries by direct window inversion, no closed forms.
 
@@ -202,14 +215,12 @@ def windowed_boundary_resolvent(mu: float, pairs, potentials):
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
     lam = mu**4
-    eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(_LADDER)
-    # decay length of the regularised kernel ~ (band speed at mu) / eps
-    scale = 4.0 * mu**3 * float(np.sqrt(1.0 - mu * mu / 4.0))
+    eps_values, tails = _eps_ladder(mu)
+    tails = [int(t) for t in tails]
     ns = np.array([n for n, _ in pairs])
     cols, col_of = np.unique([m for _, m in pairs], return_inverse=True)
     supports = [V.support_radius for V in potentials if V is not None]
     half = int(max(2, *np.abs(ns), *np.abs(cols), *supports))
-    tails = [int(np.ceil(_DECAY_LENGTHS * scale / eps)) + 64 for eps in eps_values]
     # LAPACK reads no band entry outside the matrix (the corners of rows 0, 1,
     # 3 and 4), so a leading column slice is the same system on a shorter tail.
     tail = _pentadiagonal_band(tails[0])

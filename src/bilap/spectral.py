@@ -6,11 +6,13 @@ the free boundary resolvent, controls the perturbed resolvent through
 
     R_V = R - R v M^{-1} v R,
 
-all restricted to the support sites. Threshold behaviour at the band edges
-is governed by M's compression to explicit subspaces: the complement of the
-potential's zeroth and first moments at the lower edge, and of the
-alternating-sign moment at the upper edge. Off the band M is real symmetric
-and locates the bound states with no window; window truncations are
+all restricted to the support sites. One builder forms U + v K v for the band,
+off-band and edge-limit kernels K; on the band, solve_sandwich is the one
+route to M^{-1} and holds the one refusal rule. Threshold behaviour at the
+band edges is governed by M's compression to explicit subspaces: the
+complement of the potential's zeroth and first moments at the lower edge, and
+of the alternating-sign moment at the upper edge. Off the band M is real
+symmetric and locates the bound states with no window; window truncations are
 diagonalised once per matrix through the memoised eigensystem.
 """
 
@@ -40,6 +42,7 @@ __all__ = [
     "EmbeddedScanReport",
     "decompose_potential",
     "m_matrix_grid",
+    "solve_sandwich",
     "build_projections",
     "build_T0",
     "build_T0_tilde",
@@ -62,6 +65,8 @@ BAND_MARGIN = 1e-6
 _LOCALIZATION_RATIO = 0.999
 
 _GAP = 1e-12  # bound_states' distance from the band edges; closer roots are one energy
+
+_SINGULAR_NORM = 1e10  # solve_sandwich's refusal threshold on the Frobenius norm of M^-1
 
 
 class LocalizationError(ValueError):
@@ -187,8 +192,11 @@ def decompose_potential(V: PotentialSpec) -> BirmanSchwingerSystem:
     )
 
 
-def _separations(sys: BirmanSchwingerSystem) -> np.ndarray:
-    return np.abs(sys.sites[:, None] - sys.sites[None, :])
+def _sandwich(kernel: Callable, sys: BirmanSchwingerSystem) -> np.ndarray:
+    """U + v K v, K = kernel(|n - m|) over the support sites, shape (..., d, d)."""
+    m = kernel(np.abs(sys.sites[:, None] - sys.sites[None, :])) * np.outer(sys.v, sys.v)
+    m[..., np.arange(sys.dim), np.arange(sys.dim)] += sys.u
+    return m
 
 
 def m_matrix_grid(
@@ -196,10 +204,38 @@ def m_matrix_grid(
 ) -> np.ndarray:
     """Plus-side matrices U + v R(mu^4) v over a grid, shape (len(mu), d, d)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    r = boundary_kernel_plus(mu, _separations(sys), one_minus_q=one_minus_q)
-    m = r * np.outer(sys.v, sys.v)[None, :, :]
-    m[:, np.arange(sys.dim), np.arange(sys.dim)] += sys.u[None, :]
-    return m
+    return _sandwich(lambda k: boundary_kernel_plus(mu, k, one_minus_q=one_minus_q), sys)
+
+
+def solve_sandwich(m: np.ndarray, z: np.ndarray, mus: np.ndarray):
+    """(M^-1 z, M^-1) per node; SingularSandwichError where ||M^-1||_F > _SINGULAR_NORM.
+
+    m is (nodes, d, d), z (nodes, d, T) with T >= 0, and mus name the refused
+    node's energy. A 1 x 1 sandwich is a division; otherwise one batched solve
+    takes the identity as d more right-hand sides, so M^-1 costs no factorisation
+    of its own. An exact zero pivot (or a NaN determinant) counts as infinite.
+    """
+    d, cols = m.shape[1], z.shape[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            inv = 1.0 / m
+            y, norms = z * inv, np.abs(inv[:, 0, 0])
+        else:
+            eye = np.broadcast_to(np.eye(d), (m.shape[0], d, d))
+            try:
+                sol = np.linalg.solve(m, np.concatenate([z, eye], axis=2))
+            except np.linalg.LinAlgError:
+                y, inv, norms = None, None, np.where(np.linalg.det(m) != 0.0, 0.0, np.inf)
+            else:
+                y, inv = sol[:, :, :cols], sol[:, :, cols:]
+                norms = np.linalg.norm(inv, axis=(1, 2))
+    worst = int(np.argmax(norms))
+    if norms[worst] > _SINGULAR_NORM:
+        raise SingularSandwichError(
+            "sandwich matrix numerically singular at energy "
+            f"mu^4 = {mus[worst] ** 4:.6g}: possible embedded eigenvalue"
+        )
+    return y, inv
 
 
 def build_projections(sys: BirmanSchwingerSystem) -> ProjectionSet:
@@ -234,8 +270,7 @@ def build_T0(sys: BirmanSchwingerSystem) -> np.ndarray:
     G0 is the order-zero expansion coefficient of the boundary kernel,
     (k^3 - k)/12 at separation k.
     """
-    g0 = coeff_zero_series(0, _separations(sys))[3].real
-    return np.diag(sys.u) + np.outer(sys.v, sys.v) * g0
+    return _sandwich(lambda k: coeff_zero_series(0, k)[3].real, sys)
 
 
 def build_T0_tilde(sys: BirmanSchwingerSystem) -> np.ndarray:
@@ -243,8 +278,7 @@ def build_T0_tilde(sys: BirmanSchwingerSystem) -> np.ndarray:
 
     G0~ is the order-zero coefficient of the upper-edge expansion.
     """
-    g0 = coeff_sixteen_series(0, _separations(sys))[1].real
-    return np.diag(sys.u) + np.outer(sys.v, sys.v) * g0
+    return _sandwich(lambda k: coeff_sixteen_series(0, k)[1].real, sys)
 
 
 def _edge_data(sys: BirmanSchwingerSystem, threshold: str):
@@ -263,19 +297,16 @@ def _range_basis(projection: np.ndarray) -> np.ndarray:
     return vecs[:, ev > 0.5]
 
 
-def regular_point_check(
-    sys: BirmanSchwingerSystem, threshold: str, tol: float | None = None
-) -> RegularPointReport:
+def regular_point_check(sys: BirmanSchwingerSystem, threshold: str) -> RegularPointReport:
     """Test invertibility of the limit operator compressed to the edge subspace.
 
     The threshold is regular when the compression of the limit operator to
-    the range of the edge projection has smallest singular value above tol
-    (default 1e-8 times the limit operator norm). An empty range makes the
-    threshold vacuously regular with singular value +inf.
+    the range of the edge projection has smallest singular value above
+    1e-8 times the limit operator norm. An empty range makes the threshold
+    vacuously regular with singular value +inf.
     """
     T, proj = _edge_data(sys, threshold)
-    if tol is None:
-        tol = 1e-8 * float(np.linalg.norm(T, 2))
+    tol = 1e-8 * float(np.linalg.norm(T, 2))
     basis = _range_basis(proj)
     if basis.shape[1] == 0:
         return RegularPointReport(threshold, float("inf"), True, tol)
@@ -284,19 +315,13 @@ def regular_point_check(
     return RegularPointReport(threshold, sv, sv > tol, tol)
 
 
-def perturbed_resolvent_boundary(
-    mu: float,
-    V: Optional[PotentialSpec],
-    n: int,
-    m: int,
-    singular_tol: float | None = None,
-) -> complex:
+def perturbed_resolvent_boundary(mu: float, V: Optional[PotentialSpec], n: int, m: int) -> complex:
     """Boundary value of the perturbed resolvent at band energy mu**4.
 
     Evaluates R - R v M^{-1} v R at sites (n, m). A potential of None (or
     identically zero support after decomposition) returns the free kernel.
-    Refuses to evaluate when M is numerically singular, naming the energy,
-    since that signals a possible embedded eigenvalue. mu lies in (0, 2).
+    M^{-1} v R comes from solve_sandwich, which refuses a numerically
+    singular M, naming the energy. mu lies in (0, 2).
     """
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
@@ -305,19 +330,10 @@ def perturbed_resolvent_boundary(
     if V is None:
         return free
     sys = decompose_potential(V)
-    M = m_matrix_grid(mu_arr, sys)[0]
-    svals = np.linalg.svd(M, compute_uv=False)
-    if singular_tol is None:
-        singular_tol = 1e-10 * float(svals.max())
-    if float(svals.min()) <= singular_tol:
-        raise SingularSandwichError(
-            f"sandwich matrix singular at energy mu^4 = {mu**4:.6g}: "
-            "possible embedded eigenvalue, evaluation refused"
-        )
     rn = boundary_kernel_plus(mu_arr, np.abs(n - sys.sites))[0]
     rm = boundary_kernel_plus(mu_arr, np.abs(sys.sites - m))[0]
-    corr = rn * sys.v @ np.linalg.solve(M, sys.v * rm)
-    return free - complex(corr)
+    y, _ = solve_sandwich(m_matrix_grid(mu_arr, sys), (sys.v * rm)[None, :, None], mu_arr)
+    return free - complex(rn * sys.v @ y[0, :, 0])
 
 
 def minv_expansion_probe(
@@ -329,7 +345,7 @@ def minv_expansion_probe(
     against the edge subspace (I - S0 at the lower edge, I - Qtilde at the
     upper) decays; the report carries both norms and the fitted decay slope.
     Grids hold distances to the edge: mu itself at the lower edge, 2 - mu
-    at the upper.
+    at the upper. solve_sandwich gives the inverses and refuses a singular M.
     """
     report = regular_point_check(sys, threshold)
     grid = np.asarray(mu_grid, dtype=float)
@@ -350,13 +366,9 @@ def minv_expansion_probe(
                 f"{report.tolerance_used:.3e}); probe skipped"
             ),
         )
-    _, proj = _edge_data(sys, threshold)
-    comp = np.eye(sys.dim) - proj
-    if threshold == "zero":
-        ms = m_matrix_grid(grid, sys)
-    else:
-        ms = m_matrix_grid(2.0 - grid, sys, one_minus_q=grid * (4.0 - grid) / 4.0)
-    inv = np.linalg.inv(ms)
+    comp = np.eye(sys.dim) - _edge_data(sys, threshold)[1]
+    mus, omq = (grid, None) if threshold == "zero" else (2.0 - grid, grid * (4.0 - grid) / 4.0)
+    _, inv = solve_sandwich(m_matrix_grid(mus, sys, omq), np.empty((grid.size, sys.dim, 0)), mus)
     inv_norms = np.linalg.norm(inv, ord=2, axis=(1, 2))
     leak_norms = np.linalg.norm(comp[None, :, :] @ inv, ord=2, axis=(1, 2))
     slope, _ = np.polyfit(np.log(grid), np.log(leak_norms), 1)
@@ -434,9 +446,7 @@ def eigensystem(
 
 def _off_band_sandwich(E: float, sys: BirmanSchwingerSystem) -> np.ndarray:
     """U + v R0(E) v at a real energy E off [0, 16], real symmetric."""
-    m = free_biresolvent_complex(E, _separations(sys)).real * np.outer(sys.v, sys.v)
-    m[np.diag_indices(sys.dim)] += sys.u
-    return m
+    return _sandwich(lambda k: free_biresolvent_complex(E, k).real, sys)
 
 
 def _count_drops(a: float, b: float, sys: BirmanSchwingerSystem) -> List[float]:

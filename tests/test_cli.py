@@ -1,6 +1,7 @@
 """Command line front end: exit codes, file outputs, byte-level determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilap import cli, propagator
+from bilap import cli, propagator, spectral
 from bilap.cli import ConfigError, main, render_loglog_svg, write_csv, write_json
 
 
@@ -58,6 +59,12 @@ def test_wrong_field_type_exits_two(tmp_path, capsys):
         ("minv-probe", {"potential": None}),
         ("regular-check", {"potential": None}),
         ("eig-scan", {"potential": None}),
+        # t |E| 2^-52 = 2.2e4 at |V| = 1e20: a bound state's phase is noise
+        ("stone-vs-spectral", {"potentials": [{"delta": -1e20}], "times": [1.0], "observe_radius": 2}),
+        ("stone-vs-spectral", {"potentials": [{"delta": 1e20}], "times": [1.0], "observe_radius": 2}),
+        # the oracle's free tails would hold 48,000,058 and 12.0M sites
+        ("resolvent-check", {"mu_values": [0.5, 0.001]}),
+        ("resolvent-check", {"mu_values": [1.999999]}),
     ],
 )
 def test_cross_field_config_errors_exit_two_before_mkdir(
@@ -206,23 +213,53 @@ def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
 
 
 def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch):
-    grid = propagator.m_matrix_grid
+    grid = spectral.m_matrix_grid
 
     def one_singular(mu, sys, one_minus_q=None):
         m = grid(mu, sys, one_minus_q=one_minus_q)
         m[m.shape[0] // 2] = 0.0
         return m
 
+    monkeypatch.setattr(spectral, "m_matrix_grid", one_singular)
     monkeypatch.setattr(propagator, "m_matrix_grid", one_singular)
-    cfg = _write_config(
-        tmp_path, "cfg", {"t_min": 10.0, "t_max": 100.0, "per_decade": 8, "observe_radius": 4}
-    )
-    out = tmp_path / "a" / "o"
-    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "numerical refusal" in err and "possible embedded eigenvalue" in err
-    assert not (tmp_path / "a").exists()
+    # Stone, the closed perturbed resolvent and the sandwich probe all refuse
+    for command, payload in (
+        ("perturbed-decay", {"t_min": 10.0, "t_max": 100.0, "per_decade": 8, "observe_radius": 4}),
+        ("resolvent-check", {"points": 1, "mu_values": [1.0], "potentials": [{"delta": 0.5}]}),
+        ("minv-probe", {}),
+    ):
+        cfg = _write_config(tmp_path, "cfg", payload)
+        out = tmp_path / "a" / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numerical refusal" in err and "possible embedded eigenvalue" in err
+        assert not (tmp_path / "a").exists()
+
+
+def test_nan_errors_fail_their_check(tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN error must still fail, and stay in the report
+    stone = cli.stone_kernel_slice
+
+    def nan_resolvent(mu, V, n, m):
+        return complex(np.nan, 0.0)
+
+    def nan_stone(*args, **kwargs):
+        slc = stone(*args, **kwargs)
+        return dataclasses.replace(slc, entries=np.full_like(slc.entries, np.nan))
+
+    monkeypatch.setattr(cli, "perturbed_resolvent_boundary", nan_resolvent)
+    monkeypatch.setattr(cli, "stone_kernel_slice", nan_stone)
+    for command, payload, key in (
+        ("resolvent-check", {"points": 1, "mu_values": [1.0], "potentials": [None]}, "max_rel_err"),
+        ("stone-vs-spectral", {"potentials": [None], "times": [1.0], "observe_radius": 2},
+         "max_abs_err"),
+    ):
+        cfg = _write_config(tmp_path, "cfg", payload)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report[key] == "nan" and report["band_pass"] is False
 
 
 _JSON = st.recursive(
@@ -272,6 +309,11 @@ def _assert_cli_contract(command, config):
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert not out.exists()
+        # a passing report holds no NaN, which write_json spells "nan"
+        for path in out.glob("*.json"):
+            text = path.read_text()
+            if json.loads(text).get("band_pass") is True:
+                assert '"nan"' not in text, path.name
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

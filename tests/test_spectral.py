@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bilap import propagator, spectral
 from bilap.expansion import geometric_grid
 from bilap.lattice import PotentialSpec, _neg_laplacian_matrix, build_hamiltonian
 from bilap.resolvent import (
@@ -188,9 +189,6 @@ def test_regular_point_check_generic():
     for thr in ("zero", "sixteen"):
         rep = regular_point_check(sys_, thr)
         assert rep.is_regular and rep.smallest_singular_value > 1e-3
-    # an absurd tolerance flips the verdict without changing the number
-    rep = regular_point_check(sys_, "zero", tol=1e6)
-    assert not rep.is_regular
 
 
 def test_constructed_potential_is_not_regular():
@@ -299,18 +297,30 @@ def test_perturbed_resolvent_second_identity():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_perturbed_resolvent_refuses_singular_sandwich():
-    with pytest.raises(ValueError, match="possible embedded eigenvalue"):
-        perturbed_resolvent_boundary(
-            1.0, GENERIC, 0, 0, singular_tol=1e10
-        )
+_READERS = {
+    "stone": lambda: propagator._stone_assemble(1.0, GENERIC, np.arange(-2, 3), "schrodinger", 8.0),
+    "resolvent": lambda: perturbed_resolvent_boundary(1.0, GENERIC, 0, 0),
+    "probe": lambda: minv_expansion_probe(decompose_potential(GENERIC), "zero", np.geomspace(1e-3, 1e-1, 9)),
+}
 
 
-def test_singular_sandwich_refusal_is_typed():
-    with pytest.raises(SingularSandwichError):
-        perturbed_resolvent_boundary(
-            1.0, GENERIC, 0, 0, singular_tol=1e10
-        )
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["singular", "near-singular"])
+def test_every_reader_refuses_a_singular_sandwich(monkeypatch, reader, scale):
+    # one node's sandwich becomes scale * identity: an exact zero pivot, or
+    # an inverse of Frobenius norm sqrt(3) 1e12, above the 1e10 threshold;
+    # every on-band reader refuses it through solve_sandwich alike
+    grid = spectral.m_matrix_grid
+
+    def one_singular(mu, sys, one_minus_q=None):
+        m = grid(mu, sys, one_minus_q=one_minus_q)
+        m[m.shape[0] // 2] = scale * np.eye(m.shape[1])
+        return m
+
+    monkeypatch.setattr(spectral, "m_matrix_grid", one_singular)
+    monkeypatch.setattr(propagator, "m_matrix_grid", one_singular)
+    with pytest.raises(SingularSandwichError, match="numerically singular at energy mu"):
+        _READERS[reader]()
 
 
 def test_discrete_eigs_delta_counts():
