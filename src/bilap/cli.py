@@ -18,6 +18,7 @@ import importlib.metadata
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -1257,15 +1258,26 @@ def main(argv=None) -> int:
             threads = args.threads
 
     started = time.monotonic()
-    try:
-        code, report, outputs = runner(cfg, outdir, rng)
-    except (ConfigError, LocalizationError, SingularSandwichError) as exc:
+    # the library's own warnings (a non-regular edge, a quadrature short of
+    # its target) are part of the run's output: one stderr line each, and
+    # listed in the manifest; other categories keep the active filters
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code, report, outputs = runner(cfg, outdir, rng)
+        except (ConfigError, LocalizationError, SingularSandwichError) as exc:
+            refusal = exc
+        else:
+            refusal = None
+    for w in caught:
+        print(f"bilap {args.command}: warning: {w.message}", file=sys.stderr)
+    if refusal is not None:
         for d in created:
             if any(d.iterdir()):
                 break
             d.rmdir()
-        what = "config error" if isinstance(exc, ConfigError) else "numerical refusal"
-        print(f"bilap {args.command}: {what}: {exc}", file=sys.stderr)
+        what = "config error" if isinstance(refusal, ConfigError) else "numerical refusal"
+        print(f"bilap {args.command}: {what}: {refusal}", file=sys.stderr)
         return 2
     wall = time.monotonic() - started
 
@@ -1280,6 +1292,7 @@ def main(argv=None) -> int:
         "python_version": sys.version.split()[0],
         "wall_time_seconds": wall,
         "outputs": outputs,
+        "warnings": [str(w.message) for w in caught],
         "exit_code": code,
     }
     write_json(outdir / "manifest.json", manifest)

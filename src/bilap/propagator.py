@@ -17,8 +17,10 @@ with w the flow weight at E = mu^4: exp(-i t E) for the flow generated by
 the operator itself, exp(-i t sqrt E), cos(t sqrt E) or
 sin(t sqrt E)/(t sqrt E) for half-wave and beam flows. The substitution
 mu = 2 sin(-theta/2) removes the inverse square-root singularity of the
-jump at the upper band edge, and narrow endpoint strips are integrated in
-locally analytic variables. Panels are sized by the budget rule of the
+jump at the upper band edge. The bulk in theta reaches down to mu = 1e-9,
+with its last panel graded geometrically where a weak potential's sandwich
+turns over near the lower edge, and a narrow strip at the upper edge is
+integrated in the locally analytic w = sqrt(2 - mu). Panels are sized by the budget rule of the
 quadrature module: the phase and the wave exponents advance by at most a
 budget per panel, so cost scales linearly in |t| and inversely in the
 budget. stone_kernel_slice picks the budget itself, halving it from 8
@@ -39,6 +41,7 @@ from .lattice import SPEED_BOUND, PotentialSpec
 from .quadrature import edges_from_budget, gauss_panels
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
+    BirmanSchwingerSystem,
     bound_states,
     decompose_potential,
     eigensystem,
@@ -342,92 +345,72 @@ def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:
 
 
 def _stone_nodes(
-    t: float,
-    phase_power: int,
-    reach: float,
-    budget: float,
-    lo_strip: bool,
-    hi_strip: bool,
+    t: float, phase_power: int, reach: float, budget: float, regular: dict, knee: float
 ):
     """Quadrature nodes, weights and stable 1 - mu^2/4 values over (0, 2).
 
-    Three pieces: the bulk in the angle theta with mu = 2 sin(-theta/2)
-    (the Jacobian cos(theta/2) cancels the jump's singularity at mu = 2),
-    plus endpoint strips in mu near 0 and in w = sqrt(2 - mu) near 2,
-    where those variables are locally analytic. reach bounds the site
+    Two pieces. The bulk is in the angle theta with mu = 2 sin(-theta/2),
+    whose Jacobian cos(theta/2) cancels the jump's singularity at mu = 2.
+    It runs from mu = 2 - _EDGE_CUTOFF down to _INNER_CUTOFF; the integrand
+    is smooth in theta at the lower edge, so no strip is needed there. The
+    strip at the upper edge is in w = sqrt(2 - mu), where the jump is
+    locally analytic, from w = sqrt(_EDGE_CUTOFF) down to _INNER_CUTOFF.
+    regular maps "zero" and "sixteen" to the edge verdicts. A non-regular
+    edge truncates the band integral at _EDGE_CUTOFF from it: the bulk stops
+    at mu = _EDGE_CUTOFF, or the strip is dropped. reach bounds the site
     separations that multiply the oscillatory and evanescent exponents in
-    the budget. Dropping a strip truncates the band integral at
-    _EDGE_CUTOFF from that edge.
+    the budget. knee is the mu below which the sandwich's mu^-3 term
+    outgrows its identity part (0 for no potential). A weak potential puts
+    its knee deep inside the bulk's last panel, which cannot resolve the
+    turn; that panel is then halved geometrically in mu down to knee / 16.
     """
+    # sign does not move an edge: only the |variation| of each cost row counts
+    def cost(mu, phase):
+        return np.stack([t * mu**phase_power, reach * phase, reach * _band_rates(mu)[1]])
 
-    pieces = []
-
-    # bulk, in theta = -phase
-    th_lo, th_hi = -_band_rates(2.0 - _EDGE_CUTOFF)[0], -_band_rates(_EDGE_CUTOFF)[0]
-
-    def bulk_cost(th):
-        mu = 2.0 * np.sin(-th / 2.0)
-        return np.stack([t * mu**phase_power, reach * th, reach * _band_rates(mu)[1]])
-
-    edges = edges_from_budget(th_lo, th_hi, bulk_cost, budget=budget, min_panels=8)
+    # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
+    lo = _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
+    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, lo]) / 2.0)
+    edges = edges_from_budget(
+        th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th), budget=budget, min_panels=8
+    )
+    last = 2.0 * np.sin(-edges[-2] / 2.0)
+    if 0.0 < knee < last / 4.0:
+        # below knee / 16 the sandwich is smooth on the scale of the panel
+        halvings = int(np.ceil(np.log2(last / max(knee / 16.0, lo))))
+        graded = -2.0 * np.arcsin(last * 0.5 ** np.arange(1, halvings) / 2.0)
+        edges = np.concatenate([edges[:-1], graded, edges[-1:]])
     th, w = gauss_panels(edges)
-    mu = 2.0 * np.sin(-th / 2.0)
-    pieces.append((mu, w * np.cos(th / 2.0), np.cos(th / 2.0) ** 2))
+    pieces = [(2.0 * np.sin(-th / 2.0), w * np.cos(th / 2.0), np.cos(th / 2.0) ** 2)]
 
-    # the sign of a cost row does not move an edge: only |variation| counts
-    def strip_cost(mu):
-        phase, b = _band_rates(mu)
-        return np.stack([t * mu**phase_power, reach * phase, reach * b])
-
-    if lo_strip:
-        # lower strip, in mu
-        edges = edges_from_budget(
-            _INNER_CUTOFF, _EDGE_CUTOFF, strip_cost, budget=budget, min_panels=4
-        )
-        mu, w = gauss_panels(edges)
-        pieces.append((mu, w, 1.0 - mu * mu / 4.0))
-
-    if hi_strip:
+    if regular["sixteen"]:
         # upper strip, in w = sqrt(2 - mu); 1 - mu^2/4 = w^2 (4 - w^2) / 4
         def hi_cost(wv):
-            return strip_cost(2.0 - wv * wv)
+            mu = 2.0 - wv * wv
+            return cost(mu, _band_rates(mu)[0])
 
         edges = edges_from_budget(
             _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4
         )
         wv, w = gauss_panels(edges)
-        mu = 2.0 - wv * wv
-        pieces.append((mu, 2.0 * wv * w, wv * wv * (4.0 - wv * wv) / 4.0))
+        pieces.append((2.0 - wv * wv, 2.0 * wv * w, wv * wv * (4.0 - wv * wv) / 4.0))
 
-    mu = np.concatenate([p[0] for p in pieces])
-    wts = np.concatenate([p[1] for p in pieces])
-    omq = np.concatenate([p[2] for p in pieces])
-    return mu, wts, omq
+    return tuple(np.concatenate(p) for p in zip(*pieces))
 
 
 def _stone_assemble(
     t: float,
-    V: Optional[PotentialSpec],
+    sys: Optional[BirmanSchwingerSystem],
     targets: np.ndarray,
     phase: str,
+    regular: dict,
     budget: float,
 ):
-    """Band-quadrature kernel at all target pairs, shape (T, T), and node count."""
-    if phase not in FLOWS:
-        raise ValueError(f"phase must be one of {tuple(FLOWS)}")
-    sys = decompose_potential(V) if V is not None else None
+    """Band-quadrature kernel at all target pairs, shape (T, T), and node count.
 
-    strips = {"zero": True, "sixteen": True}
-    if sys is not None:
-        for threshold in ("zero", "sixteen"):
-            if not regular_point_check(sys, threshold).is_regular:
-                strips[threshold] = False
-                warnings.warn(
-                    f"threshold {threshold!r} not regular; band integral "
-                    f"truncated at distance {_EDGE_CUTOFF:.1e} from that edge",
-                    stacklevel=3,
-                )
-
+    sys is the decomposed potential (None for the free flow) and regular
+    the edge verdicts that _stone_nodes reads.
+    """
     sep_free = np.abs(targets[:, None] - targets[None, :])
     free_reach = int(sep_free.max())
     reach = free_reach
@@ -438,9 +421,9 @@ def _stone_assemble(
     # the phase advances like E = mu^4 for the Schrodinger flow and like
     # sqrt(E) = mu^2 for the half-wave and beam flows
     phase_power = 4 if phase == "schrodinger" else 2
-    mu, wts, omq = _stone_nodes(
-        t, phase_power, reach + 2.0, budget, strips["zero"], strips["sixteen"]
-    )
+    # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every separation
+    knee = (np.sum(sys.v**2) / np.sqrt(8.0)) ** (1.0 / 3.0) if sys is not None else 0.0
+    mu, wts, omq = _stone_nodes(t, phase_power, reach + 2.0, budget, regular, knee)
     # one kernel evaluation per node and separation 0..reach; the free part
     # and the correction term both read from it
     seps = np.arange(reach + 1)
@@ -482,18 +465,35 @@ def stone_kernel_slice(
 ) -> KernelSlice:
     """Continuous-part kernel on a window via the band quadrature.
 
-    phase names the flow in FLOWS. The quadrature runs at budget 8 and then
+    phase names the flow in FLOWS. Each band edge of V is checked once; a
+    non-regular one warns and truncates the band integral near it (see
+    _stone_nodes) in every pass. The quadrature runs at budget 8 and then
     at half the budget until two successive passes differ by at most tol in
     every entry; the finer pass is returned with that difference as its
     error estimate. Each step costs one new pass. The ladder stops at
     budget 0.25 and warns there if the estimate still misses tol.
     """
+    if phase not in FLOWS:
+        raise ValueError(f"phase must be one of {tuple(FLOWS)}")
+    # each edge is decided once per slice, so each non-regular edge warns once
+    sys = decompose_potential(V) if V is not None else None
+    regular = {
+        threshold: sys is None or regular_point_check(sys, threshold).is_regular
+        for threshold in ("zero", "sixteen")
+    }
+    for threshold, ok in regular.items():
+        if not ok:
+            warnings.warn(
+                f"threshold {threshold!r} not regular; band integral "
+                f"truncated at distance {_EDGE_CUTOFF:.1e} from that edge",
+                stacklevel=2,
+            )
     targets = np.arange(-observe_radius, observe_radius + 1)
     budget = _BUDGET_START
-    coarse, _ = _stone_assemble(t, V, targets, phase, budget)
+    coarse, _ = _stone_assemble(t, sys, targets, phase, regular, budget)
     while True:
         budget /= 2.0
-        entries, nodes = _stone_assemble(t, V, targets, phase, budget)
+        entries, nodes = _stone_assemble(t, sys, targets, phase, regular, budget)
         err = float(np.abs(entries - coarse).max())
         if err <= tol or budget <= _BUDGET_FLOOR:
             break

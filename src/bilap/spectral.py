@@ -9,11 +9,11 @@ the free boundary resolvent, controls the perturbed resolvent through
 all restricted to the support sites. One builder forms U + v K v for the band,
 off-band and edge-limit kernels K; on the band, solve_sandwich is the one
 route to M^{-1} and holds the one refusal rule. Threshold behaviour at the
-band edges is governed by M's compression to explicit subspaces: the
-complement of the potential's zeroth and first moments at the lower edge, and
-of the alternating-sign moment at the upper edge. Off the band M is real
-symmetric and locates the bound states with no window; window truncations are
-diagonalised once per matrix through the memoised eigensystem.
+band edges is governed by M's edge limit compressed to one orthonormal basis
+per edge, of the complement of the potential's zeroth and first moments at
+the lower edge and of its alternating-sign moment at the upper edge. Off the
+band M is real symmetric and locates the bound states with no window; window
+truncations are diagonalised once per matrix through the memoised eigensystem.
 """
 
 from __future__ import annotations
@@ -36,16 +36,12 @@ from .resolvent import _off_band_waves, boundary_kernel_plus, free_biresolvent_c
 
 __all__ = [
     "BirmanSchwingerSystem",
-    "ProjectionSet",
     "RegularPointReport",
     "MinvProbeReport",
     "EmbeddedScanReport",
     "decompose_potential",
     "m_matrix_grid",
     "solve_sandwich",
-    "build_projections",
-    "build_T0",
-    "build_T0_tilde",
     "regular_point_check",
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
@@ -117,24 +113,6 @@ class BirmanSchwingerSystem:
 
 
 @dataclass(frozen=True)
-class ProjectionSet:
-    """Orthogonal projections on the support space used at the band edges.
-
-    P projects onto the v direction and Q is its complement. S0 projects
-    onto the complement of span{v, n v}. Ptilde and Qtilde are the analogues
-    for the alternating vector (-1)^n v. notes records degeneracies such as
-    a single-site support, where S0 is the zero projection.
-    """
-
-    P: np.ndarray
-    Q: np.ndarray
-    S0: np.ndarray
-    Ptilde: np.ndarray
-    Qtilde: np.ndarray
-    notes: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class RegularPointReport:
     """Outcome of a threshold regularity check.
 
@@ -193,8 +171,13 @@ def decompose_potential(V: PotentialSpec) -> BirmanSchwingerSystem:
 
 
 def _sandwich(kernel: Callable, sys: BirmanSchwingerSystem) -> np.ndarray:
-    """U + v K v, K = kernel(|n - m|) over the support sites, shape (..., d, d)."""
-    m = kernel(np.abs(sys.sites[:, None] - sys.sites[None, :])) * np.outer(sys.v, sys.v)
+    """U + v K v, K = kernel(|n - m|) over the support sites, shape (..., d, d).
+
+    Entries past the float range become infinite; solve_sandwich refuses them.
+    """
+    k = kernel(np.abs(sys.sites[:, None] - sys.sites[None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = k * np.outer(sys.v, sys.v)
     m[..., np.arange(sys.dim), np.arange(sys.dim)] += sys.u
     return m
 
@@ -208,15 +191,18 @@ def m_matrix_grid(
 
 
 def solve_sandwich(m: np.ndarray, z: np.ndarray, mus: np.ndarray):
-    """(M^-1 z, M^-1) per node; SingularSandwichError where ||M^-1||_F > _SINGULAR_NORM.
+    """(M^-1 z, M^-1) per node; SingularSandwichError unless ||M^-1||_F <= _SINGULAR_NORM.
 
     m is (nodes, d, d), z (nodes, d, T) with T >= 0, and mus name the refused
     node's energy. A 1 x 1 sandwich is a division; otherwise one batched solve
     takes the identity as d more right-hand sides, so M^-1 costs no factorisation
-    of its own. An exact zero pivot (or a NaN determinant) counts as infinite.
+    of its own. An exact zero pivot (or a NaN determinant) counts as infinite,
+    and so does an M with an entry past the float range, whose inverse is
+    not to be trusted even where the solve returns finite numbers; a NaN
+    norm is refused like an infinite one.
     """
     d, cols = m.shape[1], z.shape[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if d == 1:
             inv = 1.0 / m
             y, norms = z * inv, np.abs(inv[:, 0, 0])
@@ -225,12 +211,13 @@ def solve_sandwich(m: np.ndarray, z: np.ndarray, mus: np.ndarray):
             try:
                 sol = np.linalg.solve(m, np.concatenate([z, eye], axis=2))
             except np.linalg.LinAlgError:
-                y, inv, norms = None, None, np.where(np.linalg.det(m) != 0.0, 0.0, np.inf)
+                y, inv, norms = None, None, np.where(np.abs(np.linalg.det(m)) > 0.0, 0.0, np.inf)
             else:
                 y, inv = sol[:, :, :cols], sol[:, :, cols:]
                 norms = np.linalg.norm(inv, axis=(1, 2))
+    norms = np.where(np.isfinite(m).all(axis=(1, 2)), norms, np.inf)
     worst = int(np.argmax(norms))
-    if norms[worst] > _SINGULAR_NORM:
+    if not norms[worst] <= _SINGULAR_NORM:
         raise SingularSandwichError(
             "sandwich matrix numerically singular at energy "
             f"mu^4 = {mus[worst] ** 4:.6g}: possible embedded eigenvalue"
@@ -238,80 +225,43 @@ def solve_sandwich(m: np.ndarray, z: np.ndarray, mus: np.ndarray):
     return y, inv
 
 
-def build_projections(sys: BirmanSchwingerSystem) -> ProjectionSet:
-    """Orthogonal projections attached to the potential factorisation."""
-    v = sys.v
-    nv2 = float(v @ v)
-    P = np.outer(v, v) / nv2
-    Q = np.eye(sys.dim) - P
-    alt = np.where(sys.sites % 2 == 0, 1.0, -1.0) * v
-    Pt = np.outer(alt, alt) / nv2
-    Qt = np.eye(sys.dim) - Pt
-
-    notes: List[str] = []
-    moments = np.column_stack([v, sys.sites * v])
-    q, r = np.linalg.qr(moments)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * np.abs(r[0, 0])))
-    span = q[:, :rank]
-    S0 = np.eye(sys.dim) - span @ span.T
-    if rank < 2:
-        notes.append(
-            "first moment parallel to v (single-site or degenerate support); "
-            "S0 projects onto the complement of v alone"
-        )
-    if sys.dim == 1:
-        notes.append("single-site support: P is the identity and Q = 0")
-    return ProjectionSet(P=P, Q=Q, S0=S0, Ptilde=Pt, Qtilde=Qt, notes=tuple(notes))
-
-
-def build_T0(sys: BirmanSchwingerSystem) -> np.ndarray:
-    """Lower-edge limit operator U + v G0 v, real symmetric.
-
-    G0 is the order-zero expansion coefficient of the boundary kernel,
-    (k^3 - k)/12 at separation k.
-    """
-    return _sandwich(lambda k: coeff_zero_series(0, k)[3].real, sys)
-
-
-def build_T0_tilde(sys: BirmanSchwingerSystem) -> np.ndarray:
-    """Upper-edge limit operator U + v G0~ v, real symmetric.
-
-    G0~ is the order-zero coefficient of the upper-edge expansion.
-    """
-    return _sandwich(lambda k: coeff_sixteen_series(0, k)[1].real, sys)
-
-
 def _edge_data(sys: BirmanSchwingerSystem, threshold: str):
-    """Limit operator and edge projection for a threshold name."""
-    proj = build_projections(sys)
+    """(T, B) at a threshold: the edge limit operator and an edge subspace basis.
+
+    T = U + v G v, real symmetric, with G the order-zero coefficient of the
+    edge expansion: (k^3 - k)/12 at separation k for "zero", the upper
+    expansion's for "sixteen". B has orthonormal columns spanning the
+    complement of the moment vectors, v and n v at "zero" and (-1)^n v at
+    "sixteen": the columns of a complete QR of the moments past their
+    numerical rank (|r_jj| > 1e-12 |r_00|). B has no columns where the
+    moments span the support space (one or two sites at "zero").
+    """
     if threshold == "zero":
-        return build_T0(sys), proj.S0
-    if threshold == "sixteen":
-        return build_T0_tilde(sys), proj.Qtilde
-    raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
-
-
-def _range_basis(projection: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of an orthogonal projection."""
-    ev, vecs = np.linalg.eigh(projection)
-    return vecs[:, ev > 0.5]
+        T = _sandwich(lambda k: coeff_zero_series(0, k)[3].real, sys)
+        moments = [sys.v, sys.sites * sys.v]
+    elif threshold == "sixteen":
+        T = _sandwich(lambda k: coeff_sixteen_series(0, k)[1].real, sys)
+        moments = [np.where(sys.sites % 2 == 0, 1.0, -1.0) * sys.v]
+    else:
+        raise ValueError(f"threshold must be 'zero' or 'sixteen', got {threshold!r}")
+    q, r = np.linalg.qr(np.column_stack(moments), mode="complete")
+    rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * np.abs(r[0, 0])))
+    return T, q[:, rank:]
 
 
 def regular_point_check(sys: BirmanSchwingerSystem, threshold: str) -> RegularPointReport:
     """Test invertibility of the limit operator compressed to the edge subspace.
 
-    The threshold is regular when the compression of the limit operator to
-    the range of the edge projection has smallest singular value above
-    1e-8 times the limit operator norm. An empty range makes the threshold
-    vacuously regular with singular value +inf.
+    The threshold is regular when the compression B^T T B of the limit
+    operator to the edge basis of _edge_data has smallest singular value
+    above 1e-8 times the limit operator norm. An empty basis makes the
+    threshold vacuously regular with singular value +inf.
     """
-    T, proj = _edge_data(sys, threshold)
+    T, basis = _edge_data(sys, threshold)
     tol = 1e-8 * float(np.linalg.norm(T, 2))
-    basis = _range_basis(proj)
     if basis.shape[1] == 0:
         return RegularPointReport(threshold, float("inf"), True, tol)
-    compressed = basis.T @ T @ basis
-    sv = float(np.linalg.svd(compressed, compute_uv=False).min())
+    sv = float(np.linalg.svd(basis.T @ T @ basis, compute_uv=False).min())
     return RegularPointReport(threshold, sv, sv > tol, tol)
 
 
@@ -342,8 +292,8 @@ def minv_expansion_probe(
     """Track M(mu)^{-1} on a grid of distances approaching a band edge.
 
     At a regular edge the inverse norm stays bounded while its compression
-    against the edge subspace (I - S0 at the lower edge, I - Qtilde at the
-    upper) decays; the report carries both norms and the fitted decay slope.
+    against the edge subspace, (I - B B^T) M^{-1} with B the edge basis of
+    _edge_data, decays; the report carries both norms and the fitted decay slope.
     Grids hold distances to the edge: mu itself at the lower edge, 2 - mu
     at the upper. solve_sandwich gives the inverses and refuses a singular M.
     """
@@ -366,7 +316,8 @@ def minv_expansion_probe(
                 f"{report.tolerance_used:.3e}); probe skipped"
             ),
         )
-    comp = np.eye(sys.dim) - _edge_data(sys, threshold)[1]
+    basis = _edge_data(sys, threshold)[1]
+    comp = np.eye(sys.dim) - basis @ basis.T
     mus, omq = (grid, None) if threshold == "zero" else (2.0 - grid, grid * (4.0 - grid) / 4.0)
     _, inv = solve_sandwich(m_matrix_grid(mus, sys, omq), np.empty((grid.size, sys.dim, 0)), mus)
     inv_norms = np.linalg.norm(inv, ord=2, axis=(1, 2))

@@ -237,6 +237,37 @@ def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, mo
         assert not (tmp_path / "a").exists()
 
 
+def test_overflowing_sandwich_exits_two_without_output(tmp_path, capsys):
+    # couplings near 1e300 overflow M to inf and M^-1 to NaN; Stone refuses
+    # the NaN inverse as it does an infinite one
+    payload = {
+        "potential": {"support": [0, 1], "values": [1e300, 1e300]},
+        "t_min": 10, "t_max": 100, "per_decade": 8, "observe_radius": 4,
+    }
+    out = tmp_path / "a" / "o"
+    code = main(["perturbed-decay", "--config", _write_config(tmp_path, "cfg", payload), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "numerical refusal" in err
+    assert not (tmp_path / "a").exists()
+
+
+def test_library_warnings_reach_stderr_and_manifest(tmp_path, capsys):
+    # a lower edge that is not regular: Stone truncates near it, warns once,
+    # and misses its tolerance there; the run reports both and goes on
+    payload = {"potentials": [{"support": [-1, 1], "values": [0.5, -0.8, 0.5]}],
+               "times": [1.0], "observe_radius": 1}
+    out = tmp_path / "o"
+    code = main(["stone-vs-spectral", "--config", _write_config(tmp_path, "cfg", payload), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    warned = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert len(warned) == 2 and "'zero' not regular" in warned[0] and "error estimate" in warned[1]
+    assert [line for line in err.splitlines() if ": warning: " in line] == [
+        f"bilap stone-vs-spectral: warning: {w}" for w in warned
+    ]
+
+
 def test_nan_errors_fail_their_check(tmp_path, monkeypatch):
     # max(0.0, nan) is 0.0: a NaN error must still fail, and stay in the report
     stone = cli.stone_kernel_slice
@@ -376,19 +407,25 @@ def test_cli_contract_holds_for_costly_commands(command_config):
     _assert_cli_contract(*command_config)
 
 
-# The analysis commands, on mostly valid configs with small potentials.
-# Fields that scale cost are capped: dense windows (discrete_window and
+# The analysis commands, on mostly valid configs with potentials of small
+# support. Couplings are mostly of order one, with magnitudes 1e20, 1e150
+# and 1e300 of either sign mixed in, where the sandwich overflows. Fields
+# that scale cost are capped: dense windows (discrete_window and
 # window_radii <= 160, expansion-check's window_radius <= 80), Stone and
-# dense-reference times (times <= 5, observe_radius <= 8) and expansion
-# orders (<= 4 at zero, <= 3 at sixteen); window fields are always present,
-# since their defaults diagonalise larger matrices.
+# dense-reference times (times <= 5, observe_radius <= 8; perturbed-decay's
+# t_max <= 20, per_decade 8, observe_radius <= 4) and expansion orders
+# (<= 4 at zero, <= 3 at sixteen); window and time fields are always
+# present, since their defaults diagonalise larger matrices or run longer.
+_COUPLING = st.sampled_from([sign * mag for mag in (1e20, 1e150, 1e300) for sign in (1.0, -1.0)])
 _SMALL_POTENTIAL = st.fixed_dictionaries(
-    {"delta": st.floats(-4.0, 4.0)}, optional={"site": st.integers(-3, 3)}
+    {"delta": st.floats(-4.0, 4.0) | _COUPLING}, optional={"site": st.integers(-3, 3)}
 ) | st.integers(-2, 1).flatmap(
     lambda lo: st.integers(0, 3).flatmap(
         lambda extra: st.fixed_dictionaries({
             "support": st.just([lo, lo + extra]),
-            "values": st.lists(st.floats(-1.0, 1.0), min_size=extra + 1, max_size=extra + 1),
+            "values": st.lists(
+                st.floats(-1.0, 1.0) | _COUPLING, min_size=extra + 1, max_size=extra + 1
+            ),
         })
     )
 )
@@ -439,6 +476,14 @@ _ANALYSIS_COMMAND_CONFIGS = (
              "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2),
              "observe_radius": st.integers(1, 8)},
             optional={"n_pairs": st.integers(1, 5), "tolerance": _TOL},
+        ),
+    )
+    | st.tuples(
+        st.just("perturbed-decay"),
+        st.fixed_dictionaries(
+            {"t_min": st.floats(1.0, 2.0), "t_max": st.floats(15.0, 20.0),
+             "per_decade": st.just(8), "observe_radius": st.integers(1, 4)},
+            optional={"potential": _SMALL_POTENTIAL},
         ),
     )
     | st.tuples(
@@ -522,6 +567,7 @@ def test_stationary_phase_default_run(tmp_path, monkeypatch):
     assert manifest["threads"] is None
     assert manifest["outputs"] == ["roots.json"]
     assert manifest["wall_time_seconds"] >= 0.0
+    assert manifest["warnings"] == []
     # defaults are materialised into the recorded config
     assert manifest["config"]["branch"] == "minus_cos"
     assert manifest["config"]["certify"] is True

@@ -28,13 +28,20 @@ from bilap.propagator import (
     ring_weight,
     stone_kernel_slice,
 )
-from bilap.spectral import SingularSandwichError, eigensystem
+from bilap.spectral import SingularSandwichError, decompose_potential, eigensystem
 
 import oracles
 
 DELTA_HALF = PotentialSpec.delta(0.5)
 NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
 GENERIC_SMALL = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
+
+
+def _assemble(t, V, targets, budget):
+    # one Stone pass with both band edges taken as regular
+    sys_ = None if V is None else decompose_potential(V)
+    regular = {"zero": True, "sixteen": True}
+    return propagator._stone_assemble(t, sys_, targets, "schrodinger", regular, budget)
 
 
 def _req(kind, V, t, observe):
@@ -241,6 +248,57 @@ def test_stone_warns_at_non_regular_threshold():
         stone_kernel_slice(1.0, NONREGULAR, 0)
 
 
+def _recorded_nodes(monkeypatch, V):
+    # every node of every pass of one slice, and the edge warnings it raised
+    nodes, stone_nodes = [], propagator._stone_nodes
+
+    def recorded(*args):
+        out = stone_nodes(*args)
+        nodes.append(out)
+        return out
+
+    monkeypatch.setattr(propagator, "_stone_nodes", recorded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stone_kernel_slice(1.0, V, 0)
+    return nodes, [w for w in caught if "not regular" in str(w.message)]
+
+
+def test_stone_decides_each_edge_once_per_slice(monkeypatch):
+    # NONREGULAR fails at the lower edge only; the ladder's passes all
+    # reuse the one verdict, so the slice warns once
+    nodes, warned = _recorded_nodes(monkeypatch, NONREGULAR)
+    assert len(nodes) >= 2
+    assert len(warned) == 1 and "'zero'" in str(warned[0].message)
+    # the bulk stops at mu = _EDGE_CUTOFF and the upper strip stays:
+    # the weights cover (1e-4, 2) exactly
+    for mu, wts, _ in nodes:
+        assert mu.min() > propagator._EDGE_CUTOFF
+        assert wts.sum() == pytest.approx(2.0 - propagator._EDGE_CUTOFF, abs=1e-13)
+
+
+@pytest.mark.parametrize("V", [None, DELTA_HALF, GENERIC_SMALL], ids=["free", "one-site", "three-site"])
+def test_stone_bulk_reaches_inner_cutoff_at_regular_edges(monkeypatch, V):
+    # the theta bulk down to mu = 1e-9 and the w strip at the upper edge
+    # cover (1e-9, 2); no lower strip adds nodes under the bulk
+    nodes, warned = _recorded_nodes(monkeypatch, V)
+    assert not warned
+    for mu, wts, _ in nodes:
+        assert wts.sum() == pytest.approx(2.0 - propagator._INNER_CUTOFF, abs=1e-13)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-8, -1e-8])
+def test_stone_resolves_weak_potential_knee(c):
+    # the sandwich of a weak delta turns over at mu ~ (|c| / sqrt 8)^(1/3),
+    # far inside the bulk's last panel; graded there, the first budget step
+    # converges (no warning) to the dense continuous-part reference
+    V = PotentialSpec.delta(c)
+    sl = stone_kernel_slice(1.0, V, 3)
+    ref = pac_split(V, auto_window_radius(1.0, 3)).kernel_ac(1.0, 3)
+    assert sl.budget == 4.0
+    assert np.abs(sl.entries - ref.entries).max() <= 2e-9
+
+
 def test_stone_error_check_warns_when_unreachable():
     with pytest.warns(UserWarning, match="error estimate"):
         stone_kernel_slice(1.0, None, 1, tol=1e-30)
@@ -255,7 +313,7 @@ def test_stone_error_check_warns_when_unreachable():
 def test_stone_ladder_matches_floor_budget(t, V):
     r = 3
     sl = stone_kernel_slice(t, V, r)
-    ref, _ = propagator._stone_assemble(t, V, np.arange(-r, r + 1), "schrodinger", 0.25)
+    ref, _ = _assemble(t, V, np.arange(-r, r + 1), 0.25)
     assert np.abs(sl.entries - ref).max() <= 1e-12
     assert sl.budget >= 0.25 and sl.error_estimate <= 1e-8
     assert sl.nodes > 0
@@ -267,7 +325,7 @@ def test_stone_ladder_multi_site_within_floor():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sl = stone_kernel_slice(t, V, r)
-    ref, _ = propagator._stone_assemble(t, V, np.arange(-r, r + 1), "schrodinger", 0.25)
+    ref, _ = _assemble(t, V, np.arange(-r, r + 1), 0.25)
     assert np.abs(sl.entries - ref).max() <= 2e-9
     assert sl.error_estimate <= 1e-8
 
@@ -282,16 +340,16 @@ def test_stone_multi_site_budgets_agree(t, V):
     # the solved sandwich leaves no accuracy floor near mu = 0, where
     # cond(M) grows like mu^-3: budget 4 already matches the finest budget
     targets = np.arange(-10, 11)
-    coarse, _ = propagator._stone_assemble(t, V, targets, "schrodinger", 4.0)
-    fine, _ = propagator._stone_assemble(t, V, targets, "schrodinger", 0.25)
+    coarse, _ = _assemble(t, V, targets, 4.0)
+    fine, _ = _assemble(t, V, targets, 0.25)
     assert np.abs(coarse - fine).max() <= 1e-13
 
 
 @pytest.mark.parametrize("V", [DELTA_HALF, GENERIC_SMALL], ids=["one-site", "three-site"])
-@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["singular", "near-singular"])
+@pytest.mark.parametrize("scale", [0.0, 1e-12, np.nan], ids=["singular", "near-singular", "nan"])
 def test_stone_refuses_singular_sandwich(monkeypatch, V, scale):
-    # one node's sandwich becomes scale * identity, whose inverse norm
-    # is infinite or sqrt(d) 1e12, above the 1e10 refusal threshold
+    # one node's sandwich becomes scale * identity, whose inverse norm is
+    # infinite, sqrt(d) 1e12 (above the 1e10 refusal threshold) or NaN
     grid = propagator.m_matrix_grid
 
     def one_singular(mu, sys, one_minus_q=None):
@@ -301,7 +359,7 @@ def test_stone_refuses_singular_sandwich(monkeypatch, V, scale):
 
     monkeypatch.setattr(propagator, "m_matrix_grid", one_singular)
     with pytest.raises(SingularSandwichError, match="possible embedded eigenvalue"):
-        propagator._stone_assemble(1.0, V, np.arange(-2, 3), "schrodinger", 8.0)
+        _assemble(1.0, V, np.arange(-2, 3), 8.0)
 
 
 def test_stone_ladder_stops_after_two_passes(monkeypatch):

@@ -1,4 +1,4 @@
-"""Potential factorisation, sandwich matrices, edge projections, eigenvalues."""
+"""Potential factorisation, sandwich matrices, edge bases, eigenvalues."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,6 @@ from bilap.spectral import (
     LocalizationError,
     SingularSandwichError,
     bound_states,
-    build_projections,
-    build_T0,
-    build_T0_tilde,
     decompose_potential,
     discrete_eigs,
     eigensystem,
@@ -28,7 +25,7 @@ from bilap.spectral import (
     perturbed_resolvent_boundary,
     regular_point_check,
 )
-from bilap.spectral import _localization_ratios
+from bilap.spectral import _edge_data, _localization_ratios
 
 import oracles
 
@@ -124,52 +121,48 @@ def test_sandwich_matrix_never_singular_on_band():
         assert ssv > 1e-2
 
 
-def test_projections_match_gram_schmidt_oracle():
+def test_edge_basis_matches_gram_schmidt_oracle():
     sys_ = decompose_potential(GENERIC)
-    ps = build_projections(sys_)
-    P, Q, S0, Pt, Qt = oracles.gram_projections(sys_.v, sys_.sites)
-    for got, want in ((ps.P, P), (ps.Q, Q), (ps.S0, S0), (ps.Ptilde, Pt),
-                      (ps.Qtilde, Qt)):
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    _, _, S0, _, Qt = oracles.gram_projections(sys_.v, sys_.sites)
+    for threshold, want in (("zero", S0), ("sixteen", Qt)):
+        B = _edge_data(sys_, threshold)[1]
+        np.testing.assert_allclose(B @ B.T, want, atol=1e-12)
 
 
-def test_projection_algebra():
+def test_edge_basis_is_orthonormal():
     rng = np.random.default_rng(9)
     sys_ = decompose_potential(PotentialSpec((-4, 4), rng.uniform(0.1, 1.0, 9)))
-    ps = build_projections(sys_)
-    eye = np.eye(9)
-    for X in (ps.P, ps.Q, ps.S0, ps.Ptilde, ps.Qtilde):
-        np.testing.assert_allclose(X @ X, X, atol=1e-12)
-        np.testing.assert_allclose(X, X.T, atol=1e-14)
-    np.testing.assert_allclose(ps.P + ps.Q, eye, atol=1e-14)
-    np.testing.assert_allclose(ps.Ptilde + ps.Qtilde, eye, atol=1e-14)
-    np.testing.assert_allclose(ps.P @ ps.S0, 0.0 * eye, atol=1e-12)
-    np.testing.assert_allclose(ps.S0 @ ps.Q, ps.S0, atol=1e-12)
-    # S0 annihilates both moment vectors
-    for w in (sys_.v, sys_.sites * sys_.v):
-        assert np.max(np.abs(ps.S0 @ w)) < 1e-12 * np.max(np.abs(w))
+    for threshold, width in (("zero", 7), ("sixteen", 8)):
+        B = _edge_data(sys_, threshold)[1]
+        assert B.shape == (9, width)
+        np.testing.assert_allclose(B.T @ B, np.eye(width), atol=1e-14)
 
 
-def test_projections_single_site_degeneracy():
-    ps = build_projections(decompose_potential(DELTA_HALF))
-    np.testing.assert_allclose(ps.P, [[1.0]])
-    np.testing.assert_allclose(ps.Q, [[0.0]])
-    np.testing.assert_allclose(ps.S0, [[0.0]])
-    assert any("single-site" in note for note in ps.notes)
+def test_edge_basis_annihilates_moments():
+    rng = np.random.default_rng(9)
+    sys_ = decompose_potential(PotentialSpec((-4, 4), rng.uniform(-1.0, 1.0, 9)))
+    zero, sixteen = (_edge_data(sys_, threshold)[1] for threshold in ("zero", "sixteen"))
+    alternating = np.where(sys_.sites % 2 == 0, 1.0, -1.0) * sys_.v
+    for B, w in ((zero, sys_.v), (zero, sys_.sites * sys_.v), (sixteen, alternating)):
+        assert np.max(np.abs(B.T @ w)) < 1e-12 * np.max(np.abs(w))
 
 
-def test_projections_two_site_s0_vanishes():
-    ps = build_projections(decompose_potential(PotentialSpec((0, 1), [1.0, -2.0])))
-    assert np.max(np.abs(ps.S0)) < 1e-12
+def test_edge_basis_empty_at_zero_for_one_and_two_sites():
+    for V in (DELTA_HALF, PotentialSpec((0, 1), [1.0, -2.0])):
+        sys_ = decompose_potential(V)
+        assert _edge_data(sys_, "zero")[1].shape == (sys_.dim, 0)
+    # the single alternating moment spans a single site's space as well
+    assert _edge_data(decompose_potential(DELTA_HALF), "sixteen")[1].shape == (1, 0)
 
 
-def test_edge_matrices():
+def test_edge_limit_operators():
     sys1 = decompose_potential(PotentialSpec.delta(-4.0))
-    np.testing.assert_allclose(build_T0(sys1), [[-1.0]], atol=1e-15)
+    np.testing.assert_allclose(_edge_data(sys1, "zero")[0], [[-1.0]], atol=1e-15)
     want = -1.0 - 4.0 / (32.0 * np.sqrt(2.0))
-    np.testing.assert_allclose(build_T0_tilde(sys1), [[want]], rtol=1e-14)
+    np.testing.assert_allclose(_edge_data(sys1, "sixteen")[0], [[want]], rtol=1e-14)
     sysg = decompose_potential(GENERIC)
-    for T in (build_T0(sysg), build_T0_tilde(sysg)):
+    for threshold in ("zero", "sixteen"):
+        T = _edge_data(sysg, threshold)[0]
         np.testing.assert_allclose(T, T.T, atol=1e-14)
 
 
@@ -298,18 +291,19 @@ def test_perturbed_resolvent_second_identity():
 
 
 _READERS = {
-    "stone": lambda: propagator._stone_assemble(1.0, GENERIC, np.arange(-2, 3), "schrodinger", 8.0),
+    "stone": lambda: propagator.stone_kernel_slice(1.0, GENERIC, 2),
     "resolvent": lambda: perturbed_resolvent_boundary(1.0, GENERIC, 0, 0),
     "probe": lambda: minv_expansion_probe(decompose_potential(GENERIC), "zero", np.geomspace(1e-3, 1e-1, 9)),
 }
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
-@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["singular", "near-singular"])
+@pytest.mark.parametrize("scale", [0.0, 1e-12, np.nan], ids=["singular", "near-singular", "nan"])
 def test_every_reader_refuses_a_singular_sandwich(monkeypatch, reader, scale):
-    # one node's sandwich becomes scale * identity: an exact zero pivot, or
-    # an inverse of Frobenius norm sqrt(3) 1e12, above the 1e10 threshold;
-    # every on-band reader refuses it through solve_sandwich alike
+    # one node's sandwich becomes scale * identity: an exact zero pivot, an
+    # inverse of Frobenius norm sqrt(3) 1e12, above the 1e10 threshold, or
+    # NaN, as when M overflows; every on-band reader refuses it through
+    # solve_sandwich alike
     grid = spectral.m_matrix_grid
 
     def one_singular(mu, sys, one_minus_q=None):
