@@ -147,12 +147,21 @@ def test_edge_basis_annihilates_moments():
         assert np.max(np.abs(B.T @ w)) < 1e-12 * np.max(np.abs(w))
 
 
-def test_edge_basis_empty_at_zero_for_one_and_two_sites():
-    for V in (DELTA_HALF, PotentialSpec((0, 1), [1.0, -2.0])):
-        sys_ = decompose_potential(V)
-        assert _edge_data(sys_, "zero")[1].shape == (sys_.dim, 0)
-    # the single alternating moment spans a single site's space as well
-    assert _edge_data(decompose_potential(DELTA_HALF), "sixteen")[1].shape == (1, 0)
+def test_projections_single_site_degeneracy():
+    # v alone spans a single site's space: both edge bases are empty and
+    # the projections onto them vanish
+    sys_ = decompose_potential(DELTA_HALF)
+    for threshold in ("zero", "sixteen"):
+        B = _edge_data(sys_, threshold)[1]
+        assert B.shape == (1, 0)
+        np.testing.assert_allclose(B @ B.T, [[0.0]])
+
+
+def test_projections_two_site_s0_vanishes():
+    sys_ = decompose_potential(PotentialSpec((0, 1), [1.0, -2.0]))
+    B = _edge_data(sys_, "zero")[1]
+    assert B.shape == (2, 0)
+    assert np.max(np.abs(B @ B.T)) < 1e-12
 
 
 def test_edge_limit_operators():
