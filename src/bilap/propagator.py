@@ -23,9 +23,10 @@ turns over near the lower edge, and a narrow strip at the upper edge is
 integrated in the locally analytic w = sqrt(2 - mu). Panels are sized by the budget rule of the
 quadrature module: the phase and the wave exponents advance by at most a
 budget per panel, so cost scales linearly in |t| and inversely in the
-budget. stone_kernel_slice picks the budget itself, halving it from 8
-until two successive passes agree to the requested tolerance, and reports
-the accepted budget, its node count and that half-budget error estimate.
+budget. stone_kernel_slice picks the budget itself, halving it from 16
+until two successive passes on different nodes agree to the requested
+tolerance, and reports the accepted budget, its node count and that
+half-budget error estimate.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .quadrature import edges_from_budget, gauss_panels
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BirmanSchwingerSystem,
+    SingularSandwichError,
     bound_states,
     decompose_potential,
     eigensystem,
@@ -96,10 +98,12 @@ _RING_SAFETY = 1.2
 _RING_MARGIN = 64
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
-# Stone budget ladder: phase advance per 15-point Gauss panel. Budget 4
-# already reproduces the budget-0.125 kernel to about 1e-13 on free and
-# single-site slices; 8 is the first, cheapest pass and 0.25 the finest.
-_BUDGET_START = 8.0
+# Stone budget ladder: phase advance per 15-point Gauss panel. On single-site
+# slices at t = 10..200, budget 16 is within 2.1e-10 of the budget-0.25
+# kernel at observe radius 8 or more, so they stop at 8; at radius 4 or less
+# it misses 1e-8 by up to 3e-5 and they take one more step. 16 is the first,
+# cheapest pass and 0.25 the finest.
+_BUDGET_START = 16.0
 _BUDGET_FLOOR = 0.25
 
 
@@ -344,6 +348,11 @@ def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:
     return free_kernel_full(t, kind, kmax=kmax)[: kmax + 1]
 
 
+def _bulk_end(regular: dict) -> float:
+    """Lowest mu of the Stone bulk: _INNER_CUTOFF, or _EDGE_CUTOFF at a non-regular zero edge."""
+    return _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
+
+
 def _stone_nodes(
     t: float, phase_power: int, reach: float, budget: float, regular: dict, knee: float
 ):
@@ -369,7 +378,7 @@ def _stone_nodes(
         return np.stack([t * mu**phase_power, reach * phase, reach * _band_rates(mu)[1]])
 
     # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
-    lo = _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
+    lo = _bulk_end(regular)
     th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, lo]) / 2.0)
     edges = edges_from_budget(
         th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th), budget=budget, min_panels=8
@@ -409,14 +418,22 @@ def _stone_assemble(
     """Band-quadrature kernel at all target pairs, shape (T, T), and node count.
 
     sys is the decomposed potential (None for the free flow) and regular
-    the edge verdicts that _stone_nodes reads.
+    the edge verdicts that _stone_nodes reads. The correction at (n, m)
+    depends on the targets only through their distances to the support
+    sites, so z, the solved sides and the correction GEMM run over the
+    distinct rows of |n - site| (the distances 0..r for one site at the
+    centre) and are gathered back onto the targets.
     """
     sep_free = np.abs(targets[:, None] - targets[None, :])
     free_reach = int(sep_free.max())
     reach = free_reach
     if sys is not None:
-        sep_corr = np.abs(targets[:, None] - sys.sites[None, :])
-        reach = max(reach, int(sep_corr.max()))
+        dist, cls = np.unique(
+            np.abs(targets[:, None] - sys.sites[None, :]), axis=0, return_inverse=True
+        )
+        cls, classes = cls.ravel(), len(dist)
+        reach = max(reach, int(dist.max()))
+        corr = np.zeros((2 * classes, classes), dtype=complex)
 
     # the phase advances like E = mu^4 for the Schrodinger flow and like
     # sqrt(E) = mu^2 for the half-wave and beam flows
@@ -429,7 +446,6 @@ def _stone_assemble(
     seps = np.arange(reach + 1)
 
     free_vals = np.zeros((2, free_reach + 1))
-    corr = np.zeros((2 * targets.size, targets.size), dtype=complex)
     # 1024 nodes keep each chunk array near 1 MB; 4096 ran no faster and
     # raised the peak resident size by about 9 MB
     chunk = 1024
@@ -444,16 +460,16 @@ def _stone_assemble(
             continue
         # R+ v M^-1 v R+ at each node; M is complex symmetric, so the minus
         # side is the conjugate of the plus side taken with conj(phw)
-        z = rho_all[:, sep_corr.T]
+        z = rho_all[:, dist.T]
         z *= sys.v[None, :, None]
         y, _ = solve_sandwich(m_matrix_grid(mus, sys, one_minus_q=oq), z, mus)
         sides = y[:, :, None, :] * np.stack([phw, phw.conj()], axis=1)[:, None, :, None]
-        corr += sides.reshape(-1, 2 * targets.size).T @ z.reshape(-1, targets.size)
+        corr += sides.reshape(-1, 2 * classes).T @ z.reshape(-1, classes)
 
-    factor = 2.0 / (np.pi * 1j)
-    free = 2j * (free_vals[0] + 1j * free_vals[1])
-    corr = (corr[: targets.size] - corr[targets.size :].conj()).T
-    return factor * (free[sep_free] - corr), mu.size
+    kernel = (2j * (free_vals[0] + 1j * free_vals[1]))[sep_free]
+    if sys is not None:
+        kernel -= (corr[:classes] - corr[classes:].conj()).T[cls[:, None], cls]
+    return 2.0 / (np.pi * 1j) * kernel, mu.size
 
 
 def stone_kernel_slice(
@@ -467,11 +483,15 @@ def stone_kernel_slice(
 
     phase names the flow in FLOWS. Each band edge of V is checked once; a
     non-regular one warns and truncates the band integral near it (see
-    _stone_nodes) in every pass. The quadrature runs at budget 8 and then
-    at half the budget until two successive passes differ by at most tol in
-    every entry; the finer pass is returned with that difference as its
-    error estimate. Each step costs one new pass. The ladder stops at
-    budget 0.25 and warns there if the estimate still misses tol.
+    _stone_nodes) in every pass. A sandwich with an entry past the float
+    range at the bulk's lower end, where it is largest, is refused with
+    SingularSandwichError before any pass runs. The quadrature runs at
+    budget 16 and then at half the budget until a pass with more nodes than
+    the one before differs from it by at most tol in every entry; the finer
+    pass is returned with that difference as its error estimate. Two passes
+    on the same nodes agree exactly and prove nothing, so such a step halves
+    again. Each step costs one new pass. The ladder stops at budget 0.25
+    and warns there if the estimate still misses tol.
     """
     if phase not in FLOWS:
         raise ValueError(f"phase must be one of {tuple(FLOWS)}")
@@ -488,16 +508,26 @@ def stone_kernel_slice(
                 f"truncated at distance {_EDGE_CUTOFF:.1e} from that edge",
                 stacklevel=2,
             )
+    if sys is not None:
+        # whether M stays in the float range must not depend on where a pass
+        # puts its nodes; its mu^-3 term is largest at the bulk's lower end,
+        # below every node of every pass
+        low = _bulk_end(regular)
+        if not np.isfinite(m_matrix_grid(np.array([low]), sys)).all():
+            raise SingularSandwichError(
+                "sandwich matrix numerically singular at energy "
+                f"mu^4 = {low**4:.6g}: entries past the float range"
+            )
     targets = np.arange(-observe_radius, observe_radius + 1)
     budget = _BUDGET_START
-    coarse, _ = _stone_assemble(t, sys, targets, phase, regular, budget)
+    coarse, coarse_nodes = _stone_assemble(t, sys, targets, phase, regular, budget)
     while True:
         budget /= 2.0
         entries, nodes = _stone_assemble(t, sys, targets, phase, regular, budget)
         err = float(np.abs(entries - coarse).max())
-        if err <= tol or budget <= _BUDGET_FLOOR:
+        if (err <= tol and nodes > coarse_nodes) or budget <= _BUDGET_FLOOR:
             break
-        coarse = entries
+        coarse, coarse_nodes = entries, nodes
     if err > tol:
         warnings.warn(
             f"band quadrature achieved error estimate {err:.3e} above "

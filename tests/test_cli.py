@@ -238,18 +238,22 @@ def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, mo
 
 
 def test_overflowing_sandwich_exits_two_without_output(tmp_path, capsys):
-    # couplings near 1e300 overflow M to inf and M^-1 to NaN; Stone refuses
-    # the NaN inverse as it does an infinite one
-    payload = {
-        "potential": {"support": [0, 1], "values": [1e300, 1e300]},
-        "t_min": 10, "t_max": 100, "per_decade": 8, "observe_radius": 4,
-    }
-    out = tmp_path / "a" / "o"
-    code = main(["perturbed-decay", "--config", _write_config(tmp_path, "cfg", payload), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err and "numerical refusal" in err
-    assert not (tmp_path / "a").exists()
+    # couplings near 1e300 overflow M at the bulk's lower end, mu = 1e-9;
+    # Stone refuses them there, so the verdict does not depend on the
+    # horizon or radius that place the nodes of its passes
+    for potential in ({"delta": 1e300}, {"delta": -1e300},
+                      {"support": [0, 1], "values": [1e300, 1e300]}):
+        for t_min, t_max in ((1, 20), (10, 100)):
+            for radius in (1, 4, 32):
+                payload = {"potential": potential, "t_min": t_min, "t_max": t_max,
+                           "per_decade": 8, "observe_radius": radius}
+                out = tmp_path / "a" / "o"
+                code = main(["perturbed-decay", "--config", _write_config(tmp_path, "cfg", payload),
+                             "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == 2, (potential, t_min, radius)
+                assert "Traceback" not in err and "numerical refusal" in err
+                assert not (tmp_path / "a").exists()
 
 
 def test_library_warnings_reach_stderr_and_manifest(tmp_path, capsys):
@@ -673,7 +677,7 @@ def test_stone_reports_show_quadrature_budgets(tmp_path):
     assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 0
     fit = json.loads((out / "fit.json").read_text())
     assert len(fit["stone_budgets"]) == 11
-    assert all(0.25 <= b <= 4.0 for b in fit["stone_budgets"])
+    assert all(0.25 <= b <= 8.0 for b in fit["stone_budgets"])
     assert 0.0 < fit["stone_max_error_estimate"] <= 1e-8
 
     cfg = _write_config(tmp_path, "svs", {
@@ -682,7 +686,7 @@ def test_stone_reports_show_quadrature_budgets(tmp_path):
     out = tmp_path / "svs"
     assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 0
     for combo in json.loads((out / "report.json").read_text())["combos"]:
-        assert 0.25 <= combo["stone_budget"] <= 4.0
+        assert 0.25 <= combo["stone_budget"] <= 8.0
         assert combo["stone_nodes"] > 0
         assert combo["stone_error_estimate"] <= 1e-8
 

@@ -244,8 +244,15 @@ def test_beam_sinc_is_time_average_of_beam_cos():
 
 
 def test_stone_warns_at_non_regular_threshold():
-    with pytest.warns(UserWarning, match="not regular"):
+    # truncated at the lower edge, the passes at budgets 2, 1, 0.5 and 0.25
+    # scatter by about 1e-2; an estimate from two passes on the same nodes
+    # would read 0 and hide that
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         stone_kernel_slice(1.0, NONREGULAR, 0)
+    messages = [str(w.message) for w in caught]
+    assert any("not regular" in m for m in messages)
+    assert any("error estimate" in m for m in messages)
 
 
 def _recorded_nodes(monkeypatch, V):
@@ -362,7 +369,8 @@ def test_stone_refuses_singular_sandwich(monkeypatch, V, scale):
         _assemble(1.0, V, np.arange(-2, 3), 8.0)
 
 
-def test_stone_ladder_stops_after_two_passes(monkeypatch):
+def _ladder_budgets(monkeypatch, t, V, r):
+    # the budget of every pass of one slice, and the slice
     calls = []
     assemble = propagator._stone_assemble
 
@@ -371,11 +379,52 @@ def test_stone_ladder_stops_after_two_passes(monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(propagator, "_stone_assemble", counted)
-    sl = stone_kernel_slice(50.0, DELTA_HALF, 2)
-    assert calls == [8.0, 4.0]
-    assert sl.budget == 4.0
+    return calls, stone_kernel_slice(t, V, r)
+
+
+def test_stone_ladder_stops_after_two_passes(monkeypatch):
+    # at observe radius 16, budget 16 is already within 1e-12 of the floor
+    calls, sl = _ladder_budgets(monkeypatch, 50.0, DELTA_HALF, 16)
+    assert calls == [16.0, 8.0]
+    assert sl.budget == 8.0
     spectral = kernel_spectral(_req("schrodinger_h", DELTA_HALF, 1.0, 2))
     assert (spectral.budget, spectral.nodes, spectral.error_estimate) == (None,) * 3
+
+
+def test_stone_ladder_takes_one_more_pass_at_small_radius(monkeypatch):
+    # at radius 2, budget 16 misses tol by orders of magnitude
+    calls, sl = _ladder_budgets(monkeypatch, 50.0, DELTA_HALF, 2)
+    assert calls == [16.0, 8.0, 4.0]
+    assert sl.budget == 4.0
+
+
+@pytest.mark.parametrize(
+    "t, r", [(0.01, 1), (1e-3, 0), (0.1, 1)], ids=["t0.01-r1", "t0.001-r0", "t0.1-r1"]
+)
+def test_stone_estimate_compares_distinct_passes(t, r):
+    # at small t and r the node count is pinned by the minimum panel count
+    # over several budgets; the accepted estimate must come from two passes
+    # on different nodes and bound the true error against the floor budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sl = stone_kernel_slice(t, DELTA_HALF, r)
+    ref, _ = _assemble(t, DELTA_HALF, np.arange(-r, r + 1), 0.25)
+    true_err = np.abs(sl.entries - ref).max()
+    assert sl.error_estimate >= true_err
+    assert true_err <= 1e-8
+
+
+def test_stone_off_centre_site_matches_continuous_reference():
+    # a delta at site 3 puts the targets -6..6 at distances 0..9 from it;
+    # the correction is built over those distances and gathered back
+    V, t, r = PotentialSpec.delta(0.5, site=3), 5.0, 6
+    sl = stone_kernel_slice(t, V, r)
+    ref = pac_split(V, auto_window_radius(t, r)).kernel_ac(t, r)
+    assert np.abs(sl.entries - ref.entries).max() <= 1e-7
+    # sites n and 6 - n sit at one distance from 3: their entries share
+    # every operation, so they agree bit for bit
+    near = sl.entries[r : 2 * r + 1, r : 2 * r + 1]
+    assert np.array_equal(near, near[::-1, ::-1])
 
 
 def test_sup_norm_routes_agree():
