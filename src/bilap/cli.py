@@ -446,6 +446,10 @@ def _perturbed_source(cfg, times) -> _DecaySource:
         "observe_radius": cfg["observe_radius"],
         "stone_budgets": list(series.budgets),
         "stone_max_error_estimate": float(series.error_estimates.max()),
+        "sup_sites": series.sup_sites.tolist(),
+        "sup_at_window_edge": bool(
+            (np.abs(series.sup_sites).max(axis=1) == cfg["observe_radius"]).any()
+        ),
     }
     claim = (
         "for a small potential keeping both band edges regular, the "
@@ -806,8 +810,8 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
         window = auto_window_radius(max(cfg["times"]), obs)
         split = pac_split(V, window)
         bound[_potential_label(V)] = [E for E, _ in split.bound_states]
-        for t in cfg["times"]:
-            stone = stone_kernel_slice(t, V, obs, phase="schrodinger")
+        slices = stone_kernel_slice(cfg["times"], V, obs, phase="schrodinger")
+        for t, stone in zip(cfg["times"], slices):
             reference = split.kernel_ac(t, obs)
             err = float(np.abs(stone.entries - reference.entries).max())
             combos.append(

@@ -52,7 +52,8 @@ class DecaySeries:
     source is a free-form descriptor of what produced the numbers (flow
     kind, potential, evaluation route). A series from the band quadrature
     also carries, per time, the accepted budget and the half-budget error
-    estimate of its slice; other routes leave them None.
+    estimate of its slice, and the sites (n, m) of its sup; other routes
+    leave them None.
     """
 
     times: np.ndarray
@@ -60,6 +61,7 @@ class DecaySeries:
     source: str
     budgets: Optional[np.ndarray] = None
     error_estimates: Optional[np.ndarray] = None
+    sup_sites: Optional[np.ndarray] = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -144,17 +146,24 @@ def perturbed_decay_series(
 ) -> DecaySeries:
     """Windowed sup norms of the continuous part of the perturbed flow.
 
-    Uses the band quadrature at each time, so bound states never enter
-    and the window may stay fixed while t grows.
+    Uses the band quadrature, so bound states never enter and the window
+    may stay fixed while t grows. The whole series is one
+    stone_kernel_slice call: each budget pass builds one node set for the
+    largest time and every time shares it, so the series costs about as
+    much as its largest time alone. sup_sites holds the (n, m) of each
+    time's sup, the first maximiser in row-major order.
     """
     times = np.asarray(times, dtype=float)
-    slices = [stone_kernel_slice(t, V, observe_radius) for t in times]
+    slices = stone_kernel_slice(times, V, observe_radius)
+    mags = [np.abs(k.entries) for k in slices]
+    peaks = [np.unravel_index(np.argmax(m), m.shape) for m in mags]
     return DecaySeries(
         times=times,
-        sup_norms=np.array([float(np.abs(k.entries).max()) for k in slices]),
+        sup_norms=np.array([float(m.max()) for m in mags]),
         source=f"stone:schrodinger_h:observe_radius={observe_radius}",
         budgets=np.array([k.budget for k in slices]),
         error_estimates=np.array([k.error_estimate for k in slices]),
+        sup_sites=np.array(peaks, dtype=int) - observe_radius,
     )
 
 

@@ -26,7 +26,11 @@ budget per panel, so cost scales linearly in |t| and inversely in the
 budget. stone_kernel_slice picks the budget itself, halving it from 16
 until two successive passes on different nodes agree to the requested
 tolerance, and reports the accepted budget, its node count and that
-half-budget error estimate.
+half-budget error estimate. It takes one time or a series of them: each
+pass then builds one node set for the largest |t|, which meets the budget
+at every smaller |t|, shares its kernel tables and sandwich solves among
+all times, and accepts each time on its own, so a series costs about as
+much as its largest time.
 """
 
 from __future__ import annotations
@@ -408,22 +412,30 @@ def _stone_nodes(
 
 
 def _stone_assemble(
-    t: float,
+    times: np.ndarray,
     sys: Optional[BirmanSchwingerSystem],
     targets: np.ndarray,
     phase: str,
     regular: dict,
     budget: float,
+    horizon: Optional[float] = None,
 ):
-    """Band-quadrature kernel at all target pairs, shape (T, T), and node count.
+    """Band-quadrature kernels at all target pairs, shape (len(times), S, S), and node count.
 
     sys is the decomposed potential (None for the free flow) and regular
-    the edge verdicts that _stone_nodes reads. The correction at (n, m)
-    depends on the targets only through their distances to the support
-    sites, so z, the solved sides and the correction GEMM run over the
-    distinct rows of |n - site| (the distances 0..r for one site at the
+    the edge verdicts that _stone_nodes reads. One node set serves every
+    time: it is sized for horizon (default max |times|), and a budget met
+    at that |t| is met at every smaller one, since the phase t mu^p varies
+    less. The kernel tables, the sandwich solves and the gather of z are
+    shared; only the flow weights differ between times. The correction at
+    (n, m) depends on the targets only through their distances to the
+    support sites, so z, the solved sides and the correction GEMM run over
+    the distinct rows of |n - site| (the distances 0..r for one site at the
     centre) and are gathered back onto the targets.
     """
+    count = times.size
+    if horizon is None:
+        horizon = float(np.abs(times).max())
     sep_free = np.abs(targets[:, None] - targets[None, :])
     free_reach = int(sep_free.max())
     reach = free_reach
@@ -433,29 +445,34 @@ def _stone_assemble(
         )
         cls, classes = cls.ravel(), len(dist)
         reach = max(reach, int(dist.max()))
-        corr = np.zeros((2 * classes, classes), dtype=complex)
+        corr = np.zeros((2 * count * classes, classes), dtype=complex)
 
     # the phase advances like E = mu^4 for the Schrodinger flow and like
     # sqrt(E) = mu^2 for the half-wave and beam flows
     phase_power = 4 if phase == "schrodinger" else 2
     # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every separation
     knee = (np.sum(sys.v**2) / np.sqrt(8.0)) ** (1.0 / 3.0) if sys is not None else 0.0
-    mu, wts, omq = _stone_nodes(t, phase_power, reach + 2.0, budget, regular, knee)
+    mu, wts, omq = _stone_nodes(horizon, phase_power, reach + 2.0, budget, regular, knee)
     # one kernel evaluation per node and separation 0..reach; the free part
     # and the correction term both read from it
     seps = np.arange(reach + 1)
 
-    free_vals = np.zeros((2, free_reach + 1))
+    free_vals = np.zeros((2 * count, free_reach + 1))
     # 1024 nodes keep each chunk array near 1 MB; 4096 ran no faster and
     # raised the peak resident size by about 9 MB
     chunk = 1024
+    # the sides of a sub-chunk hold 2 weights per time; sub-chunks keep that
+    # array at the size of one time's whole chunk (a whole chunk at 8 times
+    # raised the perturbed benchmark's peak resident size by 18 %), and one
+    # GEMM per time instead ran slower
+    sub = max(32, 2048 // (2 * count))
     for start in range(0, mu.size, chunk):
         sl = slice(start, start + chunk)
         mus, ws, oq = mu[sl], wts[sl], omq[sl]
-        phw = FLOWS[phase](t, mus**4) * mus**3 * ws
+        phw = FLOWS[phase](times[:, None], mus**4) * mus**3 * ws
         rho_all = boundary_kernel_plus(mus, seps, one_minus_q=oq)
         # the jump keeps 2i Im rho; contract it with Re and Im of phw apart
-        free_vals += np.stack([phw.real, phw.imag]) @ rho_all[:, : free_reach + 1].imag
+        free_vals += np.concatenate([phw.real, phw.imag]) @ rho_all[:, : free_reach + 1].imag
         if sys is None:
             continue
         # R+ v M^-1 v R+ at each node; M is complex symmetric, so the minus
@@ -463,39 +480,52 @@ def _stone_assemble(
         z = rho_all[:, dist.T]
         z *= sys.v[None, :, None]
         y, _ = solve_sandwich(m_matrix_grid(mus, sys, one_minus_q=oq), z, mus)
-        sides = y[:, :, None, :] * np.stack([phw, phw.conj()], axis=1)[:, None, :, None]
-        corr += sides.reshape(-1, 2 * classes).T @ z.reshape(-1, classes)
+        weights = np.concatenate([phw, phw.conj()]).T
+        for lo in range(0, mus.size, sub):
+            part = slice(lo, lo + sub)
+            sides = y[part, :, None, :] * weights[part, None, :, None]
+            corr += sides.reshape(-1, 2 * count * classes).T @ z[part].reshape(-1, classes)
 
-    kernel = (2j * (free_vals[0] + 1j * free_vals[1]))[sep_free]
+    kernel = (2j * (free_vals[:count] + 1j * free_vals[count:]))[:, sep_free]
     if sys is not None:
-        kernel -= (corr[:classes] - corr[classes:].conj()).T[cls[:, None], cls]
+        plus, minus = corr.reshape(2, count, classes, classes)
+        kernel -= (plus - minus.conj()).transpose(0, 2, 1)[:, cls[:, None], cls]
     return 2.0 / (np.pi * 1j) * kernel, mu.size
 
 
 def stone_kernel_slice(
-    t: float,
+    t,
     V: Optional[PotentialSpec],
     observe_radius: int,
     phase: str = "schrodinger",
     tol: float = 1e-8,
-) -> KernelSlice:
+) -> KernelSlice | list[KernelSlice]:
     """Continuous-part kernel on a window via the band quadrature.
 
-    phase names the flow in FLOWS. Each band edge of V is checked once; a
+    t is one time, which gives one KernelSlice, or a 1-d sequence of times,
+    which gives a list of them in the same order. phase names the flow in
+    FLOWS. Each band edge of V is checked once for the whole series; a
     non-regular one warns and truncates the band integral near it (see
     _stone_nodes) in every pass. A sandwich with an entry past the float
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
-    budget 16 and then at half the budget until a pass with more nodes than
-    the one before differs from it by at most tol in every entry; the finer
-    pass is returned with that difference as its error estimate. Two passes
-    on the same nodes agree exactly and prove nothing, so such a step halves
-    again. Each step costs one new pass. The ladder stops at budget 0.25
-    and warns there if the estimate still misses tol.
+    budget 16 and then at half the budget; each pass builds one node set,
+    sized for the largest |t|, and evaluates every time not yet accepted on
+    it. A time is accepted at the first pass that has more nodes than the
+    one before and differs from it by at most tol in every entry of that
+    time; the finer pass is returned with that difference as its error
+    estimate, and later passes leave it alone. Two passes on the same nodes
+    agree exactly and prove nothing, so such a step halves again. The
+    ladder stops once every time is accepted, or at budget 0.25, where each
+    time whose estimate still misses tol warns.
     """
     if phase not in FLOWS:
         raise ValueError(f"phase must be one of {tuple(FLOWS)}")
-    # each edge is decided once per slice, so each non-regular edge warns once
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError("t must be a float or a non-empty 1-d sequence of times")
+    series = np.atleast_1d(times)
+    # each edge is decided once per call, so each non-regular edge warns once
     sys = decompose_potential(V) if V is not None else None
     regular = {
         threshold: sys is None or regular_point_check(sys, threshold).is_regular
@@ -519,19 +549,29 @@ def stone_kernel_slice(
                 f"mu^4 = {low**4:.6g}: entries past the float range"
             )
     targets = np.arange(-observe_radius, observe_radius + 1)
+    horizon = float(np.abs(series).max())
+    slices = [None] * series.size
+    pending = np.arange(series.size)
     budget = _BUDGET_START
-    coarse, coarse_nodes = _stone_assemble(t, sys, targets, phase, regular, budget)
-    while True:
+    coarse, coarse_nodes = _stone_assemble(
+        series, sys, targets, phase, regular, budget, horizon=horizon
+    )
+    while pending.size:
         budget /= 2.0
-        entries, nodes = _stone_assemble(t, sys, targets, phase, regular, budget)
-        err = float(np.abs(entries - coarse).max())
-        if (err <= tol and nodes > coarse_nodes) or budget <= _BUDGET_FLOOR:
-            break
-        coarse, coarse_nodes = entries, nodes
-    if err > tol:
-        warnings.warn(
-            f"band quadrature achieved error estimate {err:.3e} above "
-            f"the target {tol:.1e} at budget {budget:g}",
-            stacklevel=2,
+        fine, nodes = _stone_assemble(
+            series[pending], sys, targets, phase, regular, budget, horizon=horizon
         )
-    return KernelSlice(t, observe_radius, entries, "stone", budget, nodes, err)
+        errs = np.abs(fine - coarse).max(axis=(1, 2))
+        done = (errs <= tol) & (nodes > coarse_nodes) | (budget <= _BUDGET_FLOOR)
+        for j, entries, err in zip(pending[done], fine[done], errs[done]):
+            if err > tol:
+                warnings.warn(
+                    f"band quadrature at t = {series[j]:g} achieved error estimate "
+                    f"{err:.3e} above the target {tol:.1e} at budget {budget:g}",
+                    stacklevel=2,
+                )
+            slices[j] = KernelSlice(
+                float(series[j]), observe_radius, entries, "stone", budget, nodes, float(err)
+            )
+        pending, coarse, coarse_nodes = pending[~done], fine[~done], nodes
+    return slices[0] if times.ndim == 0 else slices

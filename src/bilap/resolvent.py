@@ -122,15 +122,16 @@ def _off_band_waves(z: complex):
 
     It is (R2(w, k) - R2(-w, k)) / (2 w), w^2 = z, with R2(omega, k) =
     r^k / q, |r| < 1, r + 1 / r = 2 - omega and q = 1 / r - r; q^2 = omega
-    (omega - 4) is formed as w (z - 16) / (w + 4) at omega = w to stay exact
-    as z tends to 16.
+    (omega - 4) is formed as (z - 16) (w / (w + 4)) at omega = w to stay exact
+    as z tends to 16; taking the ratio first keeps the product finite for
+    |z| up to the float range, where w (z - 16) would overflow past 3.2e205.
     """
     zc = complex(z)
     if zc.imag == 0.0 and 0.0 <= zc.real <= 16.0:
         raise ValueError(f"z = {zc} lies on the band [0, 16]")
     w = cmath.sqrt(zc)  # Re w >= 0, so w + 4 never cancels
     omega = np.array([w, -w])
-    q = np.sqrt(np.array([w * (zc - 16.0) / (w + 4.0), w * (w + 4.0)]))
+    q = np.sqrt(np.array([(zc - 16.0) * (w / (w + 4.0)), w * (w + 4.0)]))
     # the sign that puts 1 / r = (2 - omega + q) / 2 outside the unit circle
     q[((2.0 - omega).conj() * q).real < 0.0] *= -1.0
     return np.array([1.0, -1.0]) / (2.0 * w * q), -np.log((2.0 - omega + q) / 2.0)

@@ -445,14 +445,26 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
     by each eigenvalue's multiplicity; it is bisected on [lo - p(lo), -1e-12]
     and [16 + 1e-12, hi + p(hi)], where [lo, hi] = [min(V, 0), 16 + max(V, 0)]
     holds the spectrum and p(x) = max(1, 1e-12 |x|) keeps both ends off it
-    even where x +- 1 rounds to x. Roots within 1e-12 are one energy.
+    even where x +- 1 rounds to x. Roots within 1e-12 are one energy. The
+    kernel's amplitude falls like 1 / (2 |E|); where it is no longer a normal
+    float at an outer bracket end (|V| near 2e307 and beyond), M would lose
+    the coupling it balances, so SingularSandwichError is raised there.
     """
     if V is None:
         return []
     sys = decompose_potential(V)
     lo, hi = min(V.values.min(), 0.0), 16.0 + max(V.values.max(), 0.0)
+    brackets = ((lo - max(1.0, -1e-12 * lo), -_GAP), (16.0 + _GAP, hi + max(1.0, 1e-12 * hi)))
+    for end in (brackets[0][0], brackets[1][1]):
+        with np.errstate(over="ignore"):
+            amps = np.abs(_off_band_waves(end)[0])
+        if not np.all(amps >= np.finfo(float).tiny):
+            raise SingularSandwichError(
+                f"sandwich matrix numerically singular at energy {end:.6g}: "
+                "kernel past the float range"
+            )
     drops = []
-    for a, b in ((lo - max(1.0, -1e-12 * lo), -_GAP), (16.0 + _GAP, hi + max(1.0, 1e-12 * hi))):
+    for a, b in brackets:
         drops += _count_drops(a, b, sys)
     states = []
     for group in np.split(drops, np.flatnonzero(np.diff(drops) > _GAP) + 1) if drops else []:

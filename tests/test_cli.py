@@ -280,8 +280,10 @@ def test_nan_errors_fail_their_check(tmp_path, monkeypatch):
         return complex(np.nan, 0.0)
 
     def nan_stone(*args, **kwargs):
-        slc = stone(*args, **kwargs)
-        return dataclasses.replace(slc, entries=np.full_like(slc.entries, np.nan))
+        return [
+            dataclasses.replace(slc, entries=np.full_like(slc.entries, np.nan))
+            for slc in stone(*args, **kwargs)
+        ]
 
     monkeypatch.setattr(cli, "perturbed_resolvent_boundary", nan_resolvent)
     monkeypatch.setattr(cli, "stone_kernel_slice", nan_stone)
@@ -667,6 +669,26 @@ def test_expansion_band_failure_exits_one(tmp_path, capsys):
     assert manifest["exit_code"] == 1
     assert "remainder_zero_N1.csv" in manifest["outputs"]
 
+
+def test_perturbed_decay_reports_where_its_sups_sit(tmp_path):
+    # the sup of delta 0.5 sits near the diagonal at n = -2.6 t^(1/4), -6
+    # to -8 over t = 50..100: inside radius 16, past the edge of radius 4,
+    # where the window's corner holds it
+    for radius, at_edge in ((16, False), (4, True)):
+        cfg = _write_config(tmp_path, f"r{radius}", {
+            "t_min": 50.0, "t_max": 100.0, "per_decade": 24, "observe_radius": radius,
+            "band": [-1.0, 1.0],
+        })
+        out = tmp_path / f"r{radius}"
+        assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        sites = fit["sup_sites"]
+        assert len(sites) == len(fit["stone_budgets"]) == 8
+        if at_edge:
+            assert sites == [[-4, -4]] * 8
+        else:
+            assert all(-8 <= n <= -6 and -8 <= m <= -6 for n, m in sites)
+        assert fit["sup_at_window_edge"] is at_edge
 
 def test_stone_reports_show_quadrature_budgets(tmp_path):
     cfg = _write_config(tmp_path, "decay", {

@@ -101,6 +101,21 @@ def test_perturbed_series_records_route():
     assert np.all(series.sup_norms > 0.0)
 
 
+def test_perturbed_series_locates_first_sup():
+    # sup_sites is the first maximiser in row-major order: no entry before
+    # it reaches the sup; the kernel is symmetric, so later ones may
+    from bilap.lattice import PotentialSpec
+    from bilap.propagator import stone_kernel_slice
+
+    V, times, r = PotentialSpec.delta(0.5), np.array([1.0, 2.0, 50.0]), 6
+    series = perturbed_decay_series(V, times, observe_radius=r)
+    for sl, sup, (n, m) in zip(stone_kernel_slice(times, V, r), series.sup_norms, series.sup_sites):
+        mags = np.abs(sl.entries).ravel()
+        first = (n + r) * (2 * r + 1) + (m + r)
+        assert mags[first] == sup
+        assert np.all(mags[:first] < sup)
+
+
 def test_strichartz_zero_state_gives_zero():
     psi = LatticeVector(2, np.zeros(5))
     assert strichartz_norm(8.0, 64.0, 10.0, psi) == 0.0

@@ -37,11 +37,14 @@ NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
 GENERIC_SMALL = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
 
 
-def _assemble(t, V, targets, budget):
-    # one Stone pass with both band edges taken as regular
+def _assemble(t, V, targets, budget, phase="schrodinger"):
+    # one Stone pass at one time with both band edges taken as regular
     sys_ = None if V is None else decompose_potential(V)
     regular = {"zero": True, "sixteen": True}
-    return propagator._stone_assemble(t, sys_, targets, "schrodinger", regular, budget)
+    entries, nodes = propagator._stone_assemble(
+        np.array([t]), sys_, targets, phase, regular, budget
+    )
+    return entries[0], nodes
 
 
 def _req(kind, V, t, observe):
@@ -374,9 +377,9 @@ def _ladder_budgets(monkeypatch, t, V, r):
     calls = []
     assemble = propagator._stone_assemble
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[-1])
-        return assemble(*args)
+        return assemble(*args, **kwargs)
 
     monkeypatch.setattr(propagator, "_stone_assemble", counted)
     return calls, stone_kernel_slice(t, V, r)
@@ -425,6 +428,109 @@ def test_stone_off_centre_site_matches_continuous_reference():
     # every operation, so they agree bit for bit
     near = sl.entries[r : 2 * r + 1, r : 2 * r + 1]
     assert np.array_equal(near, near[::-1, ::-1])
+
+
+# ---------------------------------------------------------------------------
+# a time series: one node set per pass, shared by every time
+
+FIVE_SITE = PotentialSpec((-2, 2), [0.5, 0.6, 0.7, 0.45, 0.55])
+
+# (V, times, observe radius, phase); the 3-site default at stone-vs-spectral's
+# default times and radius
+_SERIES = {
+    "delta-r16": (DELTA_HALF, np.geomspace(50.0, 100.0, 8), 16, "schrodinger"),
+    "three-site": (GENERIC_SMALL, [1.0, 5.0, 20.0], 10, "schrodinger"),
+    "five-site": (FIVE_SITE, [1.0, 5.0, 20.0], 3, "schrodinger"),
+    "free": (None, [1.0, 5.0, 20.0], 3, "schrodinger"),
+    "halfwave": (DELTA_HALF, [0.5, 3.0, 8.0], 3, "halfwave"),
+    "beam_cos": (DELTA_HALF, [0.5, 3.0, 8.0], 3, "beam_cos"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SERIES))
+def test_stone_series_matches_per_time_slices(case):
+    # the series' nodes are sized for its largest time, so each of its
+    # slices sits within the per-time slice's own error estimate of it
+    V, times, r, phase = _SERIES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = stone_kernel_slice(times, V, r, phase=phase)
+        assert [sl.t for sl in series] == list(times)
+        for t, sl in zip(times, series):
+            one = stone_kernel_slice(t, V, r, phase=phase)
+            assert np.abs(sl.entries - one.entries).max() <= one.error_estimate + 1e-13
+
+
+@pytest.mark.parametrize("case", ["three-site", "five-site", "free", "halfwave", "beam_cos"])
+def test_stone_series_estimates_bound_floor_error(case):
+    # each time's accepted estimate bounds its distance to the budget-0.25
+    # pass at that time; "delta-r16" is left out because its estimates and
+    # its distances both sit at rounding, near 4e-15
+    V, times, r, phase = _SERIES[case]
+    for t, sl in zip(times, stone_kernel_slice(times, V, r, phase=phase)):
+        ref, _ = _assemble(t, V, np.arange(-r, r + 1), 0.25, phase)
+        assert np.abs(sl.entries - ref).max() <= sl.error_estimate
+
+
+def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
+    calls = {"nodes": 0, "edges": [], "passes": []}
+    stone_nodes, check = propagator._stone_nodes, propagator.regular_point_check
+    assemble = propagator._stone_assemble
+
+    def nodes(*args):
+        calls["nodes"] += 1
+        return stone_nodes(*args)
+
+    def edge(sys_, threshold):
+        calls["edges"].append(threshold)
+        return check(sys_, threshold)
+
+    def passes(times, *args, **kwargs):
+        calls["passes"].append((args[-1], len(times)))
+        return assemble(times, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_stone_nodes", nodes)
+    monkeypatch.setattr(propagator, "regular_point_check", edge)
+    monkeypatch.setattr(propagator, "_stone_assemble", passes)
+    series = stone_kernel_slice(np.geomspace(50.0, 100.0, 8), DELTA_HALF, 16)
+    assert calls["passes"] == [(16.0, 8), (8.0, 8)]
+    assert calls["nodes"] == 2
+    assert calls["edges"] == ["zero", "sixteen"]
+    assert len({sl.nodes for sl in series}) == 1
+
+
+def test_stone_series_accepts_each_time_on_its_own(monkeypatch):
+    # at radius 2, t = 0.001 accepts at budget 8 and t = 100 needs 4; the
+    # budget-4 pass evaluates t = 100 alone and leaves t = 0.001 as it was
+    calls, assemble = [], propagator._stone_assemble
+
+    def passes(times, *args, **kwargs):
+        calls.append((args[-1], list(times)))
+        return assemble(times, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_stone_assemble", passes)
+    early, late = stone_kernel_slice([1e-3, 100.0], DELTA_HALF, 2)
+    assert calls == [(16.0, [1e-3, 100.0]), (8.0, [1e-3, 100.0]), (4.0, [100.0])]
+    assert (early.budget, late.budget) == (8.0, 4.0)
+    assert early.nodes < late.nodes
+    eight, _ = propagator._stone_assemble(
+        np.array([1e-3, 100.0]), decompose_potential(DELTA_HALF), np.arange(-2, 3),
+        "schrodinger", {"zero": True, "sixteen": True}, 8.0,
+    )
+    assert np.array_equal(early.entries, eight[0])
+
+
+def test_stone_scalar_time_is_a_series_of_one():
+    one = stone_kernel_slice(5.0, GENERIC_SMALL, 2)
+    (listed,) = stone_kernel_slice([5.0], GENERIC_SMALL, 2)
+    assert isinstance(one, KernelSlice)
+    assert np.array_equal(one.entries, listed.entries)
+    assert (one.t, one.budget, one.nodes, one.error_estimate) == (
+        listed.t, listed.budget, listed.nodes, listed.error_estimate,
+    )
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="1-d sequence"):
+            stone_kernel_slice(bad, None, 1)
 
 
 def test_sup_norm_routes_agree():

@@ -407,6 +407,28 @@ def test_huge_negative_coupling_keeps_its_bound_state(coupling):
     assert abs(vals[8]) == pytest.approx(1.0, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("coupling", [1e250, -1e250, 1e300, -1e300])
+def test_bound_state_of_coupling_near_float_range(coupling):
+    # w (z - 16) overflows past |z| = 3.2e205; the ratio w / (w + 4) taken
+    # first keeps the state at E = V + 6 + O(1/V) for couplings up to 2e307
+    states = bound_states(PotentialSpec.delta(coupling))
+    assert len(states) == 1
+    E, psi = states[0]
+    assert abs(E / coupling - 1.0) <= 1e-15
+    vals = psi(np.arange(-8, 9))
+    assert abs(vals[8]) == pytest.approx(1.0, abs=1e-12)
+    pair = bound_states(PotentialSpec((0, 1), [1e300, 1e300]))
+    assert len(pair) == 2 and all(abs(E / 1e300 - 1.0) <= 1e-15 for E, _ in pair)
+
+
+@pytest.mark.parametrize("values", [[1.7e308], [-1.7e308], [1.7e308, 1.7e308]])
+def test_bound_states_refuse_coupling_past_float_range(values):
+    # the kernel's amplitude 1 / (2 |E|) at the outer bracket end is no
+    # longer a normal float there; before, -1.7e308 gave a state at -8.5e307
+    with pytest.raises(SingularSandwichError, match="past the float range"):
+        bound_states(PotentialSpec((0, len(values) - 1), values))
+
 def test_embedded_scan_clean_for_delta():
     rep = embedded_eig_scan(PotentialSpec.delta(1.0), (128, 256))
     assert rep.verdict == "no embedded eigenvalues detected"
