@@ -62,7 +62,6 @@ from .resolvent import (
 )
 from .spectral import (
     BirmanSchwingerSystem,
-    LocalizationError,
     SingularSandwichError,
     decompose_potential,
     discrete_eigs,
@@ -89,7 +88,6 @@ __all__ = [
     "regular_point_check",
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
-    "LocalizationError",
     "SingularSandwichError",
     "discrete_eigs",
     "embedded_eig_scan",

@@ -50,12 +50,11 @@ from .propagator import (
 from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
 from .resolvent import _eps_ladder, windowed_boundary_resolvent
 from .spectral import (
-    LocalizationError,
     SingularSandwichError,
+    bound_states,
     decompose_potential,
     discrete_eigs,
     embedded_eig_scan,
-    min_localizing_radius,
     minv_expansion_probe,
     perturbed_resolvent_boundary,
     regular_point_check,
@@ -177,8 +176,8 @@ def _as_float_list(lo=None, hi=None, min_len=1, lo_open=False, hi_open=False, di
     return cast
 
 
-def _as_int_list(lo=None, min_len=1):
-    item = _as_int(lo)
+def _as_int_list(lo=None, hi=None, min_len=1):
+    item = _as_int(lo, hi)
 
     def cast(v):
         if not isinstance(v, (list, tuple)) or len(v) < min_len:
@@ -774,17 +773,25 @@ def _run_regular_check(cfg, outdir, rng):
 
 def _run_eig_scan(cfg, outdir, rng):
     V = cfg["potential"]
-    found = discrete_eigs(V, cfg["discrete_window"])
+    # the closed form first: a refusal there comes before any window is built
+    found = [E for E, _ in bound_states(V)]
     scan = embedded_eig_scan(V, cfg["window_radii"])
+    # the scan's largest window, already diagonalised, cross-checks the states
+    radius = max(scan.window_radii)
+    window = [lam for lam, _ in discrete_eigs(V, radius)]
     write_csv(
         outdir / "discrete.csv",
         ["index", "eigenvalue"],
-        [(i, lam) for i, (lam, _) in enumerate(found)],
+        list(enumerate(found)),
     )
     report = {
         "potential": _potential_label(V),
-        "discrete_window": cfg["discrete_window"],
-        "discrete_eigenvalues": [lam for lam, _ in found],
+        "discrete_eigenvalues": found,
+        "window_check": {
+            "window_radius": radius,
+            "window_eigenvalues": window,
+            "distances": [min(abs(E - lam) for lam in window) if window else None for E in found],
+        },
         "embedded": {
             "window_radii": list(scan.window_radii),
             "stable_candidates": list(scan.stable_candidates),
@@ -1074,8 +1081,7 @@ _COMMANDS = {
         _run_eig_scan,
         {
             "potential": (_as_potential, {"delta": 0.5}),
-            "discrete_window": (_as_int(lo=8, hi=4096), 512),
-            "window_radii": (_as_int_list(lo=8, min_len=2), [128, 256, 384]),
+            "window_radii": (_as_int_list(lo=8, hi=4096, min_len=2), [128, 256, 384]),
         },
         "discrete spectrum and embedded-eigenvalue stability scan",
     ),
@@ -1145,8 +1151,6 @@ def _window_rules(command, cfg):
                    "tail limit", _eps_ladder(mu)[1][0], _ORACLE_TAIL_BOUND)
     if command == "eig-scan":
         V = cfg["potential"]
-        yield ("fields 'potential', 'discrete_window'", V, "discrete_window",
-               min_localizing_radius(V), cfg["discrete_window"])
         # build_hamiltonian keeps the stencil two sites clear of the support
         yield ("fields 'potential', 'window_radii'", V, "every window radius",
                V.support_radius + 2, min(cfg["window_radii"]))
@@ -1269,7 +1273,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", UserWarning)
         try:
             code, report, outputs = runner(cfg, outdir, rng)
-        except (ConfigError, LocalizationError, SingularSandwichError) as exc:
+        except (ConfigError, SingularSandwichError) as exc:
             refusal = exc
         else:
             refusal = None

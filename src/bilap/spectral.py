@@ -12,8 +12,10 @@ route to M^{-1} and holds the one refusal rule. Threshold behaviour at the
 band edges is governed by M's edge limit compressed to one orthonormal basis
 per edge, of the complement of the potential's zeroth and first moments at
 the lower edge and of its alternating-sign moment at the upper edge. Off the
-band M is real symmetric and locates the bound states with no window; window
-truncations are diagonalised once per matrix through the memoised eigensystem.
+band M is real symmetric and locates the bound states with no window, the
+one definition of the discrete spectrum. Window truncations, diagonalised once
+per matrix through the memoised eigensystem, cross-check those states and scan
+the band for embedded eigenvalues.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ __all__ = [
     "bound_states",
     "discrete_eigs",
     "embedded_eig_scan",
-    "min_localizing_radius",
-    "LocalizationError",
     "SingularSandwichError",
     "BAND_MARGIN",
 ]
@@ -63,10 +63,6 @@ _LOCALIZATION_RATIO = 0.999
 _GAP = 1e-12  # bound_states' distance from the band edges; closer roots are one energy
 
 _SINGULAR_NORM = 1e10  # solve_sandwich's refusal threshold on the Frobenius norm of M^-1
-
-
-class LocalizationError(ValueError):
-    """A window truncation too small to localize an eigenvector."""
 
 
 class SingularSandwichError(ValueError):
@@ -481,44 +477,26 @@ def _localization_ratios(vecs: np.ndarray, window_radius: int) -> np.ndarray:
     return inner / np.einsum("ij,ij->j", vecs, vecs)
 
 
-def min_localizing_radius(V: PotentialSpec) -> int:
-    """Smallest window radius discrete_eigs accepts: four support radii, at least 4."""
-    return 4 * max(V.support_radius, 1)
-
-
 def discrete_eigs(
     V: PotentialSpec, window_radius: int
 ) -> List[Tuple[float, LatticeVector]]:
-    """Eigenvalues of the truncated perturbed operator outside the band.
+    """Eigenpairs of a window truncation outside the band, a check on bound_states.
 
-    Keeps eigenvalues below -BAND_MARGIN or above 16 + BAND_MARGIN. The
-    window must be at least four times the potential support radius so the
-    returned eigenvectors are window-localized; a vector failing the
-    localization ratio raises LocalizationError, since it signals a
-    too-small window. A None potential is the free operator, which has no
-    eigenvalues off the band.
+    Keeps eigenvalues below -BAND_MARGIN or above 16 + BAND_MARGIN, with no
+    test of how well the window holds their eigenvectors: a shallow state
+    spreads over hundreds of sites, and its window eigenvalue converges to
+    bound_states' as the window grows. The window must clear the support by
+    two sites (build_hamiltonian). A None potential is the free operator,
+    which has no eigenvalues off the band.
     """
     if V is None:
         return []
-    need = min_localizing_radius(V)
-    if window_radius < need:
-        raise ValueError(
-            "window_radius must be >= 4 * support radius "
-            f"(need {need}, got {window_radius})"
-        )
     ev, vecs = eigensystem(V, window_radius)
-    ratios = _localization_ratios(vecs, window_radius)
-    out: List[Tuple[float, LatticeVector]] = []
-    for lam, vec, ratio in zip(ev, vecs.T, ratios):
-        if -BAND_MARGIN <= lam <= 16.0 + BAND_MARGIN:
-            continue
-        if ratio < _LOCALIZATION_RATIO:
-            raise LocalizationError(
-                f"eigenvector at {lam:.6g} has localization ratio {ratio:.4f}; "
-                "enlarge the window"
-            )
-        out.append((float(lam), LatticeVector(window_radius, vec.astype(complex))))
-    return out
+    off = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
+    return [
+        (float(lam), LatticeVector(window_radius, vec.astype(complex)))
+        for lam, vec in zip(ev[off], vecs.T[off])
+    ]
 
 
 def embedded_eig_scan(V: PotentialSpec, window_radii) -> EmbeddedScanReport:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from bilap import cli, propagator, spectral
 from bilap.cli import ConfigError, main, render_loglog_svg, write_csv, write_json
+from bilap.lattice import PotentialSpec
 
 
 def _write_config(tmp_path, name, payload):
@@ -120,10 +121,10 @@ def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field
 @pytest.mark.parametrize(
     "command,payload,named",
     [
-        ("eig-scan", {"potential": {"delta": 0.5, "site": 600}}, "discrete_window"),
+        ("eig-scan", {"potential": {"delta": 0.5, "site": 600}}, "window_radii"),
         (
             "eig-scan",
-            {"potential": {"delta": 0.5, "site": 600}, "discrete_window": 2400},
+            {"potential": {"delta": 0.5, "site": 600}, "window_radii": [602, 601]},
             "window_radii",
         ),
         (
@@ -162,7 +163,6 @@ def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
         "cfg",
         {
             "potential": {"delta": 5.0, "site": 20},
-            "discrete_window": 80,
             "window_radii": [22, 40],
         },
     )
@@ -193,14 +193,21 @@ def test_stone_vs_spectral_mixed_sign_draw_passes(tmp_path):
     assert len(energies) == 3 and energies[0] < energies[1] < 0.0 < 16.0 < energies[2]
 
 
-def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
-    # discrete_window 80 cannot localise the shallow bound state of delta 0.5
-    cfg = _write_config(tmp_path, "cfg", {"discrete_window": 80})
+def _no_window(*args, **kwargs):
+    raise AssertionError("a window was diagonalised")
+
+
+@pytest.mark.parametrize("delta", [1.7e308, -1.7e308])
+def test_numerical_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch, delta):
+    # bound_states refuses a coupling whose kernel leaves the float range
+    # before eig-scan builds a window: one line, no overflow warning
+    monkeypatch.setattr(spectral, "eigensystem", _no_window)
+    cfg = _write_config(tmp_path, "cfg", {"potential": {"delta": delta}})
     out = tmp_path / "o"
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "numerical refusal" in err and "localization ratio" in err
+    assert err == (f"bilap eig-scan: numerical refusal: sandwich matrix numerically "
+                   f"singular at energy {delta:.6g}: kernel past the float range\n")
     assert not out.exists()
     # nested directories the run made are all removed again
     nested = tmp_path / "a" / "b" / "c"
@@ -210,6 +217,72 @@ def test_localization_refusal_exits_two_without_output(tmp_path, capsys):
     out.mkdir()
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
     assert out.is_dir()
+
+
+def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeypatch):
+    # radius 4097 would be a dense matrix of 8195 sites; the config is
+    # refused before any window is built
+    monkeypatch.setattr(spectral, "eigensystem", _no_window)
+    cfg = _write_config(tmp_path, "cfg", {"window_radii": [8, 4097]})
+    out = tmp_path / "o"
+    assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'window_radii'" in err and "<= 4096" in err
+    assert not out.exists()
+
+
+def test_eig_scan_reports_the_closed_form_bound_states(tmp_path):
+    # the 3-site default of resolvent-check and stone-vs-spectral: its state
+    # 1.3e-3 above the band spreads past every default window
+    V = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
+    cfg = _write_config(tmp_path, "cfg", {"potential": cli._GENERIC_SMALL})
+    out = tmp_path / "o"
+    assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    want = [E for E, _ in spectral.bound_states(V)]
+    assert len(want) == 1 and report["discrete_eigenvalues"] == want
+    assert (out / "discrete.csv").read_text() == f"index,eigenvalue\n0,{want[0]:.17g}\n"
+    # window 1024 holds it: one dense eigh of 2049 sites
+    ((lam, _),) = spectral.discrete_eigs(V, 1024)
+    assert abs(want[0] - lam) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "potential,window_radii",
+    [
+        # two states below the band that window 96 holds, one 3e-6 above it
+        ({"support": [-2, 2], "values": [-0.219381, 0.20846, 0.158265, -0.146959, -0.002739]},
+         [96, 64]),
+        # a state 1.3e-3 above the band and no window eigenvalue off it
+        ({"support": [-1, 1], "values": [0.3, -0.2, 0.1]}, [16, 32]),
+    ],
+)
+def test_eig_scan_window_check_measures_the_largest_window(tmp_path, potential, window_radii):
+    cfg = _write_config(tmp_path, "cfg", {"potential": potential, "window_radii": window_radii})
+    out = tmp_path / "o"
+    assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    radius = max(window_radii)
+    window = [lam for lam, _ in spectral.discrete_eigs(PotentialSpec(**potential), radius)]
+    check = report["window_check"]
+    assert check["window_radius"] == radius and check["window_eigenvalues"] == window
+    assert check["distances"] == [
+        min(abs(E - lam) for lam in window) if window else None
+        for E in report["discrete_eigenvalues"]
+    ]
+
+
+def test_eig_scan_diagonalises_only_its_window_radii(tmp_path, monkeypatch):
+    asked = []
+    eigensystem = spectral.eigensystem
+
+    def record(V, window_radius, operator="bilap"):
+        asked.append(window_radius)
+        return eigensystem(V, window_radius, operator)
+
+    monkeypatch.setattr(spectral, "eigensystem", record)
+    assert main(["eig-scan", "--out", str(tmp_path / "o")]) == 0
+    assert sorted(set(asked)) == [128, 256, 384]
 
 
 def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch):
@@ -416,8 +489,8 @@ def test_cli_contract_holds_for_costly_commands(command_config):
 # The analysis commands, on mostly valid configs with potentials of small
 # support. Couplings are mostly of order one, with magnitudes 1e20, 1e150
 # and 1e300 of either sign mixed in, where the sandwich overflows. Fields
-# that scale cost are capped: dense windows (discrete_window and
-# window_radii <= 160, expansion-check's window_radius <= 80), Stone and
+# that scale cost are capped: dense windows (window_radii <= 160,
+# expansion-check's window_radius <= 80), Stone and
 # dense-reference times (times <= 5, observe_radius <= 8; perturbed-decay's
 # t_max <= 20, per_decade 8, observe_radius <= 4) and expansion orders
 # (<= 4 at zero, <= 3 at sixteen); window and time fields are always
@@ -445,8 +518,7 @@ _ANALYSIS_COMMAND_CONFIGS = (
     st.tuples(
         st.just("eig-scan"),
         st.fixed_dictionaries(
-            {"discrete_window": st.integers(8, 160),
-             "window_radii": st.lists(st.integers(8, 160), min_size=2, max_size=3)},
+            {"window_radii": st.lists(st.integers(8, 160), min_size=2, max_size=3)},
             optional={"potential": _SMALL_POTENTIAL},
         ),
     )
