@@ -57,6 +57,7 @@ from .quadrature import (
     stationary_points,
 )
 from .resolvent import (
+    TailDoublingError,
     free_biresolvent_complex,
     windowed_boundary_resolvent,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "PotentialSpec",
     "build_hamiltonian",
     "weighted_operator_norm",
+    "TailDoublingError",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
     "remainder_norms",

@@ -21,6 +21,7 @@ import cmath
 import numpy as np
 
 __all__ = [
+    "TailDoublingError",
     "free_biresolvent_complex",
     "windowed_boundary_resolvent",
 ]
@@ -144,17 +145,6 @@ def free_biresolvent_complex(z: complex, k) -> np.ndarray:
     return np.exp(np.multiply.outer(np.abs(k), rates)) @ amps
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported on the first call.
-
-    The window oracle is the package's one use of scipy, so importing the
-    package does not load it.
-    """
-    from scipy.linalg import solve_banded as solve
-
-    return solve(l_and_u, ab, b, **kwargs)
-
-
 def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Polynomial extrapolation of samples ys[j] at xs[j] to x = 0, elementwise."""
     t = list(ys)
@@ -168,28 +158,106 @@ def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 _LADDER = 4
 """Rungs of the eps ladder, each twice the previous."""
 
-_DECAY_LENGTHS = 30.0
-"""Regularised decay lengths each rung's tail holds past the central block."""
+_COUPLE = np.array([[1.0, 0.0], [-4.0, 1.0]])
+"""Fourth-difference block from sites (2p, 2p + 1) to (2p + 2, 2p + 3)."""
+
+_TAIL_LEVEL_CAP = 64
+"""Doubling levels after which a free tail that has not decoupled is refused."""
 
 
-def _pentadiagonal_band(side: int) -> np.ndarray:
-    """LAPACK band storage of the fourth difference, diagonal row left zero."""
-    ab = np.zeros((5, side), dtype=complex)
-    ab[0, 2:], ab[1, 1:], ab[3, :-1], ab[4, :-2] = 1.0, -4.0, -4.0, 1.0
-    return ab
+class TailDoublingError(ArithmeticError):
+    """A free tail's doubling reached its level cap without decoupling."""
 
 
-def _eps_ladder(mu: float):
-    """(eps, tails) of windowed_boundary_resolvent's rungs at mu, tails in sites as floats.
+def _inv2(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2 x 2 matrices, by the adjugate."""
+    out = np.empty_like(m)
+    out[..., 0, 0], out[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    out[..., 0, 1], out[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    out /= (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])[..., None, None]
+    return out
 
-    Rung 0's tail is the longest; it grows like 1 / mu and 1 / sqrt(2 - mu) at the edges.
+
+def _free_tail_green(z: complex):
+    """(G, levels): G = K^{-1}[:2, :2] of the semi-infinite free tail K at z.
+
+    K is the fourth difference minus z on sites 1, 2, ..., block tridiagonal
+    over site pairs with diagonal block D = [[6 - z, -4], [-4, 6 - z]], upper
+    block U = _COUPLE and lower block U^T. Odd-even doubling (Sancho-Rubio
+    decimation) eliminates every other block: the surface block Ds takes
+    -U D^{-1} U^T, the bulk D takes that and -U^T D^{-1} U, and the coupling
+    to the next kept block becomes -U D^{-1} U, which spans twice the sites.
+    The lower block stays U^T, since D stays symmetric. With Im z > 0 the
+    coupling decays like exp(-2^levels x) for the tail's slowest rate x, so
+    the levels grow like log2(1 / Im z); once the coupling is rounding next
+    to D, G = Ds^{-1}.
     """
-    lam = mu**4
-    eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(_LADDER)
-    # decay length of the regularised kernel ~ (band speed at mu) / eps
-    scale = 4.0 * mu**3 * float(np.sqrt(1.0 - mu * mu / 4.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return eps_values, np.ceil(_DECAY_LENGTHS * scale / eps_values) + 64
+    bulk = np.array([[6.0 - z, -4.0], [-4.0, 6.0 - z]], dtype=complex)
+    surface, up = bulk.copy(), _COUPLE.astype(complex)
+    for levels in range(_TAIL_LEVEL_CAP):
+        if 2.0 * np.abs(up).max() <= np.finfo(float).eps * np.abs(bulk).max():
+            return _inv2(surface), levels
+        inv = _inv2(bulk)
+        across = up @ inv @ up.T
+        surface -= across
+        bulk -= across + up.T @ inv @ up
+        up = -up @ inv @ up
+    raise TailDoublingError(f"the free tail at z = {z} did not decouple in "
+                            f"{_TAIL_LEVEL_CAP} doubling levels")
+
+
+def _block_cyclic_reduction(diag, upper, rhs):
+    """Solve a block tridiagonal system of 2 x 2 blocks by odd-even reduction.
+
+    diag (n, 2, 2) holds the diagonal blocks, upper (n - 1, 2, 2) the blocks
+    from block p to p + 1, whose transposes are the lower blocks; rhs is
+    (n, 2, k). Eliminating the odd blocks leaves a system of the same form on
+    the even ones, which is solved the same way; the odd blocks then follow.
+    """
+    n = len(diag)
+    if n == 1:
+        return _inv2(diag) @ rhs
+    inv = _inv2(diag[1::2])
+    up_odd, odd_up = upper[0::2], upper[1::2]  # block 2q to 2q + 1, and 2q + 1 to 2q + 2
+    kept = len(odd_up)
+    across, back = up_odd @ inv, odd_up.mT @ inv[:kept]
+    even_diag, even_rhs = diag[0::2].copy(), rhs[0::2].copy()
+    even_diag[:n // 2] -= across @ up_odd.mT
+    even_rhs[:n // 2] -= across @ rhs[1::2]
+    even_diag[1:] -= back @ odd_up
+    even_rhs[1:] -= back @ rhs[1::2][:kept]
+    even = _block_cyclic_reduction(even_diag, -across[:kept] @ odd_up, even_rhs)
+    odd = rhs[1::2] - up_odd.mT @ even[:n // 2]
+    odd[:kept] -= odd_up @ even[1:]
+    out = np.empty_like(rhs)
+    out[0::2], out[1::2] = even, inv @ odd
+    return out
+
+
+def _solve_pentadiagonal(diag, off1, off2, rhs):
+    """Solve a complex symmetric pentadiagonal system A x = rhs.
+
+    diag (N,) is the diagonal of A, off1 (N - 1,) and off2 (N - 2,) its first
+    and second super-diagonals, equal to the sub-diagonals; rhs is (N,) or
+    (N, k). A site past an odd N pads the system, and site pairs make it
+    block tridiagonal for _block_cyclic_reduction. No pivoting: for
+    A = X - i E with X and E real symmetric and E positive definite (the
+    window oracle's E is eps I), i A has the positive definite Hermitian
+    part E, a property every principal block and every Schur complement of
+    i A keeps, so each 2 x 2 pivot the reduction meets is nonsingular, in
+    any elimination order.
+    """
+    n = len(diag)
+    size = n + n % 2
+    d = np.ones(size, dtype=complex)
+    e, f = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    d[:n], e[:len(off1)], f[:len(off2)] = diag, off1, off2
+    blocks = np.stack([d[0::2], e[0::2], e[0::2], d[1::2]], axis=-1).reshape(-1, 2, 2)
+    upper = np.stack([f[0::2], np.zeros(size // 2), e[1::2], f[1::2]], axis=-1)
+    b = np.zeros((size, *np.shape(rhs)[1:]), dtype=complex)
+    b[:n] = rhs
+    x = _block_cyclic_reduction(blocks, upper.reshape(-1, 2, 2)[:-1], b.reshape(size // 2, 2, -1))
+    return x.reshape(b.shape)[:n]
 
 
 def windowed_boundary_resolvent(mu: float, pairs, potentials):
@@ -197,54 +265,46 @@ def windowed_boundary_resolvent(mu: float, pairs, potentials):
 
     Returns (values, run): values[i, j] is the entry at sites pairs[j] =
     (n, m) for potentials[i] (None is the free operator); run holds mu, the
-    eps ladder, the rung radii R, the central half-width c and tail solves.
+    eps ladder, the central half-width c and the tail's doubling levels per
+    rung.
 
-    Solves (fourth difference + V - mu^4 - i eps) on [-R, R] on each rung
-    of a factor-two eps ladder and extrapolates to eps = 0. Outside [-c, c],
-    c = max(2, |n|, |m|, support radius) over the batch, the window is the
-    free operator and its two tails mirror each other, so one banded solve
-    per rung on a tail of length R - c, with two unit columns, gives
-    G = T^{-1}[:2, :2]. Eliminating both tails changes only the 2 x 2
-    corners of the central block, the right one by -B G B^T with
-    B = [[1, 0], [-4, 1]] and the left one by its mirror; the block stays
-    pentadiagonal and is solved per potential, with the distinct m as
-    columns. Each tail holds thirty decay lengths of the regularised kernel
-    at its rung's eps, so the tails nearly halve along the ladder. Serves as
-    an independent cross-check of the closed kernels; relative agreement is
-    typically well below 1e-6.
+    Inverts (fourth difference + V - mu^4 - i eps) on the whole lattice on
+    each rung of a factor-two eps ladder and extrapolates to eps = 0.
+    Outside [-c, c], c = max(2, |n|, |m|, support radius) over the batch, the
+    operator is free and its two tails mirror each other, so one doubling
+    per rung gives the tail's G = K^{-1}[:2, :2] (_free_tail_green).
+    Eliminating both tails changes only the 2 x 2 corners of the central
+    block, the right one by -B G B^T with B = [[1, 0], [-4, 1]] and the left
+    one by its mirror; the block stays pentadiagonal and is solved per
+    potential by block cyclic reduction, with the distinct m as columns.
+    Every matrix met is X - i eps with X real symmetric, so neither step
+    pivots (_solve_pentadiagonal). Serves as an independent cross-check of
+    the closed kernels; relative agreement is typically well below 1e-6.
     """
     if not (0.0 < mu < 2.0):
         raise ValueError(f"mu must lie in (0, 2), got {mu}")
     lam = mu**4
-    eps_values, tails = _eps_ladder(mu)
-    tails = [int(t) for t in tails]
+    eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(_LADDER)
     ns = np.array([n for n, _ in pairs])
     cols, col_of = np.unique([m for _, m in pairs], return_inverse=True)
     supports = [V.support_radius for V in potentials if V is not None]
     half = int(max(2, *np.abs(ns), *np.abs(cols), *supports))
-    # LAPACK reads no band entry outside the matrix (the corners of rows 0, 1,
-    # 3 and 4), so a leading column slice is the same system on a shorter tail.
-    tail = _pentadiagonal_band(tails[0])
-    band = _pentadiagonal_band(2 * half + 1)
     on_window = [V.on_window(half) if V is not None else 0.0 for V in potentials]
-    rhs = np.zeros((2 * half + 1, cols.size), dtype=complex)
+    rhs = np.zeros((2 * half + 1, cols.size))
     rhs[cols + half, np.arange(cols.size)] = 1.0
-    couple = np.array([[1.0, 0.0], [-4.0, 1.0]])
+    off1, off2 = np.full(2 * half, -4.0, dtype=complex), np.ones(2 * half - 1)
     samples = np.empty((_LADDER, len(potentials), len(pairs)), dtype=complex)
-    for k, (eps, length) in enumerate(zip(eps_values, tails)):
-        diag = np.full(2 * half + 1, 6.0 - (lam + 1j * eps))
-        tail[2, :length] = diag[0]
-        units = np.eye(length, 2, dtype=complex)
-        green = solve_banded((2, 2), tail[:, :length], units, check_finite=False)
-        s = couple @ green[:2] @ couple.T
+    levels = []
+    for k, eps in enumerate(eps_values):
+        z = lam + 1j * eps
+        green, depth = _free_tail_green(z)
+        levels.append(depth)
+        s = _COUPLE @ green @ _COUPLE.T
         # sites (c - 1, c) meet the right tail, (-c, -c + 1) the left one
-        band[1, [1, -1]] = -4.0 - s[1, 0], -4.0 - s[0, 1]
-        band[3, [0, -2]] = -4.0 - s[0, 1], -4.0 - s[1, 0]
+        diag = np.full(2 * half + 1, 6.0 - z)
         diag[[0, 1, -2, -1]] -= s[1, 1], s[0, 0], s[0, 0], s[1, 1]
+        off1[[0, -1]] = -4.0 - s[0, 1]
         for i, v in enumerate(on_window):
-            band[2] = diag + v
-            sol = solve_banded((2, 2), band, rhs, check_finite=False)
-            samples[k, i] = sol[ns + half, col_of]
-    run = {"mu": mu, "eps": eps_values.tolist(), "rung_radii": [half + t for t in tails],
-           "half_width": half, "tail_solves": len(tails)}
+            samples[k, i] = _solve_pentadiagonal(diag + v, off1, off2, rhs)[ns + half, col_of]
+    run = {"mu": mu, "eps": eps_values.tolist(), "half_width": half, "tail_levels": levels}
     return _neville_at_zero(eps_values, samples), run

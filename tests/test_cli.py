@@ -63,7 +63,7 @@ def test_wrong_field_type_exits_two(tmp_path, capsys):
         # t |E| 2^-52 = 2.2e4 at |V| = 1e20: a bound state's phase is noise
         ("stone-vs-spectral", {"potentials": [{"delta": -1e20}], "times": [1.0], "observe_radius": 2}),
         ("stone-vs-spectral", {"potentials": [{"delta": 1e20}], "times": [1.0], "observe_radius": 2}),
-        # the oracle's free tails would hold 48,000,058 and 12.0M sites
+        # outside the window oracle's accepted mu range
         ("resolvent-check", {"mu_values": [0.5, 0.001]}),
         ("resolvent-check", {"mu_values": [1.999999]}),
     ],
@@ -702,9 +702,10 @@ def test_resolvent_report_shows_each_oracle_run(tmp_path):
     for run in report["oracle"]:
         # the delta potential sits at 0, so the drawn sites set the block
         assert run["half_width"] == max(2, *drawn[run["mu"]])
-        assert run["tail_solves"] == len(run["eps"]) == len(run["rung_radii"]) == 4
+        assert len(run["eps"]) == len(run["tail_levels"]) == 4
         assert run["eps"] == sorted(run["eps"])
-        assert run["rung_radii"] == sorted(run["rung_radii"], reverse=True)
+        # each doubling of eps takes one doubling level off the free tail
+        assert np.diff(run["tail_levels"]).tolist() == [-1, -1, -1]
 
 
 def test_resolvent_check_seed_changes_sample(tmp_path):

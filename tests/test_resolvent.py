@@ -10,6 +10,7 @@ import scipy.linalg
 from bilap import resolvent
 from bilap.lattice import PotentialSpec
 from bilap.resolvent import (
+    TailDoublingError,
     _band_rates,
     boundary_kernel_plus,
     free_biresolvent_complex,
@@ -339,28 +340,44 @@ def test_oracle_holds_a_wide_support():
             assert abs(got[0, j] - want) <= 1e-10 * abs(want)
 
 
-def test_rung_windows_halve_along_the_ladder(monkeypatch):
-    full_solve = resolvent.solve_banded
+def test_doubled_tail_matches_finite_tail_solve():
+    # the finite tails the oracle once solved: thirty regularised decay
+    # lengths plus 64 sites per rung, with the two unit columns
+    for mu in (0.3, 1.0, 1.8):
+        lam = mu**4
+        eps_values = min(2e-3, min(lam, 16.0 - lam) / 400.0) * 2.0 ** np.arange(4)
+        scale = 4.0 * mu**3 * np.sqrt(1.0 - mu * mu / 4.0)
+        levels = []
+        for eps in eps_values:
+            z = lam + 1j * eps
+            length = int(np.ceil(30.0 * scale / eps)) + 64
+            ab = np.zeros((5, length), dtype=complex)
+            ab[0, 2:], ab[1, 1:], ab[2], ab[3, :-1], ab[4, :-2] = 1.0, -4.0, 6.0 - z, -4.0, 1.0
+            want = scipy.linalg.solve_banded((2, 2), ab, np.eye(length, 2))[:2]
+            got, depth = resolvent._free_tail_green(z)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            levels.append(depth)
+        # each doubling of eps halves the sites the coupling needs to decay
+        assert np.diff(levels).tolist() == [-1, -1, -1]
 
-    def tail_sizes(pairs, potentials):
-        sizes = []
 
-        def solve(lu, ab, b, **kwargs):
-            sizes.append(ab.shape[1])
-            return full_solve(lu, ab, b, **kwargs)
+def test_tail_doubling_refuses_an_undamped_tail():
+    # eps = mu^4 / 400 is below rounding next to the diagonal 6 - mu^4
+    with pytest.raises(TailDoublingError, match="did not decouple"):
+        windowed_boundary_resolvent(1e-8, [(0, 0)], [None])
 
-        monkeypatch.setattr(resolvent, "solve_banded", solve)
-        _, run = windowed_boundary_resolvent(1.0, pairs, potentials)
-        monkeypatch.undo()
-        central = 2 * run["half_width"] + 1
-        # one central solve per (rung, potential); the rest are tails
-        assert sizes.count(central) == 4 * len(potentials)
-        tails = [size for size in sizes if size != central]
-        assert run["tail_solves"] == len(tails)
-        return tails
 
-    one = tail_sizes([(3, -2)], [None])
-    many = tail_sizes([(3, -2), (8, -8), (0, 0), (-5, 7)], DEFAULT_POTENTIALS)
-    assert one == many and len(one) == 4
-    assert all(0.45 * a < b < 0.55 * a for a, b in zip(one, one[1:]))
-    assert sum(one) <= 2 * one[0]
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 6, 17, 1001, 65537, 131073])
+def test_pentadiagonal_solve_matches_lapack(size):
+    # X - 0.1 i with X real symmetric pentadiagonal; 131073 sites is the
+    # central block at the CLI's site limit, support radius 2^16
+    rng = np.random.default_rng(size)
+    diag = rng.normal(size=size) - 0.1j
+    off1, off2 = rng.normal(size=max(size - 1, 0)), rng.normal(size=max(size - 2, 0))
+    ab = np.zeros((5, size), dtype=complex)
+    ab[0, 2:], ab[1, 1:], ab[2], ab[3, :-1], ab[4, :-2] = off2, off1, diag, off1, off2
+    for rhs in (rng.normal(size=size), rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))):
+        want = scipy.linalg.solve_banded((2, 2), ab, rhs.astype(complex))
+        got = resolvent._solve_pentadiagonal(diag, off1, off2, rhs)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
