@@ -36,7 +36,9 @@ much as its largest time.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -96,10 +98,16 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 
-# Margin factor on the causal range c |t|, for FFT rings (c the flow's group
-# speed, see ring_size) and for dense truncation windows (c = SPEED_BOUND).
+# Margin factor on the causal range SPEED_BOUND |t| of dense truncation
+# windows (auto_window_radius); their kernels are the dense references.
 _RING_SAFETY = 1.2
+# FFT rings reach _RING_TAIL |t|^(1/3) + _RING_MARGIN sites past the causal
+# front (see ring_size)
+_RING_TAIL = 16.0
 _RING_MARGIN = 64
+# free_kernel_full sums K_1 over blocks of this many pairs, so the sum's
+# temporaries stay under 400 kB (12.6 MB over the half ring at t = 1e5)
+_BLOCK = 1 << 14
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
 # Stone budget ladder: phase advance per 15-point Gauss panel. On single-site
@@ -227,36 +235,53 @@ def pac_split(V: Optional[PotentialSpec], window_radius: int) -> PacSplit:
     return PacSplit(V, window_radius)
 
 
-def _five_smooth(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 5, n >= 1."""
-    best = 1 << (n - 1).bit_length()
+@lru_cache(maxsize=None)
+def _five_smooth_table(bits: int) -> tuple[int, ...]:
+    """Sorted integers below 2**bits with no prime factor above 5."""
+    top = 1 << bits
+    found = []
     p5 = 1
-    while p5 < best:
+    while p5 < top:
         p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+        while p35 < top:
+            found.extend(p35 << k for k in range(((top - 1) // p35).bit_length()))
             p35 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(found))
+
+
+def _five_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5, 1 <= n <= 2^62."""
+    # the power of two 1 << (n - 1).bit_length() reaches n, so the table holds the answer
+    table = _five_smooth_table((n - 1).bit_length() + 1)
+    return table[bisect_left(table, n)]
 
 
 def ring_size(t: float, kind: str, kmax: int = 0) -> int:
     """Size of the FFT ring that carries the free kernel of a kind at time t.
 
     The ring is even, 5-smooth, of at least 256 points, and covers the
-    separations up to 1.2 c |t| + kmax + 64 both ways, so wraparound sits
-    at the far-field noise floor. c is the flow's largest group speed:
-    SPEED_BOUND = 6 sqrt(3) where the phase is t b^2 (the fourth-difference
-    Schrodinger flow), 2 where it is t b (the second-difference flow, and
-    the beam flows, whose sqrt(E) is the symbol b = 4 sin^2(x/2) itself).
+    separations up to c |t| + 16 |t|^(1/3) + kmax + 64 both ways. c is the
+    flow's largest group speed: SPEED_BOUND = 6 sqrt(3) where the phase is
+    t b^2 (the fourth-difference Schrodinger flow), 2 where it is t b (the
+    second-difference flow, and the beam flows, whose sqrt(E) is the symbol
+    b = 4 sin^2(x/2) itself). Past the causal front c |t| each kernel falls
+    off in an Airy tail whose width grows like |t|^(1/3): from
+    c |t| + 24 |t|^(1/3) on, the fourth-difference kernel is at most
+    1.9e-13 at t = 1e3 and 4.2e-13 at t = 1e5. A separation inside the
+    front receives wraparound only from at least 32 |t|^(1/3) past it, so
+    that wraparound sits at the rounding floor.
     """
     if kind not in _KIND_TABLE:
         raise ValueError(f"no free kernel for kind {kind!r}")
     flow, operator, _ = _KIND_TABLE[kind]
     speed = SPEED_BOUND if (flow, operator) == ("schrodinger", "bilap") else 2.0
-    need = 2.0 * (_RING_SAFETY * speed * abs(t) + kmax + _RING_MARGIN)
-    return 2 * _five_smooth(int(np.ceil(max(need, 256.0) / 2)))
+    reach = speed * abs(t) + _RING_TAIL * np.cbrt(abs(t))
+    need = 2.0 * (reach + kmax + _RING_MARGIN)
+    half = int(np.ceil(max(need, 256.0) / 2))
+    if half > 1 << 62:
+        raise ValueError(f"the ring for t = {t:g} would pass 2^63 points, the numpy array limit")
+    return 2 * _five_smooth(half)
 
 
 def fft_ring_band(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,29 +328,38 @@ def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     Recipes, cosft1): Y = fft(y), y_j = (h_j + h_{M-j})/2 - sin(pi j/M)
     (h_j - h_{M-j}). The even separations are K_{2p} = (Y_p + Y_{-p})/size,
     the odd ones K_{2p+1} = K_{2p-1} + i (Y_p - Y_{-p})/size from
-    K_1 = (2/size) [(h_0 - h_M)/2 + sum_{0<j<M} h_j cos(pi j/M)]. Both
-    trigonometric factors come from the half-angle sines s_j of
-    fft_ring_band: sin(pi j/M) = 2 s_j s_{M-j}, cos(pi j/M) = 1 - 2 s_j^2.
-    Two real irffts of length size, or scipy.fft.dct(h, type=1)/size, give
-    the same kernel but hold full-length real arrays: on the free benchmark
-    they peak at 166 and 212 MB against 99 MB here, and run slower.
-    Useful for suprema over the whole causal range.
+    K_1 = (2/size) [(h_0 - h_M)/2 + sum_{0<j<M} h_j cos(pi j/M)]. The
+    cosine is odd about j = M/2, so that sum is taken over the pairs as
+    sum_{0<j<=M/2} (h_j - h_{M-j}) cos(pi j/M), by numpy reductions over
+    blocks of _BLOCK pairs added in block order. A BLAS dot would sum in an
+    order set by the BLAS thread count, and would wake an OpenBLAS worker
+    that then spins on another core. Both trigonometric factors come from
+    the half-angle sines s_j of fft_ring_band: sin(pi j/M) = 2 s_j s_{M-j},
+    cos(pi j/M) = 1 - 2 s_j^2. Two real irffts of length size, or
+    scipy.fft.dct(h, type=1)/size, give the same kernel but hold
+    full-length real arrays: on the free benchmark, with rings of
+    1.2 c |t|, they peaked at 166 and 212 MB against 99 MB for this route,
+    and ran slower. Useful for suprema over the whole causal range.
     """
     h, sine = _half_ring_weight(t, kind, kmax)
     M = h.size - 1
     size = 2 * M
-    # size * K_1, read before y overwrites h; cos(pi j/M) stays a real factor
-    cos = sine[1:M] ** 2
-    cos *= -2.0
-    cos += 1.0
-    k1 = h[0] - h[M] + 2.0 * (cos @ h[1:M].real + 1j * (cos @ h[1:M].imag))
-    del cos
     # y in place of h, over the pairs (j, M - j), j = 1..M//2: with
     # a = (h_j + h_{M-j})/2 and b = sin(pi j/M)(h_j - h_{M-j}), y_j = a - b
     # and y_{M-j} = a + b; at j = M/2 both are one entry and b = 0
     m = M // 2
     lo, hi = h[1 : m + 1], h[M - 1 : M - m - 1 : -1]
     b = lo - hi
+    # size * K_1 from b = h_j - h_{M-j} before it is scaled; cos(pi j/M)
+    # stays a real factor
+    k1_blocks = []
+    for j in range(1, m + 1, _BLOCK):
+        stop = min(j + _BLOCK, m + 1)
+        cos = sine[j:stop] ** 2
+        cos *= -2.0
+        cos += 1.0
+        k1_blocks.append(np.add.reduce(b[j - 1 : stop - 1] * cos))
+    k1 = h[0] - h[M] + 2.0 * np.add.reduce(k1_blocks)
     b *= 2.0 * sine[1 : m + 1] * sine[M - 1 : M - m - 1 : -1]
     a = lo + hi
     a *= 0.5

@@ -1,6 +1,10 @@
 """Propagator evaluation routes: spectral truncation, FFT ring, band quadrature."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -595,7 +599,7 @@ def test_five_smooth_matches_scipy_next_fast_len():
 
 # (t, kmax) where the second-difference and beam rings have an odd half
 # size M: 135, 135, 225 and 3125 points
-@pytest.mark.parametrize("t,kmax_odd", [(0.0, 66), (0.7, 66), (37.0, 66), (1e3, 640)])
+@pytest.mark.parametrize("t,kmax_odd", [(0.0, 66), (0.7, 52), (37.0, 29), (1e3, 875)])
 def test_free_kernel_half_ring_matches_mirrored_ifft(t, kmax_odd):
     # the half-length transform against the full-length inverse FFT of the
     # mirrored weight, over every separation of the half ring
@@ -612,7 +616,34 @@ def test_free_kernel_half_ring_matches_mirrored_ifft(t, kmax_odd):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=kind)
             assert np.array_equal(free_kernel_fft(t, kind, kmax), got[: kmax + 1])
             halves.add(size // 2)
+    assert ring_size(t, "schrodinger_free_lap", kmax_odd) // 2 % 2 == 1
     assert any(m % 2 for m in halves), sorted(halves)
+
+
+# Prints a digest of two free kernels whose half rings (60,750 and 312,500
+# points) are long enough for OpenBLAS to split a dot product between threads.
+_KERNEL_DIGEST = """
+import hashlib
+from bilap.propagator import free_kernel_full
+digest = hashlib.sha256()
+for kind in ("schrodinger_free_bilap", "beam_cos"):
+    digest.update(free_kernel_full(3e4, kind).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_free_kernel_bytes_do_not_depend_on_blas_threads():
+    # K_1 is summed by numpy reductions over fixed blocks; the BLAS dots it
+    # replaced summed in a thread-count-dependent order
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def _even_five_smooth_at_least(need):
@@ -631,17 +662,49 @@ def _even_five_smooth_at_least(need):
 @pytest.mark.parametrize("t", [0.0, 0.7, 37.0, -250.0, 1e3, 1e5])
 def test_ring_size_follows_each_flow_speed(t):
     # the second-difference and beam phases move at group speed 2, the
-    # fourth-difference Schrodinger phase at SPEED_BOUND
+    # fourth-difference Schrodinger phase at SPEED_BOUND; each ring reaches
+    # 16 |t|^(1/3) past the causal front
+    tail = 16.0 * np.cbrt(abs(t))
     for kmax in (0, 9):
         for kind in ("schrodinger_free_lap", "beam_cos", "beam_sinc"):
-            need = 2.0 * (1.2 * 2.0 * abs(t) + kmax + 64)
+            need = 2.0 * (2.0 * abs(t) + tail + kmax + 64)
             assert ring_size(t, kind, kmax) == _even_five_smooth_at_least(need), kind
-        old = 2.0 * (1.2 * SPEED_BOUND * abs(t) + kmax + 64)
+        need = 2.0 * (SPEED_BOUND * abs(t) + tail + kmax + 64)
         assert ring_size(t, "schrodinger_free_bilap", kmax) == 2 * scipy.fft.next_fast_len(
-            int(np.ceil(max(old, 256.0) / 2)), real=True
+            int(np.ceil(max(need, 256.0) / 2)), real=True
         )
     with pytest.raises(ValueError, match="no free kernel"):
         ring_size(t, "heat")
+    with pytest.raises(ValueError, match="2\\^63 points"):
+        ring_size(1e300, "beam_cos")
+
+
+_FREE_SPEEDS = {
+    "schrodinger_free_lap": 2.0,
+    "schrodinger_free_bilap": SPEED_BOUND,
+    "beam_cos": 2.0,
+    "beam_sinc": 2.0,
+}
+
+
+@pytest.mark.parametrize("t", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("kind", list(_FREE_SPEEDS))
+def test_ring_size_premise_airy_tail_at_rounding(kind, t):
+    # ring_size reaches c|t| + 16|t|^(1/3) (plus a margin) from the origin.
+    # Its premise: on a ring at least 1.5 times as long, the kernel is at
+    # rounding from c|t| + 32|t|^(1/3) on, so wraparound onto separations up
+    # to c|t| + 16|t|^(1/3) of the ring_size ring is at rounding too.
+    # Measured: tails at most 1.1e-13 and gaps at most 1.7e-13, both for the
+    # fourth-difference kernel at t = 1e4; the bound 1e-12 leaves a factor 6.
+    front, width = _FREE_SPEEDS[kind] * t, np.cbrt(t)
+    size = ring_size(t, kind)
+    wide = free_kernel_full(t, kind, kmax=size // 4)
+    assert 2 * (wide.size - 1) >= 1.5 * size
+    assert np.abs(wide[int(np.ceil(front + 32.0 * width)) :]).max() <= 1e-12
+    reach = int(front + 16.0 * width)
+    near = free_kernel_full(t, kind)
+    assert near.size > reach + 1
+    np.testing.assert_allclose(near[: reach + 1], wide[: reach + 1], rtol=0, atol=1e-12)
 
 
 def _old_ring_band(t, kmax=0):
