@@ -42,6 +42,7 @@ from .lattice import LatticeVector, PotentialSpec
 from .propagator import (
     FREE_KINDS,
     auto_window_radius,
+    fft_workers,
     pac_split,
     ring_size,
     stone_kernel_slice,
@@ -918,9 +919,13 @@ def _run_stationary_phase(cfg, outdir, rng):
     return (0 if all_ok else 1), report, ["roots.json"]
 
 
+# strichartz evolves a unit delta on the sites -1..1
+_STRICHARTZ_RADIUS = 1
+
+
 def _run_strichartz(cfg, outdir, rng):
     r = np.inf if cfg["r"] == "inf" else float(cfg["r"])
-    psi0 = LatticeVector.delta(1, 0)
+    psi0 = LatticeVector.delta(_STRICHARTZ_RADIUS, 0)
     norms = [
         strichartz_norm(cfg["q"], r, T, psi0) for T in cfg["T_values"]
     ]
@@ -1155,6 +1160,26 @@ def _window_rules(command, cfg):
                        V.support_radius + 2, window)
 
 
+# Largest FFT ring, in points, that a config may ask for. free_kernel_full
+# holds 16 bytes per ring point (its work array and the kernel, each over
+# half the ring), 268 MB at this bound, and a strichartz time node 40 bytes
+# per point, 671 MB. The free benchmark's largest ring has 2^21 points.
+_RING_POINT_BOUND = 2**24
+
+
+def _ring_rule(command, cfg):
+    """(field, kind, t, kmax) of the largest FFT ring a command builds, or None."""
+    if command == "free-decay":
+        return "field 't_max'", cfg["kind"], cfg["t_max"], 0
+    if command == "beam-decay":
+        # both beam kinds move at group speed 2 and share each ring
+        return "field 't_max'", "beam_cos", cfg["t_max"], 0
+    if command == "strichartz":
+        # every time node lies in (0, max(T_values)]
+        return "field 'T_values'", "schrodinger_free_bilap", max(cfg["T_values"]), _STRICHARTZ_RADIUS
+    return None
+
+
 def _check_config(raw: dict, schema: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config for {command} must be a JSON object")
@@ -1193,6 +1218,17 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
                 f"fields 't_min', 't_max', 'per_decade': the time grid has "
                 f"{points} points, the fit needs at least {FIT_MIN_POINTS}"
             )
+    rule = _ring_rule(command, out)
+    if rule is not None:
+        field, kind, t, kmax = rule
+        try:
+            points = ring_size(t, kind, kmax)
+        except ValueError:  # past 2^63 points
+            points = None
+        if points is None or points > _RING_POINT_BOUND:
+            size = "more than 2^63" if points is None else f"{points}"
+            raise ConfigError(f"{field}: the FFT ring at t = {t:g} would hold {size} points, "
+                              f"above the bound of {_RING_POINT_BOUND} (2^24)")
     for fields, V, window, need, given in _window_rules(command, out):
         if not given >= need:
             raise ConfigError(f"{fields}: support radius {V.support_radius} needs "
@@ -1286,6 +1322,7 @@ def main(argv=None) -> int:
         "config": {k: _manifest_value(v) for k, v in cfg.items()},
         "seed": args.seed,
         "threads": threads,
+        "fft_workers": fft_workers(),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],

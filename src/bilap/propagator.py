@@ -7,9 +7,12 @@ spectral evolution diagonalises a window truncation and passes its
 eigenvalues as E. Free translation-invariant kernels come from the band
 symbol by FFT, with E the symbol of H on the ring: the weight lives on
 half of an even ring sized by the flow's own group speed, and the even
-kernel comes from one complex FFT of half the ring's length. Perturbed kernels
-restricted to the continuous spectrum come from a quadrature of the
-resolvent jump across the band,
+kernel comes from one complex FFT of half the ring's length. That FFT is a
+blocked four-step transform in place, whose cache-sized blocks the caller
+and, with two usable CPUs, one helper thread share; the ring holds its
+work array and the kernel, 32 bytes per point of the half ring, and no
+whole-length scratch. Perturbed kernels restricted to the continuous
+spectrum come from a quadrature of the resolvent jump across the band,
 
     K(t, n, m) = (2 / (pi i)) Int_0^2 w(t, mu^4) mu^3 [R+ - R-](mu^4, n, m) dmu,
 
@@ -35,10 +38,13 @@ much as its largest time.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -71,6 +77,7 @@ __all__ = [
     "fft_ring_band",
     "free_kernel_fft",
     "free_kernel_full",
+    "fft_workers",
     "ring_size",
     "ring_weight",
     "stone_kernel_slice",
@@ -105,9 +112,20 @@ _RING_SAFETY = 1.2
 # front (see ring_size)
 _RING_TAIL = 16.0
 _RING_MARGIN = 64
-# free_kernel_full sums K_1 over blocks of this many pairs, so the sum's
-# temporaries stay under 400 kB (12.6 MB over the half ring at t = 1e5)
+# free_kernel_full builds its weights and sums K_1 over blocks of this many
+# pairs, so each block's temporaries stay under 400 kB
 _BLOCK = 1 << 14
+# points per block of the four-step FFT and of the kernel's assembly, as
+# many as a block of _BLOCK pairs: 32 columns or rows of 1024 for a half
+# ring of 2^20. A ring of one block per stage runs on the caller alone; the
+# helper thread's hand-offs cost more than blocks of a few thousand points.
+_FFT_BLOCK = 2 * _BLOCK
+# length of the first twiddle table, over k2 mod _LANES
+_LANES = 32
+# threads that share a ring's blocks: the caller, plus one helper where two
+# CPUs are usable (os.cpu_count where the platform has no affinity mask)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_FFT_WORKERS = 2 if _CPUS >= 2 else 1
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
 # Stone budget ladder: phase advance per 15-point Gauss panel. On single-site
@@ -284,22 +302,25 @@ def ring_size(t: float, kind: str, kmax: int = 0) -> int:
     return 2 * _five_smooth(half)
 
 
-def fft_ring_band(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Second-difference symbol 4 sin^2(x/2) on half of an FFT ring of even size.
+def fft_ring_band(size: int, j: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Second-difference symbol 4 sin^2(x/2) at indices j of an FFT ring of even size.
 
-    Returns (band, sine) at x = 2 pi j / size for j = 0..size/2, with
-    sine[j] = sin(x/2) the half-angle sine the symbol is built from. Both
-    are even on the ring, so index size - j carries the values of j.
+    Returns (band, sine) at x = 2 pi j / size, with sine = sin(x/2) the
+    half-angle sine the symbol is built from; j defaults to the half ring
+    0..size/2. Both are even on the ring, so index size - j carries the
+    values of j. Each entry depends on its own index alone, so a block of
+    indices gets the bytes the whole half ring has there.
     """
-    sine = np.sin(np.pi * np.arange(size // 2 + 1) / size)
+    if j is None:
+        j = np.arange(size // 2 + 1)
+    sine = np.sin(np.pi * j / size)
     return 4.0 * sine * sine, sine
 
 
-def _half_ring_weight(t: float, kind: str, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flow weight of a kind on the half ring of ring_size, with its half-angle sine."""
-    size = ring_size(t, kind, kmax)
+def _ring_weight_at(t: float, kind: str, size: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow weight of a kind at indices j of a ring of even size, with its half-angle sines."""
     flow, operator, _ = _KIND_TABLE[kind]
-    band, sine = fft_ring_band(size)
+    band, sine = fft_ring_band(size, j)
     # the fourth-difference energy b^2 overwrites the symbol it squares
     energy = band if operator == "lap" else np.square(band, out=band)
     return FLOWS[flow](t, energy), sine
@@ -312,11 +333,97 @@ def ring_weight(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     j and size - j carry the same value. The full ring is for data that
     need not be even; an even kernel needs only free_kernel_full.
     """
-    half, _ = _half_ring_weight(t, kind, kmax)
-    full = np.empty(2 * half.size - 2, dtype=half.dtype)
+    size = ring_size(t, kind, kmax)
+    half, _ = _ring_weight_at(t, kind, size, np.arange(size // 2 + 1))
+    full = np.empty(size, dtype=half.dtype)
     full[: half.size] = half
     full[half.size :] = half[-2:0:-1]
     return full
+
+
+def fft_workers() -> int:
+    """Threads that share the blocks of a free kernel's ring: the caller and its helpers."""
+    return _FFT_WORKERS
+
+
+def _share(count: int, work, workers: int) -> None:
+    """Run work(i) for i = 0..count-1, with the odd i on a helper thread when workers > 1.
+
+    Each block goes to a fixed worker by its index, and the blocks write
+    disjoint outputs, so no result depends on the worker count. A helper's
+    exception is raised again in the caller once the helper has ended.
+    """
+    if workers < 2 or count < 2:
+        for i in range(count):
+            work(i)
+        return
+    failed = []
+
+    def helper():
+        try:
+            for i in range(1, count, 2):
+                work(i)
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="bilap-fft")
+    thread.start()
+    try:
+        for i in range(0, count, 2):
+            work(i)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _four_step_split(M: int) -> int:
+    """Largest divisor of M that is at most sqrt(M)."""
+    return next(d for d in range(isqrt(M), 0, -1) if M % d == 0)
+
+
+def _four_step_fft(y: np.ndarray, workers: int) -> np.ndarray:
+    """FFT of a contiguous complex y in place by four steps (Bailey 1990).
+
+    With M = M1 M2 and M1 the largest divisor at most sqrt(M), y is read
+    as A[n2, n1] = y[n1 + M1 n2], M2 rows of M1 columns. The column stage
+    takes blocks of about _FFT_BLOCK points, whole columns: a length-M2
+    FFT of each column, then the twiddle omega^(n1 k2), omega =
+    exp(-2 pi i / M). The row stage takes length-M1 FFTs of blocks of whole
+    rows in place. Returns the view A, which then holds
+    Y[k2 + M2 k1] = A[k2, k1]. Every transform and table is a block's
+    size: nothing as long as y is allocated.
+    """
+    M = y.size
+    M1 = _four_step_split(M)
+    M2 = M // M1
+    A = y.reshape(M2, M1)
+    width, height = max(1, _FFT_BLOCK // M2), max(1, _FFT_BLOCK // M1)
+    # k2 = a + _LANES b; the twiddle is the product of the tables in a and
+    # in b, whose angles are reduced mod M in integers
+    a = np.arange(_LANES)
+    b = _LANES * np.arange(-(-M2 // _LANES))
+    step = -2j * np.pi / M
+
+    def columns(i):
+        n1 = np.arange(i * width, min((i + 1) * width, M1))
+        cols = slice(n1[0], n1[-1] + 1)
+        block = np.empty((b.size * _LANES, n1.size), dtype=complex)
+        part = block[:M2]
+        part[...] = A[:, cols]
+        fft(part, axis=0, out=part)
+        grid = block.reshape(b.size, _LANES, n1.size)
+        grid *= np.exp(step * (np.outer(a, n1) % M))
+        grid *= np.exp(step * (np.outer(b, n1) % M))[:, None, :]
+        A[:, cols] = part
+
+    def rows(i):
+        block = A[i * height : (i + 1) * height]
+        fft(block, out=block)
+
+    _share(-(-M1 // width), columns, workers)
+    _share(-(-M2 // height), rows, workers)
+    return A
 
 
 def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
@@ -330,54 +437,91 @@ def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     the odd ones K_{2p+1} = K_{2p-1} + i (Y_p - Y_{-p})/size from
     K_1 = (2/size) [(h_0 - h_M)/2 + sum_{0<j<M} h_j cos(pi j/M)]. The
     cosine is odd about j = M/2, so that sum is taken over the pairs as
-    sum_{0<j<=M/2} (h_j - h_{M-j}) cos(pi j/M), by numpy reductions over
-    blocks of _BLOCK pairs added in block order. A BLAS dot would sum in an
-    order set by the BLAS thread count, and would wake an OpenBLAS worker
-    that then spins on another core. Both trigonometric factors come from
-    the half-angle sines s_j of fft_ring_band: sin(pi j/M) = 2 s_j s_{M-j},
-    cos(pi j/M) = 1 - 2 s_j^2. Two real irffts of length size, or
-    scipy.fft.dct(h, type=1)/size, give the same kernel but hold
-    full-length real arrays: on the free benchmark, with rings of
-    1.2 c |t|, they peaked at 166 and 212 MB against 99 MB for this route,
-    and ran slower. Useful for suprema over the whole causal range.
+    sum_{0<j<=M/2} (h_j - h_{M-j}) cos(pi j/M). Both trigonometric
+    factors come from the half-angle sines s_j of fft_ring_band:
+    sin(pi j/M) = 2 s_j s_{M-j}, cos(pi j/M) = 1 - 2 s_j^2.
+
+    Three blocked stages fill and read one complex array y of M points.
+    The weights at each block of _BLOCK pairs (j, M - j) are written
+    straight into y as y_j and y_{M-j}, and the block's part of the K_1
+    sum is kept by block index; the parts are added in block order, by
+    numpy reductions, never a BLAS dot, whose order would follow the BLAS
+    thread count. _four_step_fft transforms y in place, and the kernel is
+    read off its column blocks, each Y_{-p} from the mirrored block. Only
+    the running sum of the odd separations is serial. Besides y and the
+    returned kernel, 16 bytes per point of the half ring each, every
+    worker holds only a few block-sized arrays, where one whole-length FFT
+    would add its own scratch and twiddles as long as y. At t = 1e5 on the
+    fourth-difference ring (2^20 half-ring points) numpy's allocations peak
+    at 36 MB, against 48 MB for the whole-length route. The caller and
+    _FFT_WORKERS - 1 helper threads share each stage's blocks by fixed
+    index, so the kernel's bytes do not depend on the worker count.
+    Useful for suprema over the whole causal range.
     """
-    h, sine = _half_ring_weight(t, kind, kmax)
-    M = h.size - 1
-    size = 2 * M
-    # y in place of h, over the pairs (j, M - j), j = 1..M//2: with
-    # a = (h_j + h_{M-j})/2 and b = sin(pi j/M)(h_j - h_{M-j}), y_j = a - b
-    # and y_{M-j} = a + b; at j = M/2 both are one entry and b = 0
+    size = ring_size(t, kind, kmax)
+    M = size // 2
     m = M // 2
-    lo, hi = h[1 : m + 1], h[M - 1 : M - m - 1 : -1]
-    b = lo - hi
-    # size * K_1 from b = h_j - h_{M-j} before it is scaled; cos(pi j/M)
-    # stays a real factor
-    k1_blocks = []
-    for j in range(1, m + 1, _BLOCK):
-        stop = min(j + _BLOCK, m + 1)
-        cos = sine[j:stop] ** 2
+    workers = _FFT_WORKERS
+    y = np.empty(M, dtype=complex)
+    k1_parts = [None] * -(-m // _BLOCK)
+
+    # over the pairs (j, M - j), j = 1..M//2: with a = (h_j + h_{M-j})/2
+    # and b = sin(pi j/M)(h_j - h_{M-j}), y_j = a - b and y_{M-j} = a + b;
+    # at j = M/2 both are one entry and b = 0
+    def pairs(i):
+        j = np.arange(1 + i * _BLOCK, min(1 + (i + 1) * _BLOCK, m + 1))
+        lo, s_lo = _ring_weight_at(t, kind, size, j)
+        hi, s_hi = _ring_weight_at(t, kind, size, M - j)
+        b = lo - hi
+        # size * K_1 from b = h_j - h_{M-j} before it is scaled; cos(pi j/M)
+        # stays a real factor
+        cos = s_lo**2
         cos *= -2.0
         cos += 1.0
-        k1_blocks.append(np.add.reduce(b[j - 1 : stop - 1] * cos))
-    k1 = h[0] - h[M] + 2.0 * np.add.reduce(k1_blocks)
-    b *= 2.0 * sine[1 : m + 1] * sine[M - 1 : M - m - 1 : -1]
-    a = lo + hi
-    a *= 0.5
-    np.subtract(a, b, out=lo)
-    np.add(a, b, out=hi)
-    del a, b, sine
-    h[0] = 0.5 * (h[0] + h[M])
-    y = h[:M]
-    fft(y, out=y)
-    # Y_{-p} is y[M - p]; the odd separations accumulate from K_1
-    even, odd = M // 2 + 1, (M + 1) // 2
+        k1_parts[i] = np.add.reduce(b * cos)
+        b *= 2.0 * s_lo * s_hi
+        a = lo + hi
+        a *= 0.5
+        np.subtract(a, b, out=y[j[0] : j[-1] + 1])
+        np.add(a, b, out=y[M - j[-1] : M - j[0] + 1][::-1])
+
+    _share(len(k1_parts), pairs, workers)
+    (h0, hM), _ = _ring_weight_at(t, kind, size, np.array([0, M]))
+    k1 = h0 - hM + 2.0 * np.add.reduce(k1_parts)
+    y[0] = 0.5 * (h0 + hM)
+    A = _four_step_fft(y, workers)
+    M2, M1 = A.shape
+
+    # K_{2p} for p = 0..M//2 (Y_{-0} = Y_0) and K_{2p+1} for p = 1..(M-1)//2,
+    # over blocks of whole columns of A, Y_p for p = M2 c0..M2 c1 - 1;
+    # Y_{-p} comes from the mirrored columns plus the entry Y_{-M2 c0}
     kernel = np.empty(M + 1, dtype=complex)
-    kernel[0], kernel[1] = 2.0 * y[0], k1
-    np.add(y[1:even], y[M - 1 : M - even : -1], out=kernel[2::2])
-    np.subtract(y[1:odd], y[M - 1 : M - odd : -1], out=kernel[3::2])
-    kernel[3::2] *= 1j
-    np.cumsum(kernel[1::2], out=kernel[1::2])
-    kernel /= size
+    even, odd = M // 2 + 1, (M + 1) // 2
+    width = max(1, _FFT_BLOCK // M2)
+    scale = 1.0 / size
+
+    def assemble(i):
+        c0, c1 = i * width, min((i + 1) * width, M1)
+        p0, p1 = c0 * M2, min(c1 * M2, even)
+        # contiguous copies of the columns, transposed in cache
+        Yp = A[:, c0:c1].copy().T.ravel()[: p1 - p0]
+        Ym = np.empty_like(Yp)
+        Ym[0] = A[0, (M1 - c0) % M1]
+        Ym[1:] = A[:, M1 - c1 : M1 - c0].copy().T.ravel()[: -Yp.size : -1]
+        evens = kernel[2 * p0 : 2 * p1 : 2]
+        np.add(Yp, Ym, out=evens)
+        evens *= scale
+        q0, q1 = max(p0, 1), min(p1, odd)
+        if q0 < q1:
+            diff = kernel[2 * q0 + 1 : 2 * q1 : 2]
+            np.subtract(Yp[q0 - p0 : q1 - p0], Ym[q0 - p0 : q1 - p0], out=diff)
+            diff *= 1j
+
+    _share(-(-even // (width * M2)), assemble, workers)
+    kernel[1] = k1
+    odds = kernel[1::2]
+    np.cumsum(odds, out=odds)
+    odds *= scale
     return kernel
 
 

@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,52 @@ def test_cross_field_config_errors_exit_two_before_mkdir(
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("free-decay", {"t_max": 1e300}),
+        ("free-decay", {"kind": "schrodinger_free_lap", "t_max": 1e10}),
+        ("beam-decay", {"t_max": 1e10}),
+        ("strichartz", {"T_values": [1e2, 1e10]}),
+    ],
+)
+def test_rings_past_the_bound_exit_two_before_allocating(tmp_path, capsys, command, payload):
+    # ring_size reads the largest ring from t alone; nothing ring-sized is
+    # allocated before the refusal
+    cfg = _write_config(tmp_path, "cfg", payload)
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "Traceback" not in err
+    assert next(iter(payload.keys() - {"kind"})) in err and "2^24" in err
+    assert not out.exists()
+
+
+def test_ring_bound_admits_defaults_and_benchmark_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [(c, {}) for c in ("free-decay", "beam-decay", "strichartz")]
+    configs += [(c, cfg) for c, cfg in workloads.commands("free", 2) if c in dict(configs)]
+    assert len(configs) == 7
+    for command, raw in configs:
+        cli._check_config(raw, cli._COMMANDS[command][1], command)
+    # the bound falls between t = 7e5 and 9e5 for the fourth-difference ring
+    schema = cli._COMMANDS["free-decay"][1]
+    cli._check_config({"t_max": 7e5}, schema, "free-decay")
+    with pytest.raises(ConfigError, match="'t_max'"):
+        cli._check_config({"t_max": 9e5}, schema, "free-decay")
 
 
 def test_knapp_repeated_epsilons_exit_two_before_mkdir(tmp_path, capsys):
@@ -343,6 +391,17 @@ def test_library_warnings_reach_stderr_and_manifest(tmp_path, capsys):
     assert [line for line in err.splitlines() if ": warning: " in line] == [
         f"bilap stone-vs-spectral: warning: {w}" for w in warned
     ]
+
+
+
+def test_manifest_records_fft_workers(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["stationary-phase", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fft_workers"] == propagator.fft_workers() in (1, 2)
+    monkeypatch.setattr(propagator, "_FFT_WORKERS", 1)
+    assert main(["stationary-phase", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["fft_workers"] == 1
 
 
 def test_nan_errors_fail_their_check(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from bilap import decay
 from bilap.lattice import SPEED_BOUND, LatticeVector
+from bilap.propagator import free_kernel_full
 from bilap.decay import (
     DecaySeries,
     _time_quadrature,
@@ -89,6 +90,19 @@ def test_free_series_fit_is_stable_under_leave_one_out():
         sub = DecaySeries(series.times[keep], series.sup_norms[keep], series.source)
         drops.append(fit_decay_exponent(sub).alpha)
     assert max(drops) - min(drops) < 0.01
+
+
+
+def test_free_series_blockwise_sup_is_the_whole_ring_max(monkeypatch):
+    # the rings at t = 1e5 hold 17 and 4 blocks of _SUP_BLOCK separations
+    times = np.array([1e2, 1e5])
+    for kind in ("schrodinger_free_bilap", "beam_sinc"):
+        whole = [float(np.abs(free_kernel_full(t, kind)).max()) for t in times]
+        assert free_kernel_full(times[-1], kind).size > 3 * decay._SUP_BLOCK
+        assert free_decay_series(kind, times).sup_norms.tolist() == whole, kind
+        monkeypatch.setattr(decay, "_SUP_BLOCK", 1000)
+        assert free_decay_series(kind, times).sup_norms.tolist() == whole, kind
+        monkeypatch.undo()
 
 
 def test_perturbed_series_records_route():

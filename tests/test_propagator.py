@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -644,6 +646,94 @@ def test_free_kernel_bytes_do_not_depend_on_blas_threads():
                               text=True, env=env, timeout=120, check=True)
         digests.add(proc.stdout.strip())
     assert len(digests) == 1, digests
+
+
+
+@pytest.mark.parametrize("M", [128, 135, 192, 3125, 10800, 312500, 2**20])
+def test_four_step_fft_matches_numpy_fft(M):
+    # odd M, M1 != M2 and prime powers; the result lands transposed,
+    # Y[k2 + M2 k1] = A[k2, k1]
+    rng = np.random.default_rng(M)
+    y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    want = np.fft.fft(y)
+    for workers in (1, 2):
+        work = y.copy()
+        A = propagator._four_step_fft(work, workers)
+        M2, M1 = A.shape
+        assert M1 * M2 == M and M1 == max(d for d in range(1, int(M**0.5) + 1) if M % d == 0)
+        assert np.shares_memory(A, work)
+        got = A.T.ravel()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), workers
+
+
+@pytest.mark.parametrize("t", [1e4, 1e5])
+def test_free_kernel_bytes_do_not_depend_on_worker_count(t, monkeypatch):
+    for kind in FREE_KINDS + ("beam_cos", "beam_sinc"):
+        kernels = []
+        for workers in (1, 2):
+            monkeypatch.setattr(propagator, "_FFT_WORKERS", workers)
+            kernels.append(free_kernel_full(t, kind))
+        assert np.array_equal(*kernels), kind
+
+
+def test_ring_weight_blocks_match_the_half_ring():
+    # free_kernel_full evaluates the weight block by block at j and M - j;
+    # each entry depends on its own index only, so the blocks carry the
+    # bytes of ring_weight, which strichartz_norm reads
+    for kind in FREE_KINDS + ("beam_cos", "beam_sinc"):
+        t = 3e3
+        size = ring_size(t, kind)
+        whole = ring_weight(t, kind)
+        band, sine = propagator.fft_ring_band(size)
+        for j in (np.arange(1, 1000), size // 2 - np.arange(7, 4000), np.array([0, size // 2])):
+            weight, s = propagator._ring_weight_at(t, kind, size, j)
+            assert np.array_equal(weight, whole[j]), kind
+            assert np.array_equal(s, sine[j]) and np.array_equal(propagator.fft_ring_band(size, j)[0], band[j])
+
+
+def test_free_kernel_holds_no_whole_ring_temporary():
+    # y and the kernel, 16 bytes per half-ring point each, plus block-sized
+    # work arrays; a whole-length weight, sine or |K| would add 8 MB or more
+    tracemalloc.start()
+    try:
+        kernel = free_kernel_full(1e5, "schrodinger_free_bilap")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.size == 2**20 + 1
+    assert peak <= 2 * kernel.nbytes + 6 * 2**20, peak / 2**20
+
+
+def test_share_raises_a_helper_failure_in_the_caller():
+    done = []
+
+    def work(i):
+        if i == 3:
+            raise ArithmeticError("block 3")
+        done.append(i)
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="block 3"):
+        propagator._share(6, work, 2)
+    # the helper has ended, and the caller ran all of its own blocks
+    assert threading.active_count() == before
+    assert {0, 2, 4} <= set(done) and 3 not in done
+
+
+def test_free_kernel_under_fast_thread_switching(monkeypatch):
+    # hand the interpreter lock between the caller and the helper as often
+    # as it will go: the blocks still land in place, and no thread is left
+    monkeypatch.setattr(propagator, "_FFT_WORKERS", 1)
+    want = free_kernel_full(1e4, "schrodinger_free_bilap")
+    monkeypatch.setattr(propagator, "_FFT_WORKERS", 2)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = free_kernel_full(1e4, "schrodinger_free_bilap")
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+    assert threading.active_count() == before
 
 
 def _even_five_smooth_at_least(need):

@@ -2,7 +2,8 @@
 
 Each CLI command runs in its own process, so whatever `import bilap.cli`
 loads is paid on every run. Every command runs on numpy alone; scipy is a
-test-only reference.
+test-only reference. The FFT route's helper thread is a plain
+threading.Thread, so no executor module is loaded either.
 """
 
 import json
@@ -71,3 +72,12 @@ def test_no_source_file_imports_scipy():
     for path in sources:
         text = path.read_text()
         assert "import scipy" not in text and "from scipy" not in text, path.name
+
+
+def test_import_loads_no_executor():
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = "import sys, bilap.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
