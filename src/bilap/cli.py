@@ -1176,7 +1176,8 @@ def _ring_rule(command, cfg):
         return "field 't_max'", "beam_cos", cfg["t_max"], 0
     if command == "strichartz":
         # every time node lies in (0, max(T_values)]
-        return "field 'T_values'", "schrodinger_free_bilap", max(cfg["T_values"]), _STRICHARTZ_RADIUS
+        return ("field 'T_values'", "schrodinger_free_bilap", max(cfg["T_values"]),
+                _STRICHARTZ_RADIUS)
     return None
 
 

@@ -387,10 +387,11 @@ def _four_step_fft(y: np.ndarray, workers: int) -> np.ndarray:
 
     With M = M1 M2 and M1 the largest divisor at most sqrt(M), y is read
     as A[n2, n1] = y[n1 + M1 n2], M2 rows of M1 columns. The column stage
-    takes blocks of about _FFT_BLOCK points, whole columns: a length-M2
-    FFT of each column, then the twiddle omega^(n1 k2), omega =
-    exp(-2 pi i / M). The row stage takes length-M1 FFTs of blocks of whole
-    rows in place. Returns the view A, which then holds
+    copies blocks of whole columns, about _FFT_BLOCK points each, to a
+    contiguous array, takes a length-M2 FFT of each column there, applies
+    the twiddle omega^(n1 k2), omega = exp(-2 pi i / M), and writes the
+    block back. The row stage takes length-M1 FFTs of blocks of whole rows
+    in place. Returns the view A, which then holds
     Y[k2 + M2 k1] = A[k2, k1]. Every transform and table is a block's
     size: nothing as long as y is allocated.
     """
@@ -408,9 +409,11 @@ def _four_step_fft(y: np.ndarray, workers: int) -> np.ndarray:
     def columns(i):
         n1 = np.arange(i * width, min((i + 1) * width, M1))
         cols = slice(n1[0], n1[-1] + 1)
+        # rows past M2 pad the block to whole groups of _LANES for the twiddle
         block = np.empty((b.size * _LANES, n1.size), dtype=complex)
         part = block[:M2]
         part[...] = A[:, cols]
+        block[M2:] = 0.0
         fft(part, axis=0, out=part)
         grid = block.reshape(b.size, _LANES, n1.size)
         grid *= np.exp(step * (np.outer(a, n1) % M))
