@@ -347,30 +347,42 @@ def fft_workers() -> int:
 
 
 def _share(count: int, work, workers: int) -> None:
-    """Run work(i) for i = 0..count-1, with the odd i on a helper thread when workers > 1.
+    """Run work(i) once for each i = 0..count-1 on the caller and, if workers > 1, a helper.
 
-    Each block goes to a fixed worker by its index, and the blocks write
-    disjoint outputs, so no result depends on the worker count. A helper's
-    exception is raised again in the caller once the helper has ended.
+    Both threads claim the next unclaimed index until none is left, so a
+    thread the system delays leaves its share to the other. Each block's
+    output depends on its index alone and the blocks write disjoint
+    outputs, so no result depends on the worker count or on which thread
+    ran a block. A helper's exception is raised again in the caller once
+    the helper has ended.
     """
     if workers < 2 or count < 2:
         for i in range(count):
             work(i)
         return
+    lock = threading.Lock()
+    claimed = [0]
     failed = []
+
+    def run():
+        while True:
+            with lock:
+                i = claimed[0]
+                claimed[0] += 1
+            if i >= count:
+                return
+            work(i)
 
     def helper():
         try:
-            for i in range(1, count, 2):
-                work(i)
+            run()
         except BaseException as exc:
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="bilap-fft")
     thread.start()
     try:
-        for i in range(0, count, 2):
-            work(i)
+        run()
     finally:
         thread.join()
     if failed:
@@ -457,8 +469,9 @@ def free_kernel_full(t: float, kind: str, kmax: int = 0) -> np.ndarray:
     would add its own scratch and twiddles as long as y. At t = 1e5 on the
     fourth-difference ring (2^20 half-ring points) numpy's allocations peak
     at 36 MB, against 48 MB for the whole-length route. The caller and
-    _FFT_WORKERS - 1 helper threads share each stage's blocks by fixed
-    index, so the kernel's bytes do not depend on the worker count.
+    _FFT_WORKERS - 1 helper threads share each stage's blocks (_share),
+    each block's output fixed by its index, so the kernel's bytes do not
+    depend on the worker count.
     Useful for suprema over the whole causal range.
     """
     size = ring_size(t, kind, kmax)

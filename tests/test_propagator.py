@@ -688,7 +688,8 @@ def test_ring_weight_blocks_match_the_half_ring():
         for j in (np.arange(1, 1000), size // 2 - np.arange(7, 4000), np.array([0, size // 2])):
             weight, s = propagator._ring_weight_at(t, kind, size, j)
             assert np.array_equal(weight, whole[j]), kind
-            assert np.array_equal(s, sine[j]) and np.array_equal(propagator.fft_ring_band(size, j)[0], band[j])
+            assert np.array_equal(s, sine[j])
+            assert np.array_equal(propagator.fft_ring_band(size, j)[0], band[j])
 
 
 def test_free_kernel_holds_no_whole_ring_temporary():
@@ -705,19 +706,25 @@ def test_free_kernel_holds_no_whole_ring_temporary():
 
 
 def test_share_raises_a_helper_failure_in_the_caller():
-    done = []
+    # the caller waits on its first block until the helper has failed on
+    # the first block it claimed, then runs every other block and raises
+    # the helper's exception once the helper has ended
+    done, failed_on, helper_failed = [], [], threading.Event()
 
     def work(i):
-        if i == 3:
-            raise ArithmeticError("block 3")
-        done.append(i)
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=30)
+            done.append(i)
+            return
+        failed_on.append(i)
+        helper_failed.set()
+        raise ArithmeticError(f"block {i}")
 
     before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="block 3"):
-        propagator._share(6, work, 2)
-    # the helper has ended, and the caller ran all of its own blocks
+    with pytest.raises(ArithmeticError, match="block"):
+        propagator._share(8, work, 2)
     assert threading.active_count() == before
-    assert {0, 2, 4} <= set(done) and 3 not in done
+    assert len(failed_on) == 1 and sorted(done + failed_on) == list(range(8))
 
 
 def test_free_kernel_under_fast_thread_switching(monkeypatch):

@@ -77,7 +77,8 @@ def test_no_source_file_imports_scipy():
 def test_import_loads_no_executor():
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    probe = "import sys, bilap.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    probe = ("import sys, bilap.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
