@@ -1,10 +1,12 @@
 """Command line front end: reproducible experiment runs with file outputs.
 
-Every command reads a JSON config, validates it against a per-command
-schema before computing anything, and writes its results (CSV tables, a
-JSON report carrying the claim under test, and a self-contained SVG plot
-where a series is produced) into an output directory together with a run
-manifest. Numeric text output uses seventeen significant digits so that
+Every command reads a JSON config and validates it against a per-command
+schema before computing anything. Its runner computes without touching the
+disk and returns the files of its results (CSV tables, a JSON report
+carrying the claim under test, and a self-contained SVG plot where a
+series is produced); only then does main create the output directory and
+write them there, together with a run manifest, so a refusal leaves
+nothing behind. Numeric text output uses seventeen significant digits so that
 repeated runs with the same config and seed are byte-identical; the
 manifest, which records wall time, is the one file exempt from that
 guarantee. Exit status is 0 on success, 1 when a pass/fail check bound to
@@ -79,6 +81,11 @@ _MINV_DEFAULT = {"support": [-1, 2], "values": [0.8, -0.5, 0.0, 0.3]}
 # anywhere in it, so it bounds where the oracle is checked against the
 # closed form, not what the oracle costs.
 _ORACLE_MU_RANGE = (0.022887383315913713, 1.9999672580683818)
+
+# Largest dense window radius a config may ask for: 8193 sites, a matrix of
+# 537 MB for eigh. eig-scan caps its window_radii by it, stone-vs-spectral
+# the reference window its times and observe_radius set.
+_DENSE_WINDOW_BOUND = 4096
 
 
 def _fmt(x: float) -> str:
@@ -292,8 +299,7 @@ def write_csv(path: Path, header, rows) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 
-def render_loglog_svg(curves, xlabel, ylabel, title, annotations=()) -> str:
-    """Self-contained log-log SVG plot of one or more positive series."""
+def _check_curves(curves) -> None:
     if not curves:
         raise ConfigError("no series to plot")
     for c in curves:
@@ -302,6 +308,11 @@ def render_loglog_svg(curves, xlabel, ylabel, title, annotations=()) -> str:
             raise ConfigError(f"series {c.get('label', '?')!r} is empty")
         if np.any(xs <= 0) or np.any(ys <= 0):
             raise ConfigError("log-log plot needs strictly positive data")
+
+
+def render_loglog_svg(curves, xlabel, ylabel, title, annotations=()) -> str:
+    """Self-contained log-log SVG plot of one or more positive series."""
+    _check_curves(curves)
     width, height = 720, 540
     ml, mr, mt, mb = 84, 24, 48, 60
     lx = np.concatenate([np.log10(np.asarray(c["x"], float)) for c in curves])
@@ -394,8 +405,16 @@ def write_plot(path: Path, curves, xlabel, ylabel, title, annotations=()) -> Non
     path.write_text(render_loglog_svg(curves, xlabel, ylabel, title, annotations))
 
 
+def _plot(name, curves, xlabel, ylabel, title, annotations):
+    """The file entry of a plot, its data checked now: a refusal comes before any write."""
+    _check_curves(curves)
+    return (name, write_plot, curves, xlabel, ylabel, title, annotations)
+
+
 # ---------------------------------------------------------------------------
-# command runners; each returns (exit_code, report dict, outputs list)
+# command runners; each takes (cfg, rng) and returns (exit_code, report dict,
+# files), files being the ordered (name, writer, *args) entries that main
+# writes once the run has returned
 
 
 _FREE_BANDS = {
@@ -460,28 +479,19 @@ def _perturbed_source(cfg, times) -> _DecaySource:
     )
 
 
-def _write_decay(outdir, named_series, report, title, notes):
-    """Write (csv name, label, series) triples, fit.json and decay.svg."""
-    curves = []
-    for name, label, series in named_series:
-        write_csv(outdir / name, ["t", "sup_norm"], zip(series.times, series.sup_norms))
-        curves.append({"label": label, "x": series.times, "y": series.sup_norms})
-    write_json(outdir / "fit.json", report)
-    write_plot(
-        outdir / "decay.svg",
-        curves,
-        "t",
-        "sup norm",
-        title,
-        notes,
-    )
-    return [name for name, _, _ in named_series] + ["fit.json", "decay.svg"]
+def _decay_files(named_series, report, title, notes):
+    """Files of (csv name, label, series) triples, fit.json and decay.svg."""
+    tables = [(name, write_csv, ["t", "sup_norm"], list(zip(s.times, s.sup_norms)))
+              for name, _, s in named_series]
+    curves = [{"label": label, "x": s.times, "y": s.sup_norms} for _, label, s in named_series]
+    return tables + [("fit.json", write_json, report),
+                     _plot("decay.svg", curves, "t", "sup norm", title, notes)]
 
 
 def _fitted_decay(source):
     """Runner fitting the decay exponent of one source's series against its band."""
 
-    def run(cfg, outdir, rng):
+    def run(cfg, rng):
         times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
         src = source(cfg, times)
         fit = fit_decay_exponent(src.series)
@@ -496,11 +506,11 @@ def _fitted_decay(source):
             "band_pass": ok,
             "paper_claim": src.claim,
         }
-        outputs = _write_decay(
-            outdir, [("series.csv", src.label, src.series)], report, src.title,
+        files = _decay_files(
+            [("series.csv", src.label, src.series)], report, src.title,
             [f"fitted slope {-fit.alpha:+.4f}"],
         )
-        return (0 if ok else 1), report, outputs
+        return (0 if ok else 1), report, files
 
     return run
 
@@ -508,7 +518,7 @@ def _fitted_decay(source):
 _SINC_RATE = 0.5
 
 
-def _run_beam_decay(cfg, outdir, rng):
+def _run_beam_decay(cfg, rng):
     times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
     cos_series = free_decay_series("beam_cos", times)
     sinc_series = free_decay_series("beam_sinc", times)
@@ -556,8 +566,7 @@ def _run_beam_decay(cfg, outdir, rng):
             "at the sharper rate t^(-1/2)"
         ),
     }
-    outputs = _write_decay(
-        outdir,
+    files = _decay_files(
         [
             ("beam_cos.csv", "beam_cos", cos_series),
             ("beam_sinc.csv", "beam_sinc", sinc_series),
@@ -570,10 +579,10 @@ def _run_beam_decay(cfg, outdir, rng):
             f"sum slope {-fits['sum'].alpha:+.4f}",
         ],
     )
-    return (0 if ok else 1), report, outputs
+    return (0 if ok else 1), report, files
 
 
-def _run_resolvent_check(cfg, outdir, rng):
+def _run_resolvent_check(cfg, rng):
     mu_values = cfg["mu_values"]
     potentials = cfg["potentials"]
     points = [(float(mu_values[rng.integers(len(mu_values))]), int(rng.integers(-8, 9)),
@@ -594,12 +603,6 @@ def _run_resolvent_check(cfg, outdir, rng):
                 (mu, n, m, _potential_label(V), closed.real, closed.imag,
                  value.real, value.imag, err)
             )
-    write_csv(
-        outdir / "checks.csv",
-        ["mu", "n", "m", "potential", "closed_re", "closed_im",
-         "oracle_re", "oracle_im", "rel_err"],
-        rows,
-    )
     # np.max keeps a NaN error, which then fails the check
     max_err = float(np.max([row[-1] for row in rows]))
     ok = max_err <= cfg["tolerance"]
@@ -616,8 +619,10 @@ def _run_resolvent_check(cfg, outdir, rng):
             "regularised window truncations"
         ),
     }
-    write_json(outdir / "report.json", report)
-    return (0 if ok else 1), report, ["checks.csv", "report.json"]
+    header = ["mu", "n", "m", "potential", "closed_re", "closed_im",
+              "oracle_re", "oracle_im", "rel_err"]
+    files = [("checks.csv", write_csv, header, rows), ("report.json", write_json, report)]
+    return (0 if ok else 1), report, files
 
 
 _EXPANSION_CLAIM = (
@@ -628,7 +633,7 @@ _EXPANSION_CLAIM = (
 )
 
 
-def _run_expansion_check(cfg, outdir, rng):
+def _run_expansion_check(cfg, rng):
     cases = []
     if cfg["threshold"] in ("zero", "both"):
         cases.extend(("zero", n) for n in cfg["orders_zero"])
@@ -636,7 +641,7 @@ def _run_expansion_check(cfg, outdir, rng):
         cases.extend(("sixteen", n) for n in cfg["orders_sixteen"])
     results = []
     curves = []
-    outputs = []
+    files = []
     all_ok = True
     for threshold, n_order in cases:
         lemma_min = 0.5 + n_order + (4 if threshold == "zero" else 2)
@@ -649,9 +654,8 @@ def _run_expansion_check(cfg, outdir, rng):
         tol = cfg["tol_zero"] if threshold == "zero" else cfg["tol_sixteen"]
         ok = abs(slope - expected) <= tol
         all_ok = all_ok and ok
-        name = f"remainder_{threshold}_N{n_order}.csv"
-        write_csv(outdir / name, ["mu", "norm_residual"], zip(grid, norms))
-        outputs.append(name)
+        files.append((f"remainder_{threshold}_N{n_order}.csv", write_csv,
+                      ["mu", "norm_residual"], list(zip(grid, norms))))
         curves.append({"label": f"{threshold} N={n_order}", "x": grid, "y": norms})
         results.append(
             {
@@ -669,44 +673,32 @@ def _run_expansion_check(cfg, outdir, rng):
         "band_pass": all_ok,
         "paper_claim": _EXPANSION_CLAIM,
     }
-    write_json(outdir / "report.json", report)
-    write_plot(
-        outdir / "remainders.svg",
-        curves,
-        "distance to edge",
-        "weighted remainder norm",
-        "edge expansion remainders",
-        [f"{r['threshold']} N={r['n_order']}: slope {r['slope']:+.3f}" for r in results],
-    )
-    outputs.extend(["report.json", "remainders.svg"])
-    return (0 if all_ok else 1), report, outputs
+    notes = [f"{r['threshold']} N={r['n_order']}: slope {r['slope']:+.3f}" for r in results]
+    files += [("report.json", write_json, report),
+              _plot("remainders.svg", curves, "distance to edge", "weighted remainder norm",
+                    "edge expansion remainders", notes)]
+    return (0 if all_ok else 1), report, files
 
 
-def _run_minv_probe(cfg, outdir, rng):
+def _run_minv_probe(cfg, rng):
     V = cfg["potential"]
     sys_ = decompose_potential(V)
-    outputs = []
+    files = []
     curves = []
     report = {"potential": _potential_label(V)}
     all_ok = True
-    # both probes run before any file is written, so a refusal leaves none
-    probes = {
-        threshold: minv_expansion_probe(sys_, threshold, geometric_grid(*cfg[f"grid_{threshold}"]))
-        for threshold in ("zero", "sixteen")
-    }
-    for threshold, probe in probes.items():
+    for threshold in ("zero", "sixteen"):
+        probe = minv_expansion_probe(sys_, threshold, geometric_grid(*cfg[f"grid_{threshold}"]))
         min_slope = cfg[f"min_slope_{threshold}"]
         if probe.skipped:
             report[threshold] = {"skipped": True, "diagnostic": probe.diagnostic}
             all_ok = False
             continue
-        name = f"minv_{threshold}.csv"
-        write_csv(
-            outdir / name,
+        files.append((
+            f"minv_{threshold}.csv", write_csv,
             ["mu", "inverse_norm", "leakage_norm"],
-            zip(probe.grid, probe.inverse_norms, probe.leakage_norms),
-        )
-        outputs.append(name)
+            list(zip(probe.grid, probe.inverse_norms, probe.leakage_norms)),
+        ))
         curves.append(
             {"label": f"{threshold} leakage", "x": probe.grid, "y": probe.leakage_norms}
         )
@@ -730,10 +722,9 @@ def _run_minv_probe(cfg, outdir, rng):
         "linearly in the edge distance at the lower edge and like the "
         "square root of the distance at the upper edge"
     )
-    write_json(outdir / "report.json", report)
     if curves:
-        write_plot(
-            outdir / "leakage.svg",
+        files.append(_plot(
+            "leakage.svg",
             curves,
             "distance to edge",
             "leakage norm",
@@ -743,13 +734,12 @@ def _run_minv_probe(cfg, outdir, rng):
                 for t in ("zero", "sixteen")
                 if not report[t].get("skipped")
             ],
-        )
-        outputs.append("leakage.svg")
-    outputs.append("report.json")
-    return (0 if all_ok else 1), report, outputs
+        ))
+    files.append(("report.json", write_json, report))
+    return (0 if all_ok else 1), report, files
 
 
-def _run_regular_check(cfg, outdir, rng):
+def _run_regular_check(cfg, rng):
     V = cfg["potential"]
     sys_ = decompose_potential(V)
     report = {"potential": _potential_label(V)}
@@ -766,11 +756,10 @@ def _run_regular_check(cfg, outdir, rng):
         "matrix is invertible on the edge subspace; single-site potentials "
         "are vacuously regular at the lower edge"
     )
-    write_json(outdir / "report.json", report)
-    return 0, report, ["report.json"]
+    return 0, report, [("report.json", write_json, report)]
 
 
-def _run_eig_scan(cfg, outdir, rng):
+def _run_eig_scan(cfg, rng):
     V = cfg["potential"]
     # the closed form first: a refusal there comes before any window is built
     found = [E for E, _ in bound_states(V)]
@@ -778,11 +767,6 @@ def _run_eig_scan(cfg, outdir, rng):
     # the scan's largest window, already diagonalised, cross-checks the states
     radius = max(scan.window_radii)
     window = [lam for lam, _ in discrete_eigs(V, radius)]
-    write_csv(
-        outdir / "discrete.csv",
-        ["index", "eigenvalue"],
-        list(enumerate(found)),
-    )
     report = {
         "potential": _potential_label(V),
         "discrete_eigenvalues": found,
@@ -802,11 +786,11 @@ def _run_eig_scan(cfg, outdir, rng):
             "inside it"
         ),
     }
-    write_json(outdir / "report.json", report)
-    return 0, report, ["discrete.csv", "report.json"]
+    return 0, report, [("discrete.csv", write_csv, ["index", "eigenvalue"], list(enumerate(found))),
+                       ("report.json", write_json, report)]
 
 
-def _run_stone_vs_spectral(cfg, outdir, rng):
+def _run_stone_vs_spectral(cfg, rng):
     tol = cfg["tolerance"]
     obs = cfg["observe_radius"]
     rows = []
@@ -836,7 +820,6 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
                 for label, slc in (("stone", stone), ("spectral", reference)):
                     val = slc.entry(n, m)
                     rows.append((t, n, m, val.real, val.imag, label))
-    write_csv(outdir / "kernels.csv", ["t", "n", "m", "re", "im", "method"], rows)
     max_err = float(np.max([c["max_abs_err"] for c in combos]))
     ok = max_err <= tol
     report = {
@@ -850,8 +833,9 @@ def _run_stone_vs_spectral(cfg, outdir, rng):
             "continuous part of the flow computed by dense diagonalisation"
         ),
     }
-    write_json(outdir / "report.json", report)
-    return (0 if ok else 1), report, ["kernels.csv", "report.json"]
+    files = [("kernels.csv", write_csv, ["t", "n", "m", "re", "im", "method"], rows),
+             ("report.json", write_json, report)]
+    return (0 if ok else 1), report, files
 
 
 def _certify_roots(s, pts):
@@ -877,7 +861,7 @@ def _certify_roots(s, pts):
     return None
 
 
-def _run_stationary_phase(cfg, outdir, rng):
+def _run_stationary_phase(cfg, rng):
     interval = tuple(cfg["interval"])
     entries = []
     all_ok = True
@@ -915,21 +899,19 @@ def _run_stationary_phase(cfg, outdir, rng):
             "t^(-1/3) kernel envelopes"
         ),
     }
-    write_json(outdir / "roots.json", report)
-    return (0 if all_ok else 1), report, ["roots.json"]
+    return (0 if all_ok else 1), report, [("roots.json", write_json, report)]
 
 
 # strichartz evolves a unit delta on the sites -1..1
 _STRICHARTZ_RADIUS = 1
 
 
-def _run_strichartz(cfg, outdir, rng):
+def _run_strichartz(cfg, rng):
     r = np.inf if cfg["r"] == "inf" else float(cfg["r"])
     psi0 = LatticeVector.delta(_STRICHARTZ_RADIUS, 0)
     norms = [
         strichartz_norm(cfg["q"], r, T, psi0) for T in cfg["T_values"]
     ]
-    write_csv(outdir / "norms.csv", ["T", "norm"], zip(cfg["T_values"], norms))
     lo, hi = min(norms), max(norms)
     # a horizon so short that the norm underflows to 0 has no finite spread
     spread = hi / lo - 1.0 if lo > 0 else np.inf
@@ -952,16 +934,16 @@ def _run_strichartz(cfg, outdir, rng):
             "otherwise"
         ),
     }
-    write_json(outdir / "report.json", report)
-    return (0 if ok else 1), report, ["norms.csv", "report.json"]
+    files = [("norms.csv", write_csv, ["T", "norm"], list(zip(cfg["T_values"], norms))),
+             ("report.json", write_json, report)]
+    return (0 if ok else 1), report, files
 
 
-def _run_knapp(cfg, outdir, rng):
+def _run_knapp(cfg, rng):
     eps = np.asarray(cfg["epsilons"], dtype=float)
     pairs = [knapp_experiment(e, cfg["q"], cfg["r"]) for e in eps]
     lhs = np.array([p[0] for p in pairs])
     rhs = np.array([p[1] for p in pairs])
-    write_csv(outdir / "pairs.csv", ["epsilon", "lhs", "rhs"], zip(eps, lhs, rhs))
     lhs_exp = float(np.polyfit(np.log(eps), np.log(lhs), 1)[0])
     rhs_exp = float(np.polyfit(np.log(eps), np.log(rhs), 1)[0])
     rhs_expected = 1.0 / cfg["r"] + 4.0 / cfg["q"]
@@ -983,19 +965,12 @@ def _run_knapp(cfg, outdir, rng):
             "pairs below the scaling line admit no uniform space-time bound"
         ),
     }
-    write_json(outdir / "report.json", report)
-    write_plot(
-        outdir / "scaling.svg",
-        [
-            {"label": "lhs", "x": eps, "y": lhs},
-            {"label": "rhs", "x": eps, "y": rhs},
-        ],
-        "epsilon",
-        "value",
-        "frequency-cap scaling",
-        [f"lhs slope {lhs_exp:+.4f}", f"rhs slope {rhs_exp:+.4f}"],
-    )
-    return (0 if ok else 1), report, ["pairs.csv", "report.json", "scaling.svg"]
+    curves = [{"label": "lhs", "x": eps, "y": lhs}, {"label": "rhs", "x": eps, "y": rhs}]
+    files = [("pairs.csv", write_csv, ["epsilon", "lhs", "rhs"], list(zip(eps, lhs, rhs))),
+             ("report.json", write_json, report),
+             _plot("scaling.svg", curves, "epsilon", "value", "frequency-cap scaling",
+                   [f"lhs slope {lhs_exp:+.4f}", f"rhs slope {rhs_exp:+.4f}"])]
+    return (0 if ok else 1), report, files
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1059,7 @@ _COMMANDS = {
         _run_eig_scan,
         {
             "potential": (_as_potential, {"delta": 0.5}),
-            "window_radii": (_as_int_list(lo=8, hi=4096, min_len=2), [128, 256, 384]),
+            "window_radii": (_as_int_list(lo=8, hi=_DENSE_WINDOW_BOUND, min_len=2), [128, 256, 384]),
         },
         "discrete spectrum and embedded-eigenvalue stability scan",
     ),
@@ -1235,6 +1210,10 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
             raise ConfigError(f"{fields}: support radius {V.support_radius} needs "
                               f"{window} >= {need}, got {given}")
     if command == "stone-vs-spectral":
+        window = auto_window_radius(max(out["times"]), out["observe_radius"])
+        if window > _DENSE_WINDOW_BOUND:
+            raise ConfigError(f"fields 'times', 'observe_radius': the dense reference window "
+                              f"would have radius {window}, above the bound of {_DENSE_WINDOW_BOUND}")
         # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
         top = max([np.abs(V.values).max() for V in out["potentials"] if V is not None] + [0.0])
         lost = max(out["times"]) * (16.0 + top) * 2.0**-52
@@ -1280,9 +1259,13 @@ def main(argv=None) -> int:
         return 2
 
     outdir = args.out or Path(cfg.get("output_dir") or f"bilap_out_{args.command}")
-    # directories this run makes, innermost first
-    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
+    # the nearest existing path at or above outdir (a dangling link included)
+    # must be a directory
+    blocker = next((d for d in (outdir, *outdir.parents) if d.exists() or d.is_symlink()), None)
+    if blocker is not None and not blocker.is_dir():
+        print(f"bilap {args.command}: usage error: output directory {outdir}: "
+              f"{blocker} is not a directory", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     threads = None
     if args.threads is not None:
@@ -1301,7 +1284,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
-            code, report, outputs = runner(cfg, outdir, rng)
+            code, _, files = runner(cfg, rng)
         except (ConfigError, SingularSandwichError) as exc:
             refusal = exc
         else:
@@ -1309,13 +1292,12 @@ def main(argv=None) -> int:
     for w in caught:
         print(f"bilap {args.command}: warning: {w.message}", file=sys.stderr)
     if refusal is not None:
-        for d in created:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
         what = "config error" if isinstance(refusal, ConfigError) else "numerical refusal"
         print(f"bilap {args.command}: {what}: {refusal}", file=sys.stderr)
         return 2
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, writer, *data in files:
+        writer(outdir / name, *data)
     wall = time.monotonic() - started
 
     manifest = {
@@ -1328,7 +1310,7 @@ def main(argv=None) -> int:
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
         "wall_time_seconds": wall,
-        "outputs": outputs,
+        "outputs": [name for name, *_ in files],
         "warnings": [str(w.message) for w in caught],
         "exit_code": code,
     }

@@ -19,6 +19,7 @@ from numpy.fft import fft, ifft
 
 from .lattice import LatticeVector
 from .propagator import KINDS, free_kernel_full, ring_weight, stone_kernel_slice
+from .quadrature import gauss_panels
 from .resolvent import _band_rates
 
 __all__ = [
@@ -195,12 +196,7 @@ def _time_quadrature(T: float):
     edges = np.asarray(edges)
     # sorted already; only a subnormal T repeats an edge
     edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    nodes = (lo + half)[:, None] + half[:, None] * gx[None, :]
-    weights = half[:, None] * gw[None, :]
-    return nodes.ravel(), weights.ravel()
+    return gauss_panels(edges, order)
 
 
 def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
@@ -234,12 +230,8 @@ def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
 
 
 def _gauss_integral(f, lo: float, hi: float, panels: int, order: int = 12) -> float:
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * gx[None, :]
-    weights = half[:, None] * gw[None, :]
-    return float(np.sum(f(nodes.ravel()) * weights.ravel()))
+    nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), order)
+    return float(np.sum(f(nodes) * weights))
 
 
 def _mean_sin_power(p: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "edges_from_budget",
     "gauss_panels",
 ]
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(15)
 
 _DERIVATIVE_FLOOR = 1e-8
 _ROOT_RESIDUAL = 1e-10
@@ -216,13 +215,22 @@ def edges_from_budget(
     return edges[np.concatenate([[True], np.diff(edges) > 0])]
 
 
-def gauss_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights over consecutive panels, raveled."""
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+_gauss_rule(15)  # at import, with numpy.polynomial (about 9 ms), not inside a run
+
+
+def gauss_panels(edges: np.ndarray, order: int = 15) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of an order over consecutive panels, raveled."""
+    gx, gw = _gauss_rule(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
-    x = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    w = half[:, None] * _GAUSS_W[None, :]
+    x = mid[:, None] + half[:, None] * gx[None, :]
+    w = half[:, None] * gw[None, :]
     return x.ravel(), w.ravel()
 
 

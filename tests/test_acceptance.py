@@ -29,7 +29,9 @@ def _run_default(command, tmp_path, overrides=None):
     runner, schema, _ = cli._COMMANDS[command]
     cfg = cli._check_config(dict(overrides or {}), schema, command)
     started = time.monotonic()
-    code, report, outputs = runner(cfg, tmp_path, np.random.default_rng(0))
+    code, report, files = runner(cfg, np.random.default_rng(0))
+    for name, writer, *data in files:
+        writer(tmp_path / name, *data)
     elapsed = time.monotonic() - started
     return code, report, elapsed
 

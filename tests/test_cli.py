@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bilap import cli, propagator, spectral
 from bilap.cli import ConfigError, main, render_loglog_svg, write_csv, write_json
 from bilap.lattice import PotentialSpec
+from bilap.spectral import SingularSandwichError
 
 
 def _write_config(tmp_path, name, payload):
@@ -279,6 +280,22 @@ def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", [1e3, 1e5])
+def test_stone_reference_window_is_capped_before_mkdir(tmp_path, capsys, monkeypatch, t):
+    # t = 1e3 sets a reference window of radius 12489, a dense matrix of
+    # 24,979 sites; the config is refused before any window is built, and
+    # before Stone, whose nodes grow with t
+    for module, name in ((spectral, "eigensystem"), (cli, "pac_split"), (cli, "stone_kernel_slice")):
+        monkeypatch.setattr(module, name, _no_window)
+    cfg = _write_config(tmp_path, "cfg", {"times": [t]})
+    out = tmp_path / "o"
+    assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "'times'" in err
+    assert "above the bound of 4096" in err
+    assert not out.exists()
+
+
 def test_eig_scan_reports_the_closed_form_bound_states(tmp_path):
     # the 3-site default of resolvent-check and stone-vs-spectral: its state
     # 1.3e-3 above the band spreads past every default window
@@ -356,6 +373,27 @@ def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, mo
         assert err.count("\n") == 1
         assert "numerical refusal" in err and "possible embedded eigenvalue" in err
         assert not (tmp_path / "a").exists()
+
+
+def test_refusal_after_a_recorded_file_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # the first case's table is recorded before the second case refuses;
+    # nothing reaches the disk before the run returns
+    norms = cli.remainder_norms
+    calls = []
+
+    def second_refuses(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SingularSandwichError("sandwich matrix numerically singular")
+        return norms(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "remainder_norms", second_refuses)
+    cfg = _write_config(tmp_path, "cfg", {"threshold": "zero", "orders_zero": [0, 1]})
+    out = tmp_path / "o"
+    assert main(["expansion-check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerical refusal" in err
+    assert len(calls) == 2 and not out.exists()
 
 
 def test_overflowing_sandwich_exits_two_without_output(tmp_path, capsys):
@@ -867,6 +905,54 @@ def test_free_decay_reports_ring_sizes(tmp_path, command, kinds):
         assert sizes == [propagator.ring_size(t, kind) for t in times]
         assert sizes[-1] == 2 * (propagator.free_kernel_full(times[-1], kind).size - 1)
     assert sizes[0] == 256 < sizes[-1]
+
+
+_CHEAP_CONFIGS = {
+    "free-decay": {"t_min": 1.0, "t_max": 300.0, "per_decade": 4},
+    "perturbed-decay": {"t_min": 1.0, "t_max": 20.0, "per_decade": 8, "observe_radius": 2},
+    "beam-decay": {"t_min": 1.0, "t_max": 300.0, "per_decade": 4},
+    "resolvent-check": {"points": 2, "mu_values": [1.0]},
+    "expansion-check": {"threshold": "sixteen", "orders_sixteen": [0]},
+    "minv-probe": {},
+    "regular-check": {},
+    "eig-scan": {"window_radii": [16, 32]},
+    "stone-vs-spectral": {"times": [1.0], "observe_radius": 2},
+    "stationary-phase": {},
+    "strichartz": {"T_values": [10.0, 20.0]},
+    "knapp": {},
+}
+
+
+def test_output_directory_holds_exactly_the_manifest_outputs(tmp_path):
+    assert list(_CHEAP_CONFIGS) == list(cli._COMMANDS)
+    codes = set()
+    for command, payload in _CHEAP_CONFIGS.items():
+        out = tmp_path / command
+        codes.add(main([command, "--config", _write_config(tmp_path, command, payload),
+                        "--out", str(out)]))
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+    # a failed band writes every file too
+    assert codes == {0, 1}
+
+
+def test_output_path_through_a_file_exits_two_before_running(tmp_path, capsys, monkeypatch):
+    def not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "stationary_points", not_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    cfg = _write_config(tmp_path, "cfg", {"output_dir": str(blocker / "sub")})
+    # a file, a path below one, a dangling link, and output_dir below a file
+    for argv in (["--out", str(blocker)], ["--out", str(blocker / "sub")],
+                 ["--out", str(link)], ["--config", cfg]):
+        assert main(["stationary-phase", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "usage error" in err and "not a directory" in err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_output_dir_from_config(tmp_path):
