@@ -20,6 +20,7 @@ import json
 import sys
 import time
 import warnings
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,6 +48,7 @@ from .propagator import (
     fft_workers,
     pac_split,
     ring_size,
+    stone_flow_points,
     stone_kernel_slice,
 )
 from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
@@ -1156,6 +1158,22 @@ def _ring_rule(command, cfg):
     return None
 
 
+# Largest Stone flow integral, in points per time, that a config may ask for.
+# The integral runs over blocks of a fixed size, so the bound caps time, not
+# memory: about 3 s per time and budget pass at this bound, which
+# perturbed-decay reaches near t_max = 1e6 (9.5e5 at observe radius 32,
+# 6.7e5 at radius 1). Its default, t_max = 5e3, takes about 9e4 points.
+_FLOW_POINT_BOUND = 2**24
+
+
+def _flow_rule(command, cfg):
+    """(field, t, observe_radius) of the largest |t| a Stone series sizes its flow integral for, or None."""
+    if command == "perturbed-decay":
+        # the largest time of the grid is t_max
+        return "field 't_max'", cfg["t_max"], cfg["observe_radius"]
+    return None
+
+
 def _check_config(raw: dict, schema: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config for {command} must be a JSON object")
@@ -1205,6 +1223,14 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
             size = "more than 2^63" if points is None else f"{points}"
             raise ConfigError(f"{field}: the FFT ring at t = {t:g} would hold {size} points, "
                               f"above the bound of {_RING_POINT_BOUND} (2^24)")
+    rule = _flow_rule(command, out)
+    if rule is not None:
+        field, t, radius = rule
+        points = stone_flow_points(t, radius)
+        if not points <= _FLOW_POINT_BOUND:
+            raise ConfigError(f"{field}: the Stone flow integral at t = {t:g} would take "
+                              f"{points:.3g} points per time, above the bound of "
+                              f"{_FLOW_POINT_BOUND} (2^24)")
     for fields, V, window, need, given in _window_rules(command, out):
         if not given >= need:
             raise ConfigError(f"{fields}: support radius {V.support_radius} needs "
@@ -1231,7 +1257,9 @@ def _manifest_value(v):
     return v
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main, not at import."""
     parser = argparse.ArgumentParser(
         prog="bilap",
         description="lattice fourth-difference dispersion toolkit",
@@ -1243,7 +1271,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     runner, schema, _ = _COMMANDS[args.command]
     try:

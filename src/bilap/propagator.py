@@ -21,19 +21,21 @@ the operator itself, exp(-i t sqrt E), cos(t sqrt E) or
 sin(t sqrt E)/(t sqrt E) for half-wave and beam flows. The substitution
 mu = 2 sin(-theta/2) removes the inverse square-root singularity of the
 jump at the upper band edge. The bulk in theta reaches down to mu = 1e-9,
-with its last panel graded geometrically where a weak potential's sandwich
-turns over near the lower edge, and a narrow strip at the upper edge is
-integrated in the locally analytic w = sqrt(2 - mu). Panels are sized by the budget rule of the
-quadrature module: the phase and the wave exponents advance by at most a
-budget per panel, so cost scales linearly in |t| and inversely in the
-budget. stone_kernel_slice picks the budget itself, halving it from 16
-until two successive passes on different nodes agree to the requested
-tolerance, and reports the accepted budget, its node count and that
-half-budget error estimate. It takes one time or a series of them: each
-pass then builds one node set for the largest |t|, which meets the budget
-at every smaller |t|, shares its kernel tables and sandwich solves among
-all times, and accepts each time on its own, so a series costs about as
-much as its largest time.
+and a narrow strip at the upper edge is integrated in the locally analytic
+w = sqrt(2 - mu); where a potential's sandwich turns over near an edge,
+the panel there is graded geometrically. Panels are sized by the budget
+rule of the quadrature module on the spatial waves alone: the wave
+exponents at the largest separation advance by at most a budget per
+panel, so the nodes do not grow with |t|. The flow is integrated exactly
+on each panel against the Lagrange basis of its nodes (product
+integration, as in Filon-type rules), by a composite Gauss rule whose
+points do grow like |t|, in blocks of a fixed size. stone_kernel_slice
+picks the budget itself, halving it from 8 until two successive passes on
+different nodes agree to the requested tolerance, and reports the
+accepted budget, its node count and that half-budget error estimate. It
+takes one time or a series of them: each pass builds one node set,
+shares its kernel tables and sandwich solves among all times, sizes the
+flow integral for the largest |t|, and accepts each time on its own.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .lattice import SPEED_BOUND, PotentialSpec
-from .quadrature import edges_from_budget, gauss_panels
+from .quadrature import _gauss_rule, edges_from_budget, gauss_panels
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BirmanSchwingerSystem,
@@ -80,14 +82,31 @@ __all__ = [
     "fft_workers",
     "ring_size",
     "ring_weight",
+    "stone_flow_points",
     "stone_kernel_slice",
 ]
+
+
+def _unit_turn(t, E):
+    """exp(-i t E) from one cosine and one sine of the phase t E.
+
+    The bytes are those of np.exp(-1j * t * E) at half its cost. The
+    imaginary part is 0 - sin(t E), which keeps the +0.0 that np.exp gives
+    at a zero phase, where the negation of sin would give -0.0.
+    """
+    phase = np.multiply(t, E)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.subtract(0.0, out.imag, out=out.imag)
+    return out[()]
+
 
 # Complex weight of each flow at time t as a function of the H-energy E. The
 # half-wave and beam flows use sqrt(E), which np.emath.sqrt makes complex
 # (on the positive imaginary axis) only where E < 0.
 FLOWS = {
-    "schrodinger": lambda t, E: np.exp(-1j * t * E),
+    "schrodinger": _unit_turn,
     "halfwave": lambda t, E: np.exp(-1j * t * np.emath.sqrt(E)),
     "beam_cos": lambda t, E: np.cos(t * np.emath.sqrt(E)).astype(complex),
     "beam_sinc": lambda t, E: np.sinc(t * np.emath.sqrt(E) / np.pi).astype(complex),
@@ -128,13 +147,49 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 _FFT_WORKERS = 2 if _CPUS >= 2 else 1
 _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
-# Stone budget ladder: phase advance per 15-point Gauss panel. On single-site
-# slices at t = 10..200, budget 16 is within 2.1e-10 of the budget-0.25
-# kernel at observe radius 8 or more, so they stop at 8; at radius 4 or less
-# it misses 1e-8 by up to 3e-5 and they take one more step. 16 is the first,
-# cheapest pass and 0.25 the finest.
-_BUDGET_START = 16.0
+# Stone budget ladder: advance of the spatial waves' exponents per panel of
+# _STONE_ORDER Gauss nodes. For delta 0.5 at observe radius 16 and t = 50
+# to 100, budget 8 is within 5.1e-15 of the budget-0.25 kernel, so such
+# slices accept budget 4 after one step. 8 is the first, cheapest pass and
+# 0.25 the finest.
+_BUDGET_START = 8.0
 _BUDGET_FLOOR = 0.25
+_STONE_ORDER = 24
+# interior bulk panels are cut where the phase of det M turns by more than
+# budget / _RESONANCE_WEIGHT (1 radian at the first budget), read off
+# _RESONANCE_SCAN points of the bulk (see _resonance_cuts)
+_RESONANCE_WEIGHT = 8.0
+_RESONANCE_SCAN = 1025
+# The flow's integral on a panel: where the flow phase advances by at most
+# _POINT_BUDGET radians over the panel, the panel's own Gauss rule takes
+# the integral against each Lagrange basis polynomial to rounding (1e-15 at
+# 8 radians, 7e-15 at 12), and the weights are the flow at the nodes.
+# Elsewhere the panel is split into equal sub-panels of _FLOW_ORDER Gauss
+# points over which the phase advances by at most _FLOW_BUDGET radians:
+# that rule integrates exp(i w u) P_d(u), d < 24, to 4e-15 up to 72
+# radians and to 1e-14 at 80.
+_POINT_BUDGET = 8.0
+_FLOW_ORDER = 48
+_FLOW_BUDGET = 48.0
+# sub-panels per block of the flow integral: 6144 points, whose Legendre
+# table holds 1.2 MB
+_FLOW_BLOCK = 128
+
+# (mu, Jacobian |dmu/dx|, 1 - mu^2/4) at the panel variable x of each piece
+# of the Stone nodes: the angle theta of the bulk, mu = 2 sin(-theta/2), and
+# w = sqrt(2 - mu) of the upper strip, where 1 - mu^2/4 = w^2 (4 - w^2) / 4
+_PANEL_MAPS = {
+    "bulk": (
+        lambda th: 2.0 * np.sin(-th / 2.0),
+        lambda th: np.cos(th / 2.0),
+        lambda th: np.cos(th / 2.0) ** 2,
+    ),
+    "strip": (
+        lambda wv: 2.0 - wv * wv,
+        lambda wv: 2.0 * wv,
+        lambda wv: wv * wv * (4.0 - wv * wv) / 4.0,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -416,7 +471,7 @@ def _four_step_fft(y: np.ndarray, workers: int) -> np.ndarray:
     # in b, whose angles are reduced mod M in integers
     a = np.arange(_LANES)
     b = _LANES * np.arange(-(-M2 // _LANES))
-    step = -2j * np.pi / M
+    step = 2.0 * np.pi / M
 
     def columns(i):
         n1 = np.arange(i * width, min((i + 1) * width, M1))
@@ -428,8 +483,8 @@ def _four_step_fft(y: np.ndarray, workers: int) -> np.ndarray:
         block[M2:] = 0.0
         fft(part, axis=0, out=part)
         grid = block.reshape(b.size, _LANES, n1.size)
-        grid *= np.exp(step * (np.outer(a, n1) % M))
-        grid *= np.exp(step * (np.outer(b, n1) % M))[:, None, :]
+        grid *= _unit_turn(step, np.outer(a, n1) % M)
+        grid *= _unit_turn(step, np.outer(b, n1) % M)[:, None, :]
         A[:, cols] = part
 
     def rows(i):
@@ -551,10 +606,56 @@ def _bulk_end(regular: dict) -> float:
     return _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
 
 
-def _stone_nodes(
-    t: float, phase_power: int, reach: float, budget: float, regular: dict, knee: float
-):
-    """Quadrature nodes, weights and stable 1 - mu^2/4 values over (0, 2).
+def _halvings(far: float, turn: float, end: float, share: float) -> np.ndarray:
+    """Edges far/2, far/4, ... that grade a panel [end, far] toward end, or none.
+
+    The panel's variable vanishes at a band edge. A sandwich that turns
+    over at turn in that variable has poles about turn off the real axis;
+    a turn below share * far is out of reach of the panel's interpolant.
+    The panel is then halved down to max(turn/16, end): each new panel
+    [a, 2a] keeps a distance a from the poles, and below turn/16 the
+    sandwich is smooth on the scale of the panel.
+    """
+    if not 0.0 < turn < share * far:
+        return np.empty(0)
+    return far * 0.5 ** np.arange(1, int(np.ceil(np.log2(far / max(turn / 16.0, end)))))
+
+
+def _resonance_cuts(edges: np.ndarray, sys: BirmanSchwingerSystem, budget: float) -> np.ndarray:
+    """Bulk edges with the interior panels cut where the sandwich resonates.
+
+    A zero of det M just off the band is a pole of M^-1 that the panel's
+    interpolant cannot follow, and near it the phase of det M turns fast:
+    by about pi over a few times the pole's distance. Each interior panel
+    is cut so that the phase advances by at most budget /
+    _RESONANCE_WEIGHT per part, the cuts placed at equal steps of its
+    total variation, sampled on _RESONANCE_SCAN points of the bulk. The
+    first and last panels are left to the gradings at the band edges,
+    where det M turns at the crest and the knee. Only slices with both
+    edges regular are cut: at a non-regular edge det M has its zero on
+    the band's end, where its phase turns without bound, and the band
+    integral is truncated there anyway.
+    """
+    th = np.linspace(edges[0], edges[-1], _RESONANCE_SCAN)
+    m = m_matrix_grid(2.0 * np.sin(-th / 2.0), sys, one_minus_q=np.cos(th / 2.0) ** 2)
+    with np.errstate(invalid="ignore"):
+        turns = np.abs(np.diff(np.unwrap(np.angle(np.linalg.slogdet(m)[0]))))
+    # a sandwich past the float range turns nowhere; the solves refuse it
+    turned = np.concatenate([[0.0], np.cumsum(np.nan_to_num(turns, nan=0.0))])
+    at = np.interp(edges, th, turned)
+    cuts = [edges[:2]]
+    for i in range(1, edges.size - 2):
+        parts = int(np.ceil(_RESONANCE_WEIGHT * (at[i + 1] - at[i]) / budget))
+        if parts > 1:
+            steps = np.linspace(at[i], at[i + 1], parts + 1)[1:-1]
+            cuts.append(np.interp(steps, turned, th))
+        cuts.append(edges[i + 1 : i + 2])
+    cuts.append(edges[-1:])
+    return np.concatenate(cuts)
+
+
+def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[BirmanSchwingerSystem]):
+    """Quadrature nodes, weights, stable 1 - mu^2/4 values and panels over (0, 2).
 
     Two pieces. The bulk is in the angle theta with mu = 2 sin(-theta/2),
     whose Jacobian cos(theta/2) cancels the jump's singularity at mu = 2.
@@ -564,16 +665,32 @@ def _stone_nodes(
     locally analytic, from w = sqrt(_EDGE_CUTOFF) down to _INNER_CUTOFF.
     regular maps "zero" and "sixteen" to the edge verdicts. A non-regular
     edge truncates the band integral at _EDGE_CUTOFF from it: the bulk stops
-    at mu = _EDGE_CUTOFF, or the strip is dropped. reach bounds the site
-    separations that multiply the oscillatory and evanescent exponents in
-    the budget. knee is the mu below which the sandwich's mu^-3 term
-    outgrows its identity part (0 for no potential). A weak potential puts
-    its knee deep inside the bulk's last panel, which cannot resolve the
-    turn; that panel is then halved geometrically in mu down to knee / 16.
+    at mu = _EDGE_CUTOFF, or the strip is dropped. Panels carry
+    _STONE_ORDER Gauss nodes each and are sized by the spatial waves alone:
+    reach bounds the site separations that multiply the oscillatory and
+    evanescent exponents in the budget. The flow's phase does not enter,
+    since _stone_assemble integrates the flow exactly on each panel, so the
+    nodes do not depend on t.
+
+    knee is the mu below which the sandwich's mu^-3 term outgrows its
+    identity part, and crest the w = cos(theta/2) below which its
+    1/w term at the upper edge does (both 0 for no potential). Each is a
+    turn of the sandwich that a panel reaching far past it cannot
+    interpolate, so _halvings grades the bulk's last panel in mu toward
+    the knee, and the bulk's first panel in w and the strip's first panel
+    toward the crest. The weights are the Gauss weights times the Jacobian
+    |dmu/dx|, so they sum to the length in mu that the pieces cover; panels
+    lists (piece, edges) for each piece, whose nodes follow panel by panel.
     """
+    # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every
+    # separation. At the upper edge the kernel is i (-1)^k / (32 w) to leading
+    # order in w = sqrt(1 - mu^2/4), so v K v has norm |V|_1 / (32 w) there
+    norm = np.sum(sys.v**2) if sys is not None else 0.0
+    knee, crest = (norm / np.sqrt(8.0)) ** (1.0 / 3.0), norm / 32.0
+
     # sign does not move an edge: only the |variation| of each cost row counts
     def cost(mu, phase):
-        return np.stack([t * mu**phase_power, reach * phase, reach * _band_rates(mu)[1]])
+        return np.stack([reach * phase, reach * _band_rates(mu)[1]])
 
     # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
     lo = _bulk_end(regular)
@@ -581,17 +698,19 @@ def _stone_nodes(
     edges = edges_from_budget(
         th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th), budget=budget, min_panels=8
     )
-    last = 2.0 * np.sin(-edges[-2] / 2.0)
-    if 0.0 < knee < last / 4.0:
-        # below knee / 16 the sandwich is smooth on the scale of the panel
-        halvings = int(np.ceil(np.log2(last / max(knee / 16.0, lo))))
-        graded = -2.0 * np.arcsin(last * 0.5 ** np.arange(1, halvings) / 2.0)
-        edges = np.concatenate([edges[:-1], graded, edges[-1:]])
-    th, w = gauss_panels(edges)
-    pieces = [(2.0 * np.sin(-th / 2.0), w * np.cos(th / 2.0), np.cos(th / 2.0) ** 2)]
+    if sys is not None and all(regular.values()):
+        edges = _resonance_cuts(edges, sys, budget)
+    # the last panel graded in mu toward a knee below a quarter of it; the
+    # first in w toward a crest anywhere inside it, since the crest's pole
+    # sits at i crest, as near the panel as the crest is to its end
+    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, lo, 0.25) / 2.0)
+    top = np.cos(edges[:2] / 2.0)
+    high = -2.0 * np.arccos(_halvings(top[1], crest, top[0], 1.0)[::-1])
+    edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
+    panels = [("bulk", edges)]
 
     if regular["sixteen"]:
-        # upper strip, in w = sqrt(2 - mu); 1 - mu^2/4 = w^2 (4 - w^2) / 4
+        # upper strip, in w = sqrt(2 - mu)
         def hi_cost(wv):
             mu = 2.0 - wv * wv
             return cost(mu, _band_rates(mu)[0])
@@ -599,10 +718,146 @@ def _stone_nodes(
         edges = edges_from_budget(
             _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4
         )
-        wv, w = gauss_panels(edges)
-        pieces.append((2.0 - wv * wv, 2.0 * wv * w, wv * wv * (4.0 - wv * wv) / 4.0))
+        graded = _halvings(edges[1], crest, _INNER_CUTOFF, 1.0)[::-1]
+        panels.append(("strip", np.concatenate([edges[:1], graded, edges[1:]])))
 
-    return tuple(np.concatenate(p) for p in zip(*pieces))
+    pieces = []
+    for piece, edges in panels:
+        x, w = gauss_panels(edges, _STONE_ORDER)
+        mu_of, jacobian, one_minus_q = _PANEL_MAPS[piece]
+        pieces.append((mu_of(x), w * jacobian(x), one_minus_q(x)))
+    return (*(np.concatenate(p) for p in zip(*pieces)), panels)
+
+
+def _flow_subpanels(t: float, power: int, panels) -> np.ndarray:
+    """Sub-panels of each Stone panel for the flow integral at time t, as floats.
+
+    On a panel [a, b] of a piece the flow phase t mu^power advances by at
+    most |t| power mu_top^(power - 1) J_top (b - a), with mu_top and J_top
+    the largest mu and Jacobian |dmu/dx| on the panel, both monotone in x
+    and so taken at an end. An advance of at most _POINT_BUDGET needs no
+    sub-panel (count 0); a larger one is split into sub-panels of at most
+    _FLOW_BUDGET radians each. The counts are floats so that any finite t
+    is sized without overflow.
+    """
+    counts = []
+    for piece, edges in panels:
+        mu_of, jacobian, _ = _PANEL_MAPS[piece]
+        mu, jac = mu_of(edges), jacobian(edges)
+        top = np.maximum(mu[:-1], mu[1:]) ** (power - 1) * np.maximum(jac[:-1], jac[1:])
+        advance = abs(t) * power * top * np.diff(edges)
+        counts.append(np.where(advance <= _POINT_BUDGET, 0.0, np.ceil(advance / _FLOW_BUDGET)))
+    return np.concatenate(counts)
+
+
+@lru_cache(maxsize=None)
+def _lagrange_in_legendre(order: int) -> np.ndarray:
+    """C[i, j] = (i + 1/2) P_i(g_j) at the Gauss nodes g_j of an order.
+
+    With G_j the Gauss weights, the Lagrange basis on the nodes is
+    l_j(u) = G_j sum_i C[i, j] P_i(u), so int F l_j du / G_j is
+    sum_i C[i, j] int F P_i du over [-1, 1].
+    """
+    g, _ = _gauss_rule(order)
+    return (np.arange(order) + 0.5)[:, None] * _legendre(g, order)
+
+
+def _legendre(u: np.ndarray, order: int) -> np.ndarray:
+    """Legendre polynomials P_0..P_{order-1} at u, stacked on a new first axis."""
+    out = np.empty((order,) + u.shape)
+    out[0] = 1.0
+    out[1] = u
+    for i in range(1, order - 1):
+        np.multiply(u, out[i], out=out[i + 1])
+        out[i + 1] *= (2 * i + 1) / (i + 1)
+        out[i + 1] -= i / (i + 1) * out[i - 1]
+    return out
+
+
+def _flow_blocks(counts: np.ndarray):
+    """Runs (panel, first, stop, count) of sub-panels, in blocks of at most _FLOW_BLOCK."""
+    runs, size = [], 0
+    for p in np.flatnonzero(counts):
+        s, q = int(counts[p]), 0
+        while q < s:
+            take = min(s - q, _FLOW_BLOCK - size)
+            runs.append((p, q, q + take, s))
+            size, q = size + take, q + take
+            if size == _FLOW_BLOCK:
+                yield runs
+                runs, size = [], 0
+    if runs:
+        yield runs
+
+
+def stone_flow_points(t: float, observe_radius: int, phase: str = "schrodinger") -> float:
+    """Points per time of the flow integral of a Stone slice's first pass at time t.
+
+    A float, so that any finite t is sized without overflow: the flow
+    integral takes _FLOW_ORDER points on each of the _flow_subpanels of the
+    first pass's panels, here those of a free slice on the observe radius
+    (a potential adds only the few panels of its gradings and resonance
+    cuts). Later passes
+    split the same phase advance over more panels, so their count grows
+    only by the panels they add; the nodes do not grow with t.
+    """
+    power = 4 if phase == "schrodinger" else 2
+    regular = {"zero": True, "sixteen": True}
+    panels = _stone_nodes(2.0 * observe_radius + 2.0, _BUDGET_START, regular, None)[3]
+    with np.errstate(over="ignore"):
+        return float(_flow_subpanels(t, power, panels).sum()) * _FLOW_ORDER
+
+
+def _flow_weights(times: np.ndarray, phase: str, mu: np.ndarray, panels, horizon: float):
+    """Flow of each time integrated against each node's Lagrange basis on its panel.
+
+    Returns Phi, shape (len(times), nodes), with Phi[k, j] the integral of
+    FLOWS[phase](times[k], mu(x)^4) l_j(x) over node j's panel divided by
+    the integral of l_j, its Gauss weight: the product-integration
+    (Filon-type) weight of the panel's interpolant per unit Gauss weight,
+    which the point rule would take as the flow at node j. On a panel with
+    no sub-panel (_flow_subpanels at horizon) the panel's own rule takes
+    the integral, where l_j is 1 at node j and 0 at the others, so Phi is
+    the flow at the nodes. On the others the integral is a composite Gauss
+    rule of _FLOW_ORDER points on each sub-panel, taken as Legendre moments
+    in the panel variable u in [-1, 1] and mapped to the Lagrange basis by
+    _lagrange_in_legendre. The sub-panels run in blocks of _FLOW_BLOCK, so
+    no array grows with t.
+    """
+    flow, n = FLOWS[phase], _STONE_ORDER
+    phi = flow(times[:, None], mu**4)
+    C = _lagrange_in_legendre(n)
+    g, G = _gauss_rule(_FLOW_ORDER)
+    start = 0
+    for piece, edges in panels:
+        mu_of = _PANEL_MAPS[piece][0]
+        half = 0.5 * np.diff(edges)
+        mid = edges[:-1] + half
+        counts = _flow_subpanels(horizon, 4 if phase == "schrodinger" else 2, [(piece, edges)])
+        moments = np.zeros((half.size, 2 * times.size, n))
+        for runs in _flow_blocks(counts):
+            # sub-panel q of s on panel p spans u in [(2q - s) / s, (2q + 2 - s) / s]
+            p, q0, q1, s = np.array(runs).T
+            lengths = q1 - q0
+            firsts = np.cumsum(lengths) - lengths
+            sub = np.repeat(p, lengths)
+            q = np.arange(lengths.sum()) - np.repeat(firsts - q0, lengths)
+            s = np.repeat(s, lengths).astype(float)[:, None]
+            u = (2.0 * q[:, None] + 1.0 - s + g) / s
+            F = flow(times[:, None, None], mu_of(mid[sub, None] + half[sub, None] * u) ** 4)
+            F *= G / s
+            # real and imaginary parts as rows of one real product per sub-panel
+            parts = np.concatenate([F.real, F.imag]).transpose(1, 0, 2)
+            sums = np.matmul(parts, _legendre(u, n).transpose(1, 2, 0))
+            moments[p] += np.add.reduceat(sums, firsts, axis=0)
+        used = np.flatnonzero(counts)
+        if used.size:
+            avg = moments[used] @ C
+            avg = avg[:, : times.size] + 1j * avg[:, times.size :]
+            nodes = start + used[:, None] * n + np.arange(n)
+            phi[:, nodes] = avg.transpose(1, 0, 2)
+        start += half.size * n
+    return phi
 
 
 def _stone_assemble(
@@ -618,10 +873,15 @@ def _stone_assemble(
 
     sys is the decomposed potential (None for the free flow) and regular
     the edge verdicts that _stone_nodes reads. One node set serves every
-    time: it is sized for horizon (default max |times|), and a budget met
-    at that |t| is met at every smaller one, since the phase t mu^p varies
-    less. The kernel tables, the sandwich solves and the gather of z are
-    shared; only the flow weights differ between times. The correction at
+    time, and it does not depend on t: the flow enters through the
+    product-integration weights of _flow_weights, whose sub-panels are
+    sized for horizon (default max |times|), where the flow phase t mu^p
+    advances most. At each node the weight of time t is that flow weight
+    times mu^3 and the Jacobian Gauss weight: mu^3 and the Jacobian stay
+    with the interpolated part, since they cancel the jump's mu^-3 and
+    1/sqrt(1 - mu^2/4). The kernel tables, the sandwich solves and the
+    gather of z are shared; only the flow weights differ between times.
+    The correction at
     (n, m) depends on the targets only through their distances to the
     support sites, so z, the solved sides and the correction GEMM run over
     the distinct rows of |n - site| (the distances 0..r for one site at the
@@ -641,12 +901,8 @@ def _stone_assemble(
         reach = max(reach, int(dist.max()))
         corr = np.zeros((2 * count * classes, classes), dtype=complex)
 
-    # the phase advances like E = mu^4 for the Schrodinger flow and like
-    # sqrt(E) = mu^2 for the half-wave and beam flows
-    phase_power = 4 if phase == "schrodinger" else 2
-    # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every separation
-    knee = (np.sum(sys.v**2) / np.sqrt(8.0)) ** (1.0 / 3.0) if sys is not None else 0.0
-    mu, wts, omq = _stone_nodes(horizon, phase_power, reach + 2.0, budget, regular, knee)
+    mu, wts, omq, panels = _stone_nodes(reach + 2.0, budget, regular, sys)
+    flows = _flow_weights(times, phase, mu, panels, horizon)
     # one kernel evaluation per node and separation 0..reach; the free part
     # and the correction term both read from it
     seps = np.arange(reach + 1)
@@ -663,7 +919,7 @@ def _stone_assemble(
     for start in range(0, mu.size, chunk):
         sl = slice(start, start + chunk)
         mus, ws, oq = mu[sl], wts[sl], omq[sl]
-        phw = FLOWS[phase](times[:, None], mus**4) * mus**3 * ws
+        phw = flows[:, sl] * mus**3 * ws
         rho_all = boundary_kernel_plus(mus, seps, one_minus_q=oq)
         # the jump keeps 2i Im rho; contract it with Re and Im of phw apart
         free_vals += np.concatenate([phw.real, phw.imag]) @ rho_all[:, : free_reach + 1].imag
@@ -703,9 +959,9 @@ def stone_kernel_slice(
     _stone_nodes) in every pass. A sandwich with an entry past the float
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
-    budget 16 and then at half the budget; each pass builds one node set,
-    sized for the largest |t|, and evaluates every time not yet accepted on
-    it. A time is accepted at the first pass that has more nodes than the
+    budget 8 and then at half the budget; each pass builds one node set,
+    the same for every t, with flow weights sized for the largest |t|, and
+    evaluates every time not yet accepted on it. A time is accepted at the first pass that has more nodes than the
     one before and differs from it by at most tol in every entry of that
     time; the finer pass is returned with that difference as its error
     estimate, and later passes leave it alone. Two passes on the same nodes
@@ -718,6 +974,8 @@ def stone_kernel_slice(
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ValueError("t must be a float or a non-empty 1-d sequence of times")
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
     series = np.atleast_1d(times)
     # each edge is decided once per call, so each non-regular edge warns once
     sys = decompose_potential(V) if V is not None else None

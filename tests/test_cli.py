@@ -5,6 +5,8 @@ import dataclasses
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -126,6 +128,62 @@ def test_ring_bound_admits_defaults_and_benchmark_configs():
     cli._check_config({"t_max": 7e5}, schema, "free-decay")
     with pytest.raises(ConfigError, match="'t_max'"):
         cli._check_config({"t_max": 9e5}, schema, "free-decay")
+
+
+@pytest.mark.parametrize("t_max", [1e9, 1e300, 1.7e308])
+def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, monkeypatch, t_max):
+    # stone_flow_points sizes the flow integral from t alone; the series is
+    # refused before any Stone pass runs
+    def no_stone(*args, **kwargs):
+        raise AssertionError("the Stone series ran")
+
+    monkeypatch.setattr(cli, "perturbed_decay_series", no_stone)
+    cfg = _write_config(tmp_path, "cfg", {"t_max": t_max})
+    out = tmp_path / "o"
+    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "Traceback" not in err
+    assert "'t_max'" in err and "2^24" in err
+    assert not out.exists()
+
+
+def test_stone_flow_bound_admits_defaults_and_benchmark_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    schema = cli._COMMANDS["perturbed-decay"][1]
+    configs = [{}] + [cfg for seed in range(4) for c, cfg in workloads.commands("perturbed", seed)]
+    assert len(configs) == 5
+    for raw in configs:
+        cli._check_config(raw, schema, "perturbed-decay")
+    # the bound falls between t = 9e5 and 1e6 at the default observe radius 32
+    cli._check_config({"t_max": 9e5}, schema, "perturbed-decay")
+    with pytest.raises(ConfigError, match="'t_max'"):
+        cli._check_config({"t_max": 1e6}, schema, "perturbed-decay")
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path, capsys):
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["knapp", "--config", _write_config(tmp_path, "bad", [1]),
+                         "--out", str(tmp_path / "o")]) == 2
+            with pytest.raises(SystemExit) as exit_info:
+                main(["no-such-command"])
+            assert exit_info.value.code == 2
+        info = cli._parser.cache_info()
+    finally:
+        cli._parser.cache_clear()
+    assert (info.misses, info.hits) == (1, 3)
+    err = capsys.readouterr().err
+    assert err.count("invalid choice: 'no-such-command'") == 2
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import bilap.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_knapp_repeated_epsilons_exit_two_before_mkdir(tmp_path, capsys):
