@@ -1161,8 +1161,8 @@ def _ring_rule(command, cfg):
 # Largest Stone flow integral, in points per time, that a config may ask for.
 # The integral runs over blocks of a fixed size, so the bound caps time, not
 # memory: about 3 s per time and budget pass at this bound, which
-# perturbed-decay reaches near t_max = 1e6 (9.5e5 at observe radius 32,
-# 6.7e5 at radius 1). Its default, t_max = 5e3, takes about 9e4 points.
+# perturbed-decay reaches near t_max = 1e6 (8.7e5 at observe radius 32,
+# 6.7e5 at radius 1). Its default, t_max = 5e3, takes about 1e5 points.
 _FLOW_POINT_BOUND = 2**24
 
 

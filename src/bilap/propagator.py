@@ -30,7 +30,7 @@ panel, so the nodes do not grow with |t|. The flow is integrated exactly
 on each panel against the Lagrange basis of its nodes (product
 integration, as in Filon-type rules), by a composite Gauss rule whose
 points do grow like |t|, in blocks of a fixed size. stone_kernel_slice
-picks the budget itself, halving it from 8 until two successive passes on
+picks the budget itself, halving it from 16 until two successive passes on
 different nodes agree to the requested tolerance, and reports the
 accepted budget, its node count and that half-budget error estimate. It
 takes one time or a series of them: each pass builds one node set,
@@ -149,14 +149,15 @@ _EDGE_CUTOFF = 1e-4
 _INNER_CUTOFF = 1e-9
 # Stone budget ladder: advance of the spatial waves' exponents per panel of
 # _STONE_ORDER Gauss nodes. For delta 0.5 at observe radius 16 and t = 50
-# to 100, budget 8 is within 5.1e-15 of the budget-0.25 kernel, so such
-# slices accept budget 4 after one step. 8 is the first, cheapest pass and
-# 0.25 the finest.
-_BUDGET_START = 8.0
+# to 100, budget 16 is within 7.5e-15 of the budget-0.25 kernel, so such
+# slices accept budget 8 after one step; starting at 8 cost 1,824 nodes
+# over both passes instead of 1,128 and gained no accuracy. 16 is the
+# first, cheapest pass and 0.25 the finest.
+_BUDGET_START = 16.0
 _BUDGET_FLOOR = 0.25
 _STONE_ORDER = 24
 # interior bulk panels are cut where the phase of det M turns by more than
-# budget / _RESONANCE_WEIGHT (1 radian at the first budget), read off
+# budget / _RESONANCE_WEIGHT (1 radian at budget 8), read off
 # _RESONANCE_SCAN points of the bulk (see _resonance_cuts)
 _RESONANCE_WEIGHT = 8.0
 _RESONANCE_SCAN = 1025
@@ -606,17 +607,19 @@ def _bulk_end(regular: dict) -> float:
     return _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
 
 
-def _halvings(far: float, turn: float, end: float, share: float) -> np.ndarray:
+def _halvings(far: float, turn: float, end: float) -> np.ndarray:
     """Edges far/2, far/4, ... that grade a panel [end, far] toward end, or none.
 
     The panel's variable vanishes at a band edge. A sandwich that turns
-    over at turn in that variable has poles about turn off the real axis;
-    a turn below share * far is out of reach of the panel's interpolant.
-    The panel is then halved down to max(turn/16, end): each new panel
-    [a, 2a] keeps a distance a from the poles, and below turn/16 the
-    sandwich is smooth on the scale of the panel.
+    over at turn in that variable has poles within about turn of the
+    origin, some close to the real axis; a turn inside the panel is out of
+    reach of its interpolant. The panel is then halved down to
+    max(turn/16, end): each new panel [a, 2a] keeps a distance of order a
+    from the poles, and below turn/16 the sandwich is smooth on the scale
+    of the panel. A turn past the panel lies in the interior panels, which
+    _resonance_cuts follows instead.
     """
-    if not 0.0 < turn < share * far:
+    if not 0.0 < turn < far:
         return np.empty(0)
     return far * 0.5 ** np.arange(1, int(np.ceil(np.log2(far / max(turn / 16.0, end)))))
 
@@ -700,12 +703,10 @@ def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[Birma
     )
     if sys is not None and all(regular.values()):
         edges = _resonance_cuts(edges, sys, budget)
-    # the last panel graded in mu toward a knee below a quarter of it; the
-    # first in w toward a crest anywhere inside it, since the crest's pole
-    # sits at i crest, as near the panel as the crest is to its end
-    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, lo, 0.25) / 2.0)
+    # the last panel graded in mu toward the knee, the first in w toward the crest
+    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, lo) / 2.0)
     top = np.cos(edges[:2] / 2.0)
-    high = -2.0 * np.arccos(_halvings(top[1], crest, top[0], 1.0)[::-1])
+    high = -2.0 * np.arccos(_halvings(top[1], crest, top[0])[::-1])
     edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
     panels = [("bulk", edges)]
 
@@ -718,7 +719,7 @@ def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[Birma
         edges = edges_from_budget(
             _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4
         )
-        graded = _halvings(edges[1], crest, _INNER_CUTOFF, 1.0)[::-1]
+        graded = _halvings(edges[1], crest, _INNER_CUTOFF)[::-1]
         panels.append(("strip", np.concatenate([edges[:1], graded, edges[1:]])))
 
     pieces = []
@@ -772,6 +773,12 @@ def _legendre(u: np.ndarray, order: int) -> np.ndarray:
         out[i + 1] *= (2 * i + 1) / (i + 1)
         out[i + 1] -= i / (i + 1) * out[i - 1]
     return out
+
+
+# at import, not inside a run: the two Gauss rules and the Lagrange table
+# take about 3 ms on their first call
+_gauss_rule(_FLOW_ORDER)
+_lagrange_in_legendre(_STONE_ORDER)
 
 
 def _flow_blocks(counts: np.ndarray):
@@ -959,7 +966,7 @@ def stone_kernel_slice(
     _stone_nodes) in every pass. A sandwich with an entry past the float
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
-    budget 8 and then at half the budget; each pass builds one node set,
+    budget 16 and then at half the budget; each pass builds one node set,
     the same for every t, with flow weights sized for the largest |t|, and
     evaluates every time not yet accepted on it. A time is accepted at the first pass that has more nodes than the
     one before and differs from it by at most tol in every entry of that

@@ -158,10 +158,10 @@ def test_stone_flow_bound_admits_defaults_and_benchmark_configs():
     assert len(configs) == 5
     for raw in configs:
         cli._check_config(raw, schema, "perturbed-decay")
-    # the bound falls between t = 9e5 and 1e6 at the default observe radius 32
-    cli._check_config({"t_max": 9e5}, schema, "perturbed-decay")
+    # the bound falls between t = 8e5 and 9e5 at the default observe radius 32
+    cli._check_config({"t_max": 8e5}, schema, "perturbed-decay")
     with pytest.raises(ConfigError, match="'t_max'"):
-        cli._check_config({"t_max": 1e6}, schema, "perturbed-decay")
+        cli._check_config({"t_max": 9e5}, schema, "perturbed-decay")
 
 
 def test_parser_is_built_once_per_process_and_not_at_import(tmp_path, capsys):

@@ -41,6 +41,7 @@ import oracles
 DELTA_HALF = PotentialSpec.delta(0.5)
 NONREGULAR = PotentialSpec((-1, 1), [0.5, -0.8, 0.5])
 GENERIC_SMALL = PotentialSpec((-1, 1), [0.3, -0.2, 0.1])
+FIVE_SITE = PotentialSpec((-2, 2), [0.5, 0.6, 0.7, 0.45, 0.55])
 
 
 def _assemble(t, V, targets, budget, phase="schrodinger"):
@@ -396,20 +397,20 @@ def _ladder_budgets(monkeypatch, t, V, r):
 
 
 def test_stone_ladder_stops_after_two_passes(monkeypatch):
-    # at observe radius 16, budget 8 is already within 1e-14 of the floor
+    # at observe radius 16, budget 16 is already within 1e-14 of the floor
     calls, sl = _ladder_budgets(monkeypatch, 50.0, DELTA_HALF, 16)
-    assert calls == [8.0, 4.0]
-    assert sl.budget == 4.0
+    assert calls == [16.0, 8.0]
+    assert sl.budget == 8.0
     spectral = kernel_spectral(_req("schrodinger_h", DELTA_HALF, 1.0, 2))
     assert (spectral.budget, spectral.nodes, spectral.error_estimate) == (None,) * 3
 
 
 def test_stone_ladder_takes_one_more_pass_at_small_radius(monkeypatch):
-    # for the free flow at radius 2 the passes at budgets 8 and 4 share the
-    # minimum panel counts' 288 nodes, so their agreement proves nothing
-    calls, sl = _ladder_budgets(monkeypatch, 50.0, None, 2)
-    assert calls == [8.0, 4.0, 2.0]
-    assert sl.budget == 2.0
+    # for the 5-site potential at radius 2 and t = 100, budget 16 misses tol
+    # by 2e-7
+    calls, sl = _ladder_budgets(monkeypatch, 100.0, FIVE_SITE, 2)
+    assert calls == [16.0, 8.0, 4.0]
+    assert sl.budget == 4.0
 
 
 @pytest.mark.parametrize(
@@ -443,8 +444,6 @@ def test_stone_off_centre_site_matches_continuous_reference():
 
 # ---------------------------------------------------------------------------
 # a time series: one node set per pass, shared by every time
-
-FIVE_SITE = PotentialSpec((-2, 2), [0.5, 0.6, 0.7, 0.45, 0.55])
 
 # (V, times, observe radius, phase); the 3-site default at stone-vs-spectral's
 # default times and radius
@@ -503,7 +502,7 @@ def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
     monkeypatch.setattr(propagator, "regular_point_check", edge)
     monkeypatch.setattr(propagator, "_stone_assemble", passes)
     series = stone_kernel_slice(np.geomspace(50.0, 100.0, 8), DELTA_HALF, 16)
-    assert calls["passes"] == [(8.0, 8), (4.0, 8)]
+    assert calls["passes"] == [(16.0, 8), (8.0, 8)]
     assert calls["nodes"] == 2
     assert calls["edges"] == ["zero", "sixteen"]
     assert len({sl.nodes for sl in series}) == 1
@@ -525,8 +524,8 @@ def test_stone_cuts_panels_at_a_sandwich_resonance():
 
 
 def test_stone_series_accepts_each_time_on_its_own(monkeypatch):
-    # for the 5-site potential at radius 2 and tol 1e-12, t = 1 accepts at
-    # budget 4 and t = 1000 needs 2; the budget-2 pass evaluates t = 1000
+    # for the 5-site potential at radius 10 and tol 1e-10, t = 1 accepts at
+    # budget 8 and t = 100 needs 4; the budget-4 pass evaluates t = 100
     # alone and leaves t = 1 as it was
     calls, assemble = [], propagator._stone_assemble
 
@@ -535,15 +534,15 @@ def test_stone_series_accepts_each_time_on_its_own(monkeypatch):
         return assemble(times, *args, **kwargs)
 
     monkeypatch.setattr(propagator, "_stone_assemble", passes)
-    early, late = stone_kernel_slice([1.0, 1000.0], FIVE_SITE, 2, tol=1e-12)
-    assert calls == [(8.0, [1.0, 1000.0]), (4.0, [1.0, 1000.0]), (2.0, [1000.0])]
-    assert (early.budget, late.budget) == (4.0, 2.0)
+    early, late = stone_kernel_slice([1.0, 100.0], FIVE_SITE, 10, tol=1e-10)
+    assert calls == [(16.0, [1.0, 100.0]), (8.0, [1.0, 100.0]), (4.0, [100.0])]
+    assert (early.budget, late.budget) == (8.0, 4.0)
     assert early.nodes < late.nodes
-    four, _ = propagator._stone_assemble(
-        np.array([1.0, 1000.0]), decompose_potential(FIVE_SITE), np.arange(-2, 3),
-        "schrodinger", {"zero": True, "sixteen": True}, 4.0,
+    eight, _ = propagator._stone_assemble(
+        np.array([1.0, 100.0]), decompose_potential(FIVE_SITE), np.arange(-10, 11),
+        "schrodinger", {"zero": True, "sixteen": True}, 8.0,
     )
-    assert np.array_equal(early.entries, four[0])
+    assert np.array_equal(early.entries, eight[0])
 
 
 def test_stone_scalar_time_is_a_series_of_one():
