@@ -511,8 +511,8 @@ def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
 def test_stone_cuts_panels_at_a_sandwich_resonance():
     # det M of the 5-site potential has a zero about 0.05 off the band near
     # mu = 0.89, where its phase turns by about pi; the panels there are cut
-    # at equal steps of that phase. Without the cuts the slice at radius 0
-    # and t = 20 was accepted at budget 2, 6.2e-10 from the floor pass
+    # at equal steps of that phase. Without the cuts the budget-2 pass at
+    # radius 0 and t = 20 was 6.2e-10 from the floor pass
     regular = {"zero": True, "sixteen": True}
     cut = propagator._stone_nodes(4.0, 4.0, regular, decompose_potential(FIVE_SITE))[3][0][1]
     plain = propagator._stone_nodes(4.0, 4.0, regular, None)[3][0][1]
@@ -577,7 +577,7 @@ def test_flow_weights_integrate_the_flow_against_polynomials(phase, t):
     # the error is 1e-14 of max|p| (b - a), plus the rounding of the phase
     # t E itself, at most 16 |t| 2^-52 per point, which no double route avoids
     mu, wts, omq, panels = _flow_nodes()
-    phi = propagator._flow_weights(np.array([t]), phase, mu, panels, t)[0]
+    phi = propagator._flow_weights(np.array([t]), phase, mu, panels)[0]
     n = propagator._STONE_ORDER
     g, G = np.polynomial.legendre.leggauss(n)
     gr, Gr = np.polynomial.legendre.leggauss(48)
@@ -606,7 +606,7 @@ def test_flow_weights_are_the_flow_where_a_panel_needs_no_integral():
     mu, wts, omq, panels = _flow_nodes()
     times = np.array([0.0, 1e-3])
     for phase in FLOWS:
-        phi = propagator._flow_weights(times, phase, mu, panels, 1e-3)
+        phi = propagator._flow_weights(times, phase, mu, panels)
         assert np.array_equal(phi, FLOWS[phase](times[:, None], mu**4))
 
 
@@ -641,7 +641,7 @@ def test_flow_weights_hold_no_temporary_that_grows_with_t():
     for t in (1e4, 1e5):
         tracemalloc.start()
         try:
-            phi = propagator._flow_weights(np.array([t]), "schrodinger", mu, panels, t)
+            phi = propagator._flow_weights(np.array([t]), "schrodinger", mu, panels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
