@@ -675,13 +675,14 @@ def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[Birma
     since _stone_assemble integrates the flow exactly on each panel, so the
     nodes do not depend on t.
 
-    knee is the mu below which the sandwich's mu^-3 term outgrows its
-    identity part, and crest the w = cos(theta/2) below which its
-    1/w term at the upper edge does (both 0 for no potential). Each is a
-    turn of the sandwich that a panel reaching far past it cannot
-    interpolate, so _halvings grades the bulk's last panel in mu toward
-    the knee, and the bulk's first panel in w and the strip's first panel
-    toward the crest. The weights are the Gauss weights times the Jacobian
+    sys is the decomposed potential, None for the free flow. Its sandwich
+    turns over at the knee, the mu below which its mu^-3 term outgrows the
+    identity, and at the crest, the w = cos(theta/2) below which its 1/w
+    term at the upper edge does. A panel reaching far past such a turn
+    cannot interpolate it, so _halvings grades the bulk's last panel in mu
+    toward the knee, and the bulk's first panel in w and the strip's first
+    panel toward the crest; _resonance_cuts cuts the interior panels where
+    det M turns. The weights are the Gauss weights times the Jacobian
     |dmu/dx|, so they sum to the length in mu that the pieces cover; panels
     lists (piece, edges) for each piece, whose nodes follow panel by panel.
     """
@@ -773,12 +774,6 @@ def _legendre(u: np.ndarray, order: int) -> np.ndarray:
         out[i + 1] *= (2 * i + 1) / (i + 1)
         out[i + 1] -= i / (i + 1) * out[i - 1]
     return out
-
-
-# at import, not inside a run: the two Gauss rules and the Lagrange table
-# take about 3 ms on their first call
-_gauss_rule(_FLOW_ORDER)
-_lagrange_in_legendre(_STONE_ORDER)
 
 
 def _flow_blocks(counts: np.ndarray):
