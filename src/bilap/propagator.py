@@ -53,7 +53,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .lattice import SPEED_BOUND, PotentialSpec
-from .quadrature import _gauss_rule, edges_from_budget, gauss_panels
+from .quadrature import edges_from_budget, gauss_panels, gauss_rule
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BirmanSchwingerSystem,
@@ -155,6 +155,13 @@ _INNER_CUTOFF = 1e-9
 # first, cheapest pass and 0.25 the finest.
 _BUDGET_START = 16.0
 _BUDGET_FLOOR = 0.25
+# rounding of a Stone entry in units of 2^-52, added to each error estimate:
+# the node sums run over terms of order one (_ROUNDING_ULPS: for four
+# potentials and four flows at t <= 100, r <= 32, an accepted pass sat up
+# to 19 units further from the budget-0.25 pass than from the pass before
+# it), and the flow phase t mu^p, at most 16 |t|, rounds by about 16 |t|
+# units in any double route (as in cli's check of a bound state's phase)
+_ROUNDING_ULPS = 64.0
 _STONE_ORDER = 24
 # interior bulk panels are cut where the phase of det M turns by more than
 # budget / _RESONANCE_WEIGHT (1 radian at budget 8), read off
@@ -172,9 +179,10 @@ _RESONANCE_SCAN = 1025
 _POINT_BUDGET = 8.0
 _FLOW_ORDER = 48
 _FLOW_BUDGET = 48.0
-# sub-panels per block of the flow integral: 6144 points, whose Legendre
-# table holds 1.2 MB
-_FLOW_BLOCK = 128
+# sub-panels per block of the flow integral: 3072 points, whose Legendre
+# table holds 0.6 MB. Blocks of 128 left the crosscheck benchmark's peak
+# resident size 0.7 MB higher and ran no faster on its Stone slices.
+_FLOW_BLOCK = 64
 
 # (mu, Jacobian |dmu/dx|, 1 - mu^2/4) at the panel variable x of each piece
 # of the Stone nodes: the angle theta of the bulk, mu = 2 sin(-theta/2), and
@@ -760,20 +768,8 @@ def _lagrange_in_legendre(order: int) -> np.ndarray:
     l_j(u) = G_j sum_i C[i, j] P_i(u), so int F l_j du / G_j is
     sum_i C[i, j] int F P_i du over [-1, 1].
     """
-    g, _ = _gauss_rule(order)
-    return (np.arange(order) + 0.5)[:, None] * _legendre(g, order)
-
-
-def _legendre(u: np.ndarray, order: int) -> np.ndarray:
-    """Legendre polynomials P_0..P_{order-1} at u, stacked on a new first axis."""
-    out = np.empty((order,) + u.shape)
-    out[0] = 1.0
-    out[1] = u
-    for i in range(1, order - 1):
-        np.multiply(u, out[i], out=out[i + 1])
-        out[i + 1] *= (2 * i + 1) / (i + 1)
-        out[i + 1] -= i / (i + 1) * out[i - 1]
-    return out
+    g, _ = gauss_rule(order)
+    return (np.arange(order) + 0.5)[:, None] * np.polynomial.legendre.legvander(g, order - 1).T
 
 
 def _flow_blocks(counts: np.ndarray):
@@ -848,7 +844,7 @@ def _flow_group(times: np.ndarray, phase: str, mu: np.ndarray, panels, horizon: 
     flow, n = FLOWS[phase], _STONE_ORDER
     phi = flow(times[:, None], mu**4)
     C = _lagrange_in_legendre(n)
-    g, G = _gauss_rule(_FLOW_ORDER)
+    g, G = gauss_rule(_FLOW_ORDER)
     start = 0
     for piece, edges in panels:
         mu_of = _PANEL_MAPS[piece][0]
@@ -869,7 +865,7 @@ def _flow_group(times: np.ndarray, phase: str, mu: np.ndarray, panels, horizon: 
             F *= G / s
             # real and imaginary parts as rows of one real product per sub-panel
             parts = np.concatenate([F.real, F.imag]).transpose(1, 0, 2)
-            sums = np.matmul(parts, _legendre(u, n).transpose(1, 2, 0))
+            sums = np.matmul(parts, np.polynomial.legendre.legvander(u, n - 1))
             moments[p] += np.add.reduceat(sums, firsts, axis=0)
         used = np.flatnonzero(counts)
         if used.size:
@@ -977,9 +973,11 @@ def stone_kernel_slice(
     SingularSandwichError before any pass runs. The quadrature runs at
     budget 16 and then at half the budget; each pass builds one node set,
     the same for every t, with flow weights sized for the largest |t|, and
-    evaluates every time not yet accepted on it. A time is accepted at the first pass that has more nodes than the
-    one before and differs from it by at most tol in every entry of that
-    time; the finer pass is returned with that difference as its error
+    evaluates every time not yet accepted on it. A time's error estimate at
+    a pass is the largest entry difference from the pass before plus the
+    rounding of an entry, (_ROUNDING_ULPS + 16 |t|) 2^-52. A time is
+    accepted at the first pass that has more nodes than the one before and
+    an estimate of at most tol; the finer pass is returned with that
     estimate, and later passes leave it alone. Two passes on the same nodes
     agree exactly and prove nothing, so such a step halves again. The
     ladder stops once every time is accepted, or at budget 0.25, where each
@@ -1024,7 +1022,8 @@ def stone_kernel_slice(
     while pending.size:
         budget /= 2.0
         fine, nodes = _stone_assemble(series[pending], sys, targets, phase, regular, budget)
-        errs = np.abs(fine - coarse).max(axis=(1, 2))
+        floor = (_ROUNDING_ULPS + 16.0 * np.abs(series[pending])) * 2.0**-52
+        errs = np.abs(fine - coarse).max(axis=(1, 2)) + floor
         done = (errs <= tol) & (nodes > coarse_nodes) | (budget <= _BUDGET_FLOOR)
         for j, entries, err in zip(pending[done], fine[done], errs[done]):
             if err > tol:

@@ -28,6 +28,7 @@ __all__ = [
     "oscillatory_integral",
     "edges_from_budget",
     "gauss_panels",
+    "gauss_rule",
 ]
 
 _DERIVATIVE_FLOOR = 1e-8
@@ -216,16 +217,17 @@ def edges_from_budget(
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+def gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of an order on [-1, 1], built once per order."""
     return np.polynomial.legendre.leggauss(order)
 
 
-_gauss_rule(15)  # at import, with numpy.polynomial (about 9 ms), not inside a run
+gauss_rule(15)  # at import, with numpy.polynomial (about 9 ms), not inside a run
 
 
 def gauss_panels(edges: np.ndarray, order: int = 15) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of an order over consecutive panels, raveled."""
-    gx, gw = _gauss_rule(order)
+    gx, gw = gauss_rule(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
