@@ -1,7 +1,7 @@
 """Command line front end: reproducible experiment runs with file outputs.
 
-Every command reads a JSON config and validates it against a per-command
-schema before computing anything. Its runner computes without touching the
+Every command reads a JSON config and checks it against its schema and
+limits before computing anything. Its runner computes without touching the
 disk and returns the files of its results (CSV tables, a JSON report
 carrying the claim under test, and a self-contained SVG plot where a
 series is produced); only then does main create the output directory and
@@ -36,6 +36,7 @@ from .decay import (
     fit_decay_exponent,
     free_decay_series,
     knapp_experiment,
+    knapp_sites,
     log_time_grid,
     perturbed_decay_series,
     strichartz_norm,
@@ -69,8 +70,6 @@ __all__ = ["main"]
 class ConfigError(Exception):
     """Raised when a config file fails schema validation."""
 
-
-_REQUIRED = object()
 
 _SIX_ROOT_THREE = 6.0 * np.sqrt(3.0)
 
@@ -490,11 +489,16 @@ def _decay_files(named_series, report, title, notes):
                      _plot("decay.svg", curves, "t", "sup norm", title, notes)]
 
 
+def _decay_times(cfg):
+    """The time grid of a decay command, which its limits also count."""
+    return log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
+
+
 def _fitted_decay(source):
     """Runner fitting the decay exponent of one source's series against its band."""
 
     def run(cfg, rng):
-        times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
+        times = _decay_times(cfg)
         src = source(cfg, times)
         fit = fit_decay_exponent(src.series)
         ok = src.band[0] <= fit.alpha <= src.band[1]
@@ -521,7 +525,7 @@ _SINC_RATE = 0.5
 
 
 def _run_beam_decay(cfg, rng):
-    times = log_time_grid(cfg["t_min"], cfg["t_max"], cfg["per_decade"])
+    times = _decay_times(cfg)
     cos_series = free_decay_series("beam_cos", times)
     sinc_series = free_decay_series("beam_sinc", times)
     sum_series = DecaySeries(
@@ -792,6 +796,11 @@ def _run_eig_scan(cfg, rng):
                        ("report.json", write_json, report)]
 
 
+def _reference_window(cfg):
+    """Radius of stone-vs-spectral's dense reference window, set by its times and observe radius."""
+    return auto_window_radius(max(cfg["times"]), cfg["observe_radius"])
+
+
 def _run_stone_vs_spectral(cfg, rng):
     tol = cfg["tolerance"]
     obs = cfg["observe_radius"]
@@ -799,8 +808,7 @@ def _run_stone_vs_spectral(cfg, rng):
     combos = []
     bound = {}
     for V in cfg["potentials"]:
-        window = auto_window_radius(max(cfg["times"]), obs)
-        split = pac_split(V, window)
+        split = pac_split(V, _reference_window(cfg))
         bound[_potential_label(V)] = [E for E, _ in split.bound_states]
         slices = stone_kernel_slice(cfg["times"], V, obs, phase="schrodinger")
         for t, stone in zip(cfg["times"], slices):
@@ -976,13 +984,131 @@ def _run_knapp(cfg, rng):
 
 
 # ---------------------------------------------------------------------------
+# limits: each check yields the refusal message of every bound on a command's
+# cost that a cast config breaks, reading the functions its run calls
+
+# Largest FFT ring, in points, that a config may ask for. free_kernel_full
+# holds 16 bytes per ring point (its work array and the kernel, each over
+# half the ring), 268 MB at this bound, and a strichartz time node 40 bytes
+# per point, 671 MB. The free benchmark's largest ring has 2^21 points.
+_RING_POINT_BOUND = 2**24
+
+# Largest Stone flow integral, in points per time, that a config may ask for.
+# The integral runs over blocks of a fixed size, so the bound caps time, not
+# memory: about 3 s per time and budget pass at this bound, which
+# perturbed-decay reaches near t_max = 1e6 (8.7e5 at observe radius 32,
+# 6.7e5 at radius 1). Its default, t_max = 5e3, takes about 1e5 points.
+_FLOW_POINT_BOUND = 2**24
+
+# Largest Stone series, in kernel entries (times x (2 observe_radius + 1)^2),
+# that a config may ask for. A series' memory peaks at about 70 bytes per
+# entry from 1e6 entries on (77 MB for 64 times on 129^2 entries; 6.5 MB,
+# 140 bytes per entry, for perturbed-decay's default 11 times on 65^2), so
+# about 0.3 GB at this bound, which holds the default 11 times at every
+# observe radius up to 256.
+_STONE_ENTRY_BOUND = 2**22
+
+# Largest knapp space sum, in sites. The sum runs in blocks of a fixed size,
+# so the bound caps time, not memory: about 4 s at 2^27 sites, the smallest
+# cap width epsilon near 9.4e-6, on a 2-core host (37.5 s at 1e-6). The
+# default's smallest epsilon, 0.0125, sums 100,531 sites.
+_KNAPP_SITE_BOUND = 2**27
+
+# resolvent-check's window oracle reaches past the potential, so its
+# memory grows with the support radius.
+_ORACLE_SITE_BOUND = 2**16
+
+
+def _limits(*checks):
+    """A command's limits(cfg): each check(cfg)'s messages in turn, run lazily.
+
+    _check_config refuses on the first message, so a check may rely on the
+    ones before it holding.
+    """
+    return lambda cfg: (message for check in checks for message in check(cfg))
+
+
+def _time_grid(cfg):
+    """A decay command's time grid: t_min < t_max and the points a fit needs."""
+    if not cfg["t_min"] < cfg["t_max"]:
+        yield (f"fields 't_min', 't_max': need t_min < t_max, got "
+               f"{cfg['t_min']} and {cfg['t_max']}")
+    elif (points := _decay_times(cfg).size) < FIT_MIN_POINTS:
+        yield (f"fields 't_min', 't_max', 'per_decade': the time grid has "
+               f"{points} points, the fit needs at least {FIT_MIN_POINTS}")
+
+
+def _ring(field, kind, t, kmax=0):
+    """The largest FFT ring, by ring_size, within _RING_POINT_BOUND points."""
+    try:
+        points = ring_size(t, kind, kmax)
+    except ValueError:  # past 2^63 points
+        points = None
+    if points is None or points > _RING_POINT_BOUND:
+        size = "more than 2^63" if points is None else f"{points}"
+        yield (f"{field}: the FFT ring at t = {t:g} would hold {size} points, "
+               f"above the bound of {_RING_POINT_BOUND} (2^24)")
+
+
+def _stone_flow(cfg):
+    """perturbed-decay's flow integral at its largest time, t_max, by stone_flow_points."""
+    points = stone_flow_points(cfg["t_max"], cfg["observe_radius"])
+    if not points <= _FLOW_POINT_BOUND:
+        yield (f"field 't_max': the Stone flow integral at t = {cfg['t_max']:g} would take "
+               f"{points:.3g} points per time, above the bound of "
+               f"{_FLOW_POINT_BOUND} (2^24)")
+
+
+def _stone_entries(fields, times, radius):
+    """A Stone series of that many times on the observe radius, within _STONE_ENTRY_BOUND entries."""
+    entries = times * (2 * radius + 1) ** 2
+    if entries > _STONE_ENTRY_BOUND:
+        yield (f"{fields}: the Stone series would hold {times} times of "
+               f"{2 * radius + 1}^2 kernel entries, {entries} in all, above the "
+               f"bound of {_STONE_ENTRY_BOUND} (2^22)")
+
+
+def _supports_fit(potentials, window, given, margin=2, fields="field 'potentials' entry {}"):
+    """Each potential's support radius plus margin sites within a window radius.
+
+    fields names the config fields, formatted with the potential's index.
+    build_hamiltonian keeps its stencil two sites clear of the support,
+    hence the default margin.
+    """
+    for i, V in enumerate(potentials):
+        if V is not None and not given >= V.support_radius + margin:
+            yield (f"{fields.format(i)}: support radius {V.support_radius} needs "
+                   f"{window} >= {V.support_radius + margin}, got {given}")
+
+
+def _dense_reference(cfg):
+    """stone-vs-spectral's dense reference: its window radius, and its bound states' phases t E."""
+    window = _reference_window(cfg)
+    if window > _DENSE_WINDOW_BOUND:
+        yield (f"fields 'times', 'observe_radius': the dense reference window "
+               f"would have radius {window}, above the bound of {_DENSE_WINDOW_BOUND}")
+    # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
+    top = max([np.abs(V.values).max() for V in cfg["potentials"] if V is not None] + [0.0])
+    lost = max(cfg["times"]) * (16.0 + top) * 2.0**-52
+    if lost > cfg["tolerance"]:
+        yield (f"fields 'potentials', 'times', 'tolerance': a state near |V| = "
+               f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
+
+
+def _knapp_sum(cfg):
+    """knapp's space sum at its smallest epsilon, by knapp_sites, within _KNAPP_SITE_BOUND."""
+    eps = min(cfg["epsilons"])
+    sites = knapp_sites(eps)
+    if sites > _KNAPP_SITE_BOUND:
+        yield (f"field 'epsilons': the space sum at epsilon = {eps:g} would take "
+               f"{sites:.3g} sites, above the bound of {_KNAPP_SITE_BOUND} (2^27)")
+
+
+# ---------------------------------------------------------------------------
 # schemas
 
 
-def _schema_common():
-    return {"output_dir": (_as_str, None)}
-
-
+# each command: its runner, config schema, help line and limits(cfg)
 _COMMANDS = {
     "free-decay": (
         _fitted_decay(_free_source),
@@ -994,6 +1120,7 @@ _COMMANDS = {
             "band": (_as_band, None),
         },
         "sup-norm decay of a free flow, fitted exponent against its band",
+        _limits(_time_grid, lambda c: _ring("field 't_max'", c["kind"], c["t_max"])),
     ),
     "perturbed-decay": (
         _fitted_decay(_perturbed_source),
@@ -1006,6 +1133,9 @@ _COMMANDS = {
             "band": (_as_band, (0.22, 0.28)),
         },
         "windowed decay of the perturbed flow's continuous part",
+        _limits(_time_grid, _stone_flow,
+                lambda c: _stone_entries("fields 't_min', 't_max', 'per_decade', 'observe_radius'",
+                                         _decay_times(c).size, c["observe_radius"])),
     ),
     "beam-decay": (
         _run_beam_decay,
@@ -1016,6 +1146,8 @@ _COMMANDS = {
             "band": (_as_band, (0.30, 0.37)),
         },
         "sup-norm decay of the free beam kernels (cos and sinc)",
+        # both beam kinds move at group speed 2 and share each ring
+        _limits(_time_grid, lambda c: _ring("field 't_max'", "beam_cos", c["t_max"])),
     ),
     "resolvent-check": (
         _run_resolvent_check,
@@ -1026,19 +1158,28 @@ _COMMANDS = {
             "tolerance": (_as_float(lo=0, lo_open=True), 1e-6),
         },
         "closed boundary kernels against direct window inversion",
+        _limits(lambda c: _supports_fit(c["potentials"], "the window oracle's site limit",
+                                        _ORACLE_SITE_BOUND, margin=0)),
     ),
     "expansion-check": (
         _run_expansion_check,
         {
             "threshold": (_as_choice(("zero", "sixteen", "both")), "both"),
-            "orders_zero": (_as_int_list(lo=-3), [0, 1, 2]),
-            "orders_sixteen": (_as_int_list(lo=-1), [0, 1]),
+            # On the default grid, edge distances 1e-3 to 1e-1, the lower-edge
+            # remainder norms stay normal floats through order 90 (order 91
+            # leaves 3.6e-310), and the upper edge's leading power
+            # mt^((N + 1)/2) at 1e-3 through order 204. Past them a remainder
+            # is underflow, and order 1e8 would build Taylor tables of 192 GiB
+            # (lower edge) and 20.9 GiB (upper edge).
+            "orders_zero": (_as_int_list(lo=-3, hi=90), [0, 1, 2]),
+            "orders_sixteen": (_as_int_list(lo=-1, hi=204), [0, 1]),
             "window_radius": (_as_int(lo=64, hi=512), 64),
             "s_margin": (_as_float(lo=0.1, hi=4.0), 0.5),
             "tol_zero": (_as_float(lo=0, lo_open=True), 0.15),
             "tol_sixteen": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "decay order of edge expansion remainders",
+        _limits(),
     ),
     "minv-probe": (
         _run_minv_probe,
@@ -1051,11 +1192,13 @@ _COMMANDS = {
             "bound_cap": (_as_float(lo=0, lo_open=True), 100.0),
         },
         "boundedness and leakage of the sandwich inverse at the edges",
+        _limits(),
     ),
     "regular-check": (
         _run_regular_check,
         {"potential": (_as_potential, {"delta": 0.5})},
         "threshold regularity report at both band edges",
+        _limits(),
     ),
     "eig-scan": (
         _run_eig_scan,
@@ -1064,6 +1207,9 @@ _COMMANDS = {
             "window_radii": (_as_int_list(lo=8, hi=_DENSE_WINDOW_BOUND, min_len=2), [128, 256, 384]),
         },
         "discrete spectrum and embedded-eigenvalue stability scan",
+        _limits(lambda c: _supports_fit([c["potential"]], "every window radius",
+                                        min(c["window_radii"]),
+                                        fields="fields 'potential', 'window_radii'")),
     ),
     "stone-vs-spectral": (
         _run_stone_vs_spectral,
@@ -1075,6 +1221,11 @@ _COMMANDS = {
             "tolerance": (_as_float(lo=0, lo_open=True), 1e-5),
         },
         "band quadrature kernels against dense spectral kernels",
+        _limits(lambda c: _supports_fit(c["potentials"], "the dense reference window set by "
+                                        "'times' and 'observe_radius'", _reference_window(c)),
+                _dense_reference,
+                lambda c: _stone_entries("fields 'times', 'observe_radius'", len(c["times"]),
+                                         c["observe_radius"])),
     ),
     "stationary-phase": (
         _run_stationary_phase,
@@ -1085,6 +1236,7 @@ _COMMANDS = {
             "certify": (_as_bool, True),
         },
         "stationary points, orders and decay prediction of the kernel phase",
+        _limits(),
     ),
     "strichartz": (
         _run_strichartz,
@@ -1096,6 +1248,9 @@ _COMMANDS = {
             "expect": (_as_choice(("bounded", "growth")), "bounded"),
         },
         "space-time norms of the free flow across horizons",
+        # every time node lies in (0, max(T_values)]
+        _limits(lambda c: _ring("field 'T_values'", "schrodinger_free_bilap",
+                                max(c["T_values"]), _STRICHARTZ_RADIUS)),
     ),
     "knapp": (
         _run_knapp,
@@ -1107,78 +1262,15 @@ _COMMANDS = {
             "rhs_tol": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "scaling exponents of the frequency-cap example",
+        _limits(_knapp_sum),
     ),
 }
-
-
-# resolvent-check's window oracle reaches past the potential, so its
-# memory grows with the support radius.
-_ORACLE_SITE_BOUND = 2**16
-
-
-def _window_rules(command, cfg):
-    """(fields, potential, window, needed, given) for each window a command sizes."""
-    if command == "resolvent-check":
-        for i, V in enumerate(cfg["potentials"]):
-            if V is not None:
-                yield (f"field 'potentials' entry {i}", V, "the window oracle's "
-                       "site limit", V.support_radius, _ORACLE_SITE_BOUND)
-    if command == "eig-scan":
-        V = cfg["potential"]
-        # build_hamiltonian keeps the stencil two sites clear of the support
-        yield ("fields 'potential', 'window_radii'", V, "every window radius",
-               V.support_radius + 2, min(cfg["window_radii"]))
-    if command == "stone-vs-spectral":
-        window = auto_window_radius(max(cfg["times"]), cfg["observe_radius"])
-        for i, V in enumerate(cfg["potentials"]):
-            if V is not None:
-                yield (f"field 'potentials' entry {i}", V, "the dense reference "
-                       "window set by 'times' and 'observe_radius'",
-                       V.support_radius + 2, window)
-
-
-# Largest FFT ring, in points, that a config may ask for. free_kernel_full
-# holds 16 bytes per ring point (its work array and the kernel, each over
-# half the ring), 268 MB at this bound, and a strichartz time node 40 bytes
-# per point, 671 MB. The free benchmark's largest ring has 2^21 points.
-_RING_POINT_BOUND = 2**24
-
-
-def _ring_rule(command, cfg):
-    """(field, kind, t, kmax) of the largest FFT ring a command builds, or None."""
-    if command == "free-decay":
-        return "field 't_max'", cfg["kind"], cfg["t_max"], 0
-    if command == "beam-decay":
-        # both beam kinds move at group speed 2 and share each ring
-        return "field 't_max'", "beam_cos", cfg["t_max"], 0
-    if command == "strichartz":
-        # every time node lies in (0, max(T_values)]
-        return ("field 'T_values'", "schrodinger_free_bilap", max(cfg["T_values"]),
-                _STRICHARTZ_RADIUS)
-    return None
-
-
-# Largest Stone flow integral, in points per time, that a config may ask for.
-# The integral runs over blocks of a fixed size, so the bound caps time, not
-# memory: about 3 s per time and budget pass at this bound, which
-# perturbed-decay reaches near t_max = 1e6 (8.7e5 at observe radius 32,
-# 6.7e5 at radius 1). Its default, t_max = 5e3, takes about 1e5 points.
-_FLOW_POINT_BOUND = 2**24
-
-
-def _flow_rule(command, cfg):
-    """(field, t, observe_radius) of the largest |t| a Stone series sizes its flow integral for, or None."""
-    if command == "perturbed-decay":
-        # the largest time of the grid is t_max
-        return "field 't_max'", cfg["t_max"], cfg["observe_radius"]
-    return None
 
 
 def _check_config(raw: dict, schema: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config for {command} must be a JSON object")
-    full = dict(schema)
-    full.update(_schema_common())
+    full = {**schema, "output_dir": (_as_str, None)}
     unknown = sorted(set(raw) - set(full))
     if unknown:
         raise ConfigError(
@@ -1187,65 +1279,14 @@ def _check_config(raw: dict, schema: dict, command: str) -> dict:
         )
     out = {}
     for key, (caster, default) in full.items():
-        if key in raw:
-            value = raw[key]
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required field {key!r} for {command!r}")
-        else:
-            value = default
-        if value is None and default is None:
-            out[key] = None
-            continue
+        value = raw.get(key, default)
         try:
-            out[key] = caster(value)
+            out[key] = None if value is None and default is None else caster(value)
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from exc
-    if "t_min" in out and not out["t_min"] < out["t_max"]:
-        raise ConfigError(
-            f"fields 't_min', 't_max': need t_min < t_max, got "
-            f"{out['t_min']} and {out['t_max']}"
-        )
-    if "per_decade" in out:
-        points = log_time_grid(out["t_min"], out["t_max"], out["per_decade"]).size
-        if points < FIT_MIN_POINTS:
-            raise ConfigError(
-                f"fields 't_min', 't_max', 'per_decade': the time grid has "
-                f"{points} points, the fit needs at least {FIT_MIN_POINTS}"
-            )
-    rule = _ring_rule(command, out)
-    if rule is not None:
-        field, kind, t, kmax = rule
-        try:
-            points = ring_size(t, kind, kmax)
-        except ValueError:  # past 2^63 points
-            points = None
-        if points is None or points > _RING_POINT_BOUND:
-            size = "more than 2^63" if points is None else f"{points}"
-            raise ConfigError(f"{field}: the FFT ring at t = {t:g} would hold {size} points, "
-                              f"above the bound of {_RING_POINT_BOUND} (2^24)")
-    rule = _flow_rule(command, out)
-    if rule is not None:
-        field, t, radius = rule
-        points = stone_flow_points(t, radius)
-        if not points <= _FLOW_POINT_BOUND:
-            raise ConfigError(f"{field}: the Stone flow integral at t = {t:g} would take "
-                              f"{points:.3g} points per time, above the bound of "
-                              f"{_FLOW_POINT_BOUND} (2^24)")
-    for fields, V, window, need, given in _window_rules(command, out):
-        if not given >= need:
-            raise ConfigError(f"{fields}: support radius {V.support_radius} needs "
-                              f"{window} >= {need}, got {given}")
-    if command == "stone-vs-spectral":
-        window = auto_window_radius(max(out["times"]), out["observe_radius"])
-        if window > _DENSE_WINDOW_BOUND:
-            raise ConfigError(f"fields 'times', 'observe_radius': the dense reference window "
-                              f"would have radius {window}, above the bound of {_DENSE_WINDOW_BOUND}")
-        # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
-        top = max([np.abs(V.values).max() for V in out["potentials"] if V is not None] + [0.0])
-        lost = max(out["times"]) * (16.0 + top) * 2.0**-52
-        if lost > out["tolerance"]:
-            raise ConfigError(f"fields 'potentials', 'times', 'tolerance': a state near |V| = "
-                              f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
+    refusal = next(_COMMANDS[command][3](out), None)
+    if refusal is not None:
+        raise ConfigError(refusal)
     return out
 
 
@@ -1265,7 +1306,7 @@ def _parser() -> argparse.ArgumentParser:
         description="lattice fourth-difference dispersion toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None, help="JSON parameter file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -1277,7 +1318,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
-    runner, schema, _ = _COMMANDS[args.command]
+    runner, schema, _, _ = _COMMANDS[args.command]
     try:
         raw = {}
         if args.config is not None:

@@ -32,6 +32,7 @@ __all__ = [
     "perturbed_decay_series",
     "strichartz_norm",
     "knapp_experiment",
+    "knapp_sites",
 ]
 
 # fewest points inside a fit window that fit_decay_exponent accepts
@@ -161,10 +162,12 @@ def perturbed_decay_series(
 
     Uses the band quadrature, so bound states never enter and the window
     may stay fixed while t grows. The whole series is one
-    stone_kernel_slice call: each budget pass builds one node set for the
-    largest time and every time shares it, so the series costs about as
-    much as its largest time alone. sup_sites holds the (n, m) of each
-    time's sup, the first maximiser in row-major order.
+    stone_kernel_slice call: each budget pass builds one node set, which
+    does not depend on t, and every time shares it with its kernel tables
+    and sandwich solves. Only the flow weights differ between times; their
+    integral is sized per group of times within a factor of two in |t|, at
+    about 16 |t| points per time and pass. sup_sites holds the (n, m) of
+    each time's sup, the first maximiser in row-major order.
     """
     times = np.asarray(times, dtype=float)
     slices = stone_kernel_slice(times, V, observe_radius)
@@ -238,6 +241,15 @@ def _mean_sin_power(p: float) -> float:
     return _gauss_integral(lambda u: np.sin(u) ** p, 0.0, np.pi, 16) / np.pi
 
 
+def knapp_sites(epsilon: float) -> float:
+    """Sites 1..n_top that knapp_experiment sums at cap width epsilon, n_top as a float.
+
+    n_top = ceil(400 pi / epsilon) holds two hundred periods of sin(eps n).
+    A float, so that any epsilon > 0 is sized without overflow.
+    """
+    return float(np.ceil(400.0 * np.pi / epsilon))
+
+
 def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
     """Scaling pair of the frequency-cap example at cap width epsilon.
 
@@ -276,7 +288,7 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
     # space factor: (sum_n |sin(eps n)/n|^{r'})^{1/r'}, tail by the mean of
     # |sin|^{r'} against the power integral; the sum runs in blocks of
     # _KNAPP_BLOCK sites, so memory stays flat as epsilon shrinks
-    n_top = int(np.ceil(400.0 * np.pi / epsilon))
+    n_top = int(knapp_sites(epsilon))
     total = 0.0
     for start in range(1, n_top + 1, _KNAPP_BLOCK):
         n = np.arange(start, min(start + _KNAPP_BLOCK, n_top + 1))

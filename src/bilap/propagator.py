@@ -35,7 +35,8 @@ different nodes agree to the requested tolerance, and reports the
 accepted budget, its node count and that half-budget error estimate. It
 takes one time or a series of them: each pass builds one node set,
 shares its kernel tables and sandwich solves among all times, sizes the
-flow integral for the largest |t|, and accepts each time on its own.
+flow integral per group of times within a factor of two in |t|, and
+accepts each time on its own.
 """
 
 from __future__ import annotations
@@ -972,8 +973,9 @@ def stone_kernel_slice(
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
     budget 16 and then at half the budget; each pass builds one node set,
-    the same for every t, with flow weights sized for the largest |t|, and
-    evaluates every time not yet accepted on it. A time's error estimate at
+    the same for every t, with flow weights integrated per group of times
+    within a factor of two in |t| (_flow_weights), and evaluates every time
+    not yet accepted on it. A time's error estimate at
     a pass is the largest entry difference from the pass before plus the
     rounding of an entry, (_ROUNDING_ULPS + 16 |t|) 2^-52. A time is
     accepted at the first pass that has more nodes than the one before and

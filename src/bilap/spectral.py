@@ -399,7 +399,16 @@ def _off_band_sandwich(E: float, sys: BirmanSchwingerSystem) -> np.ndarray:
 def _count_drops(a: float, b: float, sys: BirmanSchwingerSystem) -> List[float]:
     """Energies in [a, b], bisected to adjacent floats, where M's negative count falls."""
     def count(E):
-        return int(np.count_nonzero(np.linalg.eigvalsh(_off_band_sandwich(E, sys)) < 0.0))
+        try:
+            return int(np.count_nonzero(np.linalg.eigvalsh(_off_band_sandwich(E, sys)) < 0.0))
+        except np.linalg.LinAlgError as exc:
+            # eigvalsh fails where entries past the float range sit beside
+            # finite ones; a lone infinite entry, as delta 1e300 gives near
+            # the band, still has its sign
+            raise SingularSandwichError(
+                f"sandwich matrix numerically singular at energy {E:.6g}: "
+                "entries past the float range"
+            ) from exc
     found, stack = [], [(a, count(a), b, count(b))]
     while stack:
         a, na, b, nb = stack.pop()
@@ -444,7 +453,10 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
     even where x +- 1 rounds to x. Roots within 1e-12 are one energy. The
     kernel's amplitude falls like 1 / (2 |E|); where it is no longer a normal
     float at an outer bracket end (|V| near 2e307 and beyond), M would lose
-    the coupling it balances, so SingularSandwichError is raised there.
+    the coupling it balances, so SingularSandwichError is raised there. It
+    is raised too where M has entries past the float range whose negative
+    count eigvalsh cannot take, as a coupling of 1e300 beside ones of order
+    one gives near the band.
     """
     if V is None:
         return []

@@ -26,7 +26,7 @@ from bilap import cli
 
 
 def _run_default(command, tmp_path, overrides=None):
-    runner, schema, _ = cli._COMMANDS[command]
+    runner, schema = cli._COMMANDS[command][:2]
     cfg = cli._check_config(dict(overrides or {}), schema, command)
     started = time.monotonic()
     code, report, files = runner(cfg, np.random.default_rng(0))

@@ -112,22 +112,61 @@ def test_rings_past_the_bound_exit_two_before_allocating(tmp_path, capsys, comma
     assert not out.exists()
 
 
-def test_ring_bound_admits_defaults_and_benchmark_configs():
+def _admitted_configs(command):
+    """The default config and every config of the benchmark workloads, seeds 0-3."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    configs = [(c, {}) for c in ("free-decay", "beam-decay", "strichartz")]
-    configs += [(c, cfg) for c, cfg in workloads.commands("free", 2) if c in dict(configs)]
-    assert len(configs) == 7
-    for command, raw in configs:
-        cli._check_config(raw, cli._COMMANDS[command][1], command)
+    return [{}] + [cfg for workload in workloads.WORKLOADS for seed in range(4)
+                   for c, cfg in workloads.commands(workload, seed) if c == command]
+
+
+# (admitted, refused, field) at the edge of each bound of a command's limits:
+# the FFT ring's, then every other limit's
+_RING_EDGES = {
     # the bound falls between t = 7e5 and 9e5 for the fourth-difference ring
-    schema = cli._COMMANDS["free-decay"][1]
-    cli._check_config({"t_max": 7e5}, schema, "free-decay")
-    with pytest.raises(ConfigError, match="'t_max'"):
-        cli._check_config({"t_max": 9e5}, schema, "free-decay")
+    "free-decay": [({"t_max": 7e5}, {"t_max": 9e5}, "'t_max'")],
+}
+_LIMIT_EDGES = {
+    "perturbed-decay": [
+        # the flow bound falls between t = 8e5 and 9e5 at the default observe radius 32
+        ({"t_max": 8e5}, {"t_max": 9e5}, "'t_max'"),
+        # 15 and 16 times of 513^2 entries lie either side of 2^22
+        ({"observe_radius": 256, "per_decade": 8}, {"observe_radius": 256, "per_decade": 9},
+         "'observe_radius'"),
+    ],
+    "stone-vs-spectral": [
+        # 252 and 253 times of 129^2 entries lie either side of 2^22
+        ({"times": [1.0] * 252, "observe_radius": 64}, {"times": [1.0] * 253, "observe_radius": 64},
+         "'times'"),
+    ],
+    "expansion-check": [
+        ({"orders_zero": [90]}, {"orders_zero": [91]}, "'orders_zero'"),
+        ({"orders_sixteen": [204]}, {"orders_sixteen": [205]}, "'orders_sixteen'"),
+    ],
+    # ceil(400 pi / eps) sites either side of 2^27
+    "knapp": [({"epsilons": [0.1, 9.37e-6]}, {"epsilons": [0.1, 9.36e-6]}, "'epsilons'")],
+}
+
+
+def _assert_edges(command, edges):
+    schema = cli._COMMANDS[command][1]
+    configs = _admitted_configs(command)
+    # every command runs once per pass of one workload, free-decay twice
+    assert len(configs) == 1 + 4 * (2 if command == "free-decay" else 1)
+    for raw in configs:
+        cli._check_config(raw, schema, command)
+    for admitted, refused, field in edges.get(command, []):
+        cli._check_config(admitted, schema, command)
+        with pytest.raises(ConfigError, match=field):
+            cli._check_config(refused, schema, command)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_ring_bound_admits_defaults_and_benchmark_configs(command):
+    _assert_edges(command, _RING_EDGES)
 
 
 @pytest.mark.parametrize("t_max", [1e9, 1e300, 1.7e308])
@@ -147,21 +186,46 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_stone_flow_bound_admits_defaults_and_benchmark_configs():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    schema = cli._COMMANDS["perturbed-decay"][1]
-    configs = [{}] + [cfg for seed in range(4) for c, cfg in workloads.commands("perturbed", seed)]
-    assert len(configs) == 5
-    for raw in configs:
-        cli._check_config(raw, schema, "perturbed-decay")
-    # the bound falls between t = 8e5 and 9e5 at the default observe radius 32
-    cli._check_config({"t_max": 8e5}, schema, "perturbed-decay")
-    with pytest.raises(ConfigError, match="'t_max'"):
-        cli._check_config({"t_max": 9e5}, schema, "perturbed-decay")
+@pytest.mark.parametrize(
+    "command,payload,work,field",
+    [
+        # sums of ceil(400 pi / eps) sites: inf, 1.3e303 and 1.3e10
+        ("knapp", {"epsilons": [0.1, 5e-324]}, ["knapp_experiment"], "'epsilons'"),
+        ("knapp", {"epsilons": [0.1, 1e-300]}, ["knapp_experiment"], "'epsilons'"),
+        ("knapp", {"epsilons": [0.1, 1e-7]}, ["knapp_experiment"], "'epsilons'"),
+        # 19,393 times of 513^2 entries: one array of the series asked 38 GiB
+        ("perturbed-decay",
+         {"t_min": 1e-300, "t_max": 1e3, "per_decade": 64, "observe_radius": 256},
+         ["perturbed_decay_series"], "'observe_radius'"),
+        ("stone-vs-spectral", {"times": [1.0] * 253, "observe_radius": 64},
+         ["pac_split", "stone_kernel_slice"], "'times'"),
+        # Taylor tables of 192 GiB and 20.9 GiB
+        ("expansion-check", {"threshold": "zero", "orders_zero": [10**8]},
+         ["remainder_norms"], "'orders_zero'"),
+        ("expansion-check", {"orders_sixteen": [10**8]}, ["remainder_norms"], "'orders_sixteen'"),
+    ],
+)
+def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
+                                                payload, work, field):
+    # each limit reads the size from the config alone; the work it guards
+    # never starts
+    def not_run(*args, **kwargs):
+        raise AssertionError(f"{command} started its work")
+
+    for name in work:
+        monkeypatch.setattr(cli, name, not_run)
+    cfg = _write_config(tmp_path, "cfg", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "Traceback" not in err
+    assert field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_stone_flow_bound_admits_defaults_and_benchmark_configs(command):
+    _assert_edges(command, _LIMIT_EDGES)
 
 
 def test_parser_is_built_once_per_process_and_not_at_import(tmp_path, capsys):
@@ -342,7 +406,7 @@ def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeyp
 def test_stone_reference_window_is_capped_before_mkdir(tmp_path, capsys, monkeypatch, t):
     # t = 1e3 sets a reference window of radius 12489, a dense matrix of
     # 24,979 sites; the config is refused before any window is built, and
-    # before Stone, whose nodes grow with t
+    # before Stone runs
     for module, name in ((spectral, "eigensystem"), (cli, "pac_split"), (cli, "stone_kernel_slice")):
         monkeypatch.setattr(module, name, _no_window)
     cfg = _write_config(tmp_path, "cfg", {"times": [t]})
@@ -592,6 +656,8 @@ def test_cli_contract_holds_for_arbitrary_configs(config):
 # regular-check's potential above. Fields that scale cost are capped (t_max
 # and T_values <= 1e3, per_decade <= 8, epsilons >= 1e-3), and t_max and
 # per_decade are always present, since their defaults start longer runs.
+# Epsilons past knapp's site bound (5e-324, 1e-300, 1e-7) are mixed in; they
+# are refused before anything runs.
 _POWER = st.floats(1.0, 64.0)
 _TOL = st.floats(0.0, 1.0)
 _DECAY = {"t_max": st.floats(1e2, 1e3), "per_decade": st.integers(4, 8)}
@@ -625,7 +691,8 @@ _COSTLY_COMMAND_CONFIGS = (
     | st.tuples(
         st.just("knapp"),
         st.fixed_dictionaries({}, optional={
-            "epsilons": st.lists(st.floats(1e-3, 0.1), min_size=2, max_size=4),
+            "epsilons": st.lists(st.floats(1e-3, 0.1) | st.sampled_from([5e-324, 1e-300, 1e-7]),
+                                 min_size=2, max_size=4),
             "q": _POWER,
             "r": _POWER,
             "lhs_tol": _TOL,
@@ -650,6 +717,10 @@ def test_cli_contract_holds_for_costly_commands(command_config):
 # t_max <= 20, per_decade 8, observe_radius <= 4) and expansion orders
 # (<= 4 at zero, <= 3 at sixteen); window and time fields are always
 # present, since their defaults diagonalise larger matrices or run longer.
+# Values past each limit are mixed in, all refused before anything runs:
+# orders past the casters' bounds, and Stone series past 2^22 kernel entries
+# (perturbed-decay grids from t_min <= 1e-300 at 64 per decade, and 253
+# stone-vs-spectral times at observe_radius 64).
 _COUPLING = st.sampled_from([sign * mag for mag in (1e20, 1e150, 1e300) for sign in (1.0, -1.0)])
 _SMALL_POTENTIAL = st.fixed_dictionaries(
     {"delta": st.floats(-4.0, 4.0) | _COUPLING}, optional={"site": st.integers(-3, 3)}
@@ -683,8 +754,10 @@ _ANALYSIS_COMMAND_CONFIGS = (
             {"window_radius": st.integers(64, 80)},
             optional={
                 "threshold": st.sampled_from(["zero", "sixteen", "both"]),
-                "orders_zero": st.lists(st.integers(-3, 4), min_size=1, max_size=2),
-                "orders_sixteen": st.lists(st.integers(-1, 3), min_size=1, max_size=2),
+                "orders_zero": st.lists(st.integers(-3, 4), min_size=1, max_size=2)
+                | st.sampled_from([[91], [10**8]]),
+                "orders_sixteen": st.lists(st.integers(-1, 3), min_size=1, max_size=2)
+                | st.sampled_from([[205], [10**8]]),
                 "s_margin": st.floats(0.1, 4.0),
                 "tol_zero": _TOL,
                 "tol_sixteen": _TOL,
@@ -709,6 +782,9 @@ _ANALYSIS_COMMAND_CONFIGS = (
              "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2),
              "observe_radius": st.integers(1, 8)},
             optional={"n_pairs": st.integers(1, 5), "tolerance": _TOL},
+        )
+        | st.fixed_dictionaries(
+            {"times": st.floats(0.0, 5.0).map(lambda t: [t] * 253), "observe_radius": st.just(64)},
         ),
     )
     | st.tuples(
@@ -717,6 +793,10 @@ _ANALYSIS_COMMAND_CONFIGS = (
             {"t_min": st.floats(1.0, 2.0), "t_max": st.floats(15.0, 20.0),
              "per_decade": st.just(8), "observe_radius": st.integers(1, 4)},
             optional={"potential": _SMALL_POTENTIAL},
+        )
+        | st.fixed_dictionaries(
+            {"t_min": st.sampled_from([5e-324, 1e-300]), "t_max": st.floats(15.0, 20.0),
+             "per_decade": st.just(64), "observe_radius": st.integers(8, 256)},
         ),
     )
     | st.tuples(
@@ -731,7 +811,7 @@ _ANALYSIS_COMMAND_CONFIGS = (
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_config=_ANALYSIS_COMMAND_CONFIGS)
 def test_cli_contract_holds_for_analysis_commands(command_config):
     _assert_cli_contract(*command_config)

@@ -455,8 +455,9 @@ _SERIES = {
 
 @pytest.mark.parametrize("case", list(_SERIES))
 def test_stone_series_matches_per_time_slices(case):
-    # the series' nodes are sized for its largest time, so each of its
-    # slices sits within the per-time slice's own error estimate of it
+    # the series shares the per-time slices' nodes but sizes its flow
+    # integral per group of times within a factor of two in |t|, so each of
+    # its slices sits within the per-time slice's own error estimate of it
     V, times, r, phase = _SERIES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

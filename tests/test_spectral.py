@@ -426,10 +426,14 @@ def test_bound_state_of_coupling_near_float_range(coupling):
     assert len(pair) == 2 and all(abs(E / 1e300 - 1.0) <= 1e-15 for E, _ in pair)
 
 
-@pytest.mark.parametrize("values", [[1.7e308], [-1.7e308], [1.7e308, 1.7e308]])
+@pytest.mark.parametrize(
+    "values", [[1.7e308], [-1.7e308], [1.7e308, 1.7e308], [1.0, 1e300, 1.0]]
+)
 def test_bound_states_refuse_coupling_past_float_range(values):
     # the kernel's amplitude 1 / (2 |E|) at the outer bracket end is no
-    # longer a normal float there; before, -1.7e308 gave a state at -8.5e307
+    # longer a normal float there; before, -1.7e308 gave a state at -8.5e307.
+    # Near the band 1e300 beside couplings of order one puts infinite entries
+    # beside finite ones in M, which eigvalsh cannot diagonalise
     with pytest.raises(SingularSandwichError, match="past the float range"):
         bound_states(PotentialSpec((0, len(values) - 1), values))
 
