@@ -41,7 +41,7 @@ from .decay import (
     perturbed_decay_series,
     strichartz_norm,
 )
-from .expansion import geometric_grid, remainder_norms, remainder_order
+from .expansion import geometric_grid, remainder_norms, remainder_order, remainder_work
 from .lattice import LatticeVector, PotentialSpec
 from .propagator import (
     FREE_KINDS,
@@ -639,12 +639,14 @@ _EXPANSION_CLAIM = (
 )
 
 
+def _expansion_cases(cfg):
+    """expansion-check's (threshold, order) cases, in the order they run."""
+    return [(threshold, n) for threshold in ("zero", "sixteen")
+            if cfg["threshold"] in (threshold, "both") for n in cfg[f"orders_{threshold}"]]
+
+
 def _run_expansion_check(cfg, rng):
-    cases = []
-    if cfg["threshold"] in ("zero", "both"):
-        cases.extend(("zero", n) for n in cfg["orders_zero"])
-    if cfg["threshold"] in ("sixteen", "both"):
-        cases.extend(("sixteen", n) for n in cfg["orders_sixteen"])
+    cases = _expansion_cases(cfg)
     results = []
     curves = []
     files = []
@@ -1014,6 +1016,20 @@ _STONE_ENTRY_BOUND = 2**22
 # default's smallest epsilon, 0.0125, sums 100,531 sites.
 _KNAPP_SITE_BOUND = 2**27
 
+# Largest expansion-check run, in cases x grid points x (window_radius + 1)^3
+# (remainder_work): each grid point of a case takes one SVD of side
+# window_radius + 1. A unit took 0.5-0.7 ns at window radius 512 and up to
+# 2.3 ns at 64, where building the remainder outweighs the SVD. The bound
+# admits 3,251 cases at radius 64 and 6 at 512; on a 2-core host, 3,251
+# lower-edge cases of order 90 at radius 64 ran 58 s and 6 at radius 512
+# 12 s. The default's 5 cases at radius 64 make 3.8e7 units.
+_EXPANSION_WORK_BOUND = 25 * 10**9
+
+# Smallest ratio of knapp's largest epsilon to its smallest. The exponent
+# fits divide by the spread of log epsilon; epsilons 0.001 and its next float
+# up leave numpy's polyfit a rank-deficient system.
+_KNAPP_MIN_SPREAD = 1.000001
+
 # resolvent-check's window oracle reaches past the potential, so its
 # memory grows with the support radius.
 _ORACLE_SITE_BOUND = 2**16
@@ -1095,6 +1111,16 @@ def _dense_reference(cfg):
                f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
 
 
+def _expansion_work(cfg):
+    """expansion-check's cases times remainder_work at its window, within _EXPANSION_WORK_BOUND."""
+    cases = len(_expansion_cases(cfg))
+    work = cases * remainder_work(cfg["window_radius"])
+    if work > _EXPANSION_WORK_BOUND:
+        yield (f"fields 'threshold', 'orders_zero', 'orders_sixteen', 'window_radius': "
+               f"{cases} cases at window radius {cfg['window_radius']} would take {work:.4g} "
+               f"units of work, above the bound of {_EXPANSION_WORK_BOUND:.3g}")
+
+
 def _knapp_sum(cfg):
     """knapp's space sum at its smallest epsilon, by knapp_sites, within _KNAPP_SITE_BOUND."""
     eps = min(cfg["epsilons"])
@@ -1102,6 +1128,14 @@ def _knapp_sum(cfg):
     if sites > _KNAPP_SITE_BOUND:
         yield (f"field 'epsilons': the space sum at epsilon = {eps:g} would take "
                f"{sites:.3g} sites, above the bound of {_KNAPP_SITE_BOUND} (2^27)")
+
+
+def _knapp_spread(cfg):
+    """knapp's epsilons spread by a factor of at least _KNAPP_MIN_SPREAD, so each exponent fit has a slope."""
+    spread = max(cfg["epsilons"]) / min(cfg["epsilons"])
+    if not spread >= _KNAPP_MIN_SPREAD:
+        yield (f"field 'epsilons': the exponent fits need the largest epsilon at least "
+               f"{_KNAPP_MIN_SPREAD} times the smallest, got {spread!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1179,7 +1213,7 @@ _COMMANDS = {
             "tol_sixteen": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "decay order of edge expansion remainders",
-        _limits(),
+        _limits(_expansion_work),
     ),
     "minv-probe": (
         _run_minv_probe,
@@ -1262,7 +1296,7 @@ _COMMANDS = {
             "rhs_tol": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "scaling exponents of the frequency-cap example",
-        _limits(_knapp_sum),
+        _limits(_knapp_sum, _knapp_spread),
     ),
 }
 

@@ -22,6 +22,7 @@ __all__ = [
     "remainder_zero",
     "remainder_order",
     "remainder_norms",
+    "remainder_work",
     "geometric_grid",
 ]
 
@@ -30,6 +31,8 @@ _SQRT2 = float(np.sqrt(2.0))
 # 3 - 2 * _SQRT2 is off by seven units in the last place.
 _DECAY_RATIO = 0.1715728752538099
 _BASE_ORDER = {"zero": -3, "sixteen": -1}
+# remainder_norms' default distances to the band edge, geometric at ratio 2^(1/4)
+_DEFAULT_GRID = (1e-3, 1e-1)
 
 
 def geometric_grid(lo: float, hi: float, ratio: float = 2.0 ** 0.25) -> np.ndarray:
@@ -266,7 +269,7 @@ def remainder_norms(
     if window_radius < 64:
         raise ValueError("window_radius must be at least 64")
     if mu_grid is None:
-        mu_grid = geometric_grid(1e-3, 1e-1)
+        mu_grid = geometric_grid(*_DEFAULT_GRID)
     grid = np.asarray(mu_grid, dtype=float)
     ks = np.arange(2 * window_radius + 1)
     if threshold == "zero":
@@ -284,3 +287,13 @@ def remainder_norms(
     sep = np.abs(sites[:, None] - sites[None, :])
     norms = np.array([weighted_operator_norm(row[sep], s) for row in resid])
     return grid, norms
+
+
+def remainder_work(window_radius: int) -> int:
+    """Work of remainder_norms on its default grid: grid points times (window_radius + 1)^3.
+
+    Each grid point costs one SVD of a parity block of side window_radius
+    + 1 (see weighted_operator_norm), which outweighs building the
+    remainder from window radius 128 on.
+    """
+    return geometric_grid(*_DEFAULT_GRID).size * (window_radius + 1) ** 3

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .lattice import SPEED_BOUND, PotentialSpec
-from .quadrature import edges_from_budget, gauss_panels, gauss_rule
+from .quadrature import cost_variation, edges_from_budget, gauss_panels, gauss_rule
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BirmanSchwingerSystem,
@@ -633,7 +633,17 @@ def _halvings(far: float, turn: float, end: float) -> np.ndarray:
     return far * 0.5 ** np.arange(1, int(np.ceil(np.log2(far / max(turn / 16.0, end)))))
 
 
-def _resonance_cuts(edges: np.ndarray, sys: BirmanSchwingerSystem, budget: float) -> np.ndarray:
+def _resonance_phase(th_lo: float, th_hi: float, sys: BirmanSchwingerSystem):
+    """_RESONANCE_SCAN points of the bulk in theta and the phase of det M turned up to each."""
+    th = np.linspace(th_lo, th_hi, _RESONANCE_SCAN)
+    m = m_matrix_grid(2.0 * np.sin(-th / 2.0), sys, one_minus_q=np.cos(th / 2.0) ** 2)
+    with np.errstate(invalid="ignore"):
+        turns = np.abs(np.diff(np.unwrap(np.angle(np.linalg.slogdet(m)[0]))))
+    # a sandwich past the float range turns nowhere; the solves refuse it
+    return th, np.concatenate([[0.0], np.cumsum(np.nan_to_num(turns, nan=0.0))])
+
+
+def _resonance_cuts(edges: np.ndarray, resonance, budget: float) -> np.ndarray:
     """Bulk edges with the interior panels cut where the sandwich resonates.
 
     A zero of det M just off the band is a pole of M^-1 that the panel's
@@ -641,19 +651,14 @@ def _resonance_cuts(edges: np.ndarray, sys: BirmanSchwingerSystem, budget: float
     by about pi over a few times the pole's distance. Each interior panel
     is cut so that the phase advances by at most budget /
     _RESONANCE_WEIGHT per part, the cuts placed at equal steps of its
-    total variation, sampled on _RESONANCE_SCAN points of the bulk. The
-    first and last panels are left to the gradings at the band edges,
-    where det M turns at the crest and the knee. Only slices with both
-    edges regular are cut: at a non-regular edge det M has its zero on
+    total variation, read off resonance, the _resonance_phase scan of the
+    bulk. The first and last panels are left to the gradings at the band
+    edges, where det M turns at the crest and the knee. Only slices with
+    both edges regular are cut: at a non-regular edge det M has its zero on
     the band's end, where its phase turns without bound, and the band
     integral is truncated there anyway.
     """
-    th = np.linspace(edges[0], edges[-1], _RESONANCE_SCAN)
-    m = m_matrix_grid(2.0 * np.sin(-th / 2.0), sys, one_minus_q=np.cos(th / 2.0) ** 2)
-    with np.errstate(invalid="ignore"):
-        turns = np.abs(np.diff(np.unwrap(np.angle(np.linalg.slogdet(m)[0]))))
-    # a sandwich past the float range turns nowhere; the solves refuse it
-    turned = np.concatenate([[0.0], np.cumsum(np.nan_to_num(turns, nan=0.0))])
+    th, turned = resonance
     at = np.interp(edges, th, turned)
     cuts = [edges[:2]]
     for i in range(1, edges.size - 2):
@@ -666,7 +671,45 @@ def _resonance_cuts(edges: np.ndarray, sys: BirmanSchwingerSystem, budget: float
     return np.concatenate(cuts)
 
 
-def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[BirmanSchwingerSystem]):
+def _stone_reach(targets: np.ndarray, sys: Optional[BirmanSchwingerSystem]) -> int:
+    """Largest site separation of a Stone slice: between targets, or from a target to a support site."""
+    sites = targets if sys is None else np.concatenate([targets, sys.sites])
+    return int(np.abs(targets[:, None] - sites[None, :]).max())
+
+
+def _stone_scans(reach: float, regular: dict, sys: Optional[BirmanSchwingerSystem]):
+    """The scans of _stone_nodes that no budget enters, made once per slice.
+
+    The wave-cost variation of the bulk and of the strip (cost_variation),
+    and the _resonance_phase of the bulk; the strip's is None when the
+    upper edge is not regular, and the resonance's unless sys is given with
+    both edges regular. The bulk's scan points run from its first edge to
+    its last.
+    """
+
+    # sign does not move an edge: only the |variation| of each cost row counts
+    def cost(mu, phase):
+        return np.stack([reach * phase, reach * _band_rates(mu)[1]])
+
+    # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
+    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, _bulk_end(regular)]) / 2.0)
+    bulk = cost_variation(th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th))
+    strip = resonance = None
+    if regular["sixteen"]:
+        # upper strip, in w = sqrt(2 - mu)
+        def hi_cost(wv):
+            mu = 2.0 - wv * wv
+            return cost(mu, _band_rates(mu)[0])
+
+        strip = cost_variation(_INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost)
+    if sys is not None and all(regular.values()):
+        resonance = _resonance_phase(th_lo, th_hi, sys)
+    return bulk, strip, resonance
+
+
+def _stone_nodes(
+    reach: float, budget: float, regular: dict, sys: Optional[BirmanSchwingerSystem], scans=None
+):
     """Quadrature nodes, weights, stable 1 - mu^2/4 values and panels over (0, 2).
 
     Two pieces. The bulk is in the angle theta with mu = 2 sin(-theta/2),
@@ -694,25 +737,20 @@ def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[Birma
     det M turns. The weights are the Gauss weights times the Jacobian
     |dmu/dx|, so they sum to the length in mu that the pieces cover; panels
     lists (piece, edges) for each piece, whose nodes follow panel by panel.
+    scans is _stone_scans(reach, regular, sys), made here when omitted; a
+    ladder of budgets shares it.
     """
     # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every
     # separation. At the upper edge the kernel is i (-1)^k / (32 w) to leading
     # order in w = sqrt(1 - mu^2/4), so v K v has norm |V|_1 / (32 w) there
     norm = np.sum(sys.v**2) if sys is not None else 0.0
     knee, crest = (norm / np.sqrt(8.0)) ** (1.0 / 3.0), norm / 32.0
+    bulk, strip, resonance = scans if scans is not None else _stone_scans(reach, regular, sys)
 
-    # sign does not move an edge: only the |variation| of each cost row counts
-    def cost(mu, phase):
-        return np.stack([reach * phase, reach * _band_rates(mu)[1]])
-
-    # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
     lo = _bulk_end(regular)
-    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, lo]) / 2.0)
-    edges = edges_from_budget(
-        th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th), budget=budget, min_panels=8
-    )
-    if sys is not None and all(regular.values()):
-        edges = _resonance_cuts(edges, sys, budget)
+    edges = edges_from_budget(bulk[0][0], bulk[0][-1], bulk, budget=budget, min_panels=8)
+    if resonance is not None:
+        edges = _resonance_cuts(edges, resonance, budget)
     # the last panel graded in mu toward the knee, the first in w toward the crest
     low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, lo) / 2.0)
     top = np.cos(edges[:2] / 2.0)
@@ -720,14 +758,9 @@ def _stone_nodes(reach: float, budget: float, regular: dict, sys: Optional[Birma
     edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
     panels = [("bulk", edges)]
 
-    if regular["sixteen"]:
-        # upper strip, in w = sqrt(2 - mu)
-        def hi_cost(wv):
-            mu = 2.0 - wv * wv
-            return cost(mu, _band_rates(mu)[0])
-
+    if strip is not None:
         edges = edges_from_budget(
-            _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost, budget=budget, min_panels=4
+            _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), strip, budget=budget, min_panels=4
         )
         graded = _halvings(edges[1], crest, _INNER_CUTOFF)[::-1]
         panels.append(("strip", np.concatenate([edges[:1], graded, edges[1:]])))
@@ -885,11 +918,13 @@ def _stone_assemble(
     phase: str,
     regular: dict,
     budget: float,
+    scans=None,
 ):
     """Band-quadrature kernels at all target pairs, shape (len(times), S, S), and node count.
 
     sys is the decomposed potential (None for the free flow) and regular
-    the edge verdicts that _stone_nodes reads. One node set serves every
+    the edge verdicts that _stone_nodes reads, with scans, if given, its
+    _stone_scans at _stone_reach(targets, sys) + 2. One node set serves every
     time, and it does not depend on t: the flow enters through the
     product-integration weights of _flow_weights. At each node the weight
     of time t is that flow weight times mu^3 and the Jacobian Gauss weight:
@@ -905,16 +940,15 @@ def _stone_assemble(
     count = times.size
     sep_free = np.abs(targets[:, None] - targets[None, :])
     free_reach = int(sep_free.max())
-    reach = free_reach
+    reach = _stone_reach(targets, sys)
     if sys is not None:
         dist, cls = np.unique(
             np.abs(targets[:, None] - sys.sites[None, :]), axis=0, return_inverse=True
         )
         cls, classes = cls.ravel(), len(dist)
-        reach = max(reach, int(dist.max()))
         corr = np.zeros((2 * count * classes, classes), dtype=complex)
 
-    mu, wts, omq, panels = _stone_nodes(reach + 2.0, budget, regular, sys)
+    mu, wts, omq, panels = _stone_nodes(reach + 2.0, budget, regular, sys, scans)
     flows = _flow_weights(times, phase, mu, panels)
     # one kernel evaluation per node and separation 0..reach; the free part
     # and the correction term both read from it
@@ -973,7 +1007,8 @@ def stone_kernel_slice(
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
     budget 16 and then at half the budget; each pass builds one node set,
-    the same for every t, with flow weights integrated per group of times
+    the same for every t, placed on scans of the wave costs and of det M
+    that are made once per call (_stone_scans), with flow weights integrated per group of times
     within a factor of two in |t| (_flow_weights), and evaluates every time
     not yet accepted on it. A time's error estimate at
     a pass is the largest entry difference from the pass before plus the
@@ -1017,13 +1052,16 @@ def stone_kernel_slice(
                 f"mu^4 = {low**4:.6g}: entries past the float range"
             )
     targets = np.arange(-observe_radius, observe_radius + 1)
+    scans = _stone_scans(_stone_reach(targets, sys) + 2.0, regular, sys)
     slices = [None] * series.size
     pending = np.arange(series.size)
     budget = _BUDGET_START
-    coarse, coarse_nodes = _stone_assemble(series, sys, targets, phase, regular, budget)
+    coarse, coarse_nodes = _stone_assemble(series, sys, targets, phase, regular, budget, scans=scans)
     while pending.size:
         budget /= 2.0
-        fine, nodes = _stone_assemble(series[pending], sys, targets, phase, regular, budget)
+        fine, nodes = _stone_assemble(
+            series[pending], sys, targets, phase, regular, budget, scans=scans
+        )
         floor = (_ROUNDING_ULPS + 16.0 * np.abs(series[pending])) * 2.0**-52
         errs = np.abs(fine - coarse).max(axis=(1, 2)) + floor
         done = (errs <= tol) & (nodes > coarse_nodes) | (budget <= _BUDGET_FLOOR)

@@ -26,6 +26,7 @@ __all__ = [
     "stationary_points",
     "decay_order_prediction",
     "oscillatory_integral",
+    "cost_variation",
     "edges_from_budget",
     "gauss_panels",
     "gauss_rule",
@@ -33,7 +34,7 @@ __all__ = [
 
 _DERIVATIVE_FLOOR = 1e-8
 _ROOT_RESIDUAL = 1e-10
-# Grid points on which edges_from_budget accumulates the cost variation.
+# Grid points on which cost_variation accumulates the cost variation.
 _EDGE_SCAN = 8193
 
 
@@ -183,26 +184,28 @@ def decay_order_prediction(spec: PhaseSpec) -> Fraction:
     return Fraction(1, k)
 
 
-def edges_from_budget(
-    lo: float,
-    hi: float,
-    cost: Callable[[np.ndarray], np.ndarray],
-    budget: float = 0.5,
-    min_panels: int = 1,
-) -> np.ndarray:
-    """Panel edges on [lo, hi] with bounded cost variation per panel.
+def cost_variation(lo: float, hi: float, cost: Callable[[np.ndarray], np.ndarray]):
+    """Scan points on [lo, hi] and the summed absolute variation of cost up to each.
 
     cost maps an x grid to one cost function, or to a stack of them with
     shape (k, len(x)); the absolute variations of the stacked components
-    are accumulated separately (no cancellation between components) and
-    their sum across each returned panel is at most budget, up to the scan
-    resolution. The total panel count is at least min_panels.
+    are accumulated separately (no cancellation between components).
     """
     xs = np.linspace(lo, hi, _EDGE_SCAN)
     ys = np.atleast_2d(np.asarray(cost(xs)))
-    cum = np.concatenate(
-        [[0.0], np.cumsum(np.sum(np.abs(np.diff(ys, axis=-1)), axis=0))]
-    )
+    return xs, np.concatenate([[0.0], np.cumsum(np.sum(np.abs(np.diff(ys, axis=-1)), axis=0))])
+
+
+def edges_from_budget(lo: float, hi: float, cost, budget: float = 0.5, min_panels: int = 1) -> np.ndarray:
+    """Panel edges on [lo, hi] with bounded cost variation per panel.
+
+    cost is a cost function as cost_variation takes it, or its scan
+    cost_variation(lo, hi, cost), which a caller placing panels at several
+    budgets computes once. The variation across each returned panel is at
+    most budget, up to the scan resolution. The total panel count is at
+    least min_panels.
+    """
+    xs, cum = cost_variation(lo, hi, cost) if callable(cost) else cost
     total = cum[-1]
     panels = max(int(np.ceil(total / budget)), min_panels)
     if total == 0.0:

@@ -427,7 +427,12 @@ def _bound_wave(E, sites, x, n):
 
 
 def _bound_vectors(E: float, k: int, sys: BirmanSchwingerSystem) -> np.ndarray:
-    """x = v w, w null vectors of M(E), with the psi = R0(E) x orthonormal in l2."""
+    """x = v w, w null vectors of M(E), with the psi = R0(E) x orthonormal in l2.
+
+    eigh resolves w to about 2^-52 of its norm, so a coupling of 1e300 beside
+    one of order one can leave x off by 1e134; SingularSandwichError is
+    raised where psi's l2 norm then leaves the float range.
+    """
     ev, vecs = np.linalg.eigh(_off_band_sandwich(E, sys))
     x = sys.v[:, None] * vecs[:, np.argsort(np.abs(ev))[:k]]
     lo, hi = sys.sites[0], sys.sites[-1]
@@ -435,10 +440,15 @@ def _bound_vectors(E: float, k: int, sys: BirmanSchwingerSystem) -> np.ndarray:
     amps, rates = _off_band_waves(E)
     series = 1.0 / np.expm1(-(rates[:, None] + rates[None, :]))
     # past the support's hull psi is the kernel's two waves: geometric series
-    gram = inner.T @ inner
-    for reach in (hi - sys.sites, sys.sites - lo):
-        tail = amps[:, None] * np.exp(np.outer(rates, reach)) @ x
-        gram += (tail.T @ series @ tail).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = inner.T @ inner
+        for reach in (hi - sys.sites, sys.sites - lo):
+            tail = amps[:, None] * np.exp(np.outer(rates, reach)) @ x
+            gram += (tail.T @ series @ tail).real
+    if not np.isfinite(gram).all():
+        raise SingularSandwichError(
+            f"bound state at energy {E:.6g}: its l2 norm is past the float range"
+        )
     return x @ np.linalg.inv(np.linalg.cholesky(gram)).T
 
 
@@ -456,7 +466,8 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
     the coupling it balances, so SingularSandwichError is raised there. It
     is raised too where M has entries past the float range whose negative
     count eigvalsh cannot take, as a coupling of 1e300 beside ones of order
-    one gives near the band.
+    one gives near the band, and where a state's l2 norm leaves the float
+    range (_bound_vectors).
     """
     if V is None:
         return []

@@ -10,6 +10,7 @@ from bilap.expansion import (
     geometric_grid,
     remainder_norms,
     remainder_order,
+    remainder_work,
     remainder_zero,
 )
 from bilap.resolvent import boundary_kernel_plus
@@ -265,3 +266,9 @@ def test_geometric_grid_properties():
     np.testing.assert_allclose(g[1:] / g[:-1], g[1] / g[0], rtol=1e-12)
     with pytest.raises(ValueError):
         geometric_grid(1e-1, 1e-3)
+
+
+def test_remainder_work_counts_the_grid_remainder_norms_samples():
+    # one SVD of side window_radius + 1 per grid point of remainder_norms
+    grid, _ = remainder_norms("sixteen", 0, 3.0)
+    assert remainder_work(64) == grid.size * 65**3 == 28 * 65**3

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from bilap import expansion
 from bilap.lattice import (
     SPEED_BOUND,
     LatticeVector,
     PotentialSpec,
     _neg_laplacian_matrix,
+    _parity_blocks,
     build_hamiltonian,
     site_weights,
     weighted_operator_norm,
@@ -177,11 +179,57 @@ def test_parity_split_norm_matches_full_svd(monkeypatch):
     assert shapes == [(5, 5)]
 
 
+def _record_svd_shapes(monkeypatch):
+    shapes = []
+    full_svd = np.linalg.svd
+
+    def svd(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return full_svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return shapes
+
+
 def test_symmetric_weighted_norm_never_decomposes_the_full_window(monkeypatch):
-    # the remainder kernels of expansion-check: Toeplitz on [-64, 64]
+    # the remainder kernels of expansion-check: Toeplitz on [-64, 64]; the
+    # weaker block's Frobenius norm is below the stronger block's norm, so
+    # only the stronger block is decomposed
     sites = np.arange(-64, 65)
     row = np.random.default_rng(5).normal(size=129) * (1 + 0.5j)
     K = row[np.abs(sites[:, None] - sites[None, :])]
-    shapes = _record_norm_shapes(monkeypatch)
+    shapes = _record_svd_shapes(monkeypatch)
     weighted_operator_norm(K, 5.0)
-    assert sorted(shapes) == [(64, 64), (65, 65)]
+    assert len(shapes) == 1 and shapes[0] in [(64, 64), (65, 65)]
+
+
+def test_symmetric_weighted_norm_decomposes_a_block_its_frobenius_norm_cannot_rule_out(
+    monkeypatch,
+):
+    # at s = 0 the identity's blocks are identities of sides 17 and 16: each
+    # has norm 1 and Frobenius norm about 4, so both are decomposed
+    full = float(np.linalg.svd(np.eye(33), compute_uv=False)[0])
+    shapes = _record_svd_shapes(monkeypatch)
+    assert weighted_operator_norm(np.eye(33), 0.0) == pytest.approx(full, rel=1e-15)
+    assert sorted(shapes) == [(16, 16), (17, 17)]
+
+
+def test_default_remainder_norms_are_the_larger_block_norm(monkeypatch):
+    # each of expansion-check's 140 default remainder matrices gets the same
+    # float as decomposing both parity blocks
+    matrices, norm = [], expansion.weighted_operator_norm
+
+    def recorded(K, s):
+        matrices.append((K, s))
+        return norm(K, s)
+
+    monkeypatch.setattr(expansion, "weighted_operator_norm", recorded)
+    for threshold, orders, base in (("zero", (0, 1, 2), 4), ("sixteen", (0, 1), 2)):
+        for n in orders:
+            expansion.remainder_norms(threshold, n, n + base + 1.0)
+    assert len(matrices) == 140
+    for K, s in matrices:
+        radius = K.shape[0] // 2
+        blocks = _parity_blocks(K, site_weights(radius, -s)[radius:])
+        want = max(np.linalg.svd(block, compute_uv=False)[0] for block in blocks)
+        assert weighted_operator_norm(K, s) == want

@@ -480,13 +480,18 @@ def test_stone_series_estimates_bound_floor_error(case):
 
 
 def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
-    calls = {"nodes": 0, "edges": [], "passes": []}
+    calls = {"nodes": 0, "scans": 0, "edges": [], "passes": []}
     stone_nodes, check = propagator._stone_nodes, propagator.regular_point_check
-    assemble = propagator._stone_assemble
+    assemble, variation = propagator._stone_assemble, propagator.cost_variation
 
     def nodes(*args):
         calls["nodes"] += 1
         return stone_nodes(*args)
+
+    def scan(*args):
+        # the wave-cost scans of the bulk and the strip, made once per call
+        calls["scans"] += 1
+        return variation(*args)
 
     def edge(sys_, threshold):
         calls["edges"].append(threshold)
@@ -497,11 +502,12 @@ def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
         return assemble(times, *args, **kwargs)
 
     monkeypatch.setattr(propagator, "_stone_nodes", nodes)
+    monkeypatch.setattr(propagator, "cost_variation", scan)
     monkeypatch.setattr(propagator, "regular_point_check", edge)
     monkeypatch.setattr(propagator, "_stone_assemble", passes)
     series = stone_kernel_slice(np.geomspace(50.0, 100.0, 8), DELTA_HALF, 16)
     assert calls["passes"] == [(16.0, 8), (8.0, 8)]
-    assert calls["nodes"] == 2
+    assert calls["nodes"] == 2 and calls["scans"] == 2
     assert calls["edges"] == ["zero", "sixteen"]
     assert len({sl.nodes for sl in series}) == 1
 

@@ -437,6 +437,14 @@ def test_bound_states_refuse_coupling_past_float_range(values):
     with pytest.raises(SingularSandwichError, match="past the float range"):
         bound_states(PotentialSpec((0, len(values) - 1), values))
 
+
+def test_bound_states_refuse_a_state_whose_norm_leaves_the_float_range():
+    # the shallow state of -2^-9 beside 1e300: eigh leaves the null vector's
+    # component on the strong site at about 2^-52, which 1e150 = sqrt(1e300)
+    # lifts to a norm past the float range
+    with pytest.raises(SingularSandwichError, match="l2 norm is past the float range"):
+        bound_states(PotentialSpec((0, 1), [1e300, -0.001953125]))
+
 def test_embedded_scan_clean_for_delta():
     rep = embedded_eig_scan(PotentialSpec.delta(1.0), (128, 256))
     assert rep.verdict == "no embedded eigenvalues detected"
