@@ -1131,7 +1131,7 @@ def _knapp_sum(cfg):
 
 
 def _knapp_spread(cfg):
-    """knapp's epsilons spread by a factor of at least _KNAPP_MIN_SPREAD, so each exponent fit has a slope."""
+    """knapp's epsilons spread by at least _KNAPP_MIN_SPREAD, so each exponent fit has a slope."""
     spread = max(cfg["epsilons"]) / min(cfg["epsilons"])
     if not spread >= _KNAPP_MIN_SPREAD:
         yield (f"field 'epsilons': the exponent fits need the largest epsilon at least "

@@ -672,7 +672,7 @@ def _resonance_cuts(edges: np.ndarray, resonance, budget: float) -> np.ndarray:
 
 
 def _stone_reach(targets: np.ndarray, sys: Optional[BirmanSchwingerSystem]) -> int:
-    """Largest site separation of a Stone slice: between targets, or from a target to a support site."""
+    """Largest separation of a Stone slice: between targets, or from a target to a support site."""
     sites = targets if sys is None else np.concatenate([targets, sys.sites])
     return int(np.abs(targets[:, None] - sites[None, :]).max())
 
@@ -1007,10 +1007,10 @@ def stone_kernel_slice(
     range at the bulk's lower end, where it is largest, is refused with
     SingularSandwichError before any pass runs. The quadrature runs at
     budget 16 and then at half the budget; each pass builds one node set,
-    the same for every t, placed on scans of the wave costs and of det M
-    that are made once per call (_stone_scans), with flow weights integrated per group of times
-    within a factor of two in |t| (_flow_weights), and evaluates every time
-    not yet accepted on it. A time's error estimate at
+    the same for every t, on the scans of the wave costs and of det M that
+    are made once per call (_stone_scans), with flow weights integrated
+    per group of times within a factor of two in |t| (_flow_weights), and
+    evaluates every time not yet accepted on it. A time's error estimate at
     a pass is the largest entry difference from the pass before plus the
     rounding of an entry, (_ROUNDING_ULPS + 16 |t|) 2^-52. A time is
     accepted at the first pass that has more nodes than the one before and
@@ -1056,7 +1056,9 @@ def stone_kernel_slice(
     slices = [None] * series.size
     pending = np.arange(series.size)
     budget = _BUDGET_START
-    coarse, coarse_nodes = _stone_assemble(series, sys, targets, phase, regular, budget, scans=scans)
+    coarse, coarse_nodes = _stone_assemble(
+        series, sys, targets, phase, regular, budget, scans=scans
+    )
     while pending.size:
         budget /= 2.0
         fine, nodes = _stone_assemble(

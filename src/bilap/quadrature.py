@@ -196,7 +196,9 @@ def cost_variation(lo: float, hi: float, cost: Callable[[np.ndarray], np.ndarray
     return xs, np.concatenate([[0.0], np.cumsum(np.sum(np.abs(np.diff(ys, axis=-1)), axis=0))])
 
 
-def edges_from_budget(lo: float, hi: float, cost, budget: float = 0.5, min_panels: int = 1) -> np.ndarray:
+def edges_from_budget(
+    lo: float, hi: float, cost, budget: float = 0.5, min_panels: int = 1
+) -> np.ndarray:
     """Panel edges on [lo, hi] with bounded cost variation per panel.
 
     cost is a cost function as cost_variation takes it, or its scan

@@ -429,9 +429,9 @@ def _bound_wave(E, sites, x, n):
 def _bound_vectors(E: float, k: int, sys: BirmanSchwingerSystem) -> np.ndarray:
     """x = v w, w null vectors of M(E), with the psi = R0(E) x orthonormal in l2.
 
-    eigh resolves w to about 2^-52 of its norm, so a coupling of 1e300 beside
-    one of order one can leave x off by 1e134; SingularSandwichError is
-    raised where psi's l2 norm then leaves the float range.
+    SingularSandwichError is raised where psi's l2 norm leaves the float
+    range, as at the drop the count finds at E = -2.5e-12 for V = [1e300,
+    -2^-9], next to the band, where v K v leaves the float range too.
     """
     ev, vecs = np.linalg.eigh(_off_band_sandwich(E, sys))
     x = sys.v[:, None] * vecs[:, np.argsort(np.abs(ev))[:k]]

@@ -439,9 +439,9 @@ def test_bound_states_refuse_coupling_past_float_range(values):
 
 
 def test_bound_states_refuse_a_state_whose_norm_leaves_the_float_range():
-    # the shallow state of -2^-9 beside 1e300: eigh leaves the null vector's
-    # component on the strong site at about 2^-52, which 1e150 = sqrt(1e300)
-    # lifts to a norm past the float range
+    # beside 1e300 the count finds a drop at E = -2.5e-12, next to the band,
+    # where the state's l2 norm is past the float range; before, eig-scan
+    # overflowed there
     with pytest.raises(SingularSandwichError, match="l2 norm is past the float range"):
         bound_states(PotentialSpec((0, 1), [1e300, -0.001953125]))
 
