@@ -40,12 +40,14 @@ from .decay import (
     log_time_grid,
     perturbed_decay_series,
     strichartz_norm,
+    strichartz_points,
 )
 from .expansion import geometric_grid, remainder_norms, remainder_order, remainder_work
 from .lattice import LatticeVector, PotentialSpec
 from .propagator import (
     FREE_KINDS,
     auto_window_radius,
+    chebyshev_degree,
     fft_workers,
     pac_split,
     ring_size,
@@ -84,8 +86,7 @@ _MINV_DEFAULT = {"support": [-1, 2], "values": [0.8, -0.5, 0.0, 0.3]}
 _ORACLE_MU_RANGE = (0.022887383315913713, 1.9999672580683818)
 
 # Largest dense window radius a config may ask for: 8193 sites, a matrix of
-# 537 MB for eigh. eig-scan caps its window_radii by it, stone-vs-spectral
-# the reference window its times and observe_radius set.
+# 537 MB for eigh. eig-scan caps its window_radii by it.
 _DENSE_WINDOW_BOUND = 4096
 
 
@@ -799,7 +800,7 @@ def _run_eig_scan(cfg, rng):
 
 
 def _reference_window(cfg):
-    """Radius of stone-vs-spectral's dense reference window, set by its times and observe radius."""
+    """Radius of stone-vs-spectral's reference window, set by its times and observe radius."""
     return auto_window_radius(max(cfg["times"]), cfg["observe_radius"])
 
 
@@ -842,7 +843,8 @@ def _run_stone_vs_spectral(cfg, rng):
         "band_pass": ok,
         "paper_claim": (
             "the band quadrature of the resolvent jump reproduces the "
-            "continuous part of the flow computed by dense diagonalisation"
+            "continuous part of the flow computed by a Chebyshev expansion on a "
+            "window truncation"
         ),
     }
     files = [("kernels.csv", write_csv, ["t", "n", "m", "re", "im", "method"], rows),
@@ -1034,6 +1036,32 @@ _KNAPP_MIN_SPREAD = 1.000001
 # memory grows with the support radius.
 _ORACLE_SITE_BOUND = 2**16
 
+# Largest stone-vs-spectral reference, in units of Chebyshev work. A kernel
+# of kernel_spectral counts chebyshev_degree x light-cone rows x columns,
+# the rows reaching the degree's count of sites past the observed ones each
+# way within the window, and at least _STEP_UNITS per degree: a step of the
+# recurrence takes 13-15 us however few its rows. A unit took 1.9-2.8 ns at
+# observe radius 2 to 32 and 3.5-8.2 ns at radius 64, where the Gram
+# products dominate (2-core host), so the bound is 4-18 s: t = 1e3 at
+# observe radius 2 makes 7.2e8 units and ran 1.4 s. Each potential adds
+# _SERIES_UNITS for its Stone series and bound-state search (6-12 ms
+# measured), so the bound admits 512 potentials.
+_REFERENCE_WORK_BOUND = 2**31
+_STEP_UNITS = 2**12
+_SERIES_UNITS = 2**22
+
+# Largest strichartz run, in FFT ring points over every time node of every
+# horizon (strichartz_points). A point took 75-80 ns on rings of 2^17 and
+# more, and up to 200 ns on the smallest (2-core host), so the bound is
+# 10-27 s; the default's T = 1e2, 1e3 make 9.5e5 points, and T = 1e5 alone
+# 7.3e7.
+_STRICHARTZ_POINT_BOUND = 2**27
+
+# Largest stationary-phase run, in root searches: the run searches each s
+# twice (its roots and its decay prediction), at 0.02-0.04 ms a search
+# (2-core host).
+_PHASE_SEARCH_BOUND = 2**17
+
 
 def _limits(*checks):
     """A command's limits(cfg): each check(cfg)'s messages in turn, run lazily.
@@ -1097,18 +1125,48 @@ def _supports_fit(potentials, window, given, margin=2, fields="field 'potentials
                    f"{window} >= {V.support_radius + margin}, got {given}")
 
 
-def _dense_reference(cfg):
-    """stone-vs-spectral's dense reference: its window radius, and its bound states' phases t E."""
-    window = _reference_window(cfg)
-    if window > _DENSE_WINDOW_BOUND:
-        yield (f"fields 'times', 'observe_radius': the dense reference window "
-               f"would have radius {window}, above the bound of {_DENSE_WINDOW_BOUND}")
+def _reference_work(cfg):
+    """stone-vs-spectral's Chebyshev reference and Stone series, within _REFERENCE_WORK_BOUND units."""
+    window, cols = _reference_window(cfg), 2 * cfg["observe_radius"] + 1
+    work = 0.0
+    for V in cfg["potentials"]:
+        work += _SERIES_UNITS
+        for t in cfg["times"]:
+            degree = chebyshev_degree("schrodinger_h", V, t)
+            work += degree * max(min(2 * window + 1, cols + 2 * degree) * cols, _STEP_UNITS)
+    if not work <= _REFERENCE_WORK_BOUND:
+        yield (f"fields 'potentials', 'times', 'observe_radius': the Chebyshev reference "
+               f"would take {work:.4g} units of work, above the bound of "
+               f"{_REFERENCE_WORK_BOUND} (2^31)")
+
+
+def _bound_state_phases(cfg):
+    """stone-vs-spectral's bound states: their phases t E within its tolerance of rounding."""
     # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
     top = max([np.abs(V.values).max() for V in cfg["potentials"] if V is not None] + [0.0])
     lost = max(cfg["times"]) * (16.0 + top) * 2.0**-52
     if lost > cfg["tolerance"]:
         yield (f"fields 'potentials', 'times', 'tolerance': a state near |V| = "
                f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
+
+
+def _strichartz_work(cfg):
+    """strichartz's ring points over all its horizons, by strichartz_points, within _STRICHARTZ_POINT_BOUND."""
+    points = 0
+    for T in cfg["T_values"]:
+        points += strichartz_points(T, _STRICHARTZ_RADIUS)
+        if points > _STRICHARTZ_POINT_BOUND:
+            yield (f"field 'T_values': the space-time norms would transform more than "
+                   f"{_STRICHARTZ_POINT_BOUND} (2^27) ring points")
+            return
+
+
+def _phase_searches(cfg):
+    """stationary-phase's root searches, two per s, within _PHASE_SEARCH_BOUND."""
+    searches = 2 * len(cfg["s_values"])
+    if searches > _PHASE_SEARCH_BOUND:
+        yield (f"field 's_values': {len(cfg['s_values'])} values would take {searches} root "
+               f"searches, above the bound of {_PHASE_SEARCH_BOUND} (2^17)")
 
 
 def _expansion_work(cfg):
@@ -1254,10 +1312,10 @@ _COMMANDS = {
             "observe_radius": (_as_int(lo=1, hi=64), 10),
             "tolerance": (_as_float(lo=0, lo_open=True), 1e-5),
         },
-        "band quadrature kernels against dense spectral kernels",
-        _limits(lambda c: _supports_fit(c["potentials"], "the dense reference window set by "
+        "band quadrature kernels against Chebyshev window kernels",
+        _limits(lambda c: _supports_fit(c["potentials"], "the reference window set by "
                                         "'times' and 'observe_radius'", _reference_window(c)),
-                _dense_reference,
+                _reference_work, _bound_state_phases,
                 lambda c: _stone_entries("fields 'times', 'observe_radius'", len(c["times"]),
                                          c["observe_radius"])),
     ),
@@ -1270,7 +1328,7 @@ _COMMANDS = {
             "certify": (_as_bool, True),
         },
         "stationary points, orders and decay prediction of the kernel phase",
-        _limits(),
+        _limits(_phase_searches),
     ),
     "strichartz": (
         _run_strichartz,
@@ -1284,7 +1342,8 @@ _COMMANDS = {
         "space-time norms of the free flow across horizons",
         # every time node lies in (0, max(T_values)]
         _limits(lambda c: _ring("field 'T_values'", "schrodinger_free_bilap",
-                                max(c["T_values"]), _STRICHARTZ_RADIUS)),
+                                max(c["T_values"]), _STRICHARTZ_RADIUS),
+                _strichartz_work),
     ),
     "knapp": (
         _run_knapp,

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .lattice import LatticeVector
-from .propagator import KINDS, free_kernel_full, ring_weight, stone_kernel_slice
+from .propagator import KINDS, free_kernel_full, ring_size, ring_weight, stone_kernel_slice
 from .quadrature import gauss_panels
 from .resolvent import _band_rates
 
@@ -31,6 +31,7 @@ __all__ = [
     "free_decay_series",
     "perturbed_decay_series",
     "strichartz_norm",
+    "strichartz_points",
     "knapp_experiment",
     "knapp_sites",
 ]
@@ -200,6 +201,15 @@ def _time_quadrature(T: float):
     # sorted already; only a subnormal T repeats an edge
     edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
     return gauss_panels(edges, order)
+
+
+def strichartz_points(T: float, radius: int) -> int:
+    """Ring points strichartz_norm transforms up to horizon T for a datum of that radius.
+
+    Each time node of the quadrature takes one ring of ring_size points.
+    """
+    nodes, _ = _time_quadrature(T)
+    return sum(ring_size(float(t), "schrodinger_free_bilap", radius) for t in nodes)
 
 
 def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:

@@ -1,10 +1,9 @@
 """Finite windows of lattice sequences and the discrete difference operators.
 
-Sequences live on integer windows [-N, N]. Dirichlet truncations of the
-second-difference operator (neg_laplacian) and of H = bilaplacian + V,
-finitely supported potentials and polynomially weighted operator norms are
-provided here. All constructions are dense; windows at desk scale stay
-below a few thousand sites.
+Sequences live on integer windows [-N, N]. Dirichlet truncations of
+H = bilaplacian + V, finitely supported potentials and polynomially weighted
+operator norms are provided here. All constructions are dense; windows at
+desk scale stay below a few thousand sites.
 """
 
 from __future__ import annotations
@@ -120,16 +119,6 @@ class PotentialSpec:
     @classmethod
     def delta(cls, coupling: float, site: int = 0):
         return cls((site, site), np.array([coupling]))
-
-
-def _neg_laplacian_matrix(window_radius: int) -> np.ndarray:
-    """Dirichlet truncation of the second difference on [-N, N]."""
-    side = 2 * window_radius + 1
-    a = 2.0 * np.eye(side)
-    idx = np.arange(side - 1)
-    a[idx, idx + 1] = -1.0
-    a[idx + 1, idx] = -1.0
-    return a
 
 
 def _bilaplacian_matrix(window_radius: int) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Every flow is a function of one spectral variable, the energy E of the
 operator H that generates it, and FLOWS defines each one once. Three
-routes evaluate them and are cross-checked against each other. Dense
-spectral evolution diagonalises a window truncation and passes its
-eigenvalues as E. Free translation-invariant kernels come from the band
+routes evaluate them and are cross-checked against each other. The window
+route expands the flow of a Dirichlet truncation in Chebyshev polynomials
+of it, E running over the hull of its spectrum: the coefficients come from
+the flow at Chebyshev points of the hull by one FFT, and the recurrence
+runs on the observed columns alone, each step on the rows their light cone
+reaches. Free translation-invariant kernels come from the band
 symbol by FFT, with E the symbol of H on the ring: the weight lives on
 half of an even ring sized by the flow's own group speed, and the even
 kernel comes from one complex FFT of half the ring's length. That FFT is a
@@ -61,7 +64,6 @@ from .spectral import (
     SingularSandwichError,
     bound_states,
     decompose_potential,
-    eigensystem,
     m_matrix_grid,
     regular_point_check,
     solve_sandwich,
@@ -75,6 +77,7 @@ __all__ = [
     "KernelSlice",
     "PacSplit",
     "auto_window_radius",
+    "chebyshev_degree",
     "kernel_spectral",
     "pac_split",
     "fft_ring_band",
@@ -125,9 +128,18 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 FREE_KINDS = tuple(k for k, (_, _, free) in _KIND_TABLE.items() if free)
 
-# Margin factor on the causal range SPEED_BOUND |t| of dense truncation
-# windows (auto_window_radius); their kernels are the dense references.
+# Margin factor on the causal range SPEED_BOUND |t| of truncation windows
+# (auto_window_radius); their kernels (kernel_spectral) are the references.
 _RING_SAFETY = 1.2
+# kernel_spectral's hull of a window's spectrum is the operator's numerical
+# range widened by this share of its width on each side, so that rounding
+# of the window's entries leaves every eigenvalue inside it
+_HULL_MARGIN = 2.0**-20
+# chebyshev_degree is z + _DEGREE_AIRY z^(1/3) + _DEGREE_FLOOR; the last
+# coefficient of exp(-i t E) above 2^-52 sits at z + 10.3 z^(1/3) (z = 1e5)
+# to z + 13 z^(1/3) (z = 1), and at 14 for z = 1
+_DEGREE_AIRY = 12.0
+_DEGREE_FLOOR = 16
 # FFT rings reach _RING_TAIL |t|^(1/3) + _RING_MARGIN sites past the causal
 # front (see ring_size)
 _RING_TAIL = 16.0
@@ -244,7 +256,7 @@ class KernelSlice:
 
     entries[i, j] is the kernel between sites i - observe_radius and
     j - observe_radius. method records the evaluation route, "spectral"
-    for dense diagonalisation of a truncation, "stone" for the band
+    for the Chebyshev expansion on a window truncation, "stone" for the band
     quadrature (which carries only the continuous-spectrum part). A stone
     slice also records the accepted quadrature budget, the node count of
     that pass and its half-budget error estimate, the largest entry
@@ -281,20 +293,142 @@ def auto_window_radius(t: float, observe_radius: int) -> int:
     return int(np.ceil(observe_radius + _RING_SAFETY * SPEED_BOUND * abs(t))) + 8
 
 
+def _hull(operator: str, V: Optional[PotentialSpec]) -> tuple[float, float]:
+    """Interval holding the spectrum of every window truncation, widened by _HULL_MARGIN.
+
+    A Dirichlet truncation compresses the operator, so its eigenvalues lie
+    in the operator's numerical range: [0, 4] for the second difference and
+    [min(0, min V), 16 + max(0, max V)] for the fourth difference plus V.
+    """
+    if operator == "lap":
+        lo, hi = 0.0, 4.0
+    else:
+        values = np.zeros(1) if V is None else V.values
+        lo, hi = min(0.0, float(values.min())), 16.0 + max(0.0, float(values.max()))
+    pad = _HULL_MARGIN * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def chebyshev_degree(kind: str, V: Optional[PotentialSpec], t: float) -> float:
+    """Chebyshev points, less one, at which kernel_spectral samples the flow of kind at time t.
+
+    With z = |t| h and h the half-width of the spectrum's hull, this is
+    z + 12 z^(1/3) + 16 rounded up: past it the Chebyshev coefficients of
+    exp(-i t E), 2 |J_k(z)|, stay below 2^-52 for every z from 0 to 1e5
+    (the Airy transition of J_k(z) at k = z is about z^(1/3) wide, and the
+    tail falls below 2^-52 some 11 widths past it). The beam flows grow
+    more slowly off the hull than exp(-i t E), so their coefficients fall
+    sooner. A float, infinite where the hull is, so that limits can
+    compare it without overflow.
+    """
+    lo, hi = _hull(_KIND_TABLE[kind][1], V)
+    with np.errstate(over="ignore"):
+        z = abs(t) * (0.5 * hi - 0.5 * lo)
+    return float(np.ceil(z + _DEGREE_AIRY * np.cbrt(z))) + _DEGREE_FLOOR
+
+
+def _chebyshev_coefficients(flow: str, t: float, lo: float, hi: float, points: int) -> np.ndarray:
+    """Coefficients c_k of FLOWS[flow](t, E) = sum_k c_k T_k(x), E = (hi + lo)/2 + x (hi - lo)/2.
+
+    The flow is sampled at the points + 1 Chebyshev extreme points of [lo,
+    hi], and one FFT of their even extension gives the coefficients (a
+    DCT-I). Trailing coefficients below 2^-52 times the flow's largest
+    sample are chopped; at least c_0 is kept.
+    """
+    x = np.cos(np.pi * np.arange(points + 1) / points)
+    samples = FLOWS[flow](t, 0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
+    coeffs = fft(np.concatenate([samples, samples[-2:0:-1]]))[: points + 1] / points
+    coeffs[[0, points]] /= 2.0
+    above = np.flatnonzero(np.abs(coeffs) > 2.0**-52 * np.abs(samples).max())
+    return coeffs[: above[-1] + 1 if above.size else 1]
+
+
 def kernel_spectral(request: PropagatorRequest) -> KernelSlice:
-    """Kernel entries of the requested flow on the observation window."""
+    """Kernel entries of the requested flow on the observation window, by a Chebyshev expansion.
+
+    The flow of the Dirichlet window truncation H is sum_k c_k T_k(X),
+    X = (H - m) / h the truncation mapped from its hull [m - h, m + h] onto
+    [-1, 1], with c_k from _chebyshev_coefficients. X is real symmetric,
+    so with E the window's unit columns at the observed sites, the product
+    rule T_{j+k} = 2 T_j T_k - T_{|j-k|} gives
+
+        E^T T_2k E = 2 v_k^T v_k - I,  E^T T_(2k+1) E = 2 v_(k+1)^T v_k - E^T X E,
+
+    with v_k = T_k(X) E: the real recurrence v_(k+1) = 2 X v_k - v_(k-1)
+    runs to half the degree only. X is a five-point stencil, so v_k lives
+    on the light cone of the observed sites, 2k sites past them each way,
+    and each step works on those rows of the window alone. The memory is
+    four window x column arrays, and no matrix of the window's side is
+    formed. The entries agree with diagonalising the truncation to about
+    2^-52 times the flow's largest modulus on the hull times the degree;
+    that modulus is 1 for the Schrodinger flows and can be cosh(|t|
+    sqrt(-lo)) for the beam flows where a potential reaches below 0.
+    """
     flow, operator, _ = _KIND_TABLE[request.kind]
-    ev, vecs = eigensystem(request.V, request.window_radius, operator)
+    lo, hi = _hull(operator, request.V)
+    points = int(chebyshev_degree(request.kind, request.V, request.t))
+    coeffs = _chebyshev_coefficients(flow, request.t, lo, hi, points)
     n, r = request.window_radius, request.observe_radius
-    rows = vecs[n - r : n + r + 1]
-    return KernelSlice(request.t, r, (rows * FLOWS[flow](request.t, ev)) @ rows.T, "spectral")
+    side, cols = 2 * n + 1, 2 * r + 1
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    # 2 X as its diagonal and stencil, on rows padded by two zeros each way,
+    # so that each step's shifted slices need no boundary case (Dirichlet)
+    if operator == "lap":
+        diagonal, stencil = np.full(side, 2.0), (-1.0, 0.0)
+    else:
+        diagonal = np.full(side, 6.0) if request.V is None else 6.0 + request.V.on_window(n)
+        stencil = (-4.0, 1.0)
+    two_x = np.zeros((side + 4, 1))
+    two_x[2:-2, 0] = (diagonal - mid) / half * 2.0
+    near, far = (2.0 * s / half for s in stencil)
+    work = np.empty((side + 4, cols))
+
+    def step(out, v, prev, a, b):
+        # out = 2 X v - prev on the padded rows [a, b)
+        o, w = out[a:b], work[a:b]
+        np.multiply(v[a:b], two_x[a:b], out=o)
+        o -= prev[a:b]
+        for shift, weight in ((1, near), (2, far)):
+            np.add(v[a - shift : b - shift], v[a + shift : b + shift], out=w)
+            w *= weight
+            o += w
+
+    def cone(rows):
+        # the rows one step of the stencil reaches from rows, kept inside the window
+        return max(rows[0] - 2, 2), min(rows[1] + 2, side + 2)
+
+    first = n - r + 2
+    vk, vk1, spare = (np.zeros((side + 4, cols)) for _ in range(3))
+    vk[first : first + cols] = np.eye(cols)
+    rows_k = (first, first + cols)
+    rows_k1 = cone(rows_k)
+    step(vk1, vk, spare, *rows_k1)  # spare is still 0
+    vk1[rows_k1[0] : rows_k1[1]] *= 0.5
+    x_observed = vk1[first : first + cols].copy()
+    even, odd = coeffs[0::2], coeffs[1::2]
+    acc = np.zeros((cols, cols), dtype=complex)
+    for k in range(even.size):
+        v = vk[rows_k[0] : rows_k[1]]
+        acc += even[k] * (v.T @ v)
+        if k < odd.size:
+            acc += odd[k] * (vk1[rows_k[0] : rows_k[1]].T @ v)
+        if k + 1 == even.size:
+            break
+        rows_next = cone(rows_k1)
+        step(spare, vk1, vk, *rows_next)
+        vk, vk1, spare = vk1, spare, vk
+        rows_k, rows_k1 = rows_k1, rows_next
+    acc *= 2.0
+    acc -= even.sum() * np.eye(cols) + odd.sum() * x_observed
+    return KernelSlice(request.t, r, acc, "spectral")
 
 
 class PacSplit:
     """Splitting of the flow exp(-i t H) into bound and continuous parts.
 
-    kernel_ac is the dense kernel on the window minus the part of the (E, psi)
-    pairs of spectral.bound_states, so no window has to localise them.
+    kernel_ac is the window kernel of kernel_spectral minus the part of the
+    (E, psi) pairs of spectral.bound_states, so no window has to localise
+    them.
     """
 
     def __init__(self, V: Optional[PotentialSpec], window_radius: int):

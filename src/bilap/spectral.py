@@ -30,7 +30,6 @@ from .expansion import coeff_sixteen_series, coeff_zero_series
 from .lattice import (
     LatticeVector,
     PotentialSpec,
-    _neg_laplacian_matrix,
     _parity_blocks,
     build_hamiltonian,
 )
@@ -352,12 +351,9 @@ def _parity_eigh(even: np.ndarray, odd: np.ndarray):
 
 
 @functools.lru_cache(maxsize=9)
-def _eigensystem(operator, support, values, window_radius):
-    if operator == "lap":
-        h = _neg_laplacian_matrix(window_radius)
-    else:
-        V = None if support is None else PotentialSpec(support, np.array(values))
-        h = build_hamiltonian(V, window_radius)
+def _eigensystem(support, values, window_radius):
+    V = None if support is None else PotentialSpec(support, np.array(values))
+    h = build_hamiltonian(V, window_radius)
     blocks = _parity_blocks(h)
     if blocks is None:
         ev, vecs = np.linalg.eigh(h)
@@ -368,27 +364,19 @@ def _eigensystem(operator, support, values, window_radius):
     return ev, vecs
 
 
-def eigensystem(
-    V: Optional[PotentialSpec], window_radius: int, operator: str = "bilap"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Dirichlet window truncation.
+def eigensystem(V: Optional[PotentialSpec], window_radius: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Dirichlet window truncation of Delta^2 + V.
 
-    operator "bilap" is the fourth difference plus V, "lap" the free
-    second difference. A window matrix equal to its reflection n -> -n
-    (no potential, the second difference, or an even potential) is
-    diagonalised as its even and odd blocks, each about half the window.
-    Each matrix is diagonalised once per process: the last nine results
-    are kept, keyed on the operator, the potential's support and values
-    and the window radius, and returned as read-only arrays shared by
-    every caller.
+    A window matrix equal to its reflection n -> -n (no potential or an
+    even one) is diagonalised as its even and odd blocks, each about half
+    the window. Each matrix is diagonalised once per process: the last
+    nine results are kept, keyed on the potential's support and values and
+    the window radius, and returned as read-only arrays shared by every
+    caller.
     """
-    if operator not in ("bilap", "lap"):
-        raise ValueError(f"operator must be 'bilap' or 'lap', got {operator!r}")
-    if operator == "lap" and V is not None:
-        raise ValueError("the second-difference operator takes no potential")
     if V is None:
-        return _eigensystem(operator, None, None, window_radius)
-    return _eigensystem(operator, V.support, tuple(V.values.tolist()), window_radius)
+        return _eigensystem(None, None, window_radius)
+    return _eigensystem(V.support, tuple(V.values.tolist()), window_radius)
 
 
 def _off_band_sandwich(E: float, sys: BirmanSchwingerSystem) -> np.ndarray:

@@ -32,9 +32,15 @@ def dense_hamiltonian(side: int, potential_diag=None, periodic=False) -> np.ndar
     return h
 
 
-def spectral_kernel(weight_fn, side: int, potential_diag=None) -> np.ndarray:
-    """Full kernel matrix weight_fn(H) via scipy's dense eigensolver."""
-    ev, vecs = eigh(dense_hamiltonian(side, potential_diag))
+def neg_laplacian_matrix(window_radius: int) -> np.ndarray:
+    """Dirichlet truncation of the second difference on [-N, N]."""
+    side = 2 * window_radius + 1
+    return 2.0 * np.eye(side) - np.eye(side, k=1) - np.eye(side, k=-1)
+
+
+def matrix_function(weight_fn, h: np.ndarray) -> np.ndarray:
+    """weight_fn(h) of a real symmetric matrix via scipy's dense eigensolver."""
+    ev, vecs = eigh(h)
     return (vecs * weight_fn(ev)[None, :]) @ vecs.T
 
 

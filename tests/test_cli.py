@@ -65,12 +65,16 @@ def test_wrong_field_type_exits_two(tmp_path, capsys):
         ("minv-probe", {"potential": None}),
         ("regular-check", {"potential": None}),
         ("eig-scan", {"potential": None}),
-        # t |E| 2^-52 = 2.2e4 at |V| = 1e20: a bound state's phase is noise
+        # at |V| = 1e20 the reference's degree, 5e19, is past its work bound
         ("stone-vs-spectral", {"potentials": [{"delta": -1e20}], "times": [1.0], "observe_radius": 2}),
         ("stone-vs-spectral", {"potentials": [{"delta": 1e20}], "times": [1.0], "observe_radius": 2}),
         # outside the window oracle's accepted mu range
         ("resolvent-check", {"mu_values": [0.5, 0.001]}),
         ("resolvent-check", {"mu_values": [1.999999]}),
+        # t |E| 2^-52 = 2.2e-11 at |V| = 1e5: a bound state's phase is noise
+        # at tolerance 1e-12
+        ("stone-vs-spectral",
+         {"potentials": [{"delta": 1e5}], "times": [1.0], "observe_radius": 2, "tolerance": 1e-12}),
     ],
 )
 def test_cross_field_config_errors_exit_two_before_mkdir(
@@ -141,6 +145,17 @@ _LIMIT_EDGES = {
         # 252 and 253 times of 129^2 entries lie either side of 2^22
         ({"times": [1.0] * 252, "observe_radius": 64}, {"times": [1.0] * 253, "observe_radius": 64},
          "'times'"),
+        # 285 and 286 potentials at the default times lie either side of 2^31
+        # units of reference work
+        ({"potentials": [{"delta": 0.5}] * 285}, {"potentials": [{"delta": 0.5}] * 286},
+         "'potentials'"),
+    ],
+    "strichartz": [
+        # 1.3e8 and 1.4e8 ring points either side of 2^27
+        ({"T_values": [1e2, 1.7e5]}, {"T_values": [1e2, 1.8e5]}, "'T_values'"),
+    ],
+    "stationary-phase": [
+        ({"s_values": [0.0] * 65536}, {"s_values": [0.0] * 65537}, "'s_values'"),
     ],
     "expansion-check": [
         ({"orders_zero": [90]}, {"orders_zero": [91]}, "'orders_zero'"),
@@ -220,6 +235,15 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
         # the next float up from 0.001: a rank-deficient exponent fit
         ("knapp", {"epsilons": [0.001, 0.0010000000000000002]}, ["knapp_experiment"],
          "'epsilons'"),
+        # 600 potentials, and a coupling whose hull asks the reference for
+        # degree 5e9 on a window of radius 30
+        ("stone-vs-spectral", {"potentials": [{"delta": 0.5}] * 600},
+         ["pac_split", "stone_kernel_slice"], "'potentials'"),
+        ("stone-vs-spectral", {"potentials": [{"delta": 1e10}], "times": [1.0]},
+         ["pac_split", "stone_kernel_slice"], "'potentials'"),
+        # 1.5e8 ring points, and 2^17 + 2 root searches
+        ("strichartz", {"T_values": [1e2, 2e5]}, ["strichartz_norm"], "'T_values'"),
+        ("stationary-phase", {"s_values": [0.0] * 65537}, ["stationary_points"], "'s_values'"),
     ],
 )
 def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
@@ -358,7 +382,7 @@ def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
 
 
 def test_stone_reference_window_needs_only_the_support(tmp_path):
-    # the dense reference window (radius 22) holds the support and the
+    # the reference window (radius 22) holds the support and the
     # stencil; the shallow state at 16.008 need not localise in it
     cfg = _write_config(tmp_path, "cfg", {
         "potentials": [{"delta": 0.5, "site": 10}], "times": [1.0], "observe_radius": 1,
@@ -421,18 +445,36 @@ def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("t", [1e3, 1e5])
 def test_stone_reference_window_is_capped_before_mkdir(tmp_path, capsys, monkeypatch, t):
-    # t = 1e3 sets a reference window of radius 12489, a dense matrix of
-    # 24,979 sites; the config is refused before any window is built, and
-    # before Stone runs
-    for module, name in ((spectral, "eigensystem"), (cli, "pac_split"), (cli, "stone_kernel_slice")):
+    # at the default observe radius 10, t = 1e3 asks the Chebyshev reference
+    # for degree 8,508 on a window of radius 12,489, 9.1e9 units of work over
+    # the three default potentials; the config is refused before the split,
+    # the reference or Stone runs
+    for module, name in ((cli, "pac_split"), (cli, "stone_kernel_slice"),
+                         (propagator, "kernel_spectral")):
         monkeypatch.setattr(module, name, _no_window)
     cfg = _write_config(tmp_path, "cfg", {"times": [t]})
     out = tmp_path / "o"
     assert main(["stone-vs-spectral", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "config error" in err and "'times'" in err
-    assert "above the bound of 4096" in err
+    assert "units of work, above the bound of 2147483648 (2^31)" in err
     assert not out.exists()
+
+
+def test_stone_vs_spectral_diagonalises_no_window(tmp_path, monkeypatch):
+    # the reference is a Chebyshev expansion; the one eigh left on the route
+    # is bound_states' on a sandwich of the support's side, at most 3
+    eigh = np.linalg.eigh
+
+    def sandwich_only(a, *args, **kwargs):
+        if np.shape(a)[0] > 3:
+            raise AssertionError(f"a window of side {np.shape(a)[0]} was diagonalised")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", sandwich_only)
+    out = tmp_path / "o"
+    assert main(["stone-vs-spectral", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["band_pass"] is True
 
 
 def test_eig_scan_reports_the_closed_form_bound_states(tmp_path):
@@ -480,9 +522,9 @@ def test_eig_scan_diagonalises_only_its_window_radii(tmp_path, monkeypatch):
     asked = []
     eigensystem = spectral.eigensystem
 
-    def record(V, window_radius, operator="bilap"):
+    def record(V, window_radius):
         asked.append(window_radius)
-        return eigensystem(V, window_radius, operator)
+        return eigensystem(V, window_radius)
 
     monkeypatch.setattr(spectral, "eigensystem", record)
     assert main(["eig-scan", "--out", str(tmp_path / "o")]) == 0

@@ -8,7 +8,6 @@ from bilap.lattice import (
     SPEED_BOUND,
     LatticeVector,
     PotentialSpec,
-    _neg_laplacian_matrix,
     _parity_blocks,
     build_hamiltonian,
     site_weights,
@@ -19,7 +18,7 @@ import oracles
 
 
 def test_neg_laplacian_delta_stencil():
-    out = _neg_laplacian_matrix(2)[:, 2]
+    out = oracles.neg_laplacian_matrix(2)[:, 2]
     np.testing.assert_allclose(out, [0, -1, 2, -1, 0], atol=0)
 
 
@@ -48,7 +47,7 @@ def test_stencil_matches_matrix_on_interior():
     # the bilaplacian is the square of the second difference away from the
     # window edge
     h = build_hamiltonian(None, N)
-    lap = _neg_laplacian_matrix(N)
+    lap = oracles.neg_laplacian_matrix(N)
     interior = slice(2, 2 * N - 1)  # |n| <= N - 2
     np.testing.assert_allclose((lap @ lap)[interior], h[interior], atol=0)
 
@@ -90,7 +89,7 @@ def test_sign_flip_conjugates_neg_laplacian():
     # J (-lap) J = 4 I - (-lap), exact for the dirichlet truncation
     N = 8
     side = 2 * N + 1
-    A = _neg_laplacian_matrix(N)
+    A = oracles.neg_laplacian_matrix(N)
     J = np.diag([(-1.0) ** n for n in range(-N, N + 1)])
     np.testing.assert_allclose(J @ A @ J, 4.0 * np.eye(side) - A, atol=1e-12)
 

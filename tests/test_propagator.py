@@ -118,12 +118,40 @@ def test_unitarity_of_fourth_difference_flow():
 
 
 def test_kernel_spectral_matches_dense_oracle():
-    diag = np.zeros(65)
-    diag[32] = 0.5
-    want = oracles.spectral_kernel(lambda ev: np.exp(-2.0j * ev), 65, diag)
-    got = kernel_spectral(PropagatorRequest("schrodinger_h", DELTA_HALF, 2.0, 32, 6))
-    r = slice(32 - 6, 32 + 7)
-    np.testing.assert_allclose(got.entries, want[r, r], atol=1e-10)
+    # the Chebyshev route against scipy's eigh of the assembled window for
+    # every kind, with delta -5 (a state below 0) and delta 5 (a state above
+    # 16); its error is relative to the flow's largest modulus on the hull
+    # [min(0, V), 16 + max(0, V)], cosh(t sqrt 5) for the beam flows at -5
+    r = 6
+    for kind in KINDS:
+        flow, free = propagator._KIND_TABLE[kind][0], kind in FREE_KINDS
+        for V in [None] if free else [PotentialSpec.delta(-5.0), PotentialSpec.delta(5.0)]:
+            for t in (0.0, 1.0, 5.0, 20.0):
+                n = auto_window_radius(t, r)
+                if kind == "schrodinger_free_lap":
+                    h = oracles.neg_laplacian_matrix(n)
+                else:
+                    h = oracles.dense_hamiltonian(2 * n + 1, None if V is None else V.on_window(n))
+                want = oracles.matrix_function(lambda ev: FLOWS[flow](t, ev), h)
+                got = kernel_spectral(PropagatorRequest(kind, V, t, n, r)).entries
+                lo = 0.0 if V is None else min(0.0, V.values.min())
+                scale = max(1.0, abs(FLOWS[flow](t, np.array(lo))))
+                err = np.abs(got - want[n - r : n + r + 1, n - r : n + r + 1]).max()
+                assert err <= 1e-13 * scale, (kind, V, t, err)
+
+
+@pytest.mark.parametrize(
+    "V", [DELTA_HALF, PotentialSpec((-1, 1), [1.0, -0.5, 0.8])], ids=["delta", "three-site"]
+)
+def test_stone_meets_chebyshev_reference_at_large_time(V):
+    # at t = 300 the reference window has radius 3,752, past any dense
+    # diagonalisation a test could afford; Stone's half-budget estimate
+    # (1.2e-11 and 3.7e-12) bounds its distance from the reference
+    # (5.5e-14 and 3.4e-14)
+    t, r = 300.0, 2
+    sl = stone_kernel_slice(t, V, r)
+    ref = pac_split(V, auto_window_radius(t, r)).kernel_ac(t, r)
+    assert np.abs(sl.entries - ref.entries).max() <= sl.error_estimate
 
 
 @pytest.mark.parametrize(
@@ -1010,6 +1038,6 @@ def test_pac_split_diagonalises_each_matrix_once(monkeypatch):
         split.kernel_ac(t, 4)
     kernel_spectral(PropagatorRequest("schrodinger_h", V, 1.0, 48, 4))
     assert split.window_radius == 48
-    # window 48 is diagonalised once, as its even (R + 1) and odd (R)
-    # parity blocks; the 1 x 1 sandwich at the bound state is not a window
-    assert sorted(s for s in shapes if s != (1, 1)) == [(48, 48), (49, 49)]
+    # the one matrix diagonalised is the 1 x 1 sandwich at the bound state,
+    # once; the Chebyshev route diagonalises no window
+    assert shapes == [(1, 1)]

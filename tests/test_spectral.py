@@ -5,7 +5,7 @@ import pytest
 
 from bilap import propagator, spectral
 from bilap.expansion import geometric_grid
-from bilap.lattice import PotentialSpec, _neg_laplacian_matrix, build_hamiltonian
+from bilap.lattice import PotentialSpec, build_hamiltonian
 from bilap.resolvent import (
     boundary_kernel_plus,
     windowed_boundary_resolvent,
@@ -486,22 +486,12 @@ def test_vectorised_ratios_match_per_vector_ratio():
 
 
 @pytest.mark.parametrize(
-    "V,operator",
-    [
-        (None, "bilap"),
-        (DELTA_HALF, "bilap"),
-        (PotentialSpec((-2, 2), [0.3, -0.15, 0.45, -0.15, 0.3]), "bilap"),
-        (None, "lap"),
-    ],
+    "V", [None, DELTA_HALF, PotentialSpec((-2, 2), [0.3, -0.15, 0.45, -0.15, 0.3])]
 )
-def test_parity_eigensystem_matches_full_eigh(V, operator):
+def test_parity_eigensystem_matches_full_eigh(V):
     radius, observe, t = 60, 6, 1.7
-    if operator == "lap":
-        h = _neg_laplacian_matrix(radius)
-    else:
-        h = build_hamiltonian(V, radius)
-    want_ev, want_vecs = np.linalg.eigh(h)
-    ev, vecs = eigensystem(V, radius, operator)
+    want_ev, want_vecs = np.linalg.eigh(build_hamiltonian(V, radius))
+    ev, vecs = eigensystem(V, radius)
     assert not ev.flags.writeable and not vecs.flags.writeable
     np.testing.assert_allclose(ev, want_ev, rtol=0, atol=1e-13)
     np.testing.assert_allclose(vecs.T @ vecs, np.eye(2 * radius + 1), rtol=0, atol=1e-13)
