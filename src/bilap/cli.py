@@ -1040,8 +1040,8 @@ _ORACLE_SITE_BOUND = 2**16
 # of kernel_spectral counts chebyshev_degree x light-cone rows x columns,
 # the rows reaching the degree's count of sites past the observed ones each
 # way within the window, and at least _STEP_UNITS per degree: a step of the
-# recurrence takes 13-15 us however few its rows. A unit took 1.9-2.8 ns at
-# observe radius 2 to 32 and 3.5-8.2 ns at radius 64, where the Gram
+# recurrence takes 13-15 us however few its rows. A unit took 1.9-3.4 ns at
+# observe radius 1 to 32 and 3.5-8.2 ns at radius 64, where the Gram
 # products dominate (2-core host), so the bound is 4-18 s: t = 1e3 at
 # observe radius 2 makes 7.2e8 units and ran 1.4 s. Each potential adds
 # _SERIES_UNITS for its Stone series and bound-state search (6-12 ms

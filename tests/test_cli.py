@@ -446,9 +446,9 @@ def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("t", [1e3, 1e5])
 def test_stone_reference_window_is_capped_before_mkdir(tmp_path, capsys, monkeypatch, t):
     # at the default observe radius 10, t = 1e3 asks the Chebyshev reference
-    # for degree 8,508 on a window of radius 12,489, 9.1e9 units of work over
-    # the three default potentials; the config is refused before the split,
-    # the reference or Stone runs
+    # for degrees 8,257 to 8,509 on a window of radius 12,489, 9.0e9 units of
+    # work over the three default potentials; the config is refused before
+    # the split, the reference or Stone runs
     for module, name in ((cli, "pac_split"), (cli, "stone_kernel_slice"),
                          (propagator, "kernel_spectral")):
         monkeypatch.setattr(module, name, _no_window)
