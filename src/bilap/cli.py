@@ -1127,13 +1127,13 @@ def _supports_fit(potentials, window, given, margin=2, fields="field 'potentials
 
 def _reference_work(cfg):
     """stone-vs-spectral's Chebyshev reference and Stone series, within _REFERENCE_WORK_BOUND units."""
-    window, cols = _reference_window(cfg), 2 * cfg["observe_radius"] + 1
-    work = 0.0
-    for V in cfg["potentials"]:
-        work += _SERIES_UNITS
-        for t in cfg["times"]:
-            degree = chebyshev_degree("schrodinger_h", V, t)
-            work += degree * max(min(2 * window + 1, cols + 2 * degree) * cols, _STEP_UNITS)
+    degrees = [chebyshev_degree("schrodinger_h", V, t) for V in cfg["potentials"] for t in cfg["times"]]
+    work = len(cfg["potentials"]) * _SERIES_UNITS + _STEP_UNITS * sum(degrees)
+    if work <= _REFERENCE_WORK_BOUND:
+        # the times are then small enough for the window radius to be an int
+        side, cols = 2 * _reference_window(cfg) + 1, 2 * cfg["observe_radius"] + 1
+        work = len(cfg["potentials"]) * _SERIES_UNITS + sum(
+            d * max(min(side, cols + 2 * d) * cols, _STEP_UNITS) for d in degrees)
     if not work <= _REFERENCE_WORK_BOUND:
         yield (f"fields 'potentials', 'times', 'observe_radius': the Chebyshev reference "
                f"would take {work:.4g} units of work, above the bound of "
@@ -1313,9 +1313,11 @@ _COMMANDS = {
             "tolerance": (_as_float(lo=0, lo_open=True), 1e-5),
         },
         "band quadrature kernels against Chebyshev window kernels",
-        _limits(lambda c: _supports_fit(c["potentials"], "the reference window set by "
+        # the work rule comes first: past it, max(times) may have no window radius
+        _limits(_reference_work,
+                lambda c: _supports_fit(c["potentials"], "the reference window set by "
                                         "'times' and 'observe_radius'", _reference_window(c)),
-                _reference_work, _bound_state_phases,
+                _bound_state_phases,
                 lambda c: _stone_entries("fields 'times', 'observe_radius'", len(c["times"]),
                                          c["observe_radius"])),
     ),

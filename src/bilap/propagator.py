@@ -137,7 +137,7 @@ _RING_SAFETY = 1.2
 _HULL_MARGIN = 2.0**-20
 # chebyshev_degree is z + _DEGREE_AIRY z^(1/3) + _DEGREE_FLOOR; the last
 # coefficient of exp(-i t E) above 2^-52 sits at z + 10.3 z^(1/3) (z = 1e5)
-# to z + 13 z^(1/3) (z = 1), and at 14 for z = 1
+# to z + 13 z^(1/3) (z = 1, degree 14)
 _DEGREE_AIRY = 12.0
 _DEGREE_FLOOR = 16
 # FFT rings reach _RING_TAIL |t|^(1/3) + _RING_MARGIN sites past the causal

@@ -244,6 +244,8 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
         # 1.5e8 ring points, and 2^17 + 2 root searches
         ("strichartz", {"T_values": [1e2, 2e5]}, ["strichartz_norm"], "'T_values'"),
         ("stationary-phase", {"s_values": [0.0] * 65537}, ["stationary_points"], "'s_values'"),
+        # its window radius would overflow; an OverflowError traceback before
+        ("stone-vs-spectral", {"times": [1e308]}, ["pac_split", "stone_kernel_slice"], "'times'"),
     ],
 )
 def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
