@@ -699,10 +699,6 @@ def _run_minv_probe(cfg, rng):
     for threshold in ("zero", "sixteen"):
         probe = minv_expansion_probe(sys_, threshold, geometric_grid(*cfg[f"grid_{threshold}"]))
         min_slope = cfg[f"min_slope_{threshold}"]
-        if probe.skipped:
-            report[threshold] = {"skipped": True, "diagnostic": probe.diagnostic}
-            all_ok = False
-            continue
         files.append((
             f"minv_{threshold}.csv", write_csv,
             ["mu", "inverse_norm", "leakage_norm"],
@@ -717,7 +713,6 @@ def _run_minv_probe(cfg, rng):
         )
         all_ok = all_ok and ok
         report[threshold] = {
-            "skipped": False,
             "leakage_slope": probe.leakage_slope,
             "min_slope": min_slope,
             "sup_inverse_norm": probe.sup_inverse_norm,
@@ -731,19 +726,14 @@ def _run_minv_probe(cfg, rng):
         "linearly in the edge distance at the lower edge and like the "
         "square root of the distance at the upper edge"
     )
-    if curves:
-        files.append(_plot(
-            "leakage.svg",
-            curves,
-            "distance to edge",
-            "leakage norm",
-            "sandwich inverse leakage",
-            [
-                f"{t}: slope {report[t]['leakage_slope']:+.4f}"
-                for t in ("zero", "sixteen")
-                if not report[t].get("skipped")
-            ],
-        ))
+    files.append(_plot(
+        "leakage.svg",
+        curves,
+        "distance to edge",
+        "leakage norm",
+        "sandwich inverse leakage",
+        [f"{t}: slope {report[t]['leakage_slope']:+.4f}" for t in ("zero", "sixteen")],
+    ))
     files.append(("report.json", write_json, report))
     return (0 if all_ok else 1), report, files
 
@@ -1446,8 +1436,8 @@ def main(argv=None) -> int:
             threads = args.threads
 
     started = time.monotonic()
-    # the library's own warnings (a non-regular edge, a quadrature short of
-    # its target) are part of the run's output: one stderr line each, and
+    # the library's own warnings (a quadrature short of its target) are
+    # part of the run's output: one stderr line each, and
     # listed in the manifest; other categories keep the active filters
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)

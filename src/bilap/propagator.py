@@ -62,10 +62,10 @@ from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
     BirmanSchwingerSystem,
     SingularSandwichError,
+    _require_regular,
     bound_states,
     decompose_potential,
     m_matrix_grid,
-    regular_point_check,
     solve_sandwich,
 )
 
@@ -745,11 +745,6 @@ def free_kernel_fft(t: float, kind: str, kmax: int) -> np.ndarray:
     return free_kernel_full(t, kind, kmax=kmax)[: kmax + 1]
 
 
-def _bulk_end(regular: dict) -> float:
-    """Lowest mu of the Stone bulk: _INNER_CUTOFF, or _EDGE_CUTOFF at a non-regular zero edge."""
-    return _INNER_CUTOFF if regular["zero"] else _EDGE_CUTOFF
-
-
 def _halvings(far: float, turn: float, end: float) -> np.ndarray:
     """Edges far/2, far/4, ... that grade a panel [end, far] toward end, or none.
 
@@ -787,10 +782,7 @@ def _resonance_cuts(edges: np.ndarray, resonance, budget: float) -> np.ndarray:
     _RESONANCE_WEIGHT per part, the cuts placed at equal steps of its
     total variation, read off resonance, the _resonance_phase scan of the
     bulk. The first and last panels are left to the gradings at the band
-    edges, where det M turns at the crest and the knee. Only slices with
-    both edges regular are cut: at a non-regular edge det M has its zero on
-    the band's end, where its phase turns without bound, and the band
-    integral is truncated there anyway.
+    edges, where det M turns at the crest and the knee.
     """
     th, turned = resonance
     at = np.interp(edges, th, turned)
@@ -811,14 +803,12 @@ def _stone_reach(targets: np.ndarray, sys: Optional[BirmanSchwingerSystem]) -> i
     return int(np.abs(targets[:, None] - sites[None, :]).max())
 
 
-def _stone_scans(reach: float, regular: dict, sys: Optional[BirmanSchwingerSystem]):
+def _stone_scans(reach: float, sys: Optional[BirmanSchwingerSystem]):
     """The scans of _stone_nodes that no budget enters, made once per slice.
 
     The wave-cost variation of the bulk and of the strip (cost_variation),
-    and the _resonance_phase of the bulk; the strip's is None when the
-    upper edge is not regular, and the resonance's unless sys is given with
-    both edges regular. The bulk's scan points run from its first edge to
-    its last.
+    and the _resonance_phase of the bulk, None for the free flow. The
+    bulk's scan points run from its first edge to its last.
     """
 
     # sign does not move an edge: only the |variation| of each cost row counts
@@ -826,24 +816,20 @@ def _stone_scans(reach: float, regular: dict, sys: Optional[BirmanSchwingerSyste
         return np.stack([reach * phase, reach * _band_rates(mu)[1]])
 
     # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
-    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, _bulk_end(regular)]) / 2.0)
+    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, _INNER_CUTOFF]) / 2.0)
     bulk = cost_variation(th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th))
-    strip = resonance = None
-    if regular["sixteen"]:
-        # upper strip, in w = sqrt(2 - mu)
-        def hi_cost(wv):
-            mu = 2.0 - wv * wv
-            return cost(mu, _band_rates(mu)[0])
 
-        strip = cost_variation(_INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost)
-    if sys is not None and all(regular.values()):
-        resonance = _resonance_phase(th_lo, th_hi, sys)
+    # upper strip, in w = sqrt(2 - mu)
+    def hi_cost(wv):
+        mu = 2.0 - wv * wv
+        return cost(mu, _band_rates(mu)[0])
+
+    strip = cost_variation(_INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost)
+    resonance = None if sys is None else _resonance_phase(th_lo, th_hi, sys)
     return bulk, strip, resonance
 
 
-def _stone_nodes(
-    reach: float, budget: float, regular: dict, sys: Optional[BirmanSchwingerSystem], scans=None
-):
+def _stone_nodes(reach: float, budget: float, sys: Optional[BirmanSchwingerSystem], scans=None):
     """Quadrature nodes, weights, stable 1 - mu^2/4 values and panels over (0, 2).
 
     Two pieces. The bulk is in the angle theta with mu = 2 sin(-theta/2),
@@ -852,12 +838,10 @@ def _stone_nodes(
     is smooth in theta at the lower edge, so no strip is needed there. The
     strip at the upper edge is in w = sqrt(2 - mu), where the jump is
     locally analytic, from w = sqrt(_EDGE_CUTOFF) down to _INNER_CUTOFF.
-    regular maps "zero" and "sixteen" to the edge verdicts. A non-regular
-    edge truncates the band integral at _EDGE_CUTOFF from it: the bulk stops
-    at mu = _EDGE_CUTOFF, or the strip is dropped. Panels carry
-    _STONE_ORDER Gauss nodes each and are sized by the spatial waves alone:
-    reach bounds the site separations that multiply the oscillatory and
-    evanescent exponents in the budget. The flow's phase does not enter,
+    Both edges are regular; stone_kernel_slice refuses a slice otherwise.
+    Panels carry _STONE_ORDER Gauss nodes each and are sized by the
+    spatial waves alone: reach bounds the site separations that multiply
+    the oscillatory and evanescent exponents in the budget. The flow's phase does not enter,
     since _stone_assemble integrates the flow exactly on each panel, so the
     nodes do not depend on t.
 
@@ -871,33 +855,29 @@ def _stone_nodes(
     det M turns. The weights are the Gauss weights times the Jacobian
     |dmu/dx|, so they sum to the length in mu that the pieces cover; panels
     lists (piece, edges) for each piece, whose nodes follow panel by panel.
-    scans is _stone_scans(reach, regular, sys), made here when omitted; a
-    ladder of budgets shares it.
+    scans is _stone_scans(reach, sys), made here when omitted; a ladder of
+    budgets shares it.
     """
     # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every
     # separation. At the upper edge the kernel is i (-1)^k / (32 w) to leading
     # order in w = sqrt(1 - mu^2/4), so v K v has norm |V|_1 / (32 w) there
     norm = np.sum(sys.v**2) if sys is not None else 0.0
     knee, crest = (norm / np.sqrt(8.0)) ** (1.0 / 3.0), norm / 32.0
-    bulk, strip, resonance = scans if scans is not None else _stone_scans(reach, regular, sys)
+    bulk, strip, resonance = scans if scans is not None else _stone_scans(reach, sys)
 
-    lo = _bulk_end(regular)
     edges = edges_from_budget(bulk[0][0], bulk[0][-1], bulk, budget=budget, min_panels=8)
     if resonance is not None:
         edges = _resonance_cuts(edges, resonance, budget)
     # the last panel graded in mu toward the knee, the first in w toward the crest
-    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, lo) / 2.0)
+    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, _INNER_CUTOFF) / 2.0)
     top = np.cos(edges[:2] / 2.0)
     high = -2.0 * np.arccos(_halvings(top[1], crest, top[0])[::-1])
     edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
-    panels = [("bulk", edges)]
-
-    if strip is not None:
-        edges = edges_from_budget(
-            _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), strip, budget=budget, min_panels=4
-        )
-        graded = _halvings(edges[1], crest, _INNER_CUTOFF)[::-1]
-        panels.append(("strip", np.concatenate([edges[:1], graded, edges[1:]])))
+    ends = edges_from_budget(
+        _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), strip, budget=budget, min_panels=4
+    )
+    graded = _halvings(ends[1], crest, _INNER_CUTOFF)[::-1]
+    panels = [("bulk", edges), ("strip", np.concatenate([ends[:1], graded, ends[1:]]))]
 
     pieces = []
     for piece, edges in panels:
@@ -967,8 +947,7 @@ def stone_flow_points(t: float, observe_radius: int) -> float:
     their count grows only by the panels they add; the nodes do not grow
     with t.
     """
-    regular = {"zero": True, "sixteen": True}
-    panels = _stone_nodes(2.0 * observe_radius + 2.0, _BUDGET_START, regular, None)[3]
+    panels = _stone_nodes(2.0 * observe_radius + 2.0, _BUDGET_START, None)[3]
     with np.errstate(over="ignore"):
         return float(_flow_subpanels(t, 4, panels).sum()) * _FLOW_ORDER
 
@@ -1050,26 +1029,25 @@ def _stone_assemble(
     sys: Optional[BirmanSchwingerSystem],
     targets: np.ndarray,
     phase: str,
-    regular: dict,
     budget: float,
     scans=None,
 ):
     """Band-quadrature kernels at all target pairs, shape (len(times), S, S), and node count.
 
-    sys is the decomposed potential (None for the free flow) and regular
-    the edge verdicts that _stone_nodes reads, with scans, if given, its
-    _stone_scans at _stone_reach(targets, sys) + 2. One node set serves every
-    time, and it does not depend on t: the flow enters through the
-    product-integration weights of _flow_weights. At each node the weight
-    of time t is that flow weight times mu^3 and the Jacobian Gauss weight:
-    mu^3 and the Jacobian stay with the interpolated part, since they
-    cancel the jump's mu^-3 and 1/sqrt(1 - mu^2/4). The kernel tables, the
-    sandwich solves and the gather of z are shared; only the flow weights
-    differ between times. The correction at (n, m) depends on the targets
-    only through their distances to the support sites, so z, the solved
-    sides and the correction GEMM run over the distinct rows of |n - site|
-    (the distances 0..r for one site at the centre) and are gathered back
-    onto the targets.
+    sys is the decomposed potential (None for the free flow), with both
+    edges regular, and scans, if given, the _stone_scans at
+    _stone_reach(targets, sys) + 2 that _stone_nodes reads. One node set
+    serves every time, and it does not depend on t: the flow enters through
+    the product-integration weights of _flow_weights. At each node the
+    weight of time t is that flow weight times mu^3 and the Jacobian Gauss
+    weight: mu^3 and the Jacobian stay with the interpolated part, since
+    they cancel the jump's mu^-3 and 1/sqrt(1 - mu^2/4). The kernel tables,
+    the sandwich solves and the gather of z are shared; only the flow
+    weights differ between times. The correction at (n, m) depends on the
+    targets only through their distances to the support sites, so z, the
+    solved sides and the correction GEMM run over the distinct rows of
+    |n - site| (the distances 0..r for one site at the centre) and are
+    gathered back onto the targets.
     """
     count = times.size
     sep_free = np.abs(targets[:, None] - targets[None, :])
@@ -1082,7 +1060,7 @@ def _stone_assemble(
         cls, classes = cls.ravel(), len(dist)
         corr = np.zeros((2 * count * classes, classes), dtype=complex)
 
-    mu, wts, omq, panels = _stone_nodes(reach + 2.0, budget, regular, sys, scans)
+    mu, wts, omq, panels = _stone_nodes(reach + 2.0, budget, sys, scans)
     flows = _flow_weights(times, phase, mu, panels)
     # one kernel evaluation per node and separation 0..reach; the free part
     # and the correction term both read from it
@@ -1135,24 +1113,23 @@ def stone_kernel_slice(
 
     t is one time, which gives one KernelSlice, or a 1-d sequence of times,
     which gives a list of them in the same order. phase names the flow in
-    FLOWS. Each band edge of V is checked once for the whole series; a
-    non-regular one warns and truncates the band integral near it (see
-    _stone_nodes) in every pass. A sandwich with an entry past the float
-    range at the bulk's lower end, where it is largest, is refused with
-    SingularSandwichError before any pass runs. The quadrature runs at
-    budget 16 and then at half the budget; each pass builds one node set,
-    the same for every t, on the scans of the wave costs and of det M that
-    are made once per call (_stone_scans), with flow weights integrated
-    per group of times within a factor of two in |t| (_flow_weights), and
-    evaluates every time not yet accepted on it. A time's error estimate at
-    a pass is the largest entry difference from the pass before plus the
-    rounding of an entry, (_ROUNDING_ULPS + 16 |t|) 2^-52. A time is
-    accepted at the first pass that has more nodes than the one before and
-    an estimate of at most tol; the finer pass is returned with that
-    estimate, and later passes leave it alone. Two passes on the same nodes
-    agree exactly and prove nothing, so such a step halves again. The
-    ladder stops once every time is accepted, or at budget 0.25, where each
-    time whose estimate still misses tol warns.
+    FLOWS. Both band edges of V must be regular: each is checked once for
+    the whole series, and a non-regular one is refused with
+    SingularSandwichError before any scan or node is built. So is a sandwich
+    with an entry past the float range at the bulk's lower end, where it is
+    largest. The quadrature runs at budget 16 and then at half the budget;
+    each pass builds one node set, the same for every t, on the scans of the
+    wave costs and of det M that are made once per call (_stone_scans), with
+    flow weights integrated per group of times within a factor of two in |t|
+    (_flow_weights), and evaluates every time not yet accepted on it. A
+    time's error estimate at a pass is the largest entry difference from the
+    pass before plus the rounding of an entry, (_ROUNDING_ULPS + 16 |t|)
+    2^-52. A time is accepted at the first pass that has more nodes than the
+    one before and an estimate of at most tol; the finer pass is returned
+    with that estimate, and later passes leave it alone. Two passes on the
+    same nodes agree exactly and prove nothing, so such a step halves again.
+    The ladder stops once every time is accepted, or at budget 0.25, where
+    each time whose estimate still misses tol warns.
     """
     if phase not in FLOWS:
         raise ValueError(f"phase must be one of {tuple(FLOWS)}")
@@ -1162,42 +1139,26 @@ def stone_kernel_slice(
     if not np.isfinite(times).all():
         raise ValueError("t must be finite")
     series = np.atleast_1d(times)
-    # each edge is decided once per call, so each non-regular edge warns once
     sys = decompose_potential(V) if V is not None else None
-    regular = {
-        threshold: sys is None or regular_point_check(sys, threshold).is_regular
-        for threshold in ("zero", "sixteen")
-    }
-    for threshold, ok in regular.items():
-        if not ok:
-            warnings.warn(
-                f"threshold {threshold!r} not regular; band integral "
-                f"truncated at distance {_EDGE_CUTOFF:.1e} from that edge",
-                stacklevel=2,
-            )
     if sys is not None:
+        _require_regular(sys, ("zero", "sixteen"))
         # whether M stays in the float range must not depend on where a pass
         # puts its nodes; its mu^-3 term is largest at the bulk's lower end,
         # below every node of every pass
-        low = _bulk_end(regular)
-        if not np.isfinite(m_matrix_grid(np.array([low]), sys)).all():
+        if not np.isfinite(m_matrix_grid(np.array([_INNER_CUTOFF]), sys)).all():
             raise SingularSandwichError(
                 "sandwich matrix numerically singular at energy "
-                f"mu^4 = {low**4:.6g}: entries past the float range"
+                f"mu^4 = {_INNER_CUTOFF**4:.6g}: entries past the float range"
             )
     targets = np.arange(-observe_radius, observe_radius + 1)
-    scans = _stone_scans(_stone_reach(targets, sys) + 2.0, regular, sys)
+    scans = _stone_scans(_stone_reach(targets, sys) + 2.0, sys)
     slices = [None] * series.size
     pending = np.arange(series.size)
     budget = _BUDGET_START
-    coarse, coarse_nodes = _stone_assemble(
-        series, sys, targets, phase, regular, budget, scans=scans
-    )
+    coarse, coarse_nodes = _stone_assemble(series, sys, targets, phase, budget, scans=scans)
     while pending.size:
         budget /= 2.0
-        fine, nodes = _stone_assemble(
-            series[pending], sys, targets, phase, regular, budget, scans=scans
-        )
+        fine, nodes = _stone_assemble(series[pending], sys, targets, phase, budget, scans=scans)
         floor = (_ROUNDING_ULPS + 16.0 * np.abs(series[pending])) * 2.0**-52
         errs = np.abs(fine - coarse).max(axis=(1, 2)) + floor
         done = (errs <= tol) & (nodes > coarse_nodes) | (budget <= _BUDGET_FLOOR)

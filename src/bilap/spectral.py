@@ -127,8 +127,7 @@ class MinvProbeReport:
 
     grid holds distances to the edge. leakage_norms are the norms of the
     inverse compressed against the edge subspace, whose log-log slope
-    against the grid is leakage_slope. skipped is set (with a diagnostic)
-    when the threshold is not regular and the probe does not apply.
+    against the grid is leakage_slope.
     """
 
     threshold: str
@@ -136,9 +135,7 @@ class MinvProbeReport:
     inverse_norms: np.ndarray
     leakage_norms: np.ndarray
     sup_inverse_norm: float
-    leakage_slope: Optional[float]
-    skipped: bool = False
-    diagnostic: str = ""
+    leakage_slope: float
 
 
 @dataclass(frozen=True)
@@ -260,6 +257,22 @@ def regular_point_check(sys: BirmanSchwingerSystem, threshold: str) -> RegularPo
     return RegularPointReport(threshold, sv, sv > tol, tol)
 
 
+def _require_regular(sys: BirmanSchwingerSystem, thresholds) -> None:
+    """SingularSandwichError unless regular_point_check finds each threshold regular.
+
+    The edge estimates, and so the band integral and the edge probe, hold
+    only at regular edges; the refusal names the threshold, its smallest
+    singular value and the tolerance it missed.
+    """
+    for threshold in thresholds:
+        report = regular_point_check(sys, threshold)
+        if not report.is_regular:
+            raise SingularSandwichError(
+                f"threshold {threshold!r} not regular: smallest singular value "
+                f"{report.smallest_singular_value:.3e} <= tolerance {report.tolerance_used:.3e}"
+            )
+
+
 def perturbed_resolvent_boundary(mu: float, V: Optional[PotentialSpec], n: int, m: int) -> complex:
     """Boundary value of the perturbed resolvent at band energy mu**4.
 
@@ -290,27 +303,14 @@ def minv_expansion_probe(
     against the edge subspace, (I - B B^T) M^{-1} with B the edge basis of
     _edge_data, decays; the report carries both norms and the fitted decay slope.
     Grids hold distances to the edge: mu itself at the lower edge, 2 - mu
-    at the upper. solve_sandwich gives the inverses and refuses a singular M.
+    at the upper. A non-regular threshold is refused with
+    SingularSandwichError (_require_regular), and solve_sandwich gives the
+    inverses and refuses a singular M.
     """
-    report = regular_point_check(sys, threshold)
     grid = np.asarray(mu_grid, dtype=float)
     if np.any(grid <= 0) or np.any(grid >= 2):
         raise ValueError("grid of edge distances must lie in (0, 2)")
-    if not report.is_regular:
-        return MinvProbeReport(
-            threshold=threshold,
-            grid=grid,
-            inverse_norms=np.array([]),
-            leakage_norms=np.array([]),
-            sup_inverse_norm=float("nan"),
-            leakage_slope=None,
-            skipped=True,
-            diagnostic=(
-                f"threshold {threshold!r} not regular (smallest singular value "
-                f"{report.smallest_singular_value:.3e} <= tolerance "
-                f"{report.tolerance_used:.3e}); probe skipped"
-            ),
-        )
+    _require_regular(sys, (threshold,))
     basis = _edge_data(sys, threshold)[1]
     comp = np.eye(sys.dim) - basis @ basis.T
     mus, omq = (grid, None) if threshold == "zero" else (2.0 - grid, grid * (4.0 - grid) / 4.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from bilap import propagator
+from bilap import propagator, spectral
 
 from bilap.lattice import (
     SPEED_BOUND,
@@ -45,12 +45,9 @@ FIVE_SITE = PotentialSpec((-2, 2), [0.5, 0.6, 0.7, 0.45, 0.55])
 
 
 def _assemble(t, V, targets, budget, phase="schrodinger"):
-    # one Stone pass at one time with both band edges taken as regular
+    # one Stone pass at one time
     sys_ = None if V is None else decompose_potential(V)
-    regular = {"zero": True, "sixteen": True}
-    entries, nodes = propagator._stone_assemble(
-        np.array([t]), sys_, targets, phase, regular, budget
-    )
+    entries, nodes = propagator._stone_assemble(np.array([t]), sys_, targets, phase, budget)
     return entries[0], nodes
 
 
@@ -281,20 +278,19 @@ def test_beam_sinc_is_time_average_of_beam_cos():
     np.testing.assert_allclose(avg, want.entries, atol=1e-10)
 
 
-def test_stone_warns_at_non_regular_threshold():
-    # truncated at the lower edge, the passes at budgets 2, 1, 0.5 and 0.25
-    # scatter by about 1e-2; an estimate from two passes on the same nodes
-    # would read 0 and hide that
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_stone_refuses_non_regular_threshold(monkeypatch):
+    # the band integral needs both edges regular; NONREGULAR fails at the
+    # lower edge, so the slice is refused before any scan or node is built
+    built = []
+    monkeypatch.setattr(propagator, "_stone_scans", lambda *args: built.append(args))
+    monkeypatch.setattr(propagator, "_stone_nodes", lambda *args: built.append(args))
+    with pytest.raises(SingularSandwichError, match="threshold 'zero' not regular"):
         stone_kernel_slice(1.0, NONREGULAR, 0)
-    messages = [str(w.message) for w in caught]
-    assert any("not regular" in m for m in messages)
-    assert any("error estimate" in m for m in messages)
+    assert not built
 
 
 def _recorded_nodes(monkeypatch, V):
-    # every node of every pass of one slice, and the edge warnings it raised
+    # every node of every pass of one slice, and the warnings it raised
     nodes, stone_nodes = [], propagator._stone_nodes
 
     def recorded(*args):
@@ -306,20 +302,7 @@ def _recorded_nodes(monkeypatch, V):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stone_kernel_slice(1.0, V, 0)
-    return nodes, [w for w in caught if "not regular" in str(w.message)]
-
-
-def test_stone_decides_each_edge_once_per_slice(monkeypatch):
-    # NONREGULAR fails at the lower edge only; the ladder's passes all
-    # reuse the one verdict, so the slice warns once
-    nodes, warned = _recorded_nodes(monkeypatch, NONREGULAR)
-    assert len(nodes) >= 2
-    assert len(warned) == 1 and "'zero'" in str(warned[0].message)
-    # the bulk stops at mu = _EDGE_CUTOFF and the upper strip stays:
-    # the weights cover (1e-4, 2) exactly
-    for mu, wts, *_ in nodes:
-        assert mu.min() > propagator._EDGE_CUTOFF
-        assert wts.sum() == pytest.approx(2.0 - propagator._EDGE_CUTOFF, abs=1e-13)
+    return nodes, caught
 
 
 @pytest.mark.parametrize("V", [None, DELTA_HALF, GENERIC_SMALL], ids=["free", "one-site", "three-site"])
@@ -509,7 +492,7 @@ def test_stone_series_estimates_bound_floor_error(case):
 
 def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
     calls = {"nodes": 0, "scans": 0, "edges": [], "passes": []}
-    stone_nodes, check = propagator._stone_nodes, propagator.regular_point_check
+    stone_nodes, check = propagator._stone_nodes, spectral.regular_point_check
     assemble, variation = propagator._stone_assemble, propagator.cost_variation
 
     def nodes(*args):
@@ -531,7 +514,7 @@ def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(propagator, "_stone_nodes", nodes)
     monkeypatch.setattr(propagator, "cost_variation", scan)
-    monkeypatch.setattr(propagator, "regular_point_check", edge)
+    monkeypatch.setattr(spectral, "regular_point_check", edge)
     monkeypatch.setattr(propagator, "_stone_assemble", passes)
     series = stone_kernel_slice(np.geomspace(50.0, 100.0, 8), DELTA_HALF, 16)
     assert calls["passes"] == [(16.0, 8), (8.0, 8)]
@@ -545,9 +528,8 @@ def test_stone_cuts_panels_at_a_sandwich_resonance():
     # mu = 0.89, where its phase turns by about pi; the panels there are cut
     # at equal steps of that phase. Without the cuts the budget-2 pass at
     # radius 0 and t = 20 was 6.2e-10 from the floor pass
-    regular = {"zero": True, "sixteen": True}
-    cut = propagator._stone_nodes(4.0, 4.0, regular, decompose_potential(FIVE_SITE))[3][0][1]
-    plain = propagator._stone_nodes(4.0, 4.0, regular, None)[3][0][1]
+    cut = propagator._stone_nodes(4.0, 4.0, decompose_potential(FIVE_SITE))[3][0][1]
+    plain = propagator._stone_nodes(4.0, 4.0, None)[3][0][1]
     near = lambda edges: np.count_nonzero(np.abs(2.0 * np.sin(-edges / 2.0) - 0.89) < 0.1)
     assert near(plain) <= 1 and near(cut) >= 4
     sl = stone_kernel_slice(20.0, FIVE_SITE, 0)
@@ -572,7 +554,7 @@ def test_stone_series_accepts_each_time_on_its_own(monkeypatch):
     assert early.nodes < late.nodes
     eight, _ = propagator._stone_assemble(
         np.array([1.0, 100.0]), decompose_potential(FIVE_SITE), np.arange(-10, 11),
-        "schrodinger", {"zero": True, "sixteen": True}, 8.0,
+        "schrodinger", 8.0,
     )
     assert np.array_equal(early.entries, eight[0])
 
@@ -596,8 +578,7 @@ def test_stone_scalar_time_is_a_series_of_one():
 
 def _flow_nodes():
     # the nodes of a delta 0.5 pass at reach 18, with both of its gradings
-    regular = {"zero": True, "sixteen": True}
-    return propagator._stone_nodes(18.0, 4.0, regular, decompose_potential(DELTA_HALF))
+    return propagator._stone_nodes(18.0, 4.0, decompose_potential(DELTA_HALF))
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 1.0, 1e2, 1e4])

@@ -198,19 +198,19 @@ def test_constructed_potential_is_not_regular():
     assert rep.smallest_singular_value < 1e-12
 
 
-def test_probe_skips_at_non_regular_edge():
-    probe = minv_expansion_probe(
-        decompose_potential(NONREGULAR), "zero", np.geomspace(1e-3, 1e-2, 5)
-    )
-    assert probe.skipped
-    assert "not regular" in probe.diagnostic
-    assert probe.leakage_slope is None
+def test_probe_refuses_non_regular_edge():
+    # the lower edge of NONREGULAR is not regular; its upper edge is, and
+    # the probe runs there
+    sys_ = decompose_potential(NONREGULAR)
+    with pytest.raises(SingularSandwichError, match="threshold 'zero' not regular"):
+        minv_expansion_probe(sys_, "zero", np.geomspace(1e-3, 1e-2, 5))
+    upper = minv_expansion_probe(sys_, "sixteen", geometric_grid(1e-8, 1e-5))
+    assert np.isfinite(upper.leakage_slope)
 
 
 def test_probe_slopes_at_regular_edges():
     sys_ = decompose_potential(PotentialSpec((-1, 2), [0.8, -0.5, 0.0, 0.3]))
     pz = minv_expansion_probe(sys_, "zero", geometric_grid(1e-3, 1e-1))
-    assert not pz.skipped
     assert pz.leakage_slope == pytest.approx(1.0, abs=0.1)
     assert pz.sup_inverse_norm < 10.0
     # the square-root regime at the upper edge opens far closer in
