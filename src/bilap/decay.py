@@ -265,7 +265,8 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
 
     The datum concentrates its spectrum on symbol energies up to
     epsilon**4; its size (lhs) is the square root of the cap width
-    measured along the band, sqrt(2 min(epsilon, arccos(1 - eps^2/2))).
+    measured along the band, sqrt(2 min(epsilon, phase)), with phase the
+    band phase 2 arcsin(eps/2) of _band_rates.
     The evolved wave is, to constants, separable,
 
         F(t, n) = sin(eps^4 t)/t * sin(eps n)/n,

@@ -166,7 +166,7 @@ def direct_boundary_kernel(mu, k, one_minus_q=None) -> np.ndarray:
     if one_minus_q is None:
         one_minus_q = (1.0 - mu / 2.0) * (1.0 + mu / 2.0)
     one_minus_q = np.asarray(one_minus_q, dtype=float).reshape(mu.shape)
-    phase = np.arccos(1.0 - mu * mu / 2.0)
+    phase = 2.0 * np.arctan2(mu / 2.0, np.sqrt((1.0 - mu / 2.0) * (1.0 + mu / 2.0)))
     b = np.log1p(mu * mu / 2.0 - mu * np.sqrt(1.0 + mu * mu / 4.0))
     split = phase * (2.0**27 + 1.0)
     hi = split - (split - phase)
