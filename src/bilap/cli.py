@@ -43,7 +43,7 @@ from .decay import (
     strichartz_points,
 )
 from .expansion import geometric_grid, remainder_norms, remainder_order, remainder_work
-from .lattice import LatticeVector, PotentialSpec
+from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
 from .propagator import (
     FREE_KINDS,
     auto_window_radius,
@@ -72,8 +72,6 @@ __all__ = ["main"]
 class ConfigError(Exception):
     """Raised when a config file fails schema validation."""
 
-
-_SIX_ROOT_THREE = 6.0 * np.sqrt(3.0)
 
 _GENERIC_SMALL = {"support": [-1, 1], "values": [0.3, -0.2, 0.1]}
 _MINV_DEFAULT = {"support": [-1, 2], "values": [0.8, -0.5, 0.0, 0.3]}
@@ -860,7 +858,7 @@ def _certify_roots(s, pts):
             p = min(pts, key=lambda p: abs(p.x))
             checks.append(abs(p.derivative_value - 24.0) <= 1e-10)
         return all(checks)
-    if abs(s + _SIX_ROOT_THREE) <= 1e-12:
+    if abs(s + SPEED_BOUND) <= 1e-12:
         return len(pts) == 1 and match(-2.0 * np.pi / 3.0, 3)
     return None
 
@@ -1002,10 +1000,10 @@ _FLOW_POINT_BOUND = 2**24
 # observe radius up to 256.
 _STONE_ENTRY_BOUND = 2**22
 
-# Largest knapp space sum, in sites. The sum runs in blocks of a fixed size,
-# so the bound caps time, not memory: about 4 s at 2^27 sites, the smallest
-# cap width epsilon near 9.4e-6, on a 2-core host (37.5 s at 1e-6). The
-# default's smallest epsilon, 0.0125, sums 100,531 sites.
+# Largest knapp run, in sites of its space sums over every epsilon. Each sum
+# runs in blocks of a fixed size, so the bound caps time, not memory: about
+# 4 s at 2^27 sites, one cap width epsilon near 9.4e-6, on a 2-core host
+# (37.5 s at 1e-6). The default's four epsilons sum 188,497 sites.
 _KNAPP_SITE_BOUND = 2**27
 
 # Largest expansion-check run, in cases x grid points x (window_radius + 1)^3
@@ -1016,6 +1014,17 @@ _KNAPP_SITE_BOUND = 2**27
 # lower-edge cases of order 90 at radius 64 ran 58 s and 6 at radius 512
 # 12 s. The default's 5 cases at radius 64 make 3.8e7 units.
 _EXPANSION_WORK_BOUND = 25 * 10**9
+
+# Largest eig-scan run, in units of sum (r + 1)^3 over its window_radii r:
+# each radius is one dense eigh of its window, by parity blocks of sides
+# r + 1 and r where the window equals its reflection. A unit took
+# 0.27-0.37 ns at radii 1024 to 2048 for delta 0.5 and 1.0 ns for the
+# off-centre [0.5, 0.3] on [0, 1], whose window is diagonalised whole (0.74
+# and 1.8 ns at the default radii; 2-core host). The bound admits the
+# largest window beside a small one, [8, 4096] (6.9e10 units, about 20 s
+# for delta 0.5 by those rates), or eight windows of radius 2048; the
+# default's [128, 256, 384] make 7.6e7 units.
+_EIG_WORK_BOUND = 7 * 10**10
 
 # Smallest ratio of knapp's largest epsilon to its smallest. The exponent
 # fits divide by the spread of log epsilon; epsilons 0.001 and its next float
@@ -1170,12 +1179,20 @@ def _expansion_work(cfg):
 
 
 def _knapp_sum(cfg):
-    """knapp's space sum at its smallest epsilon, by knapp_sites, within _KNAPP_SITE_BOUND."""
-    eps = min(cfg["epsilons"])
-    sites = knapp_sites(eps)
+    """knapp's space sums over all its epsilons, by knapp_sites, within _KNAPP_SITE_BOUND."""
+    sites = sum(knapp_sites(eps) for eps in cfg["epsilons"])
     if sites > _KNAPP_SITE_BOUND:
-        yield (f"field 'epsilons': the space sum at epsilon = {eps:g} would take "
-               f"{sites:.3g} sites, above the bound of {_KNAPP_SITE_BOUND} (2^27)")
+        yield (f"field 'epsilons': the space sums at {len(cfg['epsilons'])} epsilons "
+               f"(the smallest {min(cfg['epsilons']):g}) would take {sites:.3g} sites, "
+               f"above the bound of {_KNAPP_SITE_BOUND} (2^27)")
+
+
+def _eig_work(cfg):
+    """eig-scan's dense windows, sum (r + 1)^3 over window_radii, within _EIG_WORK_BOUND."""
+    work = sum((r + 1) ** 3 for r in cfg["window_radii"])
+    if work > _EIG_WORK_BOUND:
+        yield (f"field 'window_radii': {len(cfg['window_radii'])} windows would take "
+               f"{work:.4g} units of work, above the bound of {_EIG_WORK_BOUND:.3g}")
 
 
 def _knapp_spread(cfg):
@@ -1291,7 +1308,8 @@ _COMMANDS = {
         "discrete spectrum and embedded-eigenvalue stability scan",
         _limits(lambda c: _supports_fit([c["potential"]], "every window radius",
                                         min(c["window_radii"]),
-                                        fields="fields 'potential', 'window_radii'")),
+                                        fields="fields 'potential', 'window_radii'"),
+                _eig_work),
     ),
     "stone-vs-spectral": (
         _run_stone_vs_spectral,
@@ -1315,7 +1333,7 @@ _COMMANDS = {
         _run_stationary_phase,
         {
             "branch": (_as_choice(("minus_cos", "plus_cos")), "minus_cos"),
-            "s_values": (_as_float_list(), [0.0, -_SIX_ROOT_THREE]),
+            "s_values": (_as_float_list(), [0.0, -SPEED_BOUND]),
             "interval": (_as_range(lo=-np.pi, hi=0.0), (-np.pi, 0.0)),
             "certify": (_as_bool, True),
         },

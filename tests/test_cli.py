@@ -141,6 +141,12 @@ _LIMIT_EDGES = {
         ({"observe_radius": 256, "per_decade": 8}, {"observe_radius": 256, "per_decade": 9},
          "'observe_radius'"),
     ],
+    "eig-scan": [
+        # the largest window beside a small one is admitted, a third window
+        # of radius 1536 passes 7e10 units; so do nine windows of 2048
+        ({"window_radii": [8, 4096]}, {"window_radii": [8, 4096, 1536]}, "'window_radii'"),
+        ({"window_radii": [2048] * 8}, {"window_radii": [2048] * 9}, "'window_radii'"),
+    ],
     "stone-vs-spectral": [
         # 252 and 253 times of 129^2 entries lie either side of 2^22
         ({"times": [1.0] * 252, "observe_radius": 64}, {"times": [1.0] * 253, "observe_radius": 64},
@@ -168,6 +174,9 @@ _LIMIT_EDGES = {
     "knapp": [
         # ceil(400 pi / eps) sites either side of 2^27
         ({"epsilons": [0.1, 9.37e-6]}, {"epsilons": [0.1, 9.36e-6]}, "'epsilons'"),
+        # ten and eleven epsilons near 1e-4, 1.25e8 and 1.38e8 sites in all
+        ({"epsilons": [1e-4 * (1 + k / 1000) for k in range(10)]},
+         {"epsilons": [1e-4 * (1 + k / 1000) for k in range(11)]}, "'epsilons'"),
         # spreads of 1 + 2e-5 and 1 + 2e-7 either side of 1 + 1e-6
         ({"epsilons": [0.05, 0.050001]}, {"epsilons": [0.05, 0.05000001]}, "'epsilons'"),
     ],
