@@ -1021,9 +1021,9 @@ _EXPANSION_WORK_BOUND = 25 * 10**9
 # 0.27-0.37 ns at radii 1024 to 2048 for delta 0.5 and 1.0 ns for the
 # off-centre [0.5, 0.3] on [0, 1], whose window is diagonalised whole (0.74
 # and 1.8 ns at the default radii; 2-core host). The bound admits the
-# largest window beside a small one, [8, 4096] (6.9e10 units, about 20 s
-# for delta 0.5 by those rates), or eight windows of radius 2048; the
-# default's [128, 256, 384] make 7.6e7 units.
+# largest window beside a small one, [8, 4096] (6.9e10 units: 19-25 s for
+# delta 0.5 and about 70 s off-centre, by those rates), or eight windows of
+# radius 2048; the default's [128, 256, 384] make 7.6e7 units.
 _EIG_WORK_BOUND = 7 * 10**10
 
 # Smallest ratio of knapp's largest epsilon to its smallest. The exponent
@@ -1454,9 +1454,9 @@ def main(argv=None) -> int:
             threads = args.threads
 
     started = time.monotonic()
-    # the library's own warnings (a quadrature short of its target) are
-    # part of the run's output: one stderr line each, and
-    # listed in the manifest; other categories keep the active filters
+    # the library's own warnings (a quadrature short of its target) are part
+    # of the run's output: one stderr line each, and listed in the manifest;
+    # other categories keep the active filters
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
