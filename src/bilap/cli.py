@@ -1035,6 +1035,19 @@ _KNAPP_MIN_SPREAD = 1.000001
 # memory grows with the support radius.
 _ORACLE_SITE_BOUND = 2**16
 
+# Largest resolvent-check oracle, in window sites x solves: each distinct mu
+# the run can draw, at most points of them, is one windowed_boundary_resolvent
+# call, which solves each potential's window of 2c + 1 sites, c = max(8,
+# support radii), for up to 17 columns on 4 rungs. A site of a solve took
+# 8-11 us, and a solve costs about _ORACLE_SOLVE_SITES sites however small
+# its window (0.5 ms; 2-core host). The bound admits 1,000 draws of 25
+# potentials on the smallest window (11 s free, 18 s for delta 0.5, whose
+# closed forms add 25,000 sandwich solves), or of one potential of support
+# radius 1,016 (8.5 s); the default's 5 values of mu and 3 potentials make
+# 1,215 units.
+_ORACLE_WORK_BOUND = 2**21
+_ORACLE_SOLVE_SITES = 64
+
 # Largest stone-vs-spectral reference, in units of Chebyshev work. A kernel
 # of kernel_spectral counts chebyshev_degree x light-cone rows x columns,
 # the rows reaching the degree's count of sites past the observed ones each
@@ -1122,6 +1135,18 @@ def _supports_fit(potentials, window, given, margin=2, fields="field 'potentials
         if V is not None and not given >= V.support_radius + margin:
             yield (f"{fields.format(i)}: support radius {V.support_radius} needs "
                    f"{window} >= {V.support_radius + margin}, got {given}")
+
+
+def _oracle_work(cfg):
+    """resolvent-check's oracle solves over the distinct mu it can draw, within _ORACLE_WORK_BOUND."""
+    draws = min(cfg["points"], len(set(cfg["mu_values"])))
+    half = max([8] + [V.support_radius for V in cfg["potentials"] if V is not None])
+    work = draws * len(cfg["potentials"]) * (2 * half + 1 + _ORACLE_SOLVE_SITES)
+    if work > _ORACLE_WORK_BOUND:
+        yield (f"fields 'mu_values', 'points', 'potentials': {draws} values of mu and "
+               f"{len(cfg['potentials'])} potentials on windows of {2 * half + 1} sites "
+               f"would take {work} units of oracle work, above the bound of "
+               f"{_ORACLE_WORK_BOUND} (2^21)")
 
 
 def _reference_work(cfg):
@@ -1258,7 +1283,8 @@ _COMMANDS = {
         },
         "closed boundary kernels against direct window inversion",
         _limits(lambda c: _supports_fit(c["potentials"], "the window oracle's site limit",
-                                        _ORACLE_SITE_BOUND, margin=0)),
+                                        _ORACLE_SITE_BOUND, margin=0),
+                _oracle_work),
     ),
     "expansion-check": (
         _run_expansion_check,
@@ -1403,18 +1429,27 @@ def _manifest_value(v):
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call to main, not at import."""
+    """The command-line parser, built on the first call to main, not at import.
+
+    One parser for all commands, since they share their options: a command
+    is a positional argument, and `bilap <command> --help` prints the same
+    page as `bilap --help`, with each command's summary in the epilog.
+    """
+    width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="bilap",
+        usage="%(prog)s command [--config CONFIG] [--out OUT] [--seed SEED] [--threads THREADS]",
         description="lattice fourth-difference dispersion toolkit",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {help_text}" for name, (_, _, help_text, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=Path, default=None, help="JSON parameter file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the experiment to run, one of the commands below")
+    parser.add_argument("--config", type=Path, default=None, help="JSON parameter file")
+    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=None)
     return parser
 
 

@@ -803,12 +803,16 @@ def _stone_reach(targets: np.ndarray, sys: Optional[BirmanSchwingerSystem]) -> i
     return int(np.abs(targets[:, None] - sites[None, :]).max())
 
 
-def _stone_scans(reach: float, sys: Optional[BirmanSchwingerSystem]):
-    """The scans of _stone_nodes that no budget enters, made once per slice.
+@lru_cache(maxsize=8)
+def _wave_scans(reach: float, inner: float, edge: float):
+    """The wave-cost variation of the bulk and of the strip (cost_variation), read-only.
 
-    The wave-cost variation of the bulk and of the strip (cost_variation),
-    and the _resonance_phase of the bulk, None for the free flow. The
-    bulk's scan points run from its first edge to its last.
+    Both depend on reach and the cutoffs (_INNER_CUTOFF, _EDGE_CUTOFF)
+    alone, not on the potential, so a process makes each once per reach:
+    the limits' stone_flow_points and every Stone slice at that reach share
+    it. Each scan holds 2 x 8,193 floats, 0.26 MB for the pair, and the
+    cache keeps eight reaches. The bulk's scan points run from its first
+    edge to its last.
     """
 
     # sign does not move an edge: only the |variation| of each cost row counts
@@ -816,7 +820,7 @@ def _stone_scans(reach: float, sys: Optional[BirmanSchwingerSystem]):
         return np.stack([reach * phase, reach * _band_rates(mu)[1]])
 
     # bulk, in theta = -phase; the ends invert the node map mu = 2 sin(-theta/2)
-    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, _INNER_CUTOFF]) / 2.0)
+    th_lo, th_hi = -2.0 * np.arcsin(np.array([2.0 - edge, inner]) / 2.0)
     bulk = cost_variation(th_lo, th_hi, lambda th: cost(2.0 * np.sin(-th / 2.0), th))
 
     # upper strip, in w = sqrt(2 - mu)
@@ -824,9 +828,50 @@ def _stone_scans(reach: float, sys: Optional[BirmanSchwingerSystem]):
         mu = 2.0 - wv * wv
         return cost(mu, _band_rates(mu)[0])
 
-    strip = cost_variation(_INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), hi_cost)
-    resonance = None if sys is None else _resonance_phase(th_lo, th_hi, sys)
+    strip = cost_variation(inner, np.sqrt(edge), hi_cost)
+    for scan in (*bulk, *strip):
+        scan.flags.writeable = False
+    return bulk, strip
+
+
+def _stone_scans(reach: float, sys: Optional[BirmanSchwingerSystem]):
+    """The scans of _stone_nodes that no budget enters, made once per slice.
+
+    The wave-cost scans of the bulk and of the strip (_wave_scans, shared
+    per reach), and the _resonance_phase of the bulk, None for the free
+    flow.
+    """
+    bulk, strip = _wave_scans(reach, _INNER_CUTOFF, _EDGE_CUTOFF)
+    resonance = None if sys is None else _resonance_phase(bulk[0][0], bulk[0][-1], sys)
     return bulk, strip, resonance
+
+
+def _stone_panels(reach: float, budget: float, sys: Optional[BirmanSchwingerSystem], scans=None):
+    """The panels of _stone_nodes: (piece, edges) for the bulk and for the strip.
+
+    scans is _stone_scans(reach, sys), made here when omitted; a ladder of
+    budgets shares it.
+    """
+    # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every
+    # separation. At the upper edge the kernel is i (-1)^k / (32 w) to leading
+    # order in w = sqrt(1 - mu^2/4), so v K v has norm |V|_1 / (32 w) there
+    norm = np.sum(sys.v**2) if sys is not None else 0.0
+    knee, crest = (norm / np.sqrt(8.0)) ** (1.0 / 3.0), norm / 32.0
+    bulk, strip, resonance = scans if scans is not None else _stone_scans(reach, sys)
+
+    edges = edges_from_budget(bulk[0][0], bulk[0][-1], bulk, budget=budget, min_panels=8)
+    if resonance is not None:
+        edges = _resonance_cuts(edges, resonance, budget)
+    # the last panel graded in mu toward the knee, the first in w toward the crest
+    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, _INNER_CUTOFF) / 2.0)
+    top = np.cos(edges[:2] / 2.0)
+    high = -2.0 * np.arccos(_halvings(top[1], crest, top[0])[::-1])
+    edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
+    ends = edges_from_budget(
+        _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), strip, budget=budget, min_panels=4
+    )
+    graded = _halvings(ends[1], crest, _INNER_CUTOFF)[::-1]
+    return [("bulk", edges), ("strip", np.concatenate([ends[:1], graded, ends[1:]]))]
 
 
 def _stone_nodes(reach: float, budget: float, sys: Optional[BirmanSchwingerSystem], scans=None):
@@ -852,33 +897,14 @@ def _stone_nodes(reach: float, budget: float, sys: Optional[BirmanSchwingerSyste
     cannot interpolate it, so _halvings grades the bulk's last panel in mu
     toward the knee, and the bulk's first panel in w and the strip's first
     panel toward the crest; _resonance_cuts cuts the interior panels where
-    det M turns. The weights are the Gauss weights times the Jacobian
-    |dmu/dx|, so they sum to the length in mu that the pieces cover; panels
-    lists (piece, edges) for each piece, whose nodes follow panel by panel.
+    det M turns (_stone_panels). The weights are the Gauss weights times
+    the Jacobian |dmu/dx|, so they sum to the length in mu that the pieces
+    cover; panels lists (piece, edges) for each piece, whose nodes follow
+    panel by panel.
     scans is _stone_scans(reach, sys), made here when omitted; a ladder of
     budgets shares it.
     """
-    # v K_-3 v mu^-3 has norm |V|_1 / sqrt(8) mu^-3: K_-3 = (i - 1)/4 at every
-    # separation. At the upper edge the kernel is i (-1)^k / (32 w) to leading
-    # order in w = sqrt(1 - mu^2/4), so v K v has norm |V|_1 / (32 w) there
-    norm = np.sum(sys.v**2) if sys is not None else 0.0
-    knee, crest = (norm / np.sqrt(8.0)) ** (1.0 / 3.0), norm / 32.0
-    bulk, strip, resonance = scans if scans is not None else _stone_scans(reach, sys)
-
-    edges = edges_from_budget(bulk[0][0], bulk[0][-1], bulk, budget=budget, min_panels=8)
-    if resonance is not None:
-        edges = _resonance_cuts(edges, resonance, budget)
-    # the last panel graded in mu toward the knee, the first in w toward the crest
-    low = -2.0 * np.arcsin(_halvings(2.0 * np.sin(-edges[-2] / 2.0), knee, _INNER_CUTOFF) / 2.0)
-    top = np.cos(edges[:2] / 2.0)
-    high = -2.0 * np.arccos(_halvings(top[1], crest, top[0])[::-1])
-    edges = np.concatenate([edges[:1], high, edges[1:-1], low, edges[-1:]])
-    ends = edges_from_budget(
-        _INNER_CUTOFF, np.sqrt(_EDGE_CUTOFF), strip, budget=budget, min_panels=4
-    )
-    graded = _halvings(ends[1], crest, _INNER_CUTOFF)[::-1]
-    panels = [("bulk", edges), ("strip", np.concatenate([ends[:1], graded, ends[1:]]))]
-
+    panels = _stone_panels(reach, budget, sys, scans)
     pieces = []
     for piece, edges in panels:
         x, w = gauss_panels(edges, _STONE_ORDER)
@@ -947,7 +973,7 @@ def stone_flow_points(t: float, observe_radius: int) -> float:
     their count grows only by the panels they add; the nodes do not grow
     with t.
     """
-    panels = _stone_nodes(2.0 * observe_radius + 2.0, _BUDGET_START, None)[3]
+    panels = _stone_panels(2.0 * observe_radius + 2.0, _BUDGET_START, None)
     with np.errstate(over="ignore"):
         return float(_flow_subpanels(t, 4, panels).sum()) * _FLOW_ORDER
 

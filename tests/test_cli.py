@@ -133,7 +133,29 @@ _RING_EDGES = {
     # the bound falls between t = 7e5 and 9e5 for the fourth-difference ring
     "free-decay": [({"t_max": 7e5}, {"t_max": 9e5}, "'t_max'")],
 }
+# a thousand distinct mu in the oracle's range: with points 1000 the run can
+# draw each of them
+_THOUSAND_MU = [0.1 + 0.0018 * k for k in range(1000)]
+
+
+def _wide(radius):
+    """A two-site potential at -radius and radius: a window oracle of 2 radius + 1 sites."""
+    return {"support": [-radius, radius], "values": [0.5] + [0.0] * (2 * radius - 1) + [0.3]}
+
+
 _LIMIT_EDGES = {
+    "resolvent-check": [
+        # 1,000 draws x 25 and 26 potentials on 17 sites (+ 64 per solve)
+        # lie either side of 2^21 units of oracle work
+        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 25},
+         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26}, "'potentials'"),
+        # and one potential of support radius 1016 and 1017
+        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1016)]},
+         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1017)]}, "'potentials'"),
+        # 26 potentials drawing at most 25 points are admitted
+        ({"mu_values": _THOUSAND_MU, "points": 25, "potentials": [None] * 26},
+         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26}, "'points'"),
+    ],
     "perturbed-decay": [
         # the flow bound falls between t = 8e5 and 9e5 at the default observe radius 32
         ({"t_max": 8e5}, {"t_max": 9e5}, "'t_max'"),
@@ -255,6 +277,11 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
         ("stationary-phase", {"s_values": [0.0] * 65537}, ["stationary_points"], "'s_values'"),
         # its window radius would overflow; an OverflowError traceback before
         ("stone-vs-spectral", {"times": [1e308]}, ["pac_split", "stone_kernel_slice"], "'times'"),
+        # 1,000 draws of mu x 26 potentials, and a window of 2,035 sites
+        ("resolvent-check", {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26},
+         ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'potentials'"),
+        ("resolvent-check", {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1017)]},
+         ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'mu_values'"),
     ],
 )
 def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
@@ -300,6 +327,48 @@ def test_parser_is_built_once_per_process_and_not_at_import(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.strip() == "0"
+
+
+def _counted_scans(monkeypatch):
+    """Calls of the wave-cost scan from an empty per-reach cache on, one entry per call."""
+    scans, variation = [], propagator.cost_variation
+    propagator._wave_scans.cache_clear()
+    monkeypatch.setattr(propagator, "cost_variation", lambda *args: scans.append(1) or variation(*args))
+    return scans
+
+
+def test_perturbed_run_scans_each_wave_cost_once(tmp_path, monkeypatch):
+    # the limit's stone_flow_points and the run's Stone passes share one
+    # scan of the bulk and one of the strip at reach 2r + 2 = 34
+    scans = _counted_scans(monkeypatch)
+    cfg = _write_config(tmp_path, "cfg", {"t_min": 50.0, "t_max": 100.0, "per_decade": 24,
+                                          "observe_radius": 16})
+    assert main(["perturbed-decay", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+    assert len(scans) == 2
+    assert propagator._wave_scans.cache_info().currsize == 1
+
+
+def test_stone_vs_spectral_potentials_share_one_scan(tmp_path, monkeypatch):
+    # all default potentials reach 2 x 10 + 2 sites
+    scans = _counted_scans(monkeypatch)
+    slices = []
+    stone = cli.stone_kernel_slice
+    monkeypatch.setattr(cli, "stone_kernel_slice", lambda *a, **k: slices.append(1) or stone(*a, **k))
+    assert main(["stone-vs-spectral", "--out", str(tmp_path / "o")]) == 0
+    assert len(slices) == 3 and len(scans) == 2
+
+
+def test_wave_scans_are_read_only_and_not_made_at_import():
+    for xs, cum in propagator._wave_scans(34.0, propagator._INNER_CUTOFF, propagator._EDGE_CUTOFF):
+        for scan in (xs, cum):
+            with pytest.raises(ValueError):
+                scan[0] = 0.0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import bilap.cli as c, bilap.propagator as p; "
+             "print(c._parser.cache_info().currsize, p._wave_scans.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_knapp_repeated_epsilons_exit_two_before_mkdir(tmp_path, capsys):
@@ -924,8 +993,18 @@ def test_help_lists_every_command(capsys):
         main(["--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
+    for name, (_, _, summary, _) in cli._COMMANDS.items():
+        assert name in text and summary in text
+    # one parser serves every command, so each command's help is that page
     for name in cli._COMMANDS:
-        assert name in text
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -500,9 +500,11 @@ def test_stone_series_builds_nodes_and_checks_edges_once_per_pass(monkeypatch):
         return stone_nodes(*args)
 
     def scan(*args):
-        # the wave-cost scans of the bulk and the strip, made once per call
+        # the wave-cost scans of the bulk and the strip, made once per reach
         calls["scans"] += 1
         return variation(*args)
+
+    propagator._wave_scans.cache_clear()
 
     def edge(sys_, threshold):
         calls["edges"].append(threshold)
@@ -1022,3 +1024,46 @@ def test_pac_split_diagonalises_each_matrix_once(monkeypatch):
     # the one matrix diagonalised is the 1 x 1 sandwich at the bound state,
     # once; the Chebyshev route diagonalises no window
     assert shapes == [(1, 1)]
+
+
+class _FirstPass(Exception):
+    pass
+
+
+def _first_pass_flow_points(monkeypatch, t, V, r):
+    """Flow points that the first Stone pass of stone_kernel_slice(t, V, r) hands its flow integral.
+
+    The sub-panels are counted as _flow_blocks deals them out; the
+    integral itself is skipped, and the slice stops after its first pass.
+    """
+    taken, blocks, assemble = [0], propagator._flow_blocks, propagator._stone_assemble
+
+    def counted(counts):
+        taken[0] += sum(q1 - q0 for runs in blocks(counts) for _, q0, q1, _ in runs)
+        return iter(())
+
+    def first(*args, **kwargs):
+        assemble(*args, **kwargs)
+        raise _FirstPass
+
+    with monkeypatch.context() as m, pytest.raises(_FirstPass):
+        m.setattr(propagator, "_flow_blocks", counted)
+        m.setattr(propagator, "_stone_assemble", first)
+        stone_kernel_slice(t, V, r)
+    return taken[0] * propagator._FLOW_ORDER
+
+
+@pytest.mark.parametrize("V", [None, DELTA_HALF, GENERIC_SMALL, PotentialSpec.delta(1e-8)],
+                         ids=["free", "delta-0.5", "three-site", "delta-1e-8"])
+def test_stone_flow_points_bound_the_first_pass(monkeypatch, V):
+    # perturbed-decay's limit reads the flow integral's size from a free
+    # slice on reach 2r + 2; a potential's gradings and resonance cuts move
+    # the panels, but the run's own first pass takes no more points, and
+    # at least 0.935 of them on this grid
+    for r in (2, 16, 64):
+        for t in (1e2, 1e4, 1e5):
+            limit = propagator.stone_flow_points(t, r)
+            run = _first_pass_flow_points(monkeypatch, t, V, r)
+            assert 0.9 * limit <= run <= limit, (r, t, run, limit)
+            if V is None:
+                assert run == limit
