@@ -1035,18 +1035,20 @@ _KNAPP_MIN_SPREAD = 1.000001
 # memory grows with the support radius.
 _ORACLE_SITE_BOUND = 2**16
 
-# Largest resolvent-check oracle, in window sites x solves: each distinct mu
-# the run can draw, at most points of them, is one windowed_boundary_resolvent
-# call, which solves each potential's window of 2c + 1 sites, c = max(8,
-# support radii), for up to 17 columns on 4 rungs. A site of a solve took
-# 8-11 us, and a solve costs about _ORACLE_SOLVE_SITES sites however small
-# its window (0.5 ms; 2-core host). The bound admits 1,000 draws of 25
-# potentials on the smallest window (11 s free, 18 s for delta 0.5, whose
-# closed forms add 25,000 sandwich solves), or of one potential of support
-# radius 1,016 (8.5 s); the default's 5 values of mu and 3 potentials make
-# 1,215 units.
-_ORACLE_WORK_BOUND = 2**21
-_ORACLE_SOLVE_SITES = 64
+# Largest resolvent-check run, in units of one site of a window solve. Each
+# distinct mu the run can draw, at most points of them, is one
+# windowed_boundary_resolvent call, which solves each potential's window of
+# 2c + 1 sites, c = max(8, support radii), for up to 17 columns on 4 rungs,
+# and each of the points x potentials rows is one closed form. A site took
+# 8-11 us, and a solve or a closed form about _SOLVE_SITES sites (0.5 ms a
+# solve however small its window; a closed form 0.1 ms free, 0.4-0.8 ms for
+# 1 to 64 sites; 2-core host). The bound admits 1,000 draws and points for
+# 14 delta potentials (10.4 s), one potential of support radius 984 at
+# 1,000 draws (8.4 s), or 1,000 points at one mu for 32 delta potentials
+# (11.3 s; 2.4 s free). The default's 5 values of mu, 25 points and 3
+# potentials make 6,015 units.
+_RESOLVENT_WORK_BOUND = 2**21
+_SOLVE_SITES = 64
 
 # Largest stone-vs-spectral reference, in units of Chebyshev work. A kernel
 # of kernel_spectral counts chebyshev_degree x light-cone rows x columns,
@@ -1137,16 +1139,16 @@ def _supports_fit(potentials, window, given, margin=2, fields="field 'potentials
                    f"{window} >= {V.support_radius + margin}, got {given}")
 
 
-def _oracle_work(cfg):
-    """resolvent-check's oracle solves over the distinct mu it can draw, within _ORACLE_WORK_BOUND."""
+def _resolvent_work(cfg):
+    """resolvent-check's oracle solves and closed forms, within _RESOLVENT_WORK_BOUND units."""
     draws = min(cfg["points"], len(set(cfg["mu_values"])))
-    half = max([8] + [V.support_radius for V in cfg["potentials"] if V is not None])
-    work = draws * len(cfg["potentials"]) * (2 * half + 1 + _ORACLE_SOLVE_SITES)
-    if work > _ORACLE_WORK_BOUND:
+    window = 2 * max([8] + [V.support_radius for V in cfg["potentials"] if V is not None]) + 1
+    work = len(cfg["potentials"]) * (draws * (window + _SOLVE_SITES) + cfg["points"] * _SOLVE_SITES)
+    if work > _RESOLVENT_WORK_BOUND:
         yield (f"fields 'mu_values', 'points', 'potentials': {draws} values of mu and "
-               f"{len(cfg['potentials'])} potentials on windows of {2 * half + 1} sites "
-               f"would take {work} units of oracle work, above the bound of "
-               f"{_ORACLE_WORK_BOUND} (2^21)")
+               f"{cfg['points']} points for {len(cfg['potentials'])} potentials on windows of "
+               f"{window} sites would take {work} units of work, above the bound of "
+               f"{_RESOLVENT_WORK_BOUND} (2^21)")
 
 
 def _reference_work(cfg):
@@ -1284,7 +1286,7 @@ _COMMANDS = {
         "closed boundary kernels against direct window inversion",
         _limits(lambda c: _supports_fit(c["potentials"], "the window oracle's site limit",
                                         _ORACLE_SITE_BOUND, margin=0),
-                _oracle_work),
+                _resolvent_work),
     ),
     "expansion-check": (
         _run_expansion_check,

@@ -133,8 +133,8 @@ _RING_EDGES = {
     # the bound falls between t = 7e5 and 9e5 for the fourth-difference ring
     "free-decay": [({"t_max": 7e5}, {"t_max": 9e5}, "'t_max'")],
 }
-# a thousand distinct mu in the oracle's range: with points 1000 the run can
-# draw each of them
+# a thousand distinct mu in the oracle's range: with 1,000 points the run
+# can draw each of them
 _THOUSAND_MU = [0.1 + 0.0018 * k for k in range(1000)]
 
 
@@ -145,16 +145,17 @@ def _wide(radius):
 
 _LIMIT_EDGES = {
     "resolvent-check": [
-        # 1,000 draws x 25 and 26 potentials on 17 sites (+ 64 per solve)
-        # lie either side of 2^21 units of oracle work
-        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 25},
-         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26}, "'potentials'"),
-        # and one potential of support radius 1016 and 1017
-        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1016)]},
-         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1017)]}, "'potentials'"),
-        # 26 potentials drawing at most 25 points are admitted
-        ({"mu_values": _THOUSAND_MU, "points": 25, "potentials": [None] * 26},
-         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26}, "'points'"),
+        # 1,000 draws and points: 14 and 15 delta potentials on 17 sites lie
+        # either side of 2^21 units of work
+        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [{"delta": 0.5}] * 14},
+         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [{"delta": 0.5}] * 15},
+         "'potentials'"),
+        # and one potential of support radius 984 and 985
+        ({"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(984)]},
+         {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(985)]}, "'potentials'"),
+        # one mu: the closed forms of 32 and 33 potentials at 1,000 points
+        ({"mu_values": [0.7], "points": 1000, "potentials": [{"delta": 0.5}] * 32},
+         {"mu_values": [0.7], "points": 1000, "potentials": [{"delta": 0.5}] * 33}, "'points'"),
     ],
     "perturbed-decay": [
         # the flow bound falls between t = 8e5 and 9e5 at the default observe radius 32
@@ -277,11 +278,14 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
         ("stationary-phase", {"s_values": [0.0] * 65537}, ["stationary_points"], "'s_values'"),
         # its window radius would overflow; an OverflowError traceback before
         ("stone-vs-spectral", {"times": [1e308]}, ["pac_split", "stone_kernel_slice"], "'times'"),
-        # 1,000 draws of mu x 26 potentials, and a window of 2,035 sites
-        ("resolvent-check", {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 26},
+        # 1,000 draws of mu for 600 potentials, a window of 2,035 sites, and
+        # 1,000 points at one mu for 600 potentials
+        ("resolvent-check", {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [None] * 600},
          ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'potentials'"),
         ("resolvent-check", {"mu_values": _THOUSAND_MU, "points": 1000, "potentials": [_wide(1017)]},
          ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'mu_values'"),
+        ("resolvent-check", {"mu_values": [0.7], "points": 1000, "potentials": [None] * 600},
+         ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'points'"),
     ],
 )
 def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
