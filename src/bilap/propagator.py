@@ -1145,8 +1145,8 @@ def stone_kernel_slice(
     with an entry past the float range at the bulk's lower end, where it is
     largest. The quadrature runs at budget 16 and then at half the budget;
     each pass builds one node set, the same for every t, on the scans of the
-    wave costs and of det M that are made once per call (_stone_scans), with
-    flow weights integrated per group of times within a factor of two in |t|
+    wave costs, made once per reach, and of det M, made once per call
+    (_stone_scans), with flow weights integrated per group of times within a factor of two in |t|
     (_flow_weights), and evaluates every time not yet accepted on it. A
     time's error estimate at a pass is the largest entry difference from the
     pass before plus the rounding of an entry, (_ROUNDING_ULPS + 16 |t|)

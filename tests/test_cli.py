@@ -133,6 +133,8 @@ _RING_EDGES = {
     # the bound falls between t = 7e5 and 9e5 for the fourth-difference ring
     "free-decay": [({"t_max": 7e5}, {"t_max": 9e5}, "'t_max'")],
 }
+
+
 # a thousand distinct mu in the oracle's range: with 1,000 points the run
 # can draw each of them
 _THOUSAND_MU = [0.1 + 0.0018 * k for k in range(1000)]
