@@ -9,8 +9,8 @@ write them there, together with a run manifest, so a refusal leaves
 nothing behind. Numeric text output uses seventeen significant digits so that
 repeated runs with the same config and seed are byte-identical; the
 manifest, which records wall time, is the one file exempt from that
-guarantee. Exit status is 0 on success, 1 when a pass/fail check bound to
-an acceptance band fails, and 2 on config or usage errors.
+guarantee. Exit status is 0 on success, 1 when the report's band_pass
+verdict is false, and 2 on config or usage errors.
 """
 
 from __future__ import annotations
@@ -134,12 +134,6 @@ def _as_choice(options):
     return cast
 
 
-def _as_bool(v):
-    if not isinstance(v, bool):
-        raise ValueError(f"expected true or false, got {v!r}")
-    return v
-
-
 def _as_str(v):
     if not isinstance(v, str) or not v:
         raise ValueError("expected a nonempty string")
@@ -155,13 +149,12 @@ def _as_range(lo=None, hi=None, lo_open=False, hi_open=False):
             raise ValueError("expected [lo, hi]")
         a, b = item(v[0]), item(v[1])
         if not a < b:
-            raise ValueError("band bounds must have lo < hi")
+            raise ValueError("bounds must have lo < hi")
         return (a, b)
 
     return cast
 
 
-_as_band = _as_range()
 # minv-probe grids hold edge distances in (0, 2); much closer to an edge
 # than 1e-12 the distance^-3 growth of the sandwich entries defeats its
 # inversion (a singular-matrix error at 1e-30)
@@ -197,6 +190,12 @@ def _as_int_list(lo=None, hi=None, min_len=1):
 # between two of them representable.
 _SITE_BOUND = 2**62
 
+# Most nonzero sites d a potential may have: each sandwich is d x d, formed
+# per Stone node. stone-vs-spectral at t = 2 and observe radius 1, on d
+# consecutive sites drawn from [0.3, 0.5], took 4.4 s and 147 MB at d = 32,
+# and 78 s and 330 MB at d = 64, missing its tolerance (2-core host).
+_NONZERO_SITE_BOUND = 32
+
 
 def _potential_entry(name, cast, value):
     try:
@@ -226,10 +225,12 @@ def _as_potential(v):
     support = v["support"]
     if not isinstance(support, (list, tuple)) or len(support) != 2:
         raise ValueError("potential 'support' must be [lo, hi]")
-    return PotentialSpec(
-        tuple(_potential_entry("support", site, x) for x in support),
-        _potential_entry("values", _as_float_list(), v["values"]),
-    )
+    support = tuple(_potential_entry("support", site, x) for x in support)
+    values = _potential_entry("values", _as_float_list(), v["values"])
+    if (d := np.count_nonzero(values)) > _NONZERO_SITE_BOUND:
+        raise ValueError(f"potential 'values': {d} nonzero sites, above the bound of "
+                         f"{_NONZERO_SITE_BOUND}")
+    return PotentialSpec(support, values)
 
 
 def _as_potential_list(v):
@@ -286,7 +287,8 @@ def write_json(path: Path, obj) -> None:
 def write_csv(path: Path, header, rows) -> None:
     def cell(x):
         if isinstance(x, str):
-            return x
+            # RFC 4180: a cell holding a comma or a double quote is quoted
+            return ('"' + x.replace('"', '""') + '"') if "," in x or '"' in x else x
         if isinstance(x, (bool, int, np.integer)):
             return str(int(x))
         return _fmt(x)
@@ -412,9 +414,9 @@ def _plot(name, curves, xlabel, ylabel, title, annotations):
 
 
 # ---------------------------------------------------------------------------
-# command runners; each takes (cfg, rng) and returns (exit_code, report dict,
-# files), files being the ordered (name, writer, *args) entries that main
-# writes once the run has returned
+# command runners; each takes (cfg, rng) and returns (report dict, files),
+# files being the ordered (name, writer, *args) entries that main writes once
+# the run has returned; main reads the exit code from report["band_pass"]
 
 
 _FREE_BANDS = {
@@ -447,12 +449,14 @@ class _DecaySource(NamedTuple):
 
 def _free_source(cfg, times) -> _DecaySource:
     kind = cfg["kind"]
-    band = cfg["band"] if cfg["band"] is not None else _FREE_BANDS[kind]
     fields = {"kind": kind, "ring_sizes": [ring_size(t, kind) for t in times]}
     return _DecaySource(
-        free_decay_series(kind, times), band, kind, fields,
+        free_decay_series(kind, times), _FREE_BANDS[kind], kind, fields,
         _FREE_CLAIMS[kind], f"free decay, {kind}",
     )
+
+
+_PERTURBED_BAND = (0.22, 0.28)
 
 
 def _perturbed_source(cfg, times) -> _DecaySource:
@@ -474,7 +478,7 @@ def _perturbed_source(cfg, times) -> _DecaySource:
         "the free sup-norm decay rate t^(-1/4) on a fixed window"
     )
     return _DecaySource(
-        series, cfg["band"], "perturbed", fields, claim,
+        series, _PERTURBED_BAND, "perturbed", fields, claim,
         "perturbed decay (continuous part)",
     )
 
@@ -515,11 +519,12 @@ def _fitted_decay(source):
             [("series.csv", src.label, src.series)], report, src.title,
             [f"fitted slope {-fit.alpha:+.4f}"],
         )
-        return (0 if ok else 1), report, files
+        return report, files
 
     return run
 
 
+_BEAM_BAND = (0.30, 0.37)
 _SINC_RATE = 0.5
 
 
@@ -535,7 +540,7 @@ def _run_beam_decay(cfg, rng):
         "sinc": fit_decay_exponent(sinc_series),
         "sum": fit_decay_exponent(sum_series),
     }
-    band = cfg["band"]
+    band = _BEAM_BAND
     sinc_tol = (band[1] - band[0]) / 2.0
     # cos(t b) with b = 2 - 2 cos x is the real part of the second-difference
     # flow, sharp at t^(-1/3); the paper bounds the summed pair by that rate.
@@ -584,7 +589,10 @@ def _run_beam_decay(cfg, rng):
             f"sum slope {-fits['sum'].alpha:+.4f}",
         ],
     )
-    return (0 if ok else 1), report, files
+    return report, files
+
+
+_RESOLVENT_TOLERANCE = 1e-6
 
 
 def _run_resolvent_check(cfg, rng):
@@ -610,12 +618,12 @@ def _run_resolvent_check(cfg, rng):
             )
     # np.max keeps a NaN error, which then fails the check
     max_err = float(np.max([row[-1] for row in rows]))
-    ok = max_err <= cfg["tolerance"]
+    ok = max_err <= _RESOLVENT_TOLERANCE
     report = {
         "points": cfg["points"],
         "potentials": [_potential_label(V) for V in potentials],
         "max_rel_err": max_err,
-        "tolerance": cfg["tolerance"],
+        "tolerance": _RESOLVENT_TOLERANCE,
         "band_pass": ok,
         "oracle": runs,
         "paper_claim": (
@@ -627,7 +635,7 @@ def _run_resolvent_check(cfg, rng):
     header = ["mu", "n", "m", "potential", "closed_re", "closed_im",
               "oracle_re", "oracle_im", "rel_err"]
     files = [("checks.csv", write_csv, header, rows), ("report.json", write_json, report)]
-    return (0 if ok else 1), report, files
+    return report, files
 
 
 _EXPANSION_CLAIM = (
@@ -636,6 +644,8 @@ _EXPANSION_CLAIM = (
     "of the edge distance, in weighted operator norm: integer powers at the "
     "lower edge, half powers at the upper edge"
 )
+# how far a fitted remainder slope may sit from its expected order, per edge
+_EXPANSION_TOLERANCES = {"zero": 0.15, "sixteen": 0.10}
 
 
 def _expansion_cases(cfg):
@@ -658,7 +668,7 @@ def _run_expansion_check(cfg, rng):
         )
         slope = float(np.polyfit(np.log(grid), np.log(norms), 1)[0])
         expected = remainder_order(threshold, n_order)
-        tol = cfg["tol_zero"] if threshold == "zero" else cfg["tol_sixteen"]
+        tol = _EXPANSION_TOLERANCES[threshold]
         ok = abs(slope - expected) <= tol
         all_ok = all_ok and ok
         files.append((f"remainder_{threshold}_N{n_order}.csv", write_csv,
@@ -684,7 +694,11 @@ def _run_expansion_check(cfg, rng):
     files += [("report.json", write_json, report),
               _plot("remainders.svg", curves, "distance to edge", "weighted remainder norm",
                     "edge expansion remainders", notes)]
-    return (0 if all_ok else 1), report, files
+    return report, files
+
+
+_MINV_MIN_SLOPES = {"zero": 0.85, "sixteen": 0.4}
+_MINV_BOUND_CAP = 100.0
 
 
 def _run_minv_probe(cfg, rng):
@@ -696,7 +710,7 @@ def _run_minv_probe(cfg, rng):
     all_ok = True
     for threshold in ("zero", "sixteen"):
         probe = minv_expansion_probe(sys_, threshold, geometric_grid(*cfg[f"grid_{threshold}"]))
-        min_slope = cfg[f"min_slope_{threshold}"]
+        min_slope = _MINV_MIN_SLOPES[threshold]
         files.append((
             f"minv_{threshold}.csv", write_csv,
             ["mu", "inverse_norm", "leakage_norm"],
@@ -705,16 +719,13 @@ def _run_minv_probe(cfg, rng):
         curves.append(
             {"label": f"{threshold} leakage", "x": probe.grid, "y": probe.leakage_norms}
         )
-        ok = (
-            probe.leakage_slope >= min_slope
-            and probe.sup_inverse_norm <= cfg["bound_cap"]
-        )
+        ok = probe.leakage_slope >= min_slope and probe.sup_inverse_norm <= _MINV_BOUND_CAP
         all_ok = all_ok and ok
         report[threshold] = {
             "leakage_slope": probe.leakage_slope,
             "min_slope": min_slope,
             "sup_inverse_norm": probe.sup_inverse_norm,
-            "bound_cap": cfg["bound_cap"],
+            "bound_cap": _MINV_BOUND_CAP,
             "band_pass": ok,
         }
     report["band_pass"] = all_ok
@@ -733,7 +744,7 @@ def _run_minv_probe(cfg, rng):
         [f"{t}: slope {report[t]['leakage_slope']:+.4f}" for t in ("zero", "sixteen")],
     ))
     files.append(("report.json", write_json, report))
-    return (0 if all_ok else 1), report, files
+    return report, files
 
 
 def _run_regular_check(cfg, rng):
@@ -753,7 +764,7 @@ def _run_regular_check(cfg, rng):
         "matrix is invertible on the edge subspace; single-site potentials "
         "are vacuously regular at the lower edge"
     )
-    return 0, report, [("report.json", write_json, report)]
+    return report, [("report.json", write_json, report)]
 
 
 def _run_eig_scan(cfg, rng):
@@ -783,8 +794,8 @@ def _run_eig_scan(cfg, rng):
             "inside it"
         ),
     }
-    return 0, report, [("discrete.csv", write_csv, ["index", "eigenvalue"], list(enumerate(found))),
-                       ("report.json", write_json, report)]
+    return report, [("discrete.csv", write_csv, ["index", "eigenvalue"], list(enumerate(found))),
+                    ("report.json", write_json, report)]
 
 
 def _reference_window(cfg):
@@ -792,8 +803,10 @@ def _reference_window(cfg):
     return auto_window_radius(max(cfg["times"]), cfg["observe_radius"])
 
 
+_STONE_TOLERANCE = 1e-5
+
+
 def _run_stone_vs_spectral(cfg, rng):
-    tol = cfg["tolerance"]
     obs = cfg["observe_radius"]
     rows = []
     combos = []
@@ -822,9 +835,9 @@ def _run_stone_vs_spectral(cfg, rng):
                     val = slc.entry(n, m)
                     rows.append((t, n, m, val.real, val.imag, label))
     max_err = float(np.max([c["max_abs_err"] for c in combos]))
-    ok = max_err <= tol
+    ok = max_err <= _STONE_TOLERANCE
     report = {
-        "tolerance": tol,
+        "tolerance": _STONE_TOLERANCE,
         "max_abs_err": max_err,
         "combos": combos,
         "bound_states": bound,
@@ -837,27 +850,18 @@ def _run_stone_vs_spectral(cfg, rng):
     }
     files = [("kernels.csv", write_csv, ["t", "n", "m", "re", "im", "method"], rows),
              ("report.json", write_json, report)]
-    return (0 if ok else 1), report, files
+    return report, files
 
 
 def _certify_roots(s, pts):
     """Known root certificates at s = 0 and s = -6 sqrt(3), else None."""
-    def match(x, order):
-        return any(abs(p.x - x) <= 1e-10 and p.order == order for p in pts)
+    def match(x, order, derivative=None):
+        return any(abs(p.x - x) <= 1e-10 and p.order == order
+                   and (derivative is None or abs(p.derivative_value - derivative) <= 1e-10)
+                   for p in pts)
 
     if abs(s) <= 1e-12:
-        checks = [
-            match(-np.pi, 2),
-            match(0.0, 4),
-            len(pts) == 2,
-        ]
-        if checks[0]:
-            p = min(pts, key=lambda p: abs(p.x + np.pi))
-            checks.append(abs(p.derivative_value + 16.0) <= 1e-10)
-        if checks[1]:
-            p = min(pts, key=lambda p: abs(p.x))
-            checks.append(abs(p.derivative_value - 24.0) <= 1e-10)
-        return all(checks)
+        return len(pts) == 2 and match(-np.pi, 2, -16.0) and match(0.0, 4, 24.0)
     if abs(s + SPEED_BOUND) <= 1e-12:
         return len(pts) == 1 and match(-2.0 * np.pi / 3.0, 3)
     return None
@@ -866,14 +870,11 @@ def _certify_roots(s, pts):
 def _run_stationary_phase(cfg, rng):
     interval = tuple(cfg["interval"])
     entries = []
-    all_ok = True
     for s in cfg["s_values"]:
         spec = PhaseSpec(cfg["branch"], s, interval)
         pts = stationary_points(spec)
         pred = decay_order_prediction(spec)
-        certified = _certify_roots(s, pts) if cfg["certify"] else None
-        if certified is False:
-            all_ok = False
+        certified = _certify_roots(s, pts)
         entries.append(
             {
                 "s": s,
@@ -893,7 +894,7 @@ def _run_stationary_phase(cfg, rng):
         "branch": cfg["branch"],
         "interval": list(interval),
         "results": entries,
-        "band_pass": all_ok,
+        "band_pass": all(e["certified"] is not False for e in entries),
         "paper_claim": (
             "the kernel phase has two stationary points at zero separation "
             "speed, of orders two and four, and a single order-three point "
@@ -901,11 +902,13 @@ def _run_stationary_phase(cfg, rng):
             "t^(-1/3) kernel envelopes"
         ),
     }
-    return (0 if all_ok else 1), report, [("roots.json", write_json, report)]
+    return report, [("roots.json", write_json, report)]
 
 
 # strichartz evolves a unit delta on the sites -1..1
 _STRICHARTZ_RADIUS = 1
+# largest relative spread of a bounded norm, and least relative step of a growing one
+_STRICHARTZ_RATIO_TOL = 0.1
 
 
 def _run_strichartz(cfg, rng):
@@ -918,9 +921,9 @@ def _run_strichartz(cfg, rng):
     # a horizon so short that the norm underflows to 0 has no finite spread
     spread = hi / lo - 1.0 if lo > 0 else np.inf
     if cfg["expect"] == "bounded":
-        ok = spread <= cfg["ratio_tol"]
+        ok = spread <= _STRICHARTZ_RATIO_TOL
     else:
-        ok = all(b > a * (1.0 + cfg["ratio_tol"]) for a, b in zip(norms, norms[1:]))
+        ok = all(b > a * (1.0 + _STRICHARTZ_RATIO_TOL) for a, b in zip(norms, norms[1:]))
     report = {
         "q": cfg["q"],
         "r": "inf" if np.isinf(r) else r,
@@ -928,17 +931,22 @@ def _run_strichartz(cfg, rng):
         "norms": norms,
         "spread": spread,
         "expect": cfg["expect"],
+        "ratio_tol": _STRICHARTZ_RATIO_TOL,
         "band_pass": ok,
         "paper_claim": (
-            "space-time norms of the free fourth-difference flow stay "
-            "bounded in the horizon for exponent pairs satisfying the "
-            "scaling relation 1/q >= 4 (1/2 - 1/r) capped at 1, and grow "
-            "otherwise"
+            "PAPER.md states no Strichartz estimate; the run decides whether "
+            "the L^q_t l^r norm of the free fourth-difference flow from a unit "
+            "delta, over horizons [0, T], stays flat across the horizons or "
+            "grows with them, as expect states, within ratio_tol"
         ),
     }
     files = [("norms.csv", write_csv, ["T", "norm"], list(zip(cfg["T_values"], norms))),
              ("report.json", write_json, report)]
-    return (0 if ok else 1), report, files
+    return report, files
+
+
+_KNAPP_LHS_TOL = 0.05
+_KNAPP_RHS_TOL = 0.10
 
 
 def _run_knapp(cfg, rng):
@@ -949,7 +957,7 @@ def _run_knapp(cfg, rng):
     lhs_exp = float(np.polyfit(np.log(eps), np.log(lhs), 1)[0])
     rhs_exp = float(np.polyfit(np.log(eps), np.log(rhs), 1)[0])
     rhs_expected = 1.0 / cfg["r"] + 4.0 / cfg["q"]
-    ok = abs(lhs_exp - 0.5) <= cfg["lhs_tol"] and abs(rhs_exp - rhs_expected) <= cfg["rhs_tol"]
+    ok = abs(lhs_exp - 0.5) <= _KNAPP_LHS_TOL and abs(rhs_exp - rhs_expected) <= _KNAPP_RHS_TOL
     report = {
         "q": cfg["q"],
         "r": cfg["r"],
@@ -960,6 +968,8 @@ def _run_knapp(cfg, rng):
         "lhs_expected": 0.5,
         "rhs_exponent": rhs_exp,
         "rhs_expected": rhs_expected,
+        "lhs_tol": _KNAPP_LHS_TOL,
+        "rhs_tol": _KNAPP_RHS_TOL,
         "band_pass": ok,
         "paper_claim": (
             "the frequency-cap example scales as eps^(1/2) on the datum "
@@ -972,7 +982,7 @@ def _run_knapp(cfg, rng):
              ("report.json", write_json, report),
              _plot("scaling.svg", curves, "epsilon", "value", "frequency-cap scaling",
                    [f"lhs slope {lhs_exp:+.4f}", f"rhs slope {rhs_exp:+.4f}"])]
-    return (0 if ok else 1), report, files
+    return report, files
 
 
 # ---------------------------------------------------------------------------
@@ -1166,16 +1176,6 @@ def _reference_work(cfg):
                f"{_REFERENCE_WORK_BOUND} (2^31)")
 
 
-def _bound_state_phases(cfg):
-    """stone-vs-spectral's bound states: their phases t E within its tolerance of rounding."""
-    # a bound state's phase t E rounds by about t |E| 2^-52 in any double route
-    top = max([np.abs(V.values).max() for V in cfg["potentials"] if V is not None] + [0.0])
-    lost = max(cfg["times"]) * (16.0 + top) * 2.0**-52
-    if lost > cfg["tolerance"]:
-        yield (f"fields 'potentials', 'times', 'tolerance': a state near |V| = "
-               f"{top:.6g} has its phase t E lost to rounding, {lost:.3g} > tolerance")
-
-
 def _strichartz_work(cfg):
     """strichartz's ring points over all its horizons, by strichartz_points, within _STRICHARTZ_POINT_BOUND."""
     points = 0
@@ -1243,7 +1243,6 @@ _COMMANDS = {
             "t_min": (_as_float(lo=0, lo_open=True), 1e2),
             "t_max": (_as_float(lo=0, lo_open=True), 1e4),
             "per_decade": (_as_int(lo=4, hi=64), 16),
-            "band": (_as_band, None),
         },
         "sup-norm decay of a free flow, fitted exponent against its band",
         _limits(_time_grid, lambda c: _ring("field 't_max'", c["kind"], c["t_max"])),
@@ -1256,7 +1255,6 @@ _COMMANDS = {
             "t_max": (_as_float(lo=0, lo_open=True), 5e3),
             "per_decade": (_as_int(lo=4, hi=64), 6),
             "observe_radius": (_as_int(lo=1, hi=256), 32),
-            "band": (_as_band, (0.22, 0.28)),
         },
         "windowed decay of the perturbed flow's continuous part",
         _limits(_time_grid, _stone_flow,
@@ -1269,7 +1267,6 @@ _COMMANDS = {
             "t_min": (_as_float(lo=0, lo_open=True), 1e2),
             "t_max": (_as_float(lo=0, lo_open=True), 1e4),
             "per_decade": (_as_int(lo=4, hi=64), 16),
-            "band": (_as_band, (0.30, 0.37)),
         },
         "sup-norm decay of the free beam kernels (cos and sinc)",
         # both beam kinds move at group speed 2 and share each ring
@@ -1281,7 +1278,6 @@ _COMMANDS = {
             "mu_values": (_as_float_list(*_ORACLE_MU_RANGE), [0.3, 0.7, 1.0, 1.4, 1.8]),
             "potentials": (_as_potential_list, [None, {"delta": 0.5}, _GENERIC_SMALL]),
             "points": (_as_int(lo=1, hi=1000), 25),
-            "tolerance": (_as_float(lo=0, lo_open=True), 1e-6),
         },
         "closed boundary kernels against direct window inversion",
         _limits(lambda c: _supports_fit(c["potentials"], "the window oracle's site limit",
@@ -1302,8 +1298,6 @@ _COMMANDS = {
             "orders_sixteen": (_as_int_list(lo=-1, hi=204), [0, 1]),
             "window_radius": (_as_int(lo=64, hi=512), 64),
             "s_margin": (_as_float(lo=0.1, hi=4.0), 0.5),
-            "tol_zero": (_as_float(lo=0, lo_open=True), 0.15),
-            "tol_sixteen": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "decay order of edge expansion remainders",
         _limits(_expansion_work),
@@ -1314,9 +1308,6 @@ _COMMANDS = {
             "potential": (_as_potential, _MINV_DEFAULT),
             "grid_zero": (_as_edge_grid, (1e-3, 1e-1)),
             "grid_sixteen": (_as_edge_grid, (1e-8, 1e-5)),
-            "min_slope_zero": (_as_float(), 0.85),
-            "min_slope_sixteen": (_as_float(), 0.4),
-            "bound_cap": (_as_float(lo=0, lo_open=True), 100.0),
         },
         "boundedness and leakage of the sandwich inverse at the edges",
         _limits(),
@@ -1346,14 +1337,12 @@ _COMMANDS = {
             "times": (_as_float_list(lo=0, lo_open=True), [1.0, 5.0, 20.0]),
             "n_pairs": (_as_int(lo=1, hi=100), 5),
             "observe_radius": (_as_int(lo=1, hi=64), 10),
-            "tolerance": (_as_float(lo=0, lo_open=True), 1e-5),
         },
         "band quadrature kernels against Chebyshev window kernels",
         # the work rule comes first: past it, max(times) may have no window radius
         _limits(_reference_work,
                 lambda c: _supports_fit(c["potentials"], "the reference window set by "
                                         "'times' and 'observe_radius'", _reference_window(c)),
-                _bound_state_phases,
                 lambda c: _stone_entries("fields 'times', 'observe_radius'", len(c["times"]),
                                          c["observe_radius"])),
     ),
@@ -1363,7 +1352,6 @@ _COMMANDS = {
             "branch": (_as_choice(("minus_cos", "plus_cos")), "minus_cos"),
             "s_values": (_as_float_list(), [0.0, -SPEED_BOUND]),
             "interval": (_as_range(lo=-np.pi, hi=0.0), (-np.pi, 0.0)),
-            "certify": (_as_bool, True),
         },
         "stationary points, orders and decay prediction of the kernel phase",
         _limits(_phase_searches),
@@ -1374,7 +1362,6 @@ _COMMANDS = {
             "q": (_as_float(lo=1), 8.0),
             "r": ((lambda v: v if v == "inf" else _as_float(lo=1)(v)), 64.0),
             "T_values": (_as_float_list(lo=0, lo_open=True, min_len=2), [1e2, 1e3]),
-            "ratio_tol": (_as_float(lo=0, lo_open=True), 0.1),
             "expect": (_as_choice(("bounded", "growth")), "bounded"),
         },
         "space-time norms of the free flow across horizons",
@@ -1389,8 +1376,6 @@ _COMMANDS = {
             "epsilons": (_as_float_list(lo=0, hi=0.1, lo_open=True, min_len=2, distinct=True), [0.1, 0.05, 0.025, 0.0125]),
             "q": (_as_float(lo=1, lo_open=True), 8.0),
             "r": (_as_float(lo=1, lo_open=True), 8.0),
-            "lhs_tol": (_as_float(lo=0, lo_open=True), 0.05),
-            "rhs_tol": (_as_float(lo=0, lo_open=True), 0.10),
         },
         "scaling exponents of the frequency-cap example",
         _limits(_knapp_sum, _knapp_spread),
@@ -1497,7 +1482,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
-            code, _, files = runner(cfg, rng)
+            report, files = runner(cfg, rng)
         except (ConfigError, SingularSandwichError) as exc:
             refusal = exc
         else:
@@ -1512,6 +1497,8 @@ def main(argv=None) -> int:
     for name, writer, *data in files:
         writer(outdir / name, *data)
     wall = time.monotonic() - started
+    # a run without a band_pass verdict (regular-check, eig-scan) reports only
+    code = 0 if report.get("band_pass", True) else 1
 
     manifest = {
         "command": args.command,

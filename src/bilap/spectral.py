@@ -350,7 +350,7 @@ def _parity_eigh(even: np.ndarray, odd: np.ndarray):
     return ev[order], vecs[:, order]
 
 
-@functools.lru_cache(maxsize=9)
+@functools.lru_cache(maxsize=1)
 def _eigensystem(support, values, window_radius):
     V = None if support is None else PotentialSpec(support, np.array(values))
     h = build_hamiltonian(V, window_radius)
@@ -369,10 +369,9 @@ def eigensystem(V: Optional[PotentialSpec], window_radius: int) -> Tuple[np.ndar
 
     A window matrix equal to its reflection n -> -n (no potential or an
     even one) is diagonalised as its even and odd blocks, each about half
-    the window. Each matrix is diagonalised once per process: the last
-    nine results are kept, keyed on the potential's support and values and
-    the window radius, and returned as read-only arrays shared by every
-    caller.
+    the window. The last result is kept, keyed on the potential's support,
+    values and window radius, as read-only arrays shared by every caller:
+    eig-scan's cross-check reads back the window its scan did last.
     """
     if V is None:
         return _eigensystem(None, None, window_radius)
@@ -529,7 +528,8 @@ def embedded_eig_scan(V: PotentialSpec, window_radii) -> EmbeddedScanReport:
             verdict="no embedded eigenvalues detected",
         )
     candidates = {}
-    for radius in radii:
+    # the largest window last, so that it is the one eigensystem keeps
+    for radius in sorted(set(radii)):
         ev, vecs = eigensystem(V, radius)
         keep = (
             (BAND_MARGIN < ev)

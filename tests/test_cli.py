@@ -1,6 +1,7 @@
 """Command line front end: exit codes, file outputs, byte-level determinism."""
 
 import contextlib
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -47,7 +48,7 @@ def test_unknown_field_exits_two(tmp_path, capsys):
 def test_wrong_field_type_exits_two(tmp_path, capsys):
     for command, payload in (
         ("resolvent-check", {"points": "many"}),
-        ("free-decay", {"band": [None, 1]}),
+        ("minv-probe", {"grid_zero": [None, 1]}),
     ):
         cfg = _write_config(tmp_path, "cfg", payload)
         out = tmp_path / "o"
@@ -71,10 +72,6 @@ def test_wrong_field_type_exits_two(tmp_path, capsys):
         # outside the window oracle's accepted mu range
         ("resolvent-check", {"mu_values": [0.5, 0.001]}),
         ("resolvent-check", {"mu_values": [1.999999]}),
-        # t |E| 2^-52 = 2.2e-11 at |V| = 1e5: a bound state's phase is noise
-        # at tolerance 1e-12
-        ("stone-vs-spectral",
-         {"potentials": [{"delta": 1e5}], "times": [1.0], "observe_radius": 2, "tolerance": 1e-12}),
     ],
 )
 def test_cross_field_config_errors_exit_two_before_mkdir(
@@ -86,6 +83,80 @@ def test_cross_field_config_errors_exit_two_before_mkdir(
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# the fields that only moved or skipped a verdict, each at its old default;
+# the band or tolerance is now a constant beside its claim
+_VERDICT_FIELDS = [
+    ("free-decay", "band", [0.23, 0.27]),
+    ("perturbed-decay", "band", [0.22, 0.28]),
+    ("beam-decay", "band", [0.30, 0.37]),
+    ("resolvent-check", "tolerance", 1e-6),
+    ("stone-vs-spectral", "tolerance", 1e-5),
+    ("expansion-check", "tol_zero", 0.15),
+    ("expansion-check", "tol_sixteen", 0.10),
+    ("minv-probe", "min_slope_zero", 0.85),
+    ("minv-probe", "min_slope_sixteen", 0.4),
+    ("minv-probe", "bound_cap", 100.0),
+    ("stationary-phase", "certify", True),
+    ("strichartz", "ratio_tol", 0.1),
+    ("knapp", "lhs_tol", 0.05),
+    ("knapp", "rhs_tol", 0.10),
+]
+
+
+@pytest.mark.parametrize("command,field,value", _VERDICT_FIELDS)
+def test_verdict_fields_are_unknown_fields(tmp_path, capsys, command, field, value):
+    cfg = _write_config(tmp_path, "cfg", {field: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown field(s) ['{field}']" in err
+    assert not out.exists()
+
+
+def test_schemas_hold_forty_fields():
+    assert sum(len(schema) for _, schema, _, _ in cli._COMMANDS.values()) == 40
+
+
+def test_readme_field_table_matches_the_schemas():
+    # one row per field, the command named on its first row; a field added
+    # to or removed from a schema without the README fails here
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| command | field | default | fixed band or tolerance |") + 2
+    table, command = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        command = cells[0].strip("`") or command
+        table.setdefault(command, {})[cells[1].strip("`")] = json.loads(cells[2].strip("`"))
+    # a default as a JSON config spells it: tuples as lists
+    assert table == {
+        name: {field: json.loads(json.dumps(default)) for field, (_, default) in schema.items()}
+        for name, (_, schema, _, _) in cli._COMMANDS.items()
+    }
+
+
+def test_reference_work_bounds_bound_state_phase_rounding():
+    # Each Chebyshev degree is at least |t| h, 2h >= 16 + max|V|, and the
+    # work rule caps the summed degrees at 2^31 / 4096 = 2^19; so where it
+    # admits a run, a bound state's phase t E rounds by at most 2^20 2^-52,
+    # far inside stone-vs-spectral's tolerance. Large couplings reach it.
+    lost = []
+    for values in ([0.5], [-1e3], [1e5], [0.3, -2e4, 0.1], [-1e9]):
+        def admitted(t):
+            cfg = {"potentials": [PotentialSpec((0, len(values) - 1), values)], "times": [t],
+                   "observe_radius": 1}
+            return next(cli._reference_work(cfg), None) is None
+
+        lo, hi = 1e-9, 1e9
+        assert admitted(lo) and not admitted(hi)
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        lost.append(lo * (16.0 + max(abs(v) for v in values)) * 2.0**-52)
+    assert 2.3e-10 <= max(lost) <= 2.4e-10 <= cli._STONE_TOLERANCE
 
 
 
@@ -140,6 +211,11 @@ _RING_EDGES = {
 _THOUSAND_MU = [0.1 + 0.0018 * k for k in range(1000)]
 
 
+def _sites(d):
+    """d consecutive nonzero sites, valued 0.3 to 0.5, centred on 0."""
+    return {"support": [-(d // 2), d - 1 - d // 2], "values": np.linspace(0.3, 0.5, d).tolist()}
+
+
 def _wide(radius):
     """A two-site potential at -radius and radius: a window oracle of 2 radius + 1 sites."""
     return {"support": [-radius, radius], "values": [0.5] + [0.0] * (2 * radius - 1) + [0.3]}
@@ -160,6 +236,8 @@ _LIMIT_EDGES = {
          {"mu_values": [0.7], "points": 1000, "potentials": [{"delta": 0.5}] * 33}, "'points'"),
     ],
     "perturbed-decay": [
+        # 32 and 33 nonzero sites either side of the potential's bound
+        ({"potential": _sites(32)}, {"potential": _sites(33)}, "'potential'"),
         # the flow bound falls between t = 8e5 and 9e5 at the default observe radius 32
         ({"t_max": 8e5}, {"t_max": 9e5}, "'t_max'"),
         # 15 and 16 times of 513^2 entries lie either side of 2^22
@@ -288,6 +366,11 @@ def test_stone_flow_past_the_bound_exits_two_before_running(tmp_path, capsys, mo
          ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'mu_values'"),
         ("resolvent-check", {"mu_values": [0.7], "points": 1000, "potentials": [None] * 600},
          ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'points'"),
+        # every site of the widest admitted support nonzero: one closed form
+        # would be a 131,073^2 complex sandwich; and one site past the bound
+        ("resolvent-check", {"potentials": [{"support": [-65536, 65536], "values": [0.5] * 131073}]},
+         ["windowed_boundary_resolvent", "perturbed_resolvent_boundary"], "'potentials'"),
+        ("perturbed-decay", {"potential": _sites(33)}, ["perturbed_decay_series"], "'potential'"),
     ],
 )
 def test_costly_configs_exit_two_before_running(tmp_path, capsys, monkeypatch, command,
@@ -604,6 +687,24 @@ def test_eig_scan_window_check_measures_the_largest_window(tmp_path, potential, 
     ]
 
 
+@pytest.mark.parametrize("window_radii", [None, [32, 16, 24]])
+def test_eig_scan_keeps_one_eigensystem(tmp_path, window_radii):
+    # the scan diagonalises its largest window last, the one the cache
+    # keeps, and its cross-check reads it back; the report keeps the radii
+    # in config order
+    payload = {} if window_radii is None else {"window_radii": window_radii}
+    out = tmp_path / "o"
+    spectral._eigensystem.cache_clear()
+    assert main(["eig-scan", "--config", _write_config(tmp_path, "cfg", payload),
+                 "--out", str(out)]) == 0
+    info = spectral._eigensystem.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+    report = json.loads((out / "report.json").read_text())
+    radii = window_radii or [128, 256, 384]
+    assert report["embedded"]["window_radii"] == radii
+    assert report["window_check"]["window_radius"] == max(radii)
+
+
 def test_eig_scan_diagonalises_only_its_window_radii(tmp_path, monkeypatch):
     asked = []
     eigensystem = spectral.eigensystem
@@ -831,12 +932,8 @@ def test_cli_contract_holds_for_arbitrary_configs(config):
 # Epsilons past knapp's site bound (5e-324, 1e-300, 1e-7) are mixed in; they
 # are refused before anything runs.
 _POWER = st.floats(1.0, 64.0)
-_TOL = st.floats(0.0, 1.0)
 _DECAY = {"t_max": st.floats(1e2, 1e3), "per_decade": st.integers(4, 8)}
-_DECAY_OPTIONAL = {
-    "t_min": st.floats(1e-3, 1e2),
-    "band": st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2, unique=True).map(sorted),
-}
+_DECAY_OPTIONAL = {"t_min": st.floats(1e-3, 1e2)}
 _COSTLY_COMMAND_CONFIGS = {
     "free-decay": st.fixed_dictionaries(_DECAY, optional={
         **_DECAY_OPTIONAL,
@@ -848,7 +945,6 @@ _COSTLY_COMMAND_CONFIGS = {
         optional={
             "q": _POWER,
             "r": _POWER | st.just("inf"),
-            "ratio_tol": _TOL,
             "expect": st.sampled_from(["bounded", "growth"]),
         },
     ),
@@ -857,8 +953,6 @@ _COSTLY_COMMAND_CONFIGS = {
                              min_size=2, max_size=4),
         "q": _POWER,
         "r": _POWER,
-        "lhs_tol": _TOL,
-        "rhs_tol": _TOL,
     }),
 }
 
@@ -930,23 +1024,18 @@ _ANALYSIS_COMMAND_CONFIGS = {
             "orders_sixteen": st.lists(st.integers(-1, 3), min_size=1, max_size=2)
             | st.sampled_from([[205], [10**8]]),
             "s_margin": st.floats(0.1, 4.0),
-            "tol_zero": _TOL,
-            "tol_sixteen": _TOL,
         },
     ),
     "minv-probe": st.fixed_dictionaries({}, optional={
         "potential": _SMALL_POTENTIAL,
         "grid_zero": _pair(0.0, 2.5),
         "grid_sixteen": _pair(0.0, 2.5),
-        "min_slope_zero": st.floats(-1.0, 2.0),
-        "min_slope_sixteen": st.floats(-1.0, 2.0),
-        "bound_cap": st.floats(0.0, 1e3),
     }),
     "stone-vs-spectral": st.fixed_dictionaries(
         {"potentials": st.lists(st.none() | _SMALL_POTENTIAL, min_size=1, max_size=2),
          "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2),
          "observe_radius": st.integers(1, 8)},
-        optional={"n_pairs": st.integers(1, 5), "tolerance": _TOL},
+        optional={"n_pairs": st.integers(1, 5)},
     )
     | st.fixed_dictionaries(
         {"times": st.floats(0.0, 5.0).map(lambda t: [t] * 253), "observe_radius": st.just(64)},
@@ -964,7 +1053,6 @@ _ANALYSIS_COMMAND_CONFIGS = {
         "branch": st.sampled_from(["minus_cos", "plus_cos"]),
         "s_values": st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
         "interval": _pair(-4.0, 1.0),
-        "certify": st.booleans(),
     }),
 }
 
@@ -1049,7 +1137,6 @@ def test_stationary_phase_default_run(tmp_path, monkeypatch):
     assert manifest["warnings"] == []
     # defaults are materialised into the recorded config
     assert manifest["config"]["branch"] == "minus_cos"
-    assert manifest["config"]["certify"] is True
     assert manifest["config"]["interval"] == pytest.approx([-np.pi, 0.0])
 
 
@@ -1115,18 +1202,30 @@ def test_resolvent_check_seed_changes_sample(tmp_path):
     assert (out_a / "checks.csv").read_bytes() != (out_b / "checks.csv").read_bytes()
 
 
+def test_resolvent_checks_csv_reads_back_as_its_report(tmp_path):
+    # a potential label such as [-1,1]:0.3;... holds a comma, so its cell is
+    # quoted and every row keeps the header's nine fields
+    out = tmp_path / "o"
+    assert main(["resolvent-check", "--out", str(out)]) == 0
+    with open(out / "checks.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    report = json.loads((out / "report.json").read_text())
+    assert len(rows) == 25 * 3 and all(len(row) == 9 and None not in row for row in rows)
+    assert [row["potential"] for row in rows[:3]] == report["potentials"]
+    assert max(float(row["rel_err"]) for row in rows) == report["max_rel_err"]
+
+
 # ---------------------------------------------------------------------------
 # a failing band check (exit 1)
 
 
-def test_expansion_band_failure_exits_one(tmp_path, capsys):
+def test_expansion_band_failure_exits_one(tmp_path, capsys, monkeypatch):
     # No finite grid fits the slope to within 1e-6 of its exact order, so
     # the band fails.  The run must report that honestly: exit 1,
     # band_pass false, manifest still written.  The expected order after
     # N = 1 is three, as the order-two coefficient vanishes identically.
-    cfg = _write_config(
-        tmp_path, "cfg", {"threshold": "zero", "orders_zero": [1], "tol_zero": 1e-6}
-    )
+    monkeypatch.setitem(cli._EXPANSION_TOLERANCES, "zero", 1e-6)
+    cfg = _write_config(tmp_path, "cfg", {"threshold": "zero", "orders_zero": [1]})
     out = tmp_path / "out"
     code = main(["expansion-check", "--config", cfg, "--out", str(out)])
     assert code == 1
@@ -1136,7 +1235,7 @@ def test_expansion_band_failure_exits_one(tmp_path, capsys):
     assert report["band_pass"] is False
     [case] = report["cases"]
     assert case["expected"] == 3.0
-    assert case["band_pass"] is False
+    assert case["band_pass"] is False and case["tolerance"] == 1e-6
     assert 2.5 < case["slope"] < 3.3
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1147,14 +1246,14 @@ def test_expansion_band_failure_exits_one(tmp_path, capsys):
 def test_perturbed_decay_reports_where_its_sups_sit(tmp_path):
     # the sup of delta 0.5 sits near the diagonal at n = -2.6 t^(1/4), -6
     # to -8 over t = 50..100: inside radius 16, past the edge of radius 4,
-    # where the window's corner holds it
+    # where the window's corner holds it. Horizons this short fit no rate
+    # near 1/4, so the band fails (exit 1) and the report is still written.
     for radius, at_edge in ((16, False), (4, True)):
         cfg = _write_config(tmp_path, f"r{radius}", {
             "t_min": 50.0, "t_max": 100.0, "per_decade": 24, "observe_radius": radius,
-            "band": [-1.0, 1.0],
         })
         out = tmp_path / f"r{radius}"
-        assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 1
         fit = json.loads((out / "fit.json").read_text())
         sites = fit["sup_sites"]
         assert len(sites) == len(fit["stone_budgets"]) == 8
@@ -1165,12 +1264,12 @@ def test_perturbed_decay_reports_where_its_sups_sit(tmp_path):
         assert fit["sup_at_window_edge"] is at_edge
 
 def test_stone_reports_show_quadrature_budgets(tmp_path):
+    # t = 1..2 is far too short for the claimed rate: the band fails, exit 1
     cfg = _write_config(tmp_path, "decay", {
         "t_min": 1.0, "t_max": 2.0, "per_decade": 32, "observe_radius": 2,
-        "band": [-1.0, 1.0],
     })
     out = tmp_path / "decay"
-    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["perturbed-decay", "--config", cfg, "--out", str(out)]) == 1
     fit = json.loads((out / "fit.json").read_text())
     assert len(fit["stone_budgets"]) == 11
     assert all(0.25 <= b <= 8.0 for b in fit["stone_budgets"])
@@ -1196,9 +1295,7 @@ def test_stone_reports_show_quadrature_budgets(tmp_path):
     ("beam-decay", ["beam_cos", "beam_sinc"]),
 ])
 def test_free_decay_reports_ring_sizes(tmp_path, command, kinds):
-    cfg = _write_config(tmp_path, "ring", {
-        "t_min": 1.0, "t_max": 300.0, "per_decade": 4, "band": [-1.0, 1.0],
-    })
+    cfg = _write_config(tmp_path, "ring", {"t_min": 1.0, "t_max": 300.0, "per_decade": 4})
     out = tmp_path / "ring"
     main([command, "--config", cfg, "--out", str(out)])
     sizes = json.loads((out / "fit.json").read_text())["ring_sizes"]
@@ -1339,6 +1436,11 @@ def test_write_csv_cell_formats(tmp_path):
     assert name == "row"
     assert k == "3"
     assert float(value) == 1.0 / 3.0
+    # RFC 4180: a cell with a comma or a double quote is quoted, its quotes doubled
+    write_csv(path, ["a", "b", "c"], [("[-1,1]:0.5", 'say "hi"', "plain")])
+    assert path.read_text() == 'a,b,c\n"[-1,1]:0.5","say ""hi""",plain\n'
+    with open(path, newline="") as f:
+        assert list(csv.reader(f))[1] == ["[-1,1]:0.5", 'say "hi"', "plain"]
 
 
 # ---------------------------------------------------------------------------
