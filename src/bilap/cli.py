@@ -83,8 +83,13 @@ _MINV_DEFAULT = {"support": [-1, 2], "values": [0.8, -0.5, 0.0, 0.3]}
 # closed form, not what the oracle costs.
 _ORACLE_MU_RANGE = (0.022887383315913713, 1.9999672580683818)
 
-# Largest dense window radius a config may ask for: 8193 sites, a matrix of
-# 537 MB for eigh. eig-scan caps its window_radii by it.
+# Largest dense window radius a config may ask for: 8193 sites. A window
+# equal to its reflection, diagonalised by parity blocks, peaks at 12 bytes
+# of numpy arrays per window entry, 805 MB at 8193 sites; its resident size
+# grew by 12.5 to 21 bytes per entry at radii 2048 and 1024, with LAPACK's
+# workspace. Any other window is assembled and diagonalised whole: 16 bytes
+# of arrays and about 41 resident per entry, 2.7 GB at 8193 sites. eig-scan
+# caps its window_radii by it.
 _DENSE_WINDOW_BOUND = 4096
 
 

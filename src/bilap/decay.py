@@ -12,6 +12,7 @@ the frequency-cap (Knapp-type) example complete the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -251,6 +252,25 @@ def _mean_sin_power(p: float) -> float:
     return _gauss_integral(lambda u: np.sin(u) ** p, 0.0, np.pi, 16) / np.pi
 
 
+@lru_cache(maxsize=1)
+def _knapp_factors(q: float, r: float):
+    """The parts of knapp_experiment that depend on q and r alone.
+
+    Returns (2 I(q'))^{1/q'}, the time norm ||sin(eps^4 t)/t||_{q'} over
+    eps^{4/q}, with I(q') the integral of |sinc|^{q'} over u > 0 (a
+    48,000-node head to 1000 pi and its tail by the mean of |sin|^{q'});
+    the dual exponent r'; and the mean of |sin|^{r'} over a period.
+    """
+    qp = q / (q - 1.0)
+    rp = r / (r - 1.0)
+    cut = 1000.0 * np.pi
+    head = _gauss_integral(
+        lambda u: np.abs(np.sinc(u / np.pi)) ** qp, 0.0, cut, 4000
+    )
+    tail = _mean_sin_power(qp) * cut ** (1.0 - qp) / (qp - 1.0)
+    return (2.0 * (head + tail)) ** (1.0 / qp), rp, _mean_sin_power(rp)
+
+
 def knapp_sites(epsilon: float) -> float:
     """Sites 1..n_top that knapp_experiment sums at cap width epsilon, n_top as a float.
 
@@ -284,17 +304,8 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
     if q <= 1 or r <= 1:
         raise ValueError("need q > 1 and r > 1 for finite dual exponents")
     lhs = float(np.sqrt(2.0 * min(epsilon, _band_rates(epsilon)[0])))
-
-    qp = q / (q - 1.0)
-    rp = r / (r - 1.0)
-
-    # time factor: ||sin(eps^4 t)/t||_{q'} = eps^{4/q} (2 I(q'))^{1/q'}
-    cut = 1000.0 * np.pi
-    head = _gauss_integral(
-        lambda u: np.abs(np.sinc(u / np.pi)) ** qp, 0.0, cut, 4000
-    )
-    tail = _mean_sin_power(qp) * cut ** (1.0 - qp) / (qp - 1.0)
-    time_part = epsilon ** (4.0 / q) * (2.0 * (head + tail)) ** (1.0 / qp)
+    time_norm, rp, mean_sin = _knapp_factors(q, r)
+    time_part = epsilon ** (4.0 / q) * time_norm
 
     # space factor: (sum_n |sin(eps n)/n|^{r'})^{1/r'}, tail by the mean of
     # |sin|^{r'} against the power integral; the sum runs in blocks of
@@ -305,7 +316,7 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
         n = np.arange(start, min(start + _KNAPP_BLOCK, n_top + 1))
         total += float(np.sum(np.abs(np.sin(epsilon * n) / n) ** rp))
     body = epsilon**rp + 2.0 * total
-    tail_n = 2.0 * _mean_sin_power(rp) * n_top ** (1.0 - rp) / (rp - 1.0)
+    tail_n = 2.0 * mean_sin * n_top ** (1.0 - rp) / (rp - 1.0)
     space_part = (body + tail_n) ** (1.0 / rp)
 
     return lhs, float(time_part * space_part)

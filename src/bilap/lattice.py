@@ -121,15 +121,33 @@ class PotentialSpec:
         return cls((site, site), np.array([coupling]))
 
 
-def _bilaplacian_matrix(window_radius: int) -> np.ndarray:
-    side = 2 * window_radius + 1
-    a = 6.0 * np.eye(side)
+_STENCIL = (6.0, -4.0, 1.0)
+"""Row of the bilaplacian at distances 0, 1 and 2 from the diagonal."""
+
+
+def _pentadiagonal(diagonal: np.ndarray) -> np.ndarray:
+    """Dense matrix with the given diagonal and _STENCIL's couplings off it."""
+    side = diagonal.size
+    a = np.diag(diagonal)
     idx = np.arange(side)
-    for off, val in ((1, -4.0), (2, 1.0)):
+    for off, val in enumerate(_STENCIL[1:], 1):
         sub = idx[: side - off]
         a[sub, sub + off] = val
         a[sub + off, sub] = val
     return a
+
+
+def _window_diagonal(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
+    """Diagonal 6 + V of the truncation on [-N, N]; enforces its window rule."""
+    if V is not None and window_radius < V.support_radius + 2:
+        raise ValueError(
+            "window_radius must be >= potential support radius + 2 "
+            f"(need {V.support_radius + 2}, got {window_radius})"
+        )
+    diagonal = np.full(2 * window_radius + 1, _STENCIL[0])
+    if V is not None:
+        diagonal += V.on_window(window_radius)
+    return diagonal
 
 
 def build_hamiltonian(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
@@ -140,15 +158,29 @@ def build_hamiltonian(V: Optional[PotentialSpec], window_radius: int) -> np.ndar
     least two sites so the stencil never straddles the support edge and the
     boundary at once.
     """
-    if V is not None and window_radius < V.support_radius + 2:
-        raise ValueError(
-            "window_radius must be >= potential support radius + 2 "
-            f"(need {V.support_radius + 2}, got {window_radius})"
-        )
-    h = _bilaplacian_matrix(window_radius)
-    if V is not None:
-        np.fill_diagonal(h, np.diag(h) + V.on_window(window_radius))
-    return h
+    return _pentadiagonal(_window_diagonal(V, window_radius))
+
+
+def _hamiltonian_parity_block(diagonal: np.ndarray, parity: int) -> np.ndarray:
+    """Even (parity 0) or odd (parity 1) block of a reflection-symmetric window.
+
+    diagonal is the window truncation's diagonal on the sites 0..R, R >= 1,
+    of a window whose diagonal is even. The block is built from the
+    stencil, rows n >= 0 against columns m, plus (even) or minus (odd) the
+    entry h[n, -m] coupling n to the mirror of m, nonzero only where
+    n + m <= 2; no window matrix is formed. It equals, to the last bit,
+    _parity_blocks(build_hamiltonian(V, R))[parity].
+    """
+    radius = diagonal.size - 1
+    block = _pentadiagonal(diagonal[parity:])
+    sign = -1.0 if parity else 1.0
+    for dist, val in enumerate(_STENCIL):
+        for n in range(max(parity, dist - radius), min(dist - parity, radius) + 1):
+            block[n - parity, dist - n - parity] += sign * (diagonal[0] if dist == 0 else val)
+    if not parity:
+        block[0] /= np.sqrt(2.0)
+        block[:, 0] /= np.sqrt(2.0)
+    return block
 
 
 def site_weights(window_radius: int, s: float) -> np.ndarray:
@@ -206,7 +238,9 @@ def _parity_blocks(entries: np.ndarray, w: Optional[np.ndarray] = None):
     block diagonal in the orthonormal bases delta_0, (delta_n +
     delta_{-n}) / sqrt(2) of the even sequences and (delta_n -
     delta_{-n}) / sqrt(2), n = 1..R, of the odd ones; the blocks have sizes
-    R + 1 and R.
+    R + 1 and R. weighted_operator_norm is its one caller: window
+    eigensystems build their blocks from the stencil
+    (_hamiltonian_parity_block) and never form K.
     """
     radius = entries.shape[0] // 2
     if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):

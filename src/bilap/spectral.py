@@ -30,8 +30,9 @@ from .expansion import coeff_sixteen_series, coeff_zero_series
 from .lattice import (
     LatticeVector,
     PotentialSpec,
-    _parity_blocks,
-    build_hamiltonian,
+    _hamiltonian_parity_block,
+    _pentadiagonal,
+    _window_diagonal,
 )
 from .resolvent import _off_band_waves, boundary_kernel_plus, free_biresolvent_complex
 
@@ -328,37 +329,47 @@ def minv_expansion_probe(
     )
 
 
-def _parity_eigh(even: np.ndarray, odd: np.ndarray):
+def _parity_eigh(diagonal: np.ndarray):
     """Eigensystem of a reflection-symmetric window from its parity blocks.
 
-    even and odd are the blocks of lattice._parity_blocks, sizes R + 1 and
-    R. Each is diagonalised on its own; the eigenvectors are mapped back
-    to the sites -R..R and all eigenpairs sorted by eigenvalue.
+    diagonal is the window truncation's diagonal on the sites 0..R, R >= 1.
+    The even block (size R + 1) and then the odd one (size R) are built from
+    the stencil by lattice._hamiltonian_parity_block, and each goes as soon
+    as eigh has read it; the window matrix is never formed. The block
+    eigenvectors, mapped back to the sites -R..R, are scattered straight
+    into the columns where the eigenvalues sort (a stable sort, even
+    before odd on ties), so no reordered copy is made either. The peak
+    comes as they are scattered: the result and both blocks' eigenvectors,
+    1.5 (2R + 1)^2 doubles, against 4.0 when the window matrix and a sorted
+    copy of the eigenvectors were formed.
     """
-    radius = odd.shape[0]
-    ev_even, a = np.linalg.eigh(even)
-    ev_odd, b = np.linalg.eigh(odd)
+    ev_even, a = np.linalg.eigh(_hamiltonian_parity_block(diagonal, 0))
+    ev_odd, b = np.linalg.eigh(_hamiltonian_parity_block(diagonal, 1))
+    radius = b.shape[0]
+    ev = np.concatenate([ev_even, ev_odd])
+    order = np.argsort(ev, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    even, odd = column[: radius + 1], column[radius + 1 :]
     a[1:] /= np.sqrt(2.0)
     b /= np.sqrt(2.0)
     vecs = np.zeros((2 * radius + 1, 2 * radius + 1))
-    vecs[radius:, : radius + 1] = a
-    vecs[radius - 1 :: -1, : radius + 1] = a[1:]
-    vecs[radius + 1 :, radius + 1 :] = b
-    vecs[radius - 1 :: -1, radius + 1 :] = -b
-    ev = np.concatenate([ev_even, ev_odd])
-    order = np.argsort(ev, kind="stable")
-    return ev[order], vecs[:, order]
+    vecs[radius:, even] = a
+    vecs[radius - 1 :: -1, even] = a[1:]
+    vecs[radius + 1 :, odd] = b
+    np.negative(b, out=b)
+    vecs[radius - 1 :: -1, odd] = b
+    return ev[order], vecs
 
 
 @functools.lru_cache(maxsize=1)
 def _eigensystem(support, values, window_radius):
     V = None if support is None else PotentialSpec(support, np.array(values))
-    h = build_hamiltonian(V, window_radius)
-    blocks = _parity_blocks(h)
-    if blocks is None:
-        ev, vecs = np.linalg.eigh(h)
+    diagonal = _window_diagonal(V, window_radius)
+    if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]):
+        ev, vecs = _parity_eigh(diagonal[window_radius:])
     else:
-        ev, vecs = _parity_eigh(*blocks)
+        ev, vecs = np.linalg.eigh(_pentadiagonal(diagonal))
     ev.flags.writeable = False
     vecs.flags.writeable = False
     return ev, vecs
@@ -367,11 +378,16 @@ def _eigensystem(support, values, window_radius):
 def eigensystem(V: Optional[PotentialSpec], window_radius: int) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Dirichlet window truncation of Delta^2 + V.
 
-    A window matrix equal to its reflection n -> -n (no potential or an
-    even one) is diagonalised as its even and odd blocks, each about half
-    the window. The last result is kept, keyed on the potential's support,
-    values and window radius, as read-only arrays shared by every caller:
-    eig-scan's cross-check reads back the window its scan did last.
+    The window matrix equals its reflection n -> -n exactly when its
+    diagonal 6 + V does (no potential or an even one). Such a window is
+    diagonalised as its even and odd blocks, each about half the window
+    and built straight from the stencil (_parity_eigh): the window matrix
+    is never formed, and the peak holds 1.5 (2R + 1)^2 doubles, the
+    result's eigenvectors and both blocks'. Any other window is
+    assembled (build_hamiltonian) and diagonalised whole. The last result
+    is kept, keyed on the potential's support, values and window radius,
+    as read-only arrays shared by every caller: eig-scan's cross-check
+    reads back the window its scan did last.
     """
     if V is None:
         return _eigensystem(None, None, window_radius)

@@ -213,3 +213,27 @@ def mp_expansion_coeffs(threshold: str, k: int, max_order: int, dps: int = 60):
             rhs[i] = mp_boundary_kernel(threshold, d, k)
         sol = mp.lu_solve(A, rhs)
         return {order: complex(sol[j]) for j, order in enumerate(orders)}
+
+
+def parity_eigensystem(even: np.ndarray, odd: np.ndarray):
+    """Eigensystem of a reflection-symmetric window from its assembled parity blocks.
+
+    even and odd are the blocks of the whole window matrix folded by parity
+    (sizes R + 1 and R). Each is diagonalised by numpy's eigh, the
+    eigenvectors are placed on the sites -R..R as even block then odd block,
+    and the columns are reordered by a stable sort of the eigenvalues: the
+    dense assembly that the stencil-built blocks must reproduce bit for bit.
+    """
+    radius = odd.shape[0]
+    ev_even, a = np.linalg.eigh(even)
+    ev_odd, b = np.linalg.eigh(odd)
+    a[1:] /= np.sqrt(2.0)
+    b /= np.sqrt(2.0)
+    vecs = np.zeros((2 * radius + 1, 2 * radius + 1))
+    vecs[radius:, : radius + 1] = a
+    vecs[radius - 1 :: -1, : radius + 1] = a[1:]
+    vecs[radius + 1 :, radius + 1 :] = b
+    vecs[radius - 1 :: -1, radius + 1 :] = -b
+    ev = np.concatenate([ev_even, ev_odd])
+    order = np.argsort(ev, kind="stable")
+    return ev[order], vecs[:, order]

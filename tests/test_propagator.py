@@ -831,6 +831,21 @@ def test_free_kernel_holds_no_whole_ring_temporary():
     assert peak <= 2 * kernel.nbytes + 6 * 2**20, peak / 2**20
 
 
+def test_symmetric_eigensystem_holds_no_window_matrix():
+    # the result's eigenvectors, both blocks' eigenvectors and one block's
+    # eigh arrays, 1.5 (2R + 1)^2 doubles; the window matrix or a sorted
+    # copy of the eigenvectors would add (2R + 1)^2 more
+    spectral._eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        _, vecs = eigensystem(PotentialSpec.delta(0.5), 384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (769, 769)
+    assert peak <= 2 * 769**2 * 8, peak / (769**2 * 8)
+
+
 def test_share_raises_a_helper_failure_in_the_caller():
     # the caller waits on its first block until the helper has failed on
     # the first block it claimed, then runs every other block and raises

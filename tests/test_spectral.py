@@ -5,7 +5,7 @@ import pytest
 
 from bilap import propagator, spectral
 from bilap.expansion import geometric_grid
-from bilap.lattice import PotentialSpec, build_hamiltonian
+from bilap.lattice import PotentialSpec, _parity_blocks, build_hamiltonian
 from bilap.resolvent import (
     boundary_kernel_plus,
     windowed_boundary_resolvent,
@@ -503,6 +503,33 @@ def test_parity_eigensystem_matches_full_eigh(V):
     np.testing.assert_allclose(
         window_kernel(ev, vecs), window_kernel(want_ev, want_vecs), rtol=0, atol=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "V",
+    [DELTA_HALF, PotentialSpec.delta(-3.0), PotentialSpec((-1, 1), [0.3, -0.2, 0.3]),
+     None, PotentialSpec((-2, 2), [0.3, -0.15, 0.45, -0.15, 0.3])],
+)
+@pytest.mark.parametrize("radius", [None, 8, 128])
+def test_symmetric_eigensystem_is_the_dense_assembly_to_the_bit(V, radius):
+    # blocks built from the stencil against the folded window matrix; None
+    # is the smallest radius eigensystem splits: two sites past the support,
+    # one site for the free operator
+    if radius is None:
+        radius = 1 if V is None else V.support_radius + 2
+    want_ev, want_vecs = oracles.parity_eigensystem(*_parity_blocks(build_hamiltonian(V, radius)))
+    ev, vecs = eigensystem(V, radius)
+    assert ev.tobytes() == want_ev.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes() and vecs.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "V,radius", [(GENERIC, 3), (GENERIC, 8), (MIXED, 128), (None, 0)]
+)
+def test_other_windows_are_diagonalised_whole(V, radius):
+    want_ev, want_vecs = np.linalg.eigh(build_hamiltonian(V, radius))
+    ev, vecs = eigensystem(V, radius)
+    assert ev.tobytes() == want_ev.tobytes() and vecs.tobytes() == want_vecs.tobytes()
 
 
 def test_eigensystem_diagonalises_by_parity_only_when_symmetric(monkeypatch):
