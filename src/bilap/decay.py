@@ -253,22 +253,20 @@ def _mean_sin_power(p: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _knapp_factors(q: float, r: float):
-    """The parts of knapp_experiment that depend on q and r alone.
+def _knapp_factors(qp: float, rp: float):
+    """The parts of knapp_experiment that depend on the dual exponents alone.
 
     Returns (2 I(q'))^{1/q'}, the time norm ||sin(eps^4 t)/t||_{q'} over
     eps^{4/q}, with I(q') the integral of |sinc|^{q'} over u > 0 (a
-    48,000-node head to 1000 pi and its tail by the mean of |sin|^{q'});
-    the dual exponent r'; and the mean of |sin|^{r'} over a period.
+    48,000-node head to 1000 pi and its tail by the mean of |sin|^{q'}),
+    and the mean of |sin|^{r'} over a period.
     """
-    qp = q / (q - 1.0)
-    rp = r / (r - 1.0)
     cut = 1000.0 * np.pi
     head = _gauss_integral(
         lambda u: np.abs(np.sinc(u / np.pi)) ** qp, 0.0, cut, 4000
     )
     tail = _mean_sin_power(qp) * cut ** (1.0 - qp) / (qp - 1.0)
-    return (2.0 * (head + tail)) ** (1.0 / qp), rp, _mean_sin_power(rp)
+    return (2.0 * (head + tail)) ** (1.0 / qp), _mean_sin_power(rp)
 
 
 def knapp_sites(epsilon: float) -> float:
@@ -304,7 +302,10 @@ def knapp_experiment(epsilon: float, q: float = 8.0, r: float = 8.0):
     if q <= 1 or r <= 1:
         raise ValueError("need q > 1 and r > 1 for finite dual exponents")
     lhs = float(np.sqrt(2.0 * min(epsilon, _band_rates(epsilon)[0])))
-    time_norm, rp, mean_sin = _knapp_factors(q, r)
+
+    qp = q / (q - 1.0)
+    rp = r / (r - 1.0)
+    time_norm, mean_sin = _knapp_factors(qp, rp)
     time_part = epsilon ** (4.0 / q) * time_norm
 
     # space factor: (sum_n |sin(eps n)/n|^{r'})^{1/r'}, tail by the mean of

@@ -217,6 +217,22 @@ def test_knapp_obstruction_grows_for_bad_pair():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_knapp_takes_its_exponent_integrals_once(monkeypatch):
+    # the head integral (4000 panels) and the two sin-power means (16
+    # panels each) depend on q and r alone, not on epsilon
+    panels, integral = [], decay._gauss_integral
+
+    def counted(f, lo, hi, n, *args):
+        panels.append(n)
+        return integral(f, lo, hi, n, *args)
+
+    decay._knapp_factors.cache_clear()
+    monkeypatch.setattr(decay, "_gauss_integral", counted)
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        knapp_experiment(eps)
+    assert sorted(panels) == [16, 16, 4000]
+
+
 def test_knapp_blocked_space_sum_matches_one_block(monkeypatch):
     # epsilon 1e-4 sums 12.6 million sites, 96 blocks of 2^17
     blocked = knapp_experiment(1e-4)
