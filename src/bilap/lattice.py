@@ -150,15 +150,26 @@ def _window_diagonal(V: Optional[PotentialSpec], window_radius: int) -> np.ndarr
     return diagonal
 
 
-def build_hamiltonian(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
+def build_hamiltonian(
+    V: Optional[PotentialSpec], window_radius: int, parity: Optional[int] = None
+) -> np.ndarray:
     """Dense truncation of bilaplacian + diag(V) on [-N, N], as a square array.
 
     The truncation chops the infinite pentadiagonal matrix (Dirichlet
     boundary). Requires the window to exceed the potential support by at
     least two sites so the stencil never straddles the support edge and the
     boundary at once.
+
+    parity 0 or 1 asks instead for the even or odd block (sizes N + 1 and
+    N) of a window equal to its reflection n -> -n, N >= 1, built from the
+    stencil (_hamiltonian_parity_block) without forming the window matrix.
     """
-    return _pentadiagonal(_window_diagonal(V, window_radius))
+    diagonal = _window_diagonal(V, window_radius)
+    if parity is None:
+        return _pentadiagonal(diagonal)
+    if window_radius == 0 or not np.array_equal(diagonal, diagonal[::-1]):
+        raise ValueError("parity blocks need a window of radius >= 1 equal to its reflection")
+    return _hamiltonian_parity_block(diagonal[window_radius:], parity)
 
 
 def _hamiltonian_parity_block(diagonal: np.ndarray, parity: int) -> np.ndarray:

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 from numpy.fft import fft
 
-from .lattice import SPEED_BOUND, PotentialSpec
+from .lattice import _STENCIL, SPEED_BOUND, PotentialSpec, _window_diagonal
 from .quadrature import cost_variation, edges_from_budget, gauss_panels, gauss_rule
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
@@ -376,8 +376,7 @@ def kernel_spectral(request: PropagatorRequest) -> KernelSlice:
     if operator == "lap":
         diagonal, stencil = np.full(side, 2.0), (-1.0, 0.0)
     else:
-        diagonal = np.full(side, 6.0) if request.V is None else 6.0 + request.V.on_window(n)
-        stencil = (-4.0, 1.0)
+        diagonal, stencil = _window_diagonal(request.V, n), _STENCIL[1:]
     two_x = np.zeros((side + 4, 1))
     two_x[2:-2, 0] = (diagonal - mid) / half * 2.0
     near, far = (2.0 * s / half for s in stencil)

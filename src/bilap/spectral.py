@@ -30,9 +30,8 @@ from .expansion import coeff_sixteen_series, coeff_zero_series
 from .lattice import (
     LatticeVector,
     PotentialSpec,
-    _hamiltonian_parity_block,
-    _pentadiagonal,
     _window_diagonal,
+    build_hamiltonian,
 )
 from .resolvent import _off_band_waves, boundary_kernel_plus, free_biresolvent_complex
 
@@ -329,13 +328,12 @@ def minv_expansion_probe(
     )
 
 
-def _parity_eigh(diagonal: np.ndarray):
+def _parity_eigh(V: Optional[PotentialSpec], window_radius: int):
     """Eigensystem of a reflection-symmetric window from its parity blocks.
 
-    diagonal is the window truncation's diagonal on the sites 0..R, R >= 1.
-    The even block (size R + 1) and then the odd one (size R) are built from
-    the stencil by lattice._hamiltonian_parity_block, and each goes as soon
-    as eigh has read it; the window matrix is never formed. The block
+    The even block (size R + 1) and then the odd one (size R) are built
+    from the stencil by build_hamiltonian(V, R, parity), and each goes as
+    soon as eigh has read it; the window matrix is never formed. The block
     eigenvectors, mapped back to the sites -R..R, are scattered straight
     into the columns where the eigenvalues sort (a stable sort, even
     before odd on ties), so no reordered copy is made either. The peak
@@ -343,8 +341,8 @@ def _parity_eigh(diagonal: np.ndarray):
     1.5 (2R + 1)^2 doubles, against 4.0 when the window matrix and a sorted
     copy of the eigenvectors were formed.
     """
-    ev_even, a = np.linalg.eigh(_hamiltonian_parity_block(diagonal, 0))
-    ev_odd, b = np.linalg.eigh(_hamiltonian_parity_block(diagonal, 1))
+    ev_even, a = np.linalg.eigh(build_hamiltonian(V, window_radius, parity=0))
+    ev_odd, b = np.linalg.eigh(build_hamiltonian(V, window_radius, parity=1))
     radius = b.shape[0]
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
@@ -367,9 +365,9 @@ def _eigensystem(support, values, window_radius):
     V = None if support is None else PotentialSpec(support, np.array(values))
     diagonal = _window_diagonal(V, window_radius)
     if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]):
-        ev, vecs = _parity_eigh(diagonal[window_radius:])
+        ev, vecs = _parity_eigh(V, window_radius)
     else:
-        ev, vecs = np.linalg.eigh(_pentadiagonal(diagonal))
+        ev, vecs = np.linalg.eigh(build_hamiltonian(V, window_radius))
     ev.flags.writeable = False
     vecs.flags.writeable = False
     return ev, vecs
@@ -381,10 +379,11 @@ def eigensystem(V: Optional[PotentialSpec], window_radius: int) -> Tuple[np.ndar
     The window matrix equals its reflection n -> -n exactly when its
     diagonal 6 + V does (no potential or an even one). Such a window is
     diagonalised as its even and odd blocks, each about half the window
-    and built straight from the stencil (_parity_eigh): the window matrix
-    is never formed, and the peak holds 1.5 (2R + 1)^2 doubles, the
-    result's eigenvectors and both blocks'. Any other window is
-    assembled (build_hamiltonian) and diagonalised whole. The last result
+    and built straight from the stencil by build_hamiltonian(V, R,
+    parity) (_parity_eigh): the window matrix is never formed, and the
+    peak holds 1.5 (2R + 1)^2 doubles, the result's eigenvectors and both
+    blocks'. Any other window is assembled whole by build_hamiltonian(V,
+    R) and diagonalised whole. The last result
     is kept, keyed on the potential's support, values and window radius,
     as read-only arrays shared by every caller: eig-scan's cross-check
     reads back the window its scan did last.

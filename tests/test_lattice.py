@@ -133,6 +133,11 @@ def test_build_hamiltonian_window_and_mode_checks():
     V = PotentialSpec((-3, 3), np.ones(7))
     with pytest.raises(ValueError):
         build_hamiltonian(V, 4)
+    # parity blocks exist only for a window equal to its reflection
+    with pytest.raises(ValueError):
+        build_hamiltonian(PotentialSpec((-1, 1), [0.3, -0.2, 0.1]), 8, parity=0)
+    with pytest.raises(ValueError):
+        build_hamiltonian(None, 0, parity=1)
 
 
 def test_dirichlet_matrix_matches_oracle_assembly():

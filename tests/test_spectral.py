@@ -532,6 +532,21 @@ def test_other_windows_are_diagonalised_whole(V, radius):
     assert ev.tobytes() == want_ev.tobytes() and vecs.tobytes() == want_vecs.tobytes()
 
 
+def test_eigensystem_assembles_its_windows_in_build_hamiltonian(monkeypatch):
+    # both routes build their matrices there, so timing it times assembly
+    calls, build = [], spectral.build_hamiltonian
+
+    def recording(V, radius, parity=None):
+        calls.append((radius, parity))
+        return build(V, radius, parity)
+
+    monkeypatch.setattr(spectral, "build_hamiltonian", recording)
+    spectral._eigensystem.cache_clear()
+    eigensystem(DELTA_HALF, 6)
+    eigensystem(GENERIC, 6)
+    assert calls == [(6, 0), (6, 1), (6, None)]
+
+
 def test_eigensystem_diagonalises_by_parity_only_when_symmetric(monkeypatch):
     shapes = []
     eigh = np.linalg.eigh
