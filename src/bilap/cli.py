@@ -43,7 +43,7 @@ from .decay import (
     strichartz_points,
 )
 from .expansion import geometric_grid, remainder_norms, remainder_order, remainder_work
-from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec
+from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec, _window_diagonal
 from .propagator import (
     FREE_KINDS,
     auto_window_radius,
@@ -58,6 +58,7 @@ from .quadrature import PhaseSpec, decay_order_prediction, stationary_points
 from .resolvent import windowed_boundary_resolvent
 from .spectral import (
     SingularSandwichError,
+    _band_scan_grid,
     bound_states,
     decompose_potential,
     discrete_eigs,
@@ -83,13 +84,11 @@ _MINV_DEFAULT = {"support": [-1, 2], "values": [0.8, -0.5, 0.0, 0.3]}
 # closed form, not what the oracle costs.
 _ORACLE_MU_RANGE = (0.022887383315913713, 1.9999672580683818)
 
-# Largest dense window radius a config may ask for: 8193 sites. A window
-# equal to its reflection, diagonalised by parity blocks, peaks at 12 bytes
-# of numpy arrays per window entry, 805 MB at 8193 sites; its resident size
-# grew by 12.5 to 21 bytes per entry at radii 2048 and 1024, with LAPACK's
-# workspace. Any other window is assembled and diagonalised whole: 16 bytes
-# of arrays and about 41 resident per entry, 2.7 GB at 8193 sites. eig-scan
-# caps its window_radii by it.
+# Largest window radius eig-scan may ask for: 8193 sites. Taking eigenvalues
+# alone, a window equal to its reflection (parity blocks, one at a time)
+# grew the resident size by 4.0-4.1 bytes per window entry at radii 1024 to
+# 4096, 259 MB at 4096; any other, built whole, by 16.0-16.3, 413 MB at
+# radius 2595, the largest _EIG_WORK_BOUND admits (2-core host).
 _DENSE_WINDOW_BOUND = 4096
 
 
@@ -180,12 +179,12 @@ def _as_float_list(lo=None, hi=None, min_len=1, lo_open=False, hi_open=False, di
     return cast
 
 
-def _as_int_list(lo=None, hi=None, min_len=1):
+def _as_int_list(lo=None, hi=None):
     item = _as_int(lo, hi)
 
     def cast(v):
-        if not isinstance(v, (list, tuple)) or len(v) < min_len:
-            raise ValueError(f"expected a list of at least {min_len} integer(s)")
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ValueError("expected a list of at least 1 integer(s)")
         return [item(x) for x in v]
 
     return cast
@@ -774,12 +773,12 @@ def _run_regular_check(cfg, rng):
 
 def _run_eig_scan(cfg, rng):
     V = cfg["potential"]
-    # the closed form first: a refusal there comes before any window is built
+    # the closed form first: a refusal there comes before the scan or the window
     found = [E for E, _ in bound_states(V)]
-    scan = embedded_eig_scan(V, cfg["window_radii"])
-    # the scan's largest window, already diagonalised, cross-checks the states
-    radius = max(scan.window_radii)
-    window = [lam for lam, _ in discrete_eigs(V, radius)]
+    scan = embedded_eig_scan(V)
+    # one window's eigenvalues cross-check the states
+    radius = cfg["window_radius"]
+    window = discrete_eigs(V, radius)
     report = {
         "potential": _potential_label(V),
         "discrete_eigenvalues": found,
@@ -789,8 +788,10 @@ def _run_eig_scan(cfg, rng):
             "distances": [min(abs(E - lam) for lam in window) if window else None for E in found],
         },
         "embedded": {
-            "window_radii": list(scan.window_radii),
-            "stable_candidates": list(scan.stable_candidates),
+            "eigenvalues": [E for E, _ in scan.states],
+            "minima": [list(m) for m in scan.minima],
+            "resolved_mu": None if scan.resolved is None else list(scan.resolved),
+            "grid_points": scan.points,
             "verdict": scan.verdict,
         },
         "paper_claim": (
@@ -1030,16 +1031,12 @@ _KNAPP_SITE_BOUND = 2**27
 # 12 s. The default's 5 cases at radius 64 make 3.8e7 units.
 _EXPANSION_WORK_BOUND = 25 * 10**9
 
-# Largest eig-scan run, in units of sum (r + 1)^3 over its window_radii r:
-# each radius is one dense eigh of its window, by parity blocks of sides
-# r + 1 and r where the window equals its reflection. A unit took
-# 0.27-0.37 ns at radii 1024 to 2048 for delta 0.5 and 1.0 ns for the
-# off-centre [0.5, 0.3] on [0, 1], whose window is diagonalised whole (0.74
-# and 1.8 ns at the default radii; 2-core host). The bound admits the
-# largest window beside a small one, [8, 4096] (6.9e10 units: 19-25 s for
-# delta 0.5 and about 70 s off-centre, by those rates), or eight windows of
-# radius 2048; the default's [128, 256, 384] make 7.6e7 units.
-_EIG_WORK_BOUND = 7 * 10**10
+# Largest eig-scan run, in units of _eig_units. A unit took 0.08-0.09 ns at
+# radii 1024 to 4096 (0.23 ns at the default 384; 2-core host). The bound
+# admits the largest symmetric window, radius 4096 (1.375e11 units, 11.8 s
+# for delta 0.5), and off-centre ones up to radius 2595 (1.399e11 units,
+# 10.8 s for [0.5, 0.3] on [0, 1]); the default makes 1.1e8 units.
+_EIG_WORK_BOUND = 14 * 10**10
 
 # Smallest ratio of knapp's largest epsilon to its smallest. The exponent
 # fits divide by the spread of log epsilon; epsilons 0.001 and its next float
@@ -1219,11 +1216,22 @@ def _knapp_sum(cfg):
                f"above the bound of {_KNAPP_SITE_BOUND} (2^27)")
 
 
+def _eig_units(V, window_radius):
+    """eig-scan's work: the cube of each side eigvalsh takes (parity blocks where the
+    window's diagonal equals its reflection), plus the band scan's grid points x d^3."""
+    diagonal = _window_diagonal(V, window_radius)
+    if np.array_equal(diagonal, diagonal[::-1]):
+        window = (window_radius + 1) ** 3 + window_radius**3
+    else:
+        window = (2 * window_radius + 1) ** 3
+    return window + _band_scan_grid().size * int(np.count_nonzero(V.values)) ** 3
+
+
 def _eig_work(cfg):
-    """eig-scan's dense windows, sum (r + 1)^3 over window_radii, within _EIG_WORK_BOUND."""
-    work = sum((r + 1) ** 3 for r in cfg["window_radii"])
+    """eig-scan's _eig_units within _EIG_WORK_BOUND."""
+    work = _eig_units(cfg["potential"], cfg["window_radius"])
     if work > _EIG_WORK_BOUND:
-        yield (f"field 'window_radii': {len(cfg['window_radii'])} windows would take "
+        yield (f"fields 'potential', 'window_radius': the window and the band scan would take "
                f"{work:.4g} units of work, above the bound of {_EIG_WORK_BOUND:.3g}")
 
 
@@ -1327,12 +1335,12 @@ _COMMANDS = {
         _run_eig_scan,
         {
             "potential": (_as_potential, {"delta": 0.5}),
-            "window_radii": (_as_int_list(lo=8, hi=_DENSE_WINDOW_BOUND, min_len=2), [128, 256, 384]),
+            "window_radius": (_as_int(lo=8, hi=_DENSE_WINDOW_BOUND), 384),
         },
-        "discrete spectrum and embedded-eigenvalue stability scan",
-        _limits(lambda c: _supports_fit([c["potential"]], "every window radius",
-                                        min(c["window_radii"]),
-                                        fields="fields 'potential', 'window_radii'"),
+        "discrete spectrum and embedded-eigenvalue scan",
+        _limits(lambda c: _supports_fit([c["potential"]], "the window radius",
+                                        c["window_radius"],
+                                        fields="fields 'potential', 'window_radius'"),
                 _eig_work),
     ),
     "stone-vs-spectral": (

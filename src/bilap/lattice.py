@@ -250,8 +250,8 @@ def _parity_blocks(entries: np.ndarray, w: Optional[np.ndarray] = None):
     delta_{-n}) / sqrt(2) of the even sequences and (delta_n -
     delta_{-n}) / sqrt(2), n = 1..R, of the odd ones; the blocks have sizes
     R + 1 and R. weighted_operator_norm is its one caller: window
-    eigensystems build their blocks from the stencil
-    (_hamiltonian_parity_block) and never form K.
+    eigenvalues (spectral.discrete_eigs) build their blocks from the
+    stencil (_hamiltonian_parity_block) and never form K.
     """
     radius = entries.shape[0] // 2
     if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):

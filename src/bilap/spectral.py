@@ -13,9 +13,10 @@ band edges is governed by M's edge limit compressed to one orthonormal basis
 per edge, of the complement of the potential's zeroth and first moments at
 the lower edge and of its alternating-sign moment at the upper edge. Off the
 band M is real symmetric and locates the bound states with no window, the
-one definition of the discrete spectrum. Window truncations, diagonalised once
-per matrix through the memoised eigensystem, cross-check those states and scan
-the band for embedded eigenvalues.
+one definition of the discrete spectrum; the eigenvalues of one window
+truncation cross-check those states. On the band, M(mu + i0) is singular
+exactly at an embedded eigenvalue mu^4, which a scan of its smallest
+singular value finds with no window.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .expansion import coeff_sixteen_series, coeff_zero_series
 from .lattice import (
-    LatticeVector,
     PotentialSpec,
     _window_diagonal,
     build_hamiltonian,
@@ -46,7 +46,6 @@ __all__ = [
     "regular_point_check",
     "perturbed_resolvent_boundary",
     "minv_expansion_probe",
-    "eigensystem",
     "bound_states",
     "discrete_eigs",
     "embedded_eig_scan",
@@ -57,11 +56,26 @@ __all__ = [
 BAND_MARGIN = 1e-6
 """Margin delta_b separating "outside the band" from [0 - delta_b, 16 + delta_b]."""
 
-_LOCALIZATION_RATIO = 0.999
+# embedded_eig_scan's grid points (bulk, strip), the grid minima of
+# sigma_min / sigma_max it refines and the refined ratio it takes for a
+# singular M. The embedded eigenvalue 1 of [c, -sqrt 5, c], c =
+# 5.854101966249685, reads 4.6e-4 on the grid and 7.8e-17 refined; 2^-40
+# (4,096 ulps) leaves room for d <= 32 and stays far below the 7.3e-9 the
+# near-resonance of [0.5, -0.7999, 0.5] at mu = 0.2016 refines to.
+_BULK_SCAN = 1025
+_STRIP_SCAN = 32
+_EMBEDDED_REFINE = 1e-2
+_EMBEDDED_ROUNDING = 2.0**-40
 
 _GAP = 1e-12  # bound_states' distance from the band edges; closer roots are one energy
 
 _SINGULAR_NORM = 1e10  # solve_sandwich's refusal threshold on the Frobenius norm of M^-1
+
+# Largest ||M||_F ||M^-1||_F at which solve_sandwich takes M^-1 z as M^-1
+# times z. On the Stone nodes of [0.5, 0.6, 0.7, 0.45, 0.55] at reach 22, 96 %
+# lie within it and moved by at most 1.3e-13 relative to the solve (1.2e-5
+# near mu = 1e-4, condition 1e12).
+_INVERSE_CONDITION = 1e3
 
 
 class SingularSandwichError(ValueError):
@@ -140,16 +154,14 @@ class MinvProbeReport:
 
 @dataclass(frozen=True)
 class EmbeddedScanReport:
-    """Window-stability scan for eigenvalues inside the open band.
-
-    candidates maps each window radius to the interior localized
-    eigenvalues found there; stable_candidates are those matching across
-    every window to 1e-6.
+    """embedded_eig_scan's (E, psi) per eigenvalue, E increasing; (mu, sigma_min/sigma_max) per
+    refined grid minimum; the mu range the float M resolves, None if none; the grid's size.
     """
 
-    window_radii: Tuple[int, ...]
-    candidates: dict
-    stable_candidates: Tuple[float, ...]
+    states: Tuple[Tuple[float, Callable], ...]
+    minima: Tuple[Tuple[float, float], ...]
+    resolved: Optional[Tuple[float, float]]
+    points: int
     verdict: str
 
 
@@ -186,27 +198,29 @@ def solve_sandwich(m: np.ndarray, z: np.ndarray, mus: np.ndarray):
     """(M^-1 z, M^-1) per node; SingularSandwichError unless ||M^-1||_F <= _SINGULAR_NORM.
 
     m is (nodes, d, d), z (nodes, d, T) with T >= 0, and mus name the refused
-    node's energy. A 1 x 1 sandwich is a division; otherwise one batched solve
-    takes the identity as d more right-hand sides, so M^-1 costs no factorisation
-    of its own. An exact zero pivot (or a NaN determinant) counts as infinite,
+    node's energy. A 1 x 1 sandwich is a division. Otherwise one batched
+    inverse (numpy's solve against the identity) gives M^-1, and M^-1 z is
+    its product with z up to _INVERSE_CONDITION; a worse conditioned M, as
+    toward mu = 0, has M^-1 z from a solve, which keeps the digits the
+    product loses. An exact zero pivot (or a NaN determinant) counts as infinite,
     and so does an M with an entry past the float range, whose inverse is
     not to be trusted even where the solve returns finite numbers; a NaN
     norm is refused like an infinite one.
     """
-    d, cols = m.shape[1], z.shape[2]
+    d = m.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if d == 1:
             inv = 1.0 / m
             y, norms = z * inv, np.abs(inv[:, 0, 0])
         else:
-            eye = np.broadcast_to(np.eye(d), (m.shape[0], d, d))
             try:
-                sol = np.linalg.solve(m, np.concatenate([z, eye], axis=2))
+                inv = np.linalg.inv(m)
             except np.linalg.LinAlgError:
                 y, inv, norms = None, None, np.where(np.abs(np.linalg.det(m)) > 0.0, 0.0, np.inf)
             else:
-                y, inv = sol[:, :, :cols], sol[:, :, cols:]
-                norms = np.linalg.norm(inv, axis=(1, 2))
+                y, norms = inv @ z, np.linalg.norm(inv, axis=(1, 2))
+                ill = np.flatnonzero(norms * np.linalg.norm(m, axis=(1, 2)) > _INVERSE_CONDITION)
+                y[ill] = np.linalg.solve(m[ill], z[ill])
     norms = np.where(np.isfinite(m).all(axis=(1, 2)), norms, np.inf)
     worst = int(np.argmax(norms))
     if not norms[worst] <= _SINGULAR_NORM:
@@ -328,71 +342,6 @@ def minv_expansion_probe(
     )
 
 
-def _parity_eigh(V: Optional[PotentialSpec], window_radius: int):
-    """Eigensystem of a reflection-symmetric window from its parity blocks.
-
-    The even block (size R + 1) and then the odd one (size R) are built
-    from the stencil by build_hamiltonian(V, R, parity), and each goes as
-    soon as eigh has read it; the window matrix is never formed. The block
-    eigenvectors, mapped back to the sites -R..R, are scattered straight
-    into the columns where the eigenvalues sort (a stable sort, even
-    before odd on ties), so no reordered copy is made either. The peak
-    comes as they are scattered: the result and both blocks' eigenvectors,
-    1.5 (2R + 1)^2 doubles, against 4.0 when the window matrix and a sorted
-    copy of the eigenvectors were formed.
-    """
-    ev_even, a = np.linalg.eigh(build_hamiltonian(V, window_radius, parity=0))
-    ev_odd, b = np.linalg.eigh(build_hamiltonian(V, window_radius, parity=1))
-    radius = b.shape[0]
-    ev = np.concatenate([ev_even, ev_odd])
-    order = np.argsort(ev, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    even, odd = column[: radius + 1], column[radius + 1 :]
-    a[1:] /= np.sqrt(2.0)
-    b /= np.sqrt(2.0)
-    vecs = np.zeros((2 * radius + 1, 2 * radius + 1))
-    vecs[radius:, even] = a
-    vecs[radius - 1 :: -1, even] = a[1:]
-    vecs[radius + 1 :, odd] = b
-    np.negative(b, out=b)
-    vecs[radius - 1 :: -1, odd] = b
-    return ev[order], vecs
-
-
-@functools.lru_cache(maxsize=1)
-def _eigensystem(support, values, window_radius):
-    V = None if support is None else PotentialSpec(support, np.array(values))
-    diagonal = _window_diagonal(V, window_radius)
-    if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]):
-        ev, vecs = _parity_eigh(V, window_radius)
-    else:
-        ev, vecs = np.linalg.eigh(build_hamiltonian(V, window_radius))
-    ev.flags.writeable = False
-    vecs.flags.writeable = False
-    return ev, vecs
-
-
-def eigensystem(V: Optional[PotentialSpec], window_radius: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Dirichlet window truncation of Delta^2 + V.
-
-    The window matrix equals its reflection n -> -n exactly when its
-    diagonal 6 + V does (no potential or an even one). Such a window is
-    diagonalised as its even and odd blocks, each about half the window
-    and built straight from the stencil by build_hamiltonian(V, R,
-    parity) (_parity_eigh): the window matrix is never formed, and the
-    peak holds 1.5 (2R + 1)^2 doubles, the result's eigenvectors and both
-    blocks'. Any other window is assembled whole by build_hamiltonian(V,
-    R) and diagonalised whole. The last result
-    is kept, keyed on the potential's support, values and window radius,
-    as read-only arrays shared by every caller: eig-scan's cross-check
-    reads back the window its scan did last.
-    """
-    if V is None:
-        return _eigensystem(None, None, window_radius)
-    return _eigensystem(V.support, tuple(V.values.tolist()), window_radius)
-
-
 def _off_band_sandwich(E: float, sys: BirmanSchwingerSystem) -> np.ndarray:
     """U + v R0(E) v at a real energy E off [0, 16], real symmetric."""
     return _sandwich(lambda k: free_biresolvent_complex(E, k).real, sys)
@@ -495,78 +444,117 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
     return states
 
 
-def _localization_ratios(vecs: np.ndarray, window_radius: int) -> np.ndarray:
-    """Share of each column's squared norm on the sites |n| <= window_radius // 2."""
-    lo, hi = window_radius - window_radius // 2, window_radius + window_radius // 2 + 1
-    inner = np.einsum("ij,ij->j", vecs[lo:hi], vecs[lo:hi])
-    return inner / np.einsum("ij,ij->j", vecs, vecs)
+def _window_eigenvalues(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
+    """Every eigenvalue of the Dirichlet window truncation of Delta^2 + V, increasing.
+
+    A window whose diagonal 6 + V equals its reflection goes by eigvalsh of
+    its even, then its odd block, each built by build_hamiltonian(V, R,
+    parity) and dropped before the next; any other is built whole.
+    """
+    diagonal = _window_diagonal(V, window_radius)
+    parities = (0, 1) if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]) else (None,)
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(build_hamiltonian(V, window_radius, p)) for p in parities]))
 
 
-def discrete_eigs(
-    V: PotentialSpec, window_radius: int
-) -> List[Tuple[float, LatticeVector]]:
-    """Eigenpairs of a window truncation outside the band, a check on bound_states.
+def discrete_eigs(V: Optional[PotentialSpec], window_radius: int) -> List[float]:
+    """Eigenvalues of a window truncation outside the band, a check on bound_states.
 
-    Keeps eigenvalues below -BAND_MARGIN or above 16 + BAND_MARGIN, with no
-    test of how well the window holds their eigenvectors: a shallow state
-    spreads over hundreds of sites, and its window eigenvalue converges to
-    bound_states' as the window grows. The window must clear the support by
-    two sites (build_hamiltonian). A None potential is the free operator,
-    which has no eigenvalues off the band.
+    Keeps those below -BAND_MARGIN or above 16 + BAND_MARGIN: a shallow
+    state spreads over hundreds of sites, and its window eigenvalue
+    converges to bound_states' as the window grows. None has none.
     """
     if V is None:
         return []
-    ev, vecs = eigensystem(V, window_radius)
-    off = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
-    return [
-        (float(lam), LatticeVector(window_radius, vec.astype(complex)))
-        for lam, vec in zip(ev[off], vecs.T[off])
-    ]
+    ev = _window_eigenvalues(V, window_radius)
+    return [float(lam) for lam in ev[(ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)]]
 
 
-def embedded_eig_scan(V: PotentialSpec, window_radii) -> EmbeddedScanReport:
-    """Scan for window-stable localized eigenvalues inside the open band.
+def _band_scan_grid() -> np.ndarray:
+    """embedded_eig_scan's mu, increasing over (0, 2), in the variables of Stone's panels.
 
-    Interior localized eigenvalues of a window truncation are discretised
-    band states unless they persist, at fixed value, as the window grows.
-    A candidate is reported only when it appears in every window radius
-    within 1e-6.
+    The bulk's theta grid of propagator._resonance_phase, mu = 2 sin(-theta/2)
+    from 1e-9 to 2 - 1e-4, then _STRIP_SCAN points equally spaced in
+    w = sqrt(2 - mu) below w = 1e-2, down to 2^-26: mu = 2 - 2^-52.
     """
-    radii = tuple(int(r) for r in window_radii)
-    if len(radii) < 2:
-        raise ValueError("need at least two window radii for a stability verdict")
+    th = np.linspace(*(-2.0 * np.arcsin(np.array([2.0 - 1e-4, 1e-9]) / 2.0)), _BULK_SCAN)
+    w = np.linspace(2.0**-26, 1e-2, _STRIP_SCAN + 1)[-2::-1]
+    return np.concatenate([2.0 * np.sin(-th[::-1] / 2.0), 2.0 - w * w])
+
+
+def _sandwich_ratios(mu: np.ndarray, sys: BirmanSchwingerSystem) -> np.ndarray:
+    """sigma_min / sigma_max of M(mu) per mu, NaN where M has an entry past the float range."""
+    m = m_matrix_grid(mu, sys)
+    ratios = np.full(mu.size, np.nan)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if finite.any():
+        s = np.linalg.svd(m[finite], compute_uv=False)
+        with np.errstate(invalid="ignore"):
+            ratios[finite] = s[:, -1] / s[:, 0]
+    return ratios
+
+
+def _refined_minimum(a: float, b: float, sys: BirmanSchwingerSystem) -> Tuple[float, float]:
+    """(mu, ratio) where _sandwich_ratios is least on [a, b], zooming by four down to adjacent floats."""
+    while True:
+        x = np.linspace(a, b, 9)
+        # an M past the float range between grid points reads as no minimum
+        r = np.nan_to_num(_sandwich_ratios(x, sys), nan=np.inf)
+        i = int(np.argmin(r))
+        if not x[0] < x[1] < x[-2] < x[-1]:
+            return float(x[i]), float(r[i])
+        a, b = x[max(i - 1, 0)], x[min(i + 1, 8)]
+
+
+def _embedded_wave(mu, sites, x, n):
+    return (boundary_kernel_plus(np.array([mu]), np.abs(np.subtract.outer(n, sites)))[0] @ x).real
+
+
+def _embedded_states(mu: float, sys: BirmanSchwingerSystem) -> List[Tuple[float, Callable]]:
+    """(mu^4, psi) per null vector phi of M(mu), psi = R0 v phi made real.
+
+    The real and imaginary parts of the psi on the support's hull span the
+    real eigenspace; the states are its orthonormal basis there (not in l2).
+    """
+    _, s, vh = np.linalg.svd(m_matrix_grid(np.array([mu]), sys)[0])
+    x = sys.v[:, None] * vh[s <= _EMBEDDED_ROUNDING * s[0]].conj().T
+    hull = np.abs(np.subtract.outer(np.arange(sys.sites[0], sys.sites[-1] + 1), sys.sites))
+    psi = boundary_kernel_plus(np.array([mu]), hull)[0] @ x
+    _, sv, wt = np.linalg.svd(np.hstack([psi.real, psi.imag]), full_matrices=False)
+    k = x.shape[1]
+    coef = wt[:k].T / sv[:k]  # rows: on the real, then on the imaginary parts of the psi
+    x = x @ (coef[:k] - 1j * coef[k:])
+    return [(mu**4, functools.partial(_embedded_wave, mu, sys.sites, col)) for col in x.T]
+
+
+def embedded_eig_scan(V: Optional[PotentialSpec]) -> EmbeddedScanReport:
+    """Eigenvalues embedded in the open band (0, 16), from the sandwich, with no window.
+
+    M(mu + i0) = U + v R0(mu^4 + i0) v has a kernel exactly at an embedded
+    eigenvalue mu^4: Im M >= 0, so a null vector phi carries no outgoing
+    wave and psi = R0 v phi lies in l2. One batched SVD takes sigma_min /
+    sigma_max on _band_scan_grid; each interior local minimum below
+    _EMBEDDED_REFINE is refined and accepted at _EMBEDDED_ROUNDING or less.
+    Minima are sought only between the first and last grid points whose
+    ratio exceeds _EMBEDDED_ROUNDING (resolved): toward mu = 0 the singular
+    values spread like mu^-3, mu^-1 and 1, and the float M reads singular.
+    """
+    mu = _band_scan_grid()
     if V is None:
-        return EmbeddedScanReport(
-            window_radii=radii,
-            candidates={r: [] for r in radii},
-            stable_candidates=(),
-            verdict="no embedded eigenvalues detected",
-        )
-    candidates = {}
-    # the largest window last, so that it is the one eigensystem keeps
-    for radius in sorted(set(radii)):
-        ev, vecs = eigensystem(V, radius)
-        keep = (
-            (BAND_MARGIN < ev)
-            & (ev < 16.0 - BAND_MARGIN)
-            & (_localization_ratios(vecs, radius) >= _LOCALIZATION_RATIO)
-        )
-        candidates[radius] = [float(lam) for lam in ev[keep]]
-    stable = [
-        lam
-        for lam in candidates[radii[0]]
-        if all(
-            any(abs(lam - other) <= 1e-6 for other in candidates[r]) for r in radii[1:]
-        )
-    ]
-    verdict = (
-        "no embedded eigenvalues detected"
-        if not stable
-        else f"{len(stable)} window-stable interior eigenvalue(s) found"
-    )
-    return EmbeddedScanReport(
-        window_radii=radii,
-        candidates=candidates,
-        stable_candidates=tuple(stable),
-        verdict=verdict,
-    )
+        return EmbeddedScanReport((), (), (mu[0], mu[-1]), mu.size, "no embedded eigenvalues detected")
+    sys = decompose_potential(V)
+    ratio = _sandwich_ratios(mu, sys)
+    resolved = np.flatnonzero(ratio > _EMBEDDED_ROUNDING)
+    inner = np.arange(resolved[0] + 1, resolved[-1]) if resolved.size else np.arange(0)
+    minima, states = [], []
+    for i in inner[(ratio[inner] < ratio[inner - 1]) & (ratio[inner] <= ratio[inner + 1])
+                   & (ratio[inner] < _EMBEDDED_REFINE)]:
+        at, value = _refined_minimum(mu[i - 1], mu[i + 1], sys)
+        minima.append((at, value))
+        if value <= _EMBEDDED_ROUNDING:
+            states += _embedded_states(at, sys)
+    verdict = (f"{len(states)} embedded eigenvalue(s) found" if states
+               else "no embedded eigenvalues detected")
+    return EmbeddedScanReport(tuple(states), tuple(minima),
+                              (mu[resolved[0]], mu[resolved[-1]]) if resolved.size else None,
+                              mu.size, verdict)

@@ -245,10 +245,14 @@ _LIMIT_EDGES = {
          "'observe_radius'"),
     ],
     "eig-scan": [
-        # the largest window beside a small one is admitted, a third window
-        # of radius 1536 passes 7e10 units; so do nine windows of 2048
-        ({"window_radii": [8, 4096]}, {"window_radii": [8, 4096, 1536]}, "'window_radii'"),
-        ({"window_radii": [2048] * 8}, {"window_radii": [2048] * 9}, "'window_radii'"),
+        # the largest window, split by parity, is admitted; one site more is
+        # past the caster's bound
+        ({"window_radius": 4096}, {"window_radius": 4097}, "'window_radius'"),
+        # an off-centre window is taken whole: 5,191 and 5,193 sites lie
+        # either side of 1.4e11 units of work
+        ({"potential": {"support": [0, 1], "values": [0.5, 0.3]}, "window_radius": 2595},
+         {"potential": {"support": [0, 1], "values": [0.5, 0.3]}, "window_radius": 2596},
+         "'window_radius'"),
     ],
     "stone-vs-spectral": [
         # 252 and 253 times of 129^2 entries lie either side of 2^22
@@ -502,11 +506,11 @@ def test_malformed_potential_entries_exit_two(tmp_path, capsys, potential, field
 @pytest.mark.parametrize(
     "command,payload,named",
     [
-        ("eig-scan", {"potential": {"delta": 0.5, "site": 600}}, "window_radii"),
+        ("eig-scan", {"potential": {"delta": 0.5, "site": 600}}, "window_radius"),
         (
             "eig-scan",
-            {"potential": {"delta": 0.5, "site": 600}, "window_radii": [602, 601]},
-            "window_radii",
+            {"potential": {"delta": 0.5, "site": 600}, "window_radius": 601},
+            "window_radius",
         ),
         (
             "stone-vs-spectral",
@@ -544,7 +548,7 @@ def test_off_centre_potential_at_the_window_limit_runs(tmp_path):
         "cfg",
         {
             "potential": {"delta": 5.0, "site": 20},
-            "window_radii": [22, 40],
+            "window_radius": 22,
         },
     )
     assert main(["eig-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -581,8 +585,10 @@ def _no_window(*args, **kwargs):
 @pytest.mark.parametrize("delta", [1.7e308, -1.7e308])
 def test_numerical_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch, delta):
     # bound_states refuses a coupling whose kernel leaves the float range
-    # before eig-scan builds a window: one line, no overflow warning
-    monkeypatch.setattr(spectral, "eigensystem", _no_window)
+    # before eig-scan scans the band or builds a window: one line, no
+    # overflow warning
+    monkeypatch.setattr(cli, "embedded_eig_scan", _no_window)
+    monkeypatch.setattr(cli, "discrete_eigs", _no_window)
     cfg = _write_config(tmp_path, "cfg", {"potential": {"delta": delta}})
     out = tmp_path / "o"
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
@@ -602,13 +608,14 @@ def test_numerical_refusal_exits_two_without_output(tmp_path, capsys, monkeypatc
 
 def test_eig_scan_window_radii_are_capped_before_mkdir(tmp_path, capsys, monkeypatch):
     # radius 4097 would be a dense matrix of 8195 sites; the config is
-    # refused before any window is built
-    monkeypatch.setattr(spectral, "eigensystem", _no_window)
-    cfg = _write_config(tmp_path, "cfg", {"window_radii": [8, 4097]})
+    # refused before the scan or any window runs
+    monkeypatch.setattr(cli, "embedded_eig_scan", _no_window)
+    monkeypatch.setattr(cli, "discrete_eigs", _no_window)
+    cfg = _write_config(tmp_path, "cfg", {"window_radius": 4097})
     out = tmp_path / "o"
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'window_radii'" in err and "<= 4096" in err
+    assert "config error" in err and "'window_radius'" in err and "<= 4096" in err
     assert not out.exists()
 
 
@@ -657,65 +664,86 @@ def test_eig_scan_reports_the_closed_form_bound_states(tmp_path):
     want = [E for E, _ in spectral.bound_states(V)]
     assert len(want) == 1 and report["discrete_eigenvalues"] == want
     assert (out / "discrete.csv").read_text() == f"index,eigenvalue\n0,{want[0]:.17g}\n"
-    # window 1024 holds it: one dense eigh of 2049 sites
-    ((lam, _),) = spectral.discrete_eigs(V, 1024)
+    # window 1024 holds it: the eigenvalues of 2049 sites
+    (lam,) = spectral.discrete_eigs(V, 1024)
     assert abs(want[0] - lam) <= 1e-10
 
 
 @pytest.mark.parametrize(
-    "potential,window_radii",
+    "potential,window_radius",
     [
         # two states below the band that window 96 holds, one 3e-6 above it
         ({"support": [-2, 2], "values": [-0.219381, 0.20846, 0.158265, -0.146959, -0.002739]},
-         [96, 64]),
+         96),
         # a state 1.3e-3 above the band and no window eigenvalue off it
-        ({"support": [-1, 1], "values": [0.3, -0.2, 0.1]}, [16, 32]),
+        ({"support": [-1, 1], "values": [0.3, -0.2, 0.1]}, 32),
     ],
 )
-def test_eig_scan_window_check_measures_the_largest_window(tmp_path, potential, window_radii):
-    cfg = _write_config(tmp_path, "cfg", {"potential": potential, "window_radii": window_radii})
+def test_eig_scan_window_check_measures_its_window(tmp_path, potential, window_radius):
+    cfg = _write_config(tmp_path, "cfg", {"potential": potential, "window_radius": window_radius})
     out = tmp_path / "o"
     assert main(["eig-scan", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    radius = max(window_radii)
-    window = [lam for lam, _ in spectral.discrete_eigs(PotentialSpec(**potential), radius)]
+    window = spectral.discrete_eigs(PotentialSpec(**potential), window_radius)
     check = report["window_check"]
-    assert check["window_radius"] == radius and check["window_eigenvalues"] == window
+    assert check["window_radius"] == window_radius and check["window_eigenvalues"] == window
     assert check["distances"] == [
         min(abs(E - lam) for lam in window) if window else None
         for E in report["discrete_eigenvalues"]
     ]
 
 
-@pytest.mark.parametrize("window_radii", [None, [32, 16, 24]])
-def test_eig_scan_keeps_one_eigensystem(tmp_path, window_radii):
-    # the scan diagonalises its largest window last, the one the cache
-    # keeps, and its cross-check reads it back; the report keeps the radii
-    # in config order
-    payload = {} if window_radii is None else {"window_radii": window_radii}
+def test_eig_scan_takes_the_eigenvalues_of_one_window(tmp_path, monkeypatch):
+    # eigvalsh of the default window's parity blocks, 385 and 384 sites;
+    # eigh only on bound_states' sandwich of one site
+    sizes, eigh, eigvalsh = [], np.linalg.eigh, np.linalg.eigvalsh
+
+    def recording(fn, tag):
+        return lambda a, *args, **kwargs: sizes.append((tag, np.shape(a)[-1])) or fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh, "eigvalsh"))
     out = tmp_path / "o"
-    spectral._eigensystem.cache_clear()
-    assert main(["eig-scan", "--config", _write_config(tmp_path, "cfg", payload),
-                 "--out", str(out)]) == 0
-    info = spectral._eigensystem.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+    assert main(["eig-scan", "--out", str(out)]) == 0
+    assert [s for s in sizes if s[1] > 1] == [("eigvalsh", 385), ("eigvalsh", 384)]
+    assert {s for s in sizes if s[1] == 1} <= {("eigh", 1), ("eigvalsh", 1)}
     report = json.loads((out / "report.json").read_text())
-    radii = window_radii or [128, 256, 384]
-    assert report["embedded"]["window_radii"] == radii
-    assert report["window_check"]["window_radius"] == max(radii)
+    assert report["window_check"]["window_radius"] == 384
+    assert report["embedded"]["grid_points"] == 1057
 
 
-def test_eig_scan_diagonalises_only_its_window_radii(tmp_path, monkeypatch):
-    asked = []
-    eigensystem = spectral.eigensystem
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"potential": {"support": [0, 1], "values": [0.5, 0.3]}, "window_radius": 64},
+        {"potential": {"support": [-2, 2], "values": [0.3, -0.15, 0.45, -0.15, 0.3]},
+         "window_radius": 100},
+    ],
+)
+def test_eig_scan_limit_bounds_the_runs_own_work(tmp_path, monkeypatch, payload):
+    # the limit's units are the run's: the sides cubed of the matrices
+    # eigvalsh takes past the sandwich's, and the band scan's batched SVD,
+    # grid points x d^3; a refined minimum would add single SVDs
+    work, eigvalsh, svd = [], np.linalg.eigvalsh, np.linalg.svd
 
-    def record(V, window_radius):
-        asked.append(window_radius)
-        return eigensystem(V, window_radius)
+    def window(a, *args, **kwargs):
+        if np.shape(a)[-1] > 5:
+            work.append(np.shape(a)[-1] ** 3)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "eigensystem", record)
-    assert main(["eig-scan", "--out", str(tmp_path / "o")]) == 0
-    assert sorted(set(asked)) == [128, 256, 384]
+    def scan(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            work.append(np.shape(a)[0] * np.shape(a)[-1] ** 3)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", window)
+    monkeypatch.setattr(np.linalg, "svd", scan)
+    cfg = cli._check_config(payload, cli._COMMANDS["eig-scan"][1], "eig-scan")
+    assert main(["eig-scan", "--config", _write_config(tmp_path, "cfg", payload),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert sum(work) == cli._eig_units(cfg["potential"], cfg["window_radius"])
+    assert sum(work) <= cli._EIG_WORK_BOUND
 
 
 def test_singular_sandwich_refusal_exits_two_without_output(tmp_path, capsys, monkeypatch):
@@ -981,7 +1009,7 @@ def test_cli_contract_holds_for_costly_commands():
 # The analysis commands, on mostly valid configs with potentials of small
 # support. Couplings are mostly of order one, with magnitudes 1e20, 1e150
 # and 1e300 of either sign mixed in, where the sandwich overflows. Fields
-# that scale cost are capped: dense windows (window_radii <= 160,
+# that scale cost are capped: dense windows (eig-scan's window_radius <= 160,
 # expansion-check's window_radius <= 80), Stone and
 # dense-reference times (times <= 5, observe_radius <= 8; perturbed-decay's
 # t_max <= 20, per_decade 8, observe_radius <= 4) and expansion orders
@@ -1012,7 +1040,7 @@ def _pair(lo, hi):
 
 _ANALYSIS_COMMAND_CONFIGS = {
     "eig-scan": st.fixed_dictionaries(
-        {"window_radii": st.lists(st.integers(8, 160), min_size=2, max_size=3)},
+        {"window_radius": st.integers(8, 160)},
         optional={"potential": _SMALL_POTENTIAL},
     ),
     "expansion-check": st.fixed_dictionaries(
@@ -1316,7 +1344,7 @@ _CHEAP_CONFIGS = {
     "expansion-check": {"threshold": "sixteen", "orders_sixteen": [0]},
     "minv-probe": {},
     "regular-check": {},
-    "eig-scan": {"window_radii": [16, 32]},
+    "eig-scan": {"window_radius": 32},
     "stone-vs-spectral": {"times": [1.0], "observe_radius": 2},
     "stationary-phase": {},
     "strichartz": {"T_values": [10.0, 20.0]},

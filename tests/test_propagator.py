@@ -34,7 +34,7 @@ from bilap.propagator import (
     ring_weight,
     stone_kernel_slice,
 )
-from bilap.spectral import SingularSandwichError, decompose_potential, eigensystem
+from bilap.spectral import SingularSandwichError, _window_eigenvalues, decompose_potential
 
 import oracles
 
@@ -235,10 +235,10 @@ def test_halfwave_at_time_zero_is_identity():
 
 
 def test_stone_at_time_zero_projects_out_bound_state():
-    from bilap.spectral import discrete_eigs
+    from bilap.spectral import bound_states
 
-    lam, state = discrete_eigs(DELTA_HALF, 256)[0]
-    want = 1.0 - abs(state[2]) ** 2
+    ((_, psi),) = bound_states(DELTA_HALF)
+    want = 1.0 - psi(np.array([2]))[0] ** 2
     got = stone_kernel_slice(0.0, DELTA_HALF, 2, phase="halfwave").entry(2, 2)
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -832,18 +832,18 @@ def test_free_kernel_holds_no_whole_ring_temporary():
 
 
 def test_symmetric_eigensystem_holds_no_window_matrix():
-    # the result's eigenvectors, both blocks' eigenvectors and one block's
-    # eigh arrays, 1.5 (2R + 1)^2 doubles; the window matrix or a sorted
-    # copy of the eigenvectors would add (2R + 1)^2 more
-    spectral._eigensystem.cache_clear()
-    tracemalloc.start()
-    try:
-        _, vecs = eigensystem(PotentialSpec.delta(0.5), 384)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert vecs.shape == (769, 769)
-    assert peak <= 2 * 769**2 * 8, peak / (769**2 * 8)
+    # one parity block at a time, (R + 1)^2 doubles, a quarter of the
+    # window's (2R + 1)^2; the window matrix, as an off-centre window
+    # needs, would hold all of them, and eigenvectors as many again
+    for V, bound in ((PotentialSpec.delta(0.5), 0.3), (PotentialSpec((0, 1), [0.5, 0.3]), 1.1)):
+        tracemalloc.start()
+        try:
+            (lam,) = spectral.discrete_eigs(V, 384)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam > 16.0
+        assert peak <= bound * 769**2 * 8, peak / (769**2 * 8)
 
 
 def test_share_raises_a_helper_failure_in_the_caller():
@@ -1004,7 +1004,7 @@ def _old_dense_sinc(t, lam):
 def test_dense_weights_match_old_closed_forms(t):
     # eigenvalues below, inside and above the band, plus values at zero
     lam = np.concatenate([
-        eigensystem(PotentialSpec((-1, 1), [-5.0, 0.0, 5.0]), 24)[0],
+        _window_eigenvalues(PotentialSpec((-1, 1), [-5.0, 0.0, 5.0]), 24),
         [0.0, 1e-14, -1e-14],
     ])
     assert lam.min() < 0.0 and lam.max() > 16.0

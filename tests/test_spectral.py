@@ -17,14 +17,13 @@ from bilap.spectral import (
     bound_states,
     decompose_potential,
     discrete_eigs,
-    eigensystem,
     embedded_eig_scan,
     m_matrix_grid,
     minv_expansion_probe,
     perturbed_resolvent_boundary,
     regular_point_check,
 )
-from bilap.spectral import _edge_data, _localization_ratios
+from bilap.spectral import _edge_data, _window_eigenvalues
 
 import oracles
 
@@ -326,18 +325,15 @@ def test_every_reader_refuses_a_singular_sandwich(monkeypatch, reader, scale):
 
 
 def test_discrete_eigs_delta_counts():
-    above = discrete_eigs(PotentialSpec.delta(5.0), 32)
-    assert len(above) == 1 and above[0][0] > 16.0
-    below = discrete_eigs(PotentialSpec.delta(-5.0), 32)
-    assert len(below) == 1 and below[0][0] < 0.0
+    (above,) = discrete_eigs(PotentialSpec.delta(5.0), 32)
+    assert above > 16.0
+    (below,) = discrete_eigs(PotentialSpec.delta(-5.0), 32)
+    assert below < 0.0
 
 
 def test_discrete_eigs_shallow_state_value():
-    out = discrete_eigs(DELTA_HALF, 256)
-    assert len(out) == 1
-    lam, vec = out[0]
+    (lam,) = discrete_eigs(DELTA_HALF, 256)
     assert lam == pytest.approx(16.00798298037027, abs=1e-8)
-    assert vec.values[256] != 0.0  # peaked at the origin
 
 
 def test_discrete_eigs_validation_and_empty():
@@ -348,23 +344,22 @@ def test_discrete_eigs_validation_and_empty():
     # a state this shallow spreads over hundreds of sites: window 128 holds
     # 91 % of its norm and still returns its eigenvalue, which the
     # truncation, a compression of H, can only lower
-    ((lam, vec),) = discrete_eigs(GENERIC, 128)
+    (lam,) = discrete_eigs(GENERIC, 128)
     ((E, _),) = bound_states(GENERIC)
     assert 16.0 + BAND_MARGIN < lam < E < lam + 1e-3
-    assert vec.window_radius == 128
 
 
 def test_bound_states_match_window_eigenvalues():
     # the state falls by e^-0.032 per site: window 256 still moves its
     # eigenvalue by 2.8e-9, window 512 by 4e-15
     got = [E for E, _ in bound_states(DELTA_HALF)]
-    want = [lam for lam, _ in discrete_eigs(DELTA_HALF, 512)]
+    want = discrete_eigs(DELTA_HALF, 512)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     # window 268 localises the two states below the band but not the third,
     # 3e-6 above it, which no window of that size holds
     got = [E for E, _ in bound_states(MIXED)]
     assert len(got) == 3 and 16.0 < got[2] < 16.0 + 1e-5
-    want = [lam for lam, _ in discrete_eigs(MIXED, 268)]
+    want = discrete_eigs(MIXED, 268)
     np.testing.assert_allclose(got[:2], want, rtol=0, atol=1e-10)
     assert bound_states(None) == []
 
@@ -446,39 +441,81 @@ def test_bound_states_refuse_a_state_whose_norm_leaves_the_float_range():
         bound_states(PotentialSpec((0, 1), [1e300, -0.001953125]))
 
 def test_embedded_scan_clean_for_delta():
-    rep = embedded_eig_scan(PotentialSpec.delta(1.0), (128, 256))
+    # one site: M(mu) is a number whose imaginary part, from the kernel's
+    # outgoing wave, never vanishes inside the band
+    rep = embedded_eig_scan(PotentialSpec.delta(1.0))
     assert rep.verdict == "no embedded eigenvalues detected"
-    assert rep.stable_candidates == ()
-    rep = embedded_eig_scan(None, (64, 128))
-    assert rep.stable_candidates == ()
-    with pytest.raises(ValueError, match="at least two window radii"):
-        embedded_eig_scan(DELTA_HALF, (128,))
+    assert rep.states == () and rep.minima == () and rep.points == 1057
+    assert rep.resolved == (1e-9, 2.0 - 2.0**-52)
+    rep = embedded_eig_scan(None)
+    assert rep.states == () and rep.resolved == (1e-9, 2.0 - 2.0**-52)
 
 
-def _per_vector_ratio(vec, window_radius):
-    sites = np.arange(-window_radius, window_radius + 1)
-    inner = np.abs(sites) <= window_radius // 2
-    return float(np.sum(np.abs(vec[inner]) ** 2)) / float(np.sum(np.abs(vec) ** 2))
+# V = [c, -sqrt 5, c] on [-1, 1] has the eigenvalue 1 inside the band, with the
+# decaying eigenvector r^|n|, r = e^b at mu = 1: V = (psi - Delta^2 psi) / psi
+# on the three sites where Delta^2 psi differs from psi
+EMBEDDED = PotentialSpec((-1, 1), [5.854101966249685, -np.sqrt(5.0), 5.854101966249685])
 
 
-def test_vectorised_ratios_match_per_vector_ratio():
-    # the default eig-scan windows 128, 256 and 384, and window 512
-    found = {}
-    for radius in (512, 128, 256, 384):
-        ev, vecs = eigensystem(DELTA_HALF, radius)
-        want = np.array([_per_vector_ratio(v, radius) for v in vecs.T])
-        got = _localization_ratios(vecs, radius)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        found[radius] = [
-            float(lam)
-            for lam, ratio in zip(ev, want)
-            if BAND_MARGIN < lam < 16.0 - BAND_MARGIN and ratio >= 0.999
-        ]
-    scan = embedded_eig_scan(DELTA_HALF, (128, 256, 384))
-    assert scan.candidates == {r: found[r] for r in (128, 256, 384)}
-    ev, vecs = eigensystem(DELTA_HALF, 512)
-    outside = (ev < -BAND_MARGIN) | (ev > 16.0 + BAND_MARGIN)
-    assert [lam for lam, _ in discrete_eigs(DELTA_HALF, 512)] == list(ev[outside])
+def test_embedded_scan_finds_the_constructed_eigenvalue():
+    rep = embedded_eig_scan(EMBEDDED)
+    assert rep.verdict == "1 embedded eigenvalue(s) found"
+    ((E, psi),) = rep.states
+    assert abs(E - 1.0) <= 1e-12
+    ((mu, ratio),) = rep.minima
+    assert abs(mu - 1.0) <= 1e-15 and ratio <= 2.0**-40
+    # psi = R0 v phi solves (H - E) psi = 0 to rounding on a window, where it
+    # has fallen by e^-38 at its ends
+    n = np.arange(-42, 43)
+    values = psi(n)
+    diagonal = 6.0 + EMBEDDED.on_window(40) - E
+    residual = (values[:-4] + values[4:] - 4.0 * (values[1:-3] + values[3:-1])
+                + diagonal * values[2:-2])
+    assert np.abs(values).max() == pytest.approx(np.abs(values[41:44]).max())
+    assert np.abs(residual).max() <= 1e-14 * np.abs(values).max()
+    # the state is even, as its potential, to rounding
+    np.testing.assert_allclose(values, values[::-1], rtol=0, atol=1e-15 * np.abs(values).max())
+    # three sites: M spreads like mu^-3, mu^-1 and 1 toward mu = 0, where
+    # the float M reads singular up to the first grid point past 1e-9
+    assert rep.resolved[0] == pytest.approx(3.048e-3, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        DELTA_HALF,
+        GENERIC,
+        # a near-resonance at mu = 0.2016, whose ratio refines only to 7.3e-9
+        PotentialSpec((-1, 1), [0.5, -0.7999, 0.5]),
+        # the crosscheck benchmark's 5-site potentials of seeds 1 and 2
+        PotentialSpec((-2, 2), [0.453746, 0.738973, 0.70551, 0.502028, 0.598174]),
+        PotentialSpec((-2, 2), [0.782414, 0.779131, 0.422621, 0.433949, 0.7342]),
+    ],
+)
+def test_embedded_scan_reports_no_eigenvalue_off_the_constructed_one(V):
+    rep = embedded_eig_scan(V)
+    assert rep.states == () and rep.verdict == "no embedded eigenvalues detected"
+    assert all(ratio > 2.0**-40 for _, ratio in rep.minima)
+
+
+def test_embedded_scan_refines_only_minima_below_its_threshold():
+    # the near-resonance's grid minimum, 1.1e-6, is refined; the seeds'
+    # grid minima, 0.17 and 0.115, and the default's none are not
+    ((mu, ratio),) = embedded_eig_scan(PotentialSpec((-1, 1), [0.5, -0.7999, 0.5])).minima
+    assert mu == pytest.approx(0.20163, abs=1e-5) and 5e-9 < ratio < 1e-8
+    assert embedded_eig_scan(GENERIC).minima == ()
+    assert embedded_eig_scan(
+        PotentialSpec((-2, 2), [0.453746, 0.738973, 0.70551, 0.502028, 0.598174])).minima == ()
+
+
+def test_embedded_scan_grid_is_stones_resonance_grid():
+    # the bulk is the theta grid on which Stone reads the phase of det M
+    sys_ = decompose_potential(GENERIC)
+    bulk = propagator._wave_scans(10.0, propagator._INNER_CUTOFF, propagator._EDGE_CUTOFF)[0]
+    th, _ = propagator._resonance_phase(bulk[0][0], bulk[0][-1], sys_)
+    mu = spectral._band_scan_grid()
+    np.testing.assert_array_equal(mu[: th.size], 2.0 * np.sin(-th[::-1] / 2.0))
+    assert np.all(np.diff(mu) > 0.0) and mu[-1] == 2.0 - 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +526,10 @@ def test_vectorised_ratios_match_per_vector_ratio():
     "V", [None, DELTA_HALF, PotentialSpec((-2, 2), [0.3, -0.15, 0.45, -0.15, 0.3])]
 )
 def test_parity_eigensystem_matches_full_eigh(V):
-    radius, observe, t = 60, 6, 1.7
-    want_ev, want_vecs = np.linalg.eigh(build_hamiltonian(V, radius))
-    ev, vecs = eigensystem(V, radius)
-    assert not ev.flags.writeable and not vecs.flags.writeable
-    np.testing.assert_allclose(ev, want_ev, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(2 * radius + 1), rtol=0, atol=1e-13)
-
-    def window_kernel(lam, u):
-        rows = u[radius - observe : radius + observe + 1]
-        return (rows * np.exp(-1j * t * lam)[None, :]) @ rows.T
-
-    np.testing.assert_allclose(
-        window_kernel(ev, vecs), window_kernel(want_ev, want_vecs), rtol=0, atol=1e-13
-    )
+    # the parity blocks' eigenvalues against eigh of the whole window
+    radius = 60
+    want = np.linalg.eigh(build_hamiltonian(V, radius))[0]
+    np.testing.assert_allclose(_window_eigenvalues(V, radius), want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -513,23 +540,20 @@ def test_parity_eigensystem_matches_full_eigh(V):
 @pytest.mark.parametrize("radius", [None, 8, 128])
 def test_symmetric_eigensystem_is_the_dense_assembly_to_the_bit(V, radius):
     # blocks built from the stencil against the folded window matrix; None
-    # is the smallest radius eigensystem splits: two sites past the support,
-    # one site for the free operator
+    # is the smallest radius the window splits at: two sites past the
+    # support, one site for the free operator
     if radius is None:
         radius = 1 if V is None else V.support_radius + 2
-    want_ev, want_vecs = oracles.parity_eigensystem(*_parity_blocks(build_hamiltonian(V, radius)))
-    ev, vecs = eigensystem(V, radius)
-    assert ev.tobytes() == want_ev.tobytes()
-    assert vecs.tobytes() == want_vecs.tobytes() and vecs.flags.c_contiguous
+    want = oracles.parity_eigenvalues(*_parity_blocks(build_hamiltonian(V, radius)))
+    assert _window_eigenvalues(V, radius).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "V,radius", [(GENERIC, 3), (GENERIC, 8), (MIXED, 128), (None, 0)]
 )
 def test_other_windows_are_diagonalised_whole(V, radius):
-    want_ev, want_vecs = np.linalg.eigh(build_hamiltonian(V, radius))
-    ev, vecs = eigensystem(V, radius)
-    assert ev.tobytes() == want_ev.tobytes() and vecs.tobytes() == want_vecs.tobytes()
+    want = np.linalg.eigvalsh(build_hamiltonian(V, radius))
+    assert _window_eigenvalues(V, radius).tobytes() == want.tobytes()
 
 
 def test_eigensystem_assembles_its_windows_in_build_hamiltonian(monkeypatch):
@@ -541,25 +565,28 @@ def test_eigensystem_assembles_its_windows_in_build_hamiltonian(monkeypatch):
         return build(V, radius, parity)
 
     monkeypatch.setattr(spectral, "build_hamiltonian", recording)
-    spectral._eigensystem.cache_clear()
-    eigensystem(DELTA_HALF, 6)
-    eigensystem(GENERIC, 6)
+    discrete_eigs(DELTA_HALF, 6)
+    discrete_eigs(GENERIC, 6)
     assert calls == [(6, 0), (6, 1), (6, None)]
 
 
 def test_eigensystem_diagonalises_by_parity_only_when_symmetric(monkeypatch):
+    # eigenvalues only: eigvalsh of each parity block, or of the whole window
     shapes = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_eigvalsh(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    # values no other test uses, so nothing is cached yet
-    eigensystem(PotentialSpec((-1, 1), [0.35, -0.2, 0.35]), 20)
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigenvectors were formed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    _window_eigenvalues(PotentialSpec((-1, 1), [0.35, -0.2, 0.35]), 20)
     assert shapes == [(21, 21), (20, 20)]
     shapes.clear()
-    ev, vecs = eigensystem(PotentialSpec((-1, 1), [0.35, -0.2, 0.1]), 20)
+    ev = _window_eigenvalues(PotentialSpec((-1, 1), [0.35, -0.2, 0.1]), 20)
     assert shapes == [(41, 41)]
-    assert np.all(np.diff(ev) >= 0.0) and vecs.shape == (41, 41)
+    assert np.all(np.diff(ev) >= 0.0) and ev.shape == (41,)
