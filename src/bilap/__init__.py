@@ -6,7 +6,7 @@ where Delta is the second difference and V a finitely supported real
 potential. Submodules:
 
 ``lattice``
-    finite windows, Dirichlet truncations, weighted norms, potentials
+    finite windows, Dirichlet truncations, weighted kernel norms, potentials
 ``resolvent``
     closed boundary kernels of the free resolvent on and off the band
 ``expansion``
@@ -34,7 +34,6 @@ from .decay import (
 from .expansion import remainder_norms
 from .lattice import (
     SPEED_BOUND,
-    LatticeVector,
     PotentialSpec,
     build_hamiltonian,
     weighted_operator_norm,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "SPEED_BOUND",
-    "LatticeVector",
     "PotentialSpec",
     "build_hamiltonian",
     "weighted_operator_norm",

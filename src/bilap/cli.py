@@ -43,7 +43,7 @@ from .decay import (
     strichartz_points,
 )
 from .expansion import geometric_grid, remainder_norms, remainder_order, remainder_work
-from .lattice import SPEED_BOUND, LatticeVector, PotentialSpec, _window_diagonal
+from .lattice import SPEED_BOUND, PotentialSpec
 from .propagator import (
     FREE_KINDS,
     auto_window_radius,
@@ -59,6 +59,7 @@ from .resolvent import windowed_boundary_resolvent
 from .spectral import (
     SingularSandwichError,
     _band_scan_grid,
+    _window_blocks,
     bound_states,
     decompose_potential,
     discrete_eigs,
@@ -136,12 +137,6 @@ def _as_choice(options):
         return v
 
     return cast
-
-
-def _as_str(v):
-    if not isinstance(v, str) or not v:
-        raise ValueError("expected a nonempty string")
-    return v
 
 
 def _as_range(lo=None, hi=None, lo_open=False, hi_open=False):
@@ -911,18 +906,13 @@ def _run_stationary_phase(cfg, rng):
     return report, [("roots.json", write_json, report)]
 
 
-# strichartz evolves a unit delta on the sites -1..1
-_STRICHARTZ_RADIUS = 1
 # largest relative spread of a bounded norm, and least relative step of a growing one
 _STRICHARTZ_RATIO_TOL = 0.1
 
 
 def _run_strichartz(cfg, rng):
     r = np.inf if cfg["r"] == "inf" else float(cfg["r"])
-    psi0 = LatticeVector.delta(_STRICHARTZ_RADIUS, 0)
-    norms = [
-        strichartz_norm(cfg["q"], r, T, psi0) for T in cfg["T_values"]
-    ]
+    norms = [strichartz_norm(cfg["q"], r, T) for T in cfg["T_values"]]
     lo, hi = min(norms), max(norms)
     # a horizon so short that the norm underflows to 0 has no finite spread
     spread = hi / lo - 1.0 if lo > 0 else np.inf
@@ -997,8 +987,9 @@ def _run_knapp(cfg, rng):
 
 # Largest FFT ring, in points, that a config may ask for. free_kernel_full
 # holds 16 bytes per ring point (its work array and the kernel, each over
-# half the ring), 268 MB at this bound, and a strichartz time node 40 bytes
-# per point, 671 MB. The free benchmark's largest ring has 2^21 points.
+# half the ring), 268 MB at this bound, and a strichartz time node peaks at
+# 32 bytes per point, 537 MB. The free benchmark's largest ring has 2^21
+# points.
 _RING_POINT_BOUND = 2**24
 
 # Largest Stone flow integral, in points per time, that a config may ask for.
@@ -1108,10 +1099,10 @@ def _time_grid(cfg):
                f"{points} points, the fit needs at least {FIT_MIN_POINTS}")
 
 
-def _ring(field, kind, t, kmax=0):
+def _ring(field, kind, t):
     """The largest FFT ring, by ring_size, within _RING_POINT_BOUND points."""
     try:
-        points = ring_size(t, kind, kmax)
+        points = ring_size(t, kind)
     except ValueError:  # past 2^63 points
         points = None
     if points is None or points > _RING_POINT_BOUND:
@@ -1182,7 +1173,7 @@ def _strichartz_work(cfg):
     """strichartz's ring points over all its horizons, by strichartz_points, within _STRICHARTZ_POINT_BOUND."""
     points = 0
     for T in cfg["T_values"]:
-        points += strichartz_points(T, _STRICHARTZ_RADIUS)
+        points += strichartz_points(T)
         if points > _STRICHARTZ_POINT_BOUND:
             yield (f"field 'T_values': the space-time norms would transform more than "
                    f"{_STRICHARTZ_POINT_BOUND} (2^27) ring points")
@@ -1217,13 +1208,9 @@ def _knapp_sum(cfg):
 
 
 def _eig_units(V, window_radius):
-    """eig-scan's work: the cube of each side eigvalsh takes (parity blocks where the
-    window's diagonal equals its reflection), plus the band scan's grid points x d^3."""
-    diagonal = _window_diagonal(V, window_radius)
-    if np.array_equal(diagonal, diagonal[::-1]):
-        window = (window_radius + 1) ** 3 + window_radius**3
-    else:
-        window = (2 * window_radius + 1) ** 3
+    """eig-scan's work: the cube of each side eigvalsh takes (_window_blocks), plus
+    the band scan's grid points x d^3."""
+    window = sum(side**3 for _, side in _window_blocks(V, window_radius))
     return window + _band_scan_grid().size * int(np.count_nonzero(V.values)) ** 3
 
 
@@ -1379,8 +1366,7 @@ _COMMANDS = {
         },
         "space-time norms of the free flow across horizons",
         # every time node lies in (0, max(T_values)]
-        _limits(lambda c: _ring("field 'T_values'", "schrodinger_free_bilap",
-                                max(c["T_values"]), _STRICHARTZ_RADIUS),
+        _limits(lambda c: _ring("field 'T_values'", "schrodinger_free_bilap", max(c["T_values"])),
                 _strichartz_work),
     ),
     "knapp": (
@@ -1399,18 +1385,17 @@ _COMMANDS = {
 def _check_config(raw: dict, schema: dict, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config for {command} must be a JSON object")
-    full = {**schema, "output_dir": (_as_str, None)}
-    unknown = sorted(set(raw) - set(full))
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(
             f"unknown field(s) {unknown} for command {command!r}; "
-            f"allowed: {sorted(full)}"
+            f"allowed: {sorted(schema)}"
         )
     out = {}
-    for key, (caster, default) in full.items():
+    for key, (caster, default) in schema.items():
         value = raw.get(key, default)
         try:
-            out[key] = None if value is None and default is None else caster(value)
+            out[key] = caster(value)
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from exc
     refusal = next(_COMMANDS[command][3](out), None)
@@ -1469,7 +1454,7 @@ def main(argv=None) -> int:
         print(f"bilap {args.command}: config error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = args.out or Path(cfg.get("output_dir") or f"bilap_out_{args.command}")
+    outdir = args.out or Path(f"bilap_out_{args.command}")
     # the nearest existing path at or above outdir (a dangling link included)
     # must be a directory
     blocker = next((d for d in (outdir, *outdir.parents) if d.exists() or d.is_symlink()), None)

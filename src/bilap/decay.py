@@ -5,8 +5,9 @@ fitted to power laws. Free translation-invariant flows are measured over
 their full causal range (an observation window that travels slower than the
 wavefront would see boundary decay instead of the kernel's true envelope);
 perturbed flows are measured on a fixed window through the band quadrature.
-Space-time (Strichartz-type) norms of the free flow and the scaling pair of
-the frequency-cap (Knapp-type) example complete the module.
+Space-time (Strichartz-type) norms of the free flow from the unit delta,
+which is the free kernel and so depends on the separation alone, and the
+scaling pair of the frequency-cap (Knapp-type) example complete the module.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import ifft
 
-from .lattice import LatticeVector
 from .propagator import KINDS, free_kernel_full, ring_size, ring_weight, stone_kernel_slice
 from .quadrature import gauss_panels
 from .resolvent import _band_rates
@@ -37,7 +37,7 @@ __all__ = [
     "knapp_sites",
 ]
 
-# fewest points inside a fit window that fit_decay_exponent accepts
+# fewest points of a series that fit_decay_exponent accepts
 FIT_MIN_POINTS = 8
 
 # sites per block of the frequency-cap space sum; one block holds the
@@ -86,7 +86,7 @@ class DecaySeries:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Power-law fit sup_norm ~ C t^(-alpha) over a time window."""
+    """Power-law fit sup_norm ~ C t^(-alpha); window is the fitted time range."""
 
     alpha: float
     intercept: float
@@ -103,24 +103,18 @@ def log_time_grid(t_min: float, t_max: float, per_decade: int = 16) -> np.ndarra
     return np.geomspace(t_min, t_max, count)
 
 
-def fit_decay_exponent(
-    series: DecaySeries, window: Optional[Tuple[float, float]] = None
-) -> DecayFit:
-    """Least-squares power-law fit of a decay series on a time window.
+def fit_decay_exponent(series: DecaySeries) -> DecayFit:
+    """Least-squares power-law fit of a whole decay series.
 
-    Requires at least FIT_MIN_POINTS points inside the window so the fit
-    carries statistical weight.
+    Requires at least FIT_MIN_POINTS points so the fit carries statistical
+    weight. A fit over part of the times takes a series of those times.
     """
-    if window is None:
-        window = (float(series.times[0]), float(series.times[-1]))
-    lo, hi = window
-    keep = (series.times >= lo) & (series.times <= hi)
-    if int(keep.sum()) < FIT_MIN_POINTS:
+    if series.times.size < FIT_MIN_POINTS:
         raise ValueError(
-            f"need at least {FIT_MIN_POINTS} points in the fit window, got {keep.sum()}"
+            f"need at least {FIT_MIN_POINTS} points to fit, got {series.times.size}"
         )
-    x = np.log(series.times[keep])
-    y = np.log(series.sup_norms[keep])
+    x = np.log(series.times)
+    y = np.log(series.sup_norms)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -129,7 +123,7 @@ def fit_decay_exponent(
         alpha=float(-slope),
         intercept=float(intercept),
         r_squared=float(r2),
-        window=(float(lo), float(hi)),
+        window=(float(series.times[0]), float(series.times[-1])),
     )
 
 
@@ -204,36 +198,32 @@ def _time_quadrature(T: float):
     return gauss_panels(edges, order)
 
 
-def strichartz_points(T: float, radius: int) -> int:
-    """Ring points strichartz_norm transforms up to horizon T for a datum of that radius.
+def strichartz_points(T: float) -> int:
+    """Ring points strichartz_norm transforms up to horizon T.
 
     Each time node of the quadrature takes one ring of ring_size points.
     """
     nodes, _ = _time_quadrature(T)
-    return sum(ring_size(float(t), "schrodinger_free_bilap", radius) for t in nodes)
+    return sum(ring_size(float(t), "schrodinger_free_bilap") for t in nodes)
 
 
-def strichartz_norm(q: float, r: float, T: float, psi0: LatticeVector) -> float:
-    """Space-time norm of the free fourth-difference flow from psi0.
+def strichartz_norm(q: float, r: float, T: float) -> float:
+    """Space-time norm of the free fourth-difference flow from the unit delta at 0.
 
     Computes (Int_0^T (sum_n |u(t, n)|^r)^(q/r) dt)^(1/q) with
-    u(t) = exp(-i t bilaplacian) psi0. Each time node t of the quadrature
-    evolves psi0 on its own ring, the one ring_weight builds for t and
-    the radius of psi0. r may be inf for the sup norm in space.
+    u(t) = exp(-i t bilaplacian) delta_0, which is the free kernel itself:
+    at each time node t of the quadrature, the inverse FFT of the flow
+    weight on the kernel's own ring (ring_weight). r may be inf for the
+    sup norm in space.
     """
     if not (q >= 1 and T > 0):
         raise ValueError("need q >= 1 and T > 0")
     if not (r >= 1):
         raise ValueError("need r >= 1 (inf allowed)")
-    n0 = psi0.window_radius
     nodes, weights = _time_quadrature(T)
     acc = 0.0
     for t, w in zip(nodes, weights):
-        weight = ring_weight(t, "schrodinger_free_bilap", n0)
-        ring = np.zeros(weight.size, dtype=complex)
-        ring[np.arange(-n0, n0 + 1) % weight.size] = psi0.values
-        fft(ring, out=ring)
-        ring *= weight
+        ring = ring_weight(t, "schrodinger_free_bilap")
         mags = np.abs(ifft(ring, out=ring))
         if np.isinf(r):
             space = float(mags.max())

@@ -255,7 +255,9 @@ def remainder_norms(
 
     The remainder is taken on the plus side. The minus-side remainder is
     its complex conjugate, which has the same singular values, so the
-    norms serve both sides.
+    norms serve both sides. A remainder depends on the separation alone:
+    its row at the separations 0..2 window_radius is what
+    weighted_operator_norm takes.
 
     Returns
     -------
@@ -283,9 +285,7 @@ def remainder_norms(
         kernel = boundary_kernel_plus(2.0 - grid, ks, one_minus_q=one_minus_q)
         powers = grid[:, None] ** (np.arange(-1.0, n_order + 1.0) / 2.0)
         resid = kernel - powers @ coeff_sixteen_series(n_order, ks)
-    sites = np.arange(-window_radius, window_radius + 1)
-    sep = np.abs(sites[:, None] - sites[None, :])
-    norms = np.array([weighted_operator_norm(row[sep], s) for row in resid])
+    norms = np.array([weighted_operator_norm(row, s) for row in resid])
     return grid, norms
 
 

@@ -1,9 +1,10 @@
-"""Finite windows of lattice sequences and the discrete difference operators.
+"""Finite windows of the lattice and the discrete difference operators.
 
-Sequences live on integer windows [-N, N]. Dirichlet truncations of
+Operators live on integer windows [-N, N]. Dirichlet truncations of
 H = bilaplacian + V, finitely supported potentials and polynomially weighted
-operator norms are provided here. All constructions are dense; windows at
-desk scale stay below a few thousand sites.
+norms of translation-invariant kernels are provided here. All
+constructions are dense; windows at desk scale stay below a few thousand
+sites.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "LatticeVector",
     "PotentialSpec",
     "build_hamiltonian",
     "weighted_operator_norm",
@@ -22,50 +22,6 @@ __all__ = [
 
 SPEED_BOUND = 6.0 * np.sqrt(3.0)
 """Maximal group speed of the fourth-difference band, max |d/dx (2-2cos x)^2|."""
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """Complex-valued sample of a sequence on the window [-N, N].
-
-    Parameters
-    ----------
-    window_radius : int
-        Half-width N >= 1 of the window.
-    values : ndarray
-        Complex array of length 2N+1; entry i holds the value at site i-N.
-    """
-
-    window_radius: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = int(self.window_radius)
-        if n < 1:
-            raise ValueError("window_radius must be >= 1")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size != 2 * n + 1:
-            raise ValueError(
-                f"values must have length {2 * n + 1}, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "window_radius", n)
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.window_radius, self.window_radius + 1)
-
-    def __getitem__(self, n: int) -> complex:
-        return complex(self.values[n + self.window_radius])
-
-    @classmethod
-    def delta(cls, window_radius: int, site: int = 0) -> "LatticeVector":
-        """Kronecker delta supported at the given site."""
-        vals = np.zeros(2 * window_radius + 1, dtype=complex)
-        vals[site + window_radius] = 1.0
-        return cls(window_radius, vals)
 
 
 @dataclass(frozen=True)
@@ -179,8 +135,9 @@ def _hamiltonian_parity_block(diagonal: np.ndarray, parity: int) -> np.ndarray:
     of a window whose diagonal is even. The block is built from the
     stencil, rows n >= 0 against columns m, plus (even) or minus (odd) the
     entry h[n, -m] coupling n to the mirror of m, nonzero only where
-    n + m <= 2; no window matrix is formed. It equals, to the last bit,
-    _parity_blocks(build_hamiltonian(V, R))[parity].
+    n + m <= 2; no window matrix is formed. It equals, to the last bit, the
+    same block folded from build_hamiltonian(V, R) in the bases of
+    weighted_operator_norm.
     """
     radius = diagonal.size - 1
     block = _pentadiagonal(diagonal[parity:])
@@ -200,16 +157,19 @@ def site_weights(window_radius: int, s: float) -> np.ndarray:
     return (1.0 + n.astype(float) ** 2) ** (s / 2.0)
 
 
-def weighted_operator_norm(K, s: float) -> float:
-    """Largest singular value of D^{-s} K D^{-s} with D = diag(<n>).
+def weighted_operator_norm(row, s: float) -> float:
+    """Largest singular value of D^{-s} K D^{-s}, K[n, m] = row[|n - m|], D = diag(<n>).
 
-    Measures K as an operator from the weight-s space to the weight-(-s)
-    space. K is a dense square array centred on its window.
-
-    When K equals its reflection K[::-1, ::-1] exactly, D^{-s} K D^{-s}
-    commutes with n -> -n and is block diagonal in the even and odd
-    sequences; the norm is then the larger of the norms of the two blocks,
-    of sizes R + 1 and R on the window [-R, R].
+    Measures a translation-invariant kernel, given at the separations
+    0..2R, as an operator from the weight-s space to the weight-(-s) space
+    over the window [-R, R], R >= 1. K equals its reflection, so
+    W K W, W = D^{-s}, commutes with n -> -n and is block diagonal in the
+    orthonormal bases delta_0, (delta_n + delta_{-n}) / sqrt(2) of the even
+    sequences and (delta_n - delta_{-n}) / sqrt(2), n = 1..R, of the odd
+    ones. The blocks w_n (row[|n - m|] +- row[n + m]) w_m, of sizes R + 1
+    (even, its row and column 0 scaled by 1 / sqrt(2)) and R (odd), are
+    built from the row; no window matrix is formed. The norm is the larger
+    of the norms of the two blocks.
 
     The block of larger Frobenius norm is decomposed first, and the other
     one only if its Frobenius norm times 1 + 1e-12 is not below the
@@ -221,16 +181,18 @@ def weighted_operator_norm(K, s: float) -> float:
     could not have changed the maximum, and the result is the same float
     as that of decomposing both blocks.
     """
-    entries = np.asarray(K)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if entries.shape[0] % 2 != 1:
-        raise ValueError("window must be symmetric (odd side length)")
-    radius = entries.shape[0] // 2
-    d = site_weights(radius, -s)
-    blocks = _parity_blocks(entries, d[radius:])
-    if blocks is None:
-        return float(np.linalg.norm(d[:, None] * entries * d[None, :], 2))
+    row = np.asarray(row)
+    if row.ndim != 1 or row.size < 3 or row.size % 2 != 1:
+        raise ValueError("row must hold the separations 0..2R of a window radius R >= 1")
+    radius = row.size // 2
+    n = np.arange(radius + 1)
+    near, far = row[np.abs(n[:, None] - n[None, :])], row[n[:, None] + n[None, :]]
+    w = site_weights(radius, -s)[radius:]
+    even = w[:, None] * (near + far) * w[None, :]
+    odd = w[1:, None] * (near - far)[1:, 1:] * w[None, 1:]
+    even[0] /= np.sqrt(2.0)
+    even[:, 0] /= np.sqrt(2.0)
+    blocks = even, odd
     frob = [np.linalg.norm(block) for block in blocks]
     strong = int(frob[1] > frob[0])
     top = {strong: np.linalg.svd(blocks[strong], compute_uv=False)[0]}
@@ -238,31 +200,3 @@ def weighted_operator_norm(K, s: float) -> float:
         return float(top[strong])
     top[1 - strong] = np.linalg.svd(blocks[1 - strong], compute_uv=False)[0]
     return float(max(top[0], top[1]))
-
-
-def _parity_blocks(entries: np.ndarray, w: Optional[np.ndarray] = None):
-    """Even and odd blocks of W K W when K equals its reflection, else None.
-
-    K is a square array on the window [-R, R], R >= 1, and W = diag(w) an
-    even weight given on the sites 0..R (omitted means W = I). When
-    K[::-1, ::-1] equals K exactly, W K W commutes with n -> -n and is
-    block diagonal in the orthonormal bases delta_0, (delta_n +
-    delta_{-n}) / sqrt(2) of the even sequences and (delta_n -
-    delta_{-n}) / sqrt(2), n = 1..R, of the odd ones; the blocks have sizes
-    R + 1 and R. weighted_operator_norm is its one caller: window
-    eigenvalues (spectral.discrete_eigs) build their blocks from the
-    stencil (_hamiltonian_parity_block) and never form K.
-    """
-    radius = entries.shape[0] // 2
-    if radius == 0 or not np.array_equal(entries, entries[::-1, ::-1]):
-        return None
-    # Rows n >= 0 against columns +m and -m, m >= 0.
-    half = entries[radius:]
-    cols, mirror = half[:, radius:], half[:, radius::-1]
-    even, odd = cols + mirror, (cols - mirror)[1:, 1:]
-    if w is not None:
-        even = w[:, None] * even * w[None, :]
-        odd = w[1:, None] * odd * w[None, 1:]
-    even[0] /= np.sqrt(2.0)
-    even[:, 0] /= np.sqrt(2.0)
-    return even, odd

@@ -60,6 +60,9 @@ from .lattice import _STENCIL, SPEED_BOUND, PotentialSpec, _window_diagonal
 from .quadrature import cost_variation, edges_from_budget, gauss_panels, gauss_rule
 from .resolvent import _band_rates, boundary_kernel_plus
 from .spectral import (
+    _EDGE_CUTOFF,
+    _INNER_CUTOFF,
+    _RESONANCE_SCAN,
     BirmanSchwingerSystem,
     SingularSandwichError,
     _require_regular,
@@ -158,8 +161,6 @@ _LANES = 32
 # CPUs are usable (os.cpu_count where the platform has no affinity mask)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _FFT_WORKERS = 2 if _CPUS >= 2 else 1
-_EDGE_CUTOFF = 1e-4
-_INNER_CUTOFF = 1e-9
 # Stone budget ladder: advance of the spatial waves' exponents per panel of
 # _STONE_ORDER Gauss nodes. For delta 0.5 at observe radius 16 and t = 50
 # to 100, budget 16 is within 7.5e-15 of the budget-0.25 kernel, so such
@@ -180,7 +181,6 @@ _STONE_ORDER = 24
 # budget / _RESONANCE_WEIGHT (1 radian at budget 8), read off
 # _RESONANCE_SCAN points of the bulk (see _resonance_cuts)
 _RESONANCE_WEIGHT = 8.0
-_RESONANCE_SCAN = 1025
 # The flow's integral on a panel: where the flow phase advances by at most
 # _POINT_BUDGET radians over the panel, the panel's own Gauss rule takes
 # the integral against each Lagrange basis polynomial to rounding (1e-15 at
@@ -524,14 +524,15 @@ def _ring_weight_at(t: float, kind: str, size: int, j: np.ndarray) -> tuple[np.n
     return FLOWS[flow](t, energy), sine
 
 
-def ring_weight(t: float, kind: str, kmax: int = 0) -> np.ndarray:
-    """Flow weight of a kind over the full FFT ring of ring_size.
+def ring_weight(t: float, kind: str) -> np.ndarray:
+    """Flow weight of a kind over the full FFT ring of the free kernel at time t.
 
-    The weight is evaluated on the half ring only and mirrored, so index
-    j and size - j carry the same value. The full ring is for data that
-    need not be even; an even kernel needs only free_kernel_full.
+    The ring is ring_size(t, kind), the one free_kernel_full reads. The
+    weight is evaluated on the half ring only and mirrored, so index j and
+    size - j carry the same value; its inverse FFT is the kernel on the
+    whole ring.
     """
-    size = ring_size(t, kind, kmax)
+    size = ring_size(t, kind)
     half, _ = _ring_weight_at(t, kind, size, np.arange(size // 2 + 1))
     full = np.empty(size, dtype=half.dtype)
     full[: half.size] = half

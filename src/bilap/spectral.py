@@ -56,13 +56,20 @@ __all__ = [
 BAND_MARGIN = 1e-6
 """Margin delta_b separating "outside the band" from [0 - delta_b, 16 + delta_b]."""
 
-# embedded_eig_scan's grid points (bulk, strip), the grid minima of
-# sigma_min / sigma_max it refines and the refined ratio it takes for a
-# singular M. The embedded eigenvalue 1 of [c, -sqrt 5, c], c =
-# 5.854101966249685, reads 4.6e-4 on the grid and 7.8e-17 refined; 2^-40
-# (4,096 ulps) leaves room for d <= 32 and stays far below the 7.3e-9 the
-# near-resonance of [0.5, -0.7999, 0.5] at mu = 0.2016 refines to.
-_BULK_SCAN = 1025
+# The bulk of Stone's band quadrature (propagator) runs from mu =
+# _INNER_CUTOFF to 2 - _EDGE_CUTOFF, and Stone reads the phase of det M at
+# _RESONANCE_SCAN points of it; embedded_eig_scan's grid (_band_scan_grid)
+# starts with the same points
+_EDGE_CUTOFF = 1e-4
+_INNER_CUTOFF = 1e-9
+_RESONANCE_SCAN = 1025
+
+# embedded_eig_scan's strip points, the grid minima of sigma_min /
+# sigma_max it refines and the refined ratio it takes for a singular M. The
+# embedded eigenvalue 1 of [c, -sqrt 5, c], c = 5.854101966249685, reads
+# 4.6e-4 on the grid and 7.8e-17 refined; 2^-40 (4,096 ulps) leaves room
+# for d <= 32 and stays far below the 7.3e-9 the near-resonance of
+# [0.5, -0.7999, 0.5] at mu = 0.2016 refines to.
 _STRIP_SCAN = 32
 _EMBEDDED_REFINE = 1e-2
 _EMBEDDED_ROUNDING = 2.0**-40
@@ -444,17 +451,27 @@ def bound_states(V: Optional[PotentialSpec]) -> List[Tuple[float, Callable]]:
     return states
 
 
+def _window_blocks(V: Optional[PotentialSpec], window_radius: int) -> tuple:
+    """(parity, side) of each matrix _window_eigenvalues hands to eigvalsh.
+
+    A window of radius R >= 1 whose diagonal 6 + V equals its reflection
+    splits into its even and odd blocks, of sides R + 1 and R; any other is
+    the whole window, parity None, of side 2R + 1.
+    """
+    diagonal = _window_diagonal(V, window_radius)
+    if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]):
+        return (0, window_radius + 1), (1, window_radius)
+    return ((None, 2 * window_radius + 1),)
+
+
 def _window_eigenvalues(V: Optional[PotentialSpec], window_radius: int) -> np.ndarray:
     """Every eigenvalue of the Dirichlet window truncation of Delta^2 + V, increasing.
 
-    A window whose diagonal 6 + V equals its reflection goes by eigvalsh of
-    its even, then its odd block, each built by build_hamiltonian(V, R,
-    parity) and dropped before the next; any other is built whole.
+    Each block of _window_blocks goes by eigvalsh in turn, built by
+    build_hamiltonian(V, R, parity) and dropped before the next.
     """
-    diagonal = _window_diagonal(V, window_radius)
-    parities = (0, 1) if window_radius > 0 and np.array_equal(diagonal, diagonal[::-1]) else (None,)
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(build_hamiltonian(V, window_radius, p)) for p in parities]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(build_hamiltonian(V, window_radius, p))
+                                   for p, _ in _window_blocks(V, window_radius)]))
 
 
 def discrete_eigs(V: Optional[PotentialSpec], window_radius: int) -> List[float]:
@@ -474,10 +491,11 @@ def _band_scan_grid() -> np.ndarray:
     """embedded_eig_scan's mu, increasing over (0, 2), in the variables of Stone's panels.
 
     The bulk's theta grid of propagator._resonance_phase, mu = 2 sin(-theta/2)
-    from 1e-9 to 2 - 1e-4, then _STRIP_SCAN points equally spaced in
-    w = sqrt(2 - mu) below w = 1e-2, down to 2^-26: mu = 2 - 2^-52.
+    from _INNER_CUTOFF to 2 - _EDGE_CUTOFF, then _STRIP_SCAN points equally
+    spaced in w = sqrt(2 - mu) below w = 1e-2, down to 2^-26: mu = 2 - 2^-52.
     """
-    th = np.linspace(*(-2.0 * np.arcsin(np.array([2.0 - 1e-4, 1e-9]) / 2.0)), _BULK_SCAN)
+    ends = -2.0 * np.arcsin(np.array([2.0 - _EDGE_CUTOFF, _INNER_CUTOFF]) / 2.0)
+    th = np.linspace(*ends, _RESONANCE_SCAN)
     w = np.linspace(2.0**-26, 1e-2, _STRIP_SCAN + 1)[-2::-1]
     return np.concatenate([2.0 * np.sin(-th[::-1] / 2.0), 2.0 - w * w])
 

@@ -224,3 +224,30 @@ def parity_eigenvalues(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     stencil-built blocks must reproduce bit for bit.
     """
     return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+
+
+def parity_blocks(entries: np.ndarray, w: np.ndarray | None = None):
+    """Even and odd blocks of W K W for a window matrix K equal to its reflection.
+
+    K is a square array on the window [-R, R], R >= 1, with K[::-1, ::-1]
+    equal to K, and W = diag(w) an even weight given on the sites 0..R
+    (omitted means W = I). W K W commutes with n -> -n and is block
+    diagonal in the orthonormal bases delta_0, (delta_n + delta_{-n}) /
+    sqrt(2) of the even sequences and (delta_n - delta_{-n}) / sqrt(2),
+    n = 1..R, of the odd ones; the blocks have sizes R + 1 and R. The fold
+    of the whole window matrix, against which the library's blocks built
+    without it (the Hamiltonian's from the stencil, a Toeplitz kernel's from
+    its row) are checked.
+    """
+    radius = entries.shape[0] // 2
+    assert radius >= 1 and np.array_equal(entries, entries[::-1, ::-1])
+    # Rows n >= 0 against columns +m and -m, m >= 0.
+    half = entries[radius:]
+    cols, mirror = half[:, radius:], half[:, radius::-1]
+    even, odd = cols + mirror, (cols - mirror)[1:, 1:]
+    if w is not None:
+        even = w[:, None] * even * w[None, :]
+        odd = w[1:, None] * odd * w[None, 1:]
+    even[0] /= np.sqrt(2.0)
+    even[:, 0] /= np.sqrt(2.0)
+    return even, odd

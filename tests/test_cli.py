@@ -919,7 +919,7 @@ _POTENTIAL = (
 _CONFIG = (
     st.fixed_dictionaries({"potential": _POTENTIAL})
     | st.dictionaries(
-        st.sampled_from(["potential", "output_dir", "bogus"]), _JSON, max_size=2
+        st.sampled_from(["potential", "bogus"]), _JSON, max_size=2
     )
     | _JSON
 )
@@ -1374,30 +1374,37 @@ def test_output_path_through_a_file_exits_two_before_running(tmp_path, capsys, m
     blocker.write_text("kept\n")
     link = tmp_path / "link"
     link.symlink_to(tmp_path / "nowhere")
-    cfg = _write_config(tmp_path, "cfg", {"output_dir": str(blocker / "sub")})
-    # a file, a path below one, a dangling link, and output_dir below a file
-    for argv in (["--out", str(blocker)], ["--out", str(blocker / "sub")],
-                 ["--out", str(link)], ["--config", cfg]):
+    # a file, a path below one, and a dangling link
+    for argv in (["--out", str(blocker)], ["--out", str(blocker / "sub")], ["--out", str(link)]):
         assert main(["stationary-phase", *argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "usage error" in err and "not a directory" in err
     assert blocker.read_text() == "kept\n"
 
 
-def test_output_dir_from_config(tmp_path):
+def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
+    # --out alone names the output directory; a config field for it is
+    # unknown, and the refusal makes no directory, named or default
+    monkeypatch.chdir(tmp_path)
     target = tmp_path / "from_config"
     cfg = _write_config(tmp_path, "cfg", {"output_dir": str(target)})
-    assert main(["stationary-phase", "--config", cfg]) == 0
-    assert (target / "roots.json").exists()
+    for argv in (["--config", cfg], ["--config", cfg, "--out", str(tmp_path / "o")]):
+        assert main(["stationary-phase", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown field(s) ['output_dir']" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_out_flag_overrides_config(tmp_path):
-    loser = tmp_path / "loser"
+def test_out_flag_overrides_config(tmp_path, monkeypatch):
+    # without --out a run writes to bilap_out_<command> in the working
+    # directory; --out replaces that default
+    monkeypatch.chdir(tmp_path)
     winner = tmp_path / "winner"
-    cfg = _write_config(tmp_path, "cfg", {"output_dir": str(loser)})
-    assert main(["stationary-phase", "--config", cfg, "--out", str(winner)]) == 0
+    assert main(["stationary-phase", "--out", str(winner)]) == 0
     assert (winner / "roots.json").exists()
-    assert not loser.exists()
+    assert not (tmp_path / "bilap_out_stationary-phase").exists()
+    assert main(["stationary-phase"]) == 0
+    assert (tmp_path / "bilap_out_stationary-phase" / "roots.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import pytest
 from bilap import expansion
 from bilap.lattice import (
     SPEED_BOUND,
-    LatticeVector,
     PotentialSpec,
-    _parity_blocks,
     build_hamiltonian,
     site_weights,
     weighted_operator_norm,
@@ -52,30 +50,42 @@ def test_stencil_matches_matrix_on_interior():
     np.testing.assert_allclose((lap @ lap)[interior], h[interior], atol=0)
 
 
+def _unit_row(radius, k):
+    row = np.zeros(2 * radius + 1)
+    row[k] = 1.0
+    return row
+
+
+def _toeplitz(row):
+    # K[n, m] = row[|n - m|] on the window [-R, R] of a row at separations 0..2R
+    sites = np.arange(row.size)
+    return row[np.abs(sites[:, None] - sites[None, :])]
+
+
 def test_weighted_operator_norm_identity_and_rank_one():
-    eye = np.eye(17)
+    # the identity is the row e_0; the row e_2R couples only the corners
+    # -R and R, a rank-two kernel of norm <R>^(-2s)
+    eye = _unit_row(8, 0)
     assert weighted_operator_norm(eye, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert weighted_operator_norm(eye, 1.0) == pytest.approx(1.0, rel=1e-12)
-    K = np.zeros((17, 17))
-    K[2 + 8, -1 + 8] = 3.0
-    assert weighted_operator_norm(K, 1.0) == pytest.approx(
-        3.0 / np.sqrt(10.0), rel=1e-12
-    )
+    corners = 3.0 * _unit_row(8, 16)
+    assert weighted_operator_norm(corners, 1.0) == pytest.approx(3.0 / 65.0, rel=1e-12)
 
 
 def test_weighted_operator_norm_s0_is_spectral_norm():
-    rng = np.random.default_rng(3)
-    K = rng.normal(size=(9, 9))
-    assert weighted_operator_norm(K, 0.0) == pytest.approx(
-        np.linalg.norm(K, 2), rel=1e-12
+    row = np.random.default_rng(3).normal(size=9)
+    assert weighted_operator_norm(row, 0.0) == pytest.approx(
+        np.linalg.norm(_toeplitz(row), 2), rel=1e-12
     )
 
 
 def test_weighted_operator_norm_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        weighted_operator_norm(np.zeros((4, 5)), 1.0)
+        weighted_operator_norm(np.zeros((5, 5)), 1.0)  # a matrix, not a row
     with pytest.raises(ValueError):
-        weighted_operator_norm(np.zeros((4, 4)), 1.0)  # even side, no center
+        weighted_operator_norm(np.zeros(4), 1.0)  # even length, no window
+    with pytest.raises(ValueError):
+        weighted_operator_norm(np.zeros(1), 1.0)  # radius 0
 
 
 def test_site_weights_center_and_symmetry():
@@ -99,18 +109,6 @@ def test_speed_bound_is_max_symbol_slope():
     slope = np.abs(8.0 * (1.0 - np.cos(x)) * np.sin(x))
     assert SPEED_BOUND == pytest.approx(6.0 * np.sqrt(3.0), rel=1e-15)
     assert slope.max() == pytest.approx(SPEED_BOUND, rel=1e-9)
-
-
-def test_lattice_vector_validation():
-    with pytest.raises(ValueError):
-        LatticeVector(0, np.zeros(1))
-    with pytest.raises(ValueError):
-        LatticeVector(2, np.zeros(4))
-    with pytest.raises(ValueError):
-        LatticeVector(1, np.array([0.0, np.inf, 0.0]))
-    v = LatticeVector.delta(3, -2)
-    assert v[-2] == 1.0 and v[0] == 0.0
-    np.testing.assert_array_equal(v.sites, np.arange(-3, 4))
 
 
 def test_potential_spec_validation():
@@ -147,40 +145,16 @@ def test_dirichlet_matrix_matches_oracle_assembly():
     np.testing.assert_allclose(got, oracles.dense_hamiltonian(17, diag), atol=0)
 
 
-def _reflection_symmetric(rng, radius):
-    side = 2 * radius + 1
-    a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    return a + a[::-1, ::-1]
-
-
-def _record_norm_shapes(monkeypatch):
-    shapes = []
-    full_norm = np.linalg.norm
-
-    def norm(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return full_norm(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", norm)
-    return shapes
-
-
-def test_parity_split_norm_matches_full_svd(monkeypatch):
+def test_parity_split_norm_matches_full_svd():
+    # the blocks built from the row against a dense SVD of D^-s K D^-s
     rng = np.random.default_rng(11)
     for radius in (1, 2, 64):
         for s in (0.0, 1.5):
             d = site_weights(radius, -s)
-            K = _reflection_symmetric(rng, radius)
-            want = np.linalg.norm(d[:, None] * K * d[None, :], 2)
-            assert weighted_operator_norm(K, s) == pytest.approx(want, rel=1e-13)
-    # a non-symmetric input takes the full SVD
-    shapes = _record_norm_shapes(monkeypatch)
-    K = _reflection_symmetric(rng, 2)
-    K[0, 1] += 1.0
-    d = site_weights(2, -1.5)
-    want = float(np.linalg.svd(d[:, None] * K * d[None, :], compute_uv=False)[0])
-    assert weighted_operator_norm(K, 1.5) == pytest.approx(want, rel=1e-13)
-    assert shapes == [(5, 5)]
+            row = rng.normal(size=2 * radius + 1) + 1j * rng.normal(size=2 * radius + 1)
+            K = _toeplitz(row)
+            want = np.linalg.svd(d[:, None] * K * d[None, :], compute_uv=False)[0]
+            assert weighted_operator_norm(row, s) == pytest.approx(want, rel=1e-13)
 
 
 def _record_svd_shapes(monkeypatch):
@@ -199,11 +173,9 @@ def test_symmetric_weighted_norm_never_decomposes_the_full_window(monkeypatch):
     # the remainder kernels of expansion-check: Toeplitz on [-64, 64]; the
     # weaker block's Frobenius norm is below the stronger block's norm, so
     # only the stronger block is decomposed
-    sites = np.arange(-64, 65)
     row = np.random.default_rng(5).normal(size=129) * (1 + 0.5j)
-    K = row[np.abs(sites[:, None] - sites[None, :])]
     shapes = _record_svd_shapes(monkeypatch)
-    weighted_operator_norm(K, 5.0)
+    weighted_operator_norm(row, 5.0)
     assert len(shapes) == 1 and shapes[0] in [(64, 64), (65, 65)]
 
 
@@ -214,26 +186,26 @@ def test_symmetric_weighted_norm_decomposes_a_block_its_frobenius_norm_cannot_ru
     # has norm 1 and Frobenius norm about 4, so both are decomposed
     full = float(np.linalg.svd(np.eye(33), compute_uv=False)[0])
     shapes = _record_svd_shapes(monkeypatch)
-    assert weighted_operator_norm(np.eye(33), 0.0) == pytest.approx(full, rel=1e-15)
+    assert weighted_operator_norm(_unit_row(16, 0), 0.0) == pytest.approx(full, rel=1e-15)
     assert sorted(shapes) == [(16, 16), (17, 17)]
 
 
 def test_default_remainder_norms_are_the_larger_block_norm(monkeypatch):
-    # each of expansion-check's 140 default remainder matrices gets the same
-    # float as decomposing both parity blocks
-    matrices, norm = [], expansion.weighted_operator_norm
+    # each of expansion-check's 140 default remainder rows gets the same
+    # float as decomposing both parity blocks of its folded window matrix
+    rows, norm = [], expansion.weighted_operator_norm
 
-    def recorded(K, s):
-        matrices.append((K, s))
-        return norm(K, s)
+    def recorded(row, s):
+        rows.append((row, s))
+        return norm(row, s)
 
     monkeypatch.setattr(expansion, "weighted_operator_norm", recorded)
     for threshold, orders, base in (("zero", (0, 1, 2), 4), ("sixteen", (0, 1), 2)):
         for n in orders:
             expansion.remainder_norms(threshold, n, n + base + 1.0)
-    assert len(matrices) == 140
-    for K, s in matrices:
-        radius = K.shape[0] // 2
-        blocks = _parity_blocks(K, site_weights(radius, -s)[radius:])
+    assert len(rows) == 140
+    for row, s in rows:
+        radius = row.size // 2
+        blocks = oracles.parity_blocks(_toeplitz(row), site_weights(radius, -s)[radius:])
         want = max(np.linalg.svd(block, compute_uv=False)[0] for block in blocks)
-        assert weighted_operator_norm(K, s) == want
+        assert weighted_operator_norm(row, s) == want

@@ -730,14 +730,16 @@ def test_five_smooth_matches_scipy_next_fast_len():
 @pytest.mark.parametrize("t,kmax_odd", [(0.0, 66), (0.7, 52), (37.0, 29), (1e3, 875)])
 def test_free_kernel_half_ring_matches_mirrored_ifft(t, kmax_odd):
     # the half-length transform against the full-length inverse FFT of the
-    # mirrored weight, over every separation of the half ring
+    # mirrored weight, over every separation of the half ring; at kmax 0
+    # the mirrored weight is ring_weight's
     halves = set()
     for kind in FREE_KINDS + ("beam_cos", "beam_sinc"):
-        for kmax in (5, kmax_odd):
-            weight = ring_weight(t, kind, kmax)
+        for kmax in (0, 5, kmax_odd):
             size = ring_size(t, kind, kmax)
-            assert weight.size == size
-            assert np.array_equal(weight[1:], weight[:0:-1]), kind
+            half, _ = propagator._ring_weight_at(t, kind, size, np.arange(size // 2 + 1))
+            weight = np.concatenate([half, half[-2:0:-1]])
+            if kmax == 0:
+                assert np.array_equal(weight, ring_weight(t, kind)), kind
             want = np.fft.ifft(weight)[: size // 2 + 1]
             got = free_kernel_full(t, kind, kmax)
             assert got.size == size // 2 + 1

@@ -5,7 +5,7 @@ import pytest
 
 from bilap import propagator, spectral
 from bilap.expansion import geometric_grid
-from bilap.lattice import PotentialSpec, _parity_blocks, build_hamiltonian
+from bilap.lattice import PotentialSpec, build_hamiltonian
 from bilap.resolvent import (
     boundary_kernel_plus,
     windowed_boundary_resolvent,
@@ -544,7 +544,7 @@ def test_symmetric_eigensystem_is_the_dense_assembly_to_the_bit(V, radius):
     # support, one site for the free operator
     if radius is None:
         radius = 1 if V is None else V.support_radius + 2
-    want = oracles.parity_eigenvalues(*_parity_blocks(build_hamiltonian(V, radius)))
+    want = oracles.parity_eigenvalues(*oracles.parity_blocks(build_hamiltonian(V, radius)))
     assert _window_eigenvalues(V, radius).tobytes() == want.tobytes()
 
 
